@@ -34,6 +34,7 @@ from .losses import (
     Logistic,
     NoncompactExample,
     Poisson,
+    SmoothPoint,
 )
 from .problem import (
     OptimalityCertificate,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -172,6 +173,20 @@ class NoncompactExample(SmoothLoss):
         return np.array([e, (1.0 - u) * e])
 
 
+@dataclass(frozen=True, eq=False)
+class SmoothPoint:
+    """f evaluated at one point x: y = A(x) and f(x) = h(y) + ⟨c, x⟩.  The
+    gradient A*∇h(y) + c costs one adjoint and is formed on first use."""
+
+    smooth: "CompositeSmooth"
+    y: np.ndarray
+    value: float
+
+    @cached_property
+    def gradient(self) -> np.ndarray:
+        return self.smooth.A.adjoint(self.smooth.h.gradient(self.y)) + self.smooth.c
+
+
 @dataclass(frozen=True)
 class CompositeSmooth:
     """f(x) = h(A(x)) + ⟨c, x⟩ with gradient A*∇h(A(x)) + c."""
@@ -186,16 +201,17 @@ class CompositeSmooth:
     def in_domain(self, x) -> bool:
         return self.h.in_domain(self.A(np.asarray(x, dtype=float)))
 
-    def _check(self, x):
+    def at(self, x) -> SmoothPoint:
+        """Evaluate f at x with one application of A; raises DomainError
+        when A(x) lies outside the loss domain."""
         x = np.asarray(x, dtype=float)
-        if not self.in_domain(x):
+        y = self.A(x)
+        if not self.h.in_domain(y):
             raise DomainError("composite: A(x) outside the loss domain")
-        return x
+        return SmoothPoint(self, y, self.h.value(y) + inner(self.c, x))
 
     def value(self, x) -> float:
-        x = self._check(x)
-        return self.h.value(self.A(x)) + inner(self.c, x)
+        return self.at(x).value
 
     def gradient(self, x) -> np.ndarray:
-        x = self._check(x)
-        return self.A.adjoint(self.h.gradient(self.A(x))) + self.c
+        return self.at(x).gradient

@@ -66,13 +66,14 @@ def residual_map(prob: ProblemInstance, x) -> np.ndarray:
 def certify(prob: ProblemInstance, x, tol: float = CERT_TOL) -> OptimalityCertificate:
     """Verify ‖R(x)‖ ≤ tol and freeze the invariants (ȳ, ḡ)."""
     x = np.asarray(x, dtype=float)
-    r = norm(residual_map(prob, x))
+    point = prob.smooth.at(x)
+    r = norm(prob.reg.prox_diff(x, point.gradient))
     if r > tol:
         raise NotOptimalError(r, tol)
     return OptimalityCertificate(
         x_star=x,
-        y_bar=prob.smooth.A(x),
-        g_bar=prob.smooth.gradient(x),
+        y_bar=point.y,
+        g_bar=point.gradient,
         residual_norm=r,
         tol=tol,
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InfeasibleTargetError, InvalidInputError
-from .space import GROUP_TOL, norm, psd_project, svd
+from .space import GROUP_TOL, _require_finite, norm, psd_project, svd
 
 TAU_EQ = 1e-8
 
@@ -268,6 +268,11 @@ class GroupedLasso(Regularizer):
         self.n = covered.size
         if sorted(covered.tolist()) != list(range(self.n)):
             raise InvalidInputError("groups must partition the coordinate set")
+        # group id of every coordinate, so value and prox run over all groups at once
+        self._group_of = np.zeros(self.n, dtype=int)
+        for gid, J in enumerate(self.groups):
+            self._group_of[J] = gid
+        self._weight = np.array(self.weights)
 
     def _check(self, x):
         x = super()._check(x)
@@ -275,19 +280,20 @@ class GroupedLasso(Regularizer):
             raise InvalidInputError(f"expected {self.n} coordinates, got {x.size}")
         return x
 
+    def _group_norms(self, x):
+        sq = np.bincount(self._group_of, weights=x * x, minlength=len(self.groups))
+        return np.sqrt(sq)
+
     def value(self, x):
-        x = self._check(x)
-        return float(sum(w * np.linalg.norm(x[J]) for J, w in zip(self.groups, self.weights)))
+        return float(self._weight @ self._group_norms(self._check(x)))
 
     def prox(self, z, t=1.0):
         z = self._check(z)
-        out = np.zeros_like(z)
-        for J, w in zip(self.groups, self.weights):
-            zj = z[J]
-            nz = np.linalg.norm(zj)
-            if nz > 0.0:
-                out[J] = max(1.0 - t * w / nz, 0.0) * zj
-        return out
+        nz = self._group_norms(z)
+        scale = np.zeros_like(nz)
+        live = nz > 0.0
+        scale[live] = np.maximum(1.0 - t * self._weight[live] / nz[live], 0.0)
+        return scale[self._group_of] * z
 
     def subdiff_distance(self, x, s):
         x, s = self._check(x), self._check(s)
@@ -326,16 +332,18 @@ class NuclearNorm(Regularizer):
     expects_matrix: bool = True
 
     def value(self, x):
-        return float(np.sum(svd(self._check(x), self.group_tol).sigma))
+        x = self._check(x)
+        _require_finite(x, "nuclear norm input")
+        return float(np.sum(np.linalg.svd(x, compute_uv=False)))
 
     def prox(self, z, t=1.0):
-        """Matrix shrinkage: each singular value σ ↦ max(σ − t, 0)."""
-        fac = svd(self._check(z), self.group_tol)
-        m, n = fac.shape
-        k = min(m, n)
-        smat = np.zeros((m, n))
-        smat[:k, :k] = np.diag(np.maximum(fac.sigma - t, 0.0))
-        return fac.U @ smat @ fac.V.T
+        """Matrix shrinkage: each singular value σ ↦ max(σ − t, 0).  A thin
+        SVD suffices, and U diag(σ') Vᵀ does not depend on the signs of the
+        singular vectors."""
+        z = self._check(z)
+        _require_finite(z, "nuclear norm prox input")
+        U, sigma, Vt = np.linalg.svd(z, full_matrices=False)
+        return (U * np.maximum(sigma - t, 0.0)) @ Vt
 
     def subdiff_distance(self, x, s):
         x = self._check(x)

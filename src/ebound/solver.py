@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DomainError, InsufficientDataError, LineSearchError
 from .losses import GeneralQuadratic, LeastSquares, Logistic
-from .problem import ProblemInstance, residual_map
+from .problem import ProblemInstance
 from .space import inner, norm
 
 _MIN_STEP = 1e-14
@@ -57,6 +57,14 @@ class SolveTrace:
         return np.array([row[2] for row in self.iterations])
 
 
+def _evaluate(smooth, x):
+    """smooth.at(x), or None when A(x) lies outside the loss domain."""
+    try:
+        return smooth.at(x)
+    except DomainError:
+        return None
+
+
 def proximal_gradient(
     prob: ProblemInstance,
     x0,
@@ -70,33 +78,41 @@ def proximal_gradient(
     f(x⁺) ≤ f(x) + ⟨∇f(x), x⁺ − x⟩ + ‖x⁺ − x‖²/(2t) holds; steps that leave
     dom(f) count as failures.  The recorded residual is always the unit-step
     R(x), independent of the step size actually taken.
+
+    f is evaluated once per point and its gradient once per iterate, so an
+    iteration costs one forward and one adjoint application of A with Fixed,
+    one forward per trial step and one adjoint with Backtracking, and two
+    prox calls (the residual and the step) plus one per rejected trial.
     """
     x = np.asarray(x0, dtype=float)
-    if not prob.smooth.in_domain(x) or not np.isfinite(prob.reg.value(x)):
+    point = _evaluate(prob.smooth, x)
+    if point is None or not np.isfinite(prob.reg.value(x)):
         raise DomainError("x0 lies outside dom(f) ∩ dom(P)")
 
     rows = []
     t = step.t0 if isinstance(step, Backtracking) else step.t
     for k in range(max_iter + 1):
-        r = norm(residual_map(prob, x))
-        rows.append((k, prob.smooth.value(x) + prob.reg.value(x), r, t))
+        g = point.gradient
+        r = norm(prob.reg.prox_diff(x, g))
+        rows.append((k, point.value + prob.reg.value(x), r, t))
         if r <= tol:
             return SolveTrace(rows, x, CONVERGED)
         if k == max_iter:
             break
 
-        g = prob.smooth.gradient(x)
-        fx = prob.smooth.value(x)
         if isinstance(step, Fixed):
             x = prob.reg.prox(x - t * g, t)
+            point = prob.smooth.at(x)
         else:
             # warm-started: keep the last accepted t, halve until the
             # quadratic upper bound holds (up to a few ulps of f)
+            fx = point.value
             while True:
                 cand = prob.reg.prox(x - t * g, t)
                 dx = cand - x
-                if prob.smooth.in_domain(cand):
-                    fc = prob.smooth.value(cand)
+                trial = _evaluate(prob.smooth, cand)
+                if trial is not None:
+                    fc = trial.value
                     bound = fx + inner(g, dx) + float(np.sum(dx * dx)) / (2.0 * t)
                     slack = 4.0 * np.finfo(float).eps * max(1.0, abs(fx), abs(fc))
                     if fc <= bound + slack:
@@ -104,7 +120,7 @@ def proximal_gradient(
                 t *= step.beta
                 if t < _MIN_STEP:
                     raise LineSearchError(f"step collapsed below {_MIN_STEP:g} at iteration {k}")
-            x = cand
+            x, point = cand, trial
 
     return SolveTrace(rows, x, ITERATION_LIMIT)
 

@@ -153,6 +153,8 @@ class CoordinateSelectMap(LinearMap):
         for i in idx:
             if len(i) != ndim:
                 raise InvalidInputError(f"index {i} does not match input shape {self.in_shape}")
+            if not all(0 <= k < size for k, size in zip(i, self.in_shape)):
+                raise InvalidInputError(f"index {i} is out of range for shape {self.in_shape}")
         if len(set(idx)) != len(idx):
             raise InvalidInputError("coordinate-select indices must be distinct")
 
@@ -160,22 +162,23 @@ class CoordinateSelectMap(LinearMap):
     def out_shape(self):
         return (len(self.indices),)
 
+    @cached_property
+    def _flat(self) -> np.ndarray:
+        """Row-major positions of the selected entries."""
+        coords = np.array(self.indices, dtype=int).reshape(-1, len(self.in_shape))
+        return np.ravel_multi_index(tuple(coords.T), self.in_shape)
+
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.array([x[i] for i in self.indices])
+        return np.take(np.asarray(x, dtype=float), self._flat)
 
     def adjoint(self, y):
-        y = np.asarray(y, dtype=float)
         out = np.zeros(self.in_shape)
-        for i, yi in zip(self.indices, y):
-            out[i] = yi
+        out.reshape(-1)[self._flat] = np.asarray(y, dtype=float)
         return out
 
     def as_matrix(self):
-        n = int(np.prod(self.in_shape))
-        m = np.zeros((len(self.indices), n))
-        for row, i in enumerate(self.indices):
-            m[row, int(np.ravel_multi_index(i, self.in_shape))] = 1.0
+        m = np.zeros((len(self.indices), int(np.prod(self.in_shape))))
+        m[np.arange(len(self.indices)), self._flat] = 1.0
         return m
 
     def operator_norm(self):
@@ -310,8 +313,7 @@ def affine_project(x, A: LinearMap, y_bar, *, tol: float = 1e-9):
         return y_bar.reshape(x.shape)
     if isinstance(A, CoordinateSelectMap):
         out = x.copy()
-        for i, yi in zip(A.indices, np.atleast_1d(y_bar)):
-            out[i] = yi
+        out.reshape(-1)[A._flat] = y_bar
         return out
     # dense: z = x − A⁺(A(x) − ȳ) via the SVD pseudoinverse
     residual = A(x) - y_bar

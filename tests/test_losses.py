@@ -10,7 +10,7 @@ from ebound.losses import (
     NoncompactExample,
     Poisson,
 )
-from ebound.space import CoordinateSelectMap, IdentityMap
+from ebound.space import CoordinateSelectMap, DenseMap, IdentityMap
 
 COUNTER_B = np.array([[1.5, -2.0], [-2.0, 3.0]])
 COUNTER_D = np.array([2.5, -1.0])
@@ -165,3 +165,19 @@ class TestComposite:
         f = CompositeSmooth(NoncompactExample(), IdentityMap((2,)), np.zeros(2))
         with pytest.raises(DomainError):
             f.value(np.array([2.0, 1.0]))
+        with pytest.raises(DomainError):
+            f.at(np.array([2.0, 1.0]))
+
+    def test_point_record_matches_value_and_gradient(self):
+        rng = np.random.default_rng(4)
+        M = rng.standard_normal((3, 5))
+        b = rng.standard_normal(3)
+        c = rng.standard_normal(5)
+        f = CompositeSmooth(LeastSquares(b), DenseMap(M, (5,)), c)
+        x = rng.standard_normal(5)
+        point = f.at(x)
+        assert np.array_equal(point.y, M @ x)
+        assert point.value == 0.5 * float(np.sum((M @ x - b) ** 2)) + float(np.sum(c * x))
+        assert np.array_equal(point.gradient, M.T @ (M @ x - b) + c)
+        assert point.value == f.value(x)
+        assert np.array_equal(point.gradient, f.gradient(x))

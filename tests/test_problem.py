@@ -196,11 +196,13 @@ class TestDistanceToSolutionSet:
         cert = certify(prob, x_star, tol=1e-9)
         rng = np.random.default_rng(2)
         ts = np.linspace(-1.0, 1.0, 200001)
+        segment = np.empty((ts.size, 2, 2))
+        segment[:, 0, 0] = segment[:, 1, 1] = 1.0
+        segment[:, 0, 1] = segment[:, 1, 0] = ts
         for _ in range(10):
             x = x_star + 0.3 * rng.standard_normal((2, 2))
             d = distance_to_solution_set(prob, cert, x)
-            brute = min(
-                np.linalg.norm(x - np.array([[1.0, t], [t, 1.0]])) for t in ts)
+            brute = np.min(np.linalg.norm(x - segment, axis=(1, 2)))
             assert abs(d - brute) <= 1e-5
 
     def test_strongly_convex_shortcut(self):

@@ -62,6 +62,40 @@ class TestProx:
                                    atol=1e-14)
         np.testing.assert_allclose(reg.prox(np.zeros(2)), np.zeros(2))
 
+    def test_grouped_matches_per_group_loop(self):
+        # non-contiguous groups of unequal size, one zero-weight group and,
+        # in the second point, a zero-norm group
+        groups = [[4, 0, 7], [2], [8, 1, 5, 3], [6, 9]]
+        weights = [0.5, 0.0, 1.2, 0.7]
+        reg = GroupedLasso(groups, weights)
+        rng = np.random.default_rng(12)
+        z_zero_group = rng.standard_normal(10)
+        z_zero_group[[6, 9]] = 0.0
+        for z in (rng.standard_normal(10), z_zero_group, 0.2 * rng.standard_normal(10)):
+            value = sum(w * np.linalg.norm(z[J]) for J, w in zip(groups, weights))
+            assert abs(reg.value(z) - value) <= 1e-14 * max(1.0, value)
+            for t in (0.3, 1.0, 2.5):
+                expected = np.zeros(10)
+                for J, w in zip(groups, weights):
+                    nz = np.linalg.norm(z[J])
+                    if nz > 0.0:
+                        expected[J] = max(1.0 - t * w / nz, 0.0) * z[J]
+                np.testing.assert_allclose(reg.prox(z, t), expected, rtol=1e-14, atol=1e-15)
+
+    def test_nuclear_matches_full_svd_shrinkage(self):
+        rng = np.random.default_rng(13)
+        tall = rng.standard_normal((7, 4))
+        wide = rng.standard_normal((3, 6))
+        rank_two = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 5))
+        for Z in (tall, wide, rank_two):
+            U, sigma, Vt = np.linalg.svd(Z, full_matrices=True)
+            k = sigma.size
+            assert abs(NuclearNorm().value(Z) - np.sum(sigma)) <= 1e-12 * np.sum(sigma)
+            for t in (0.0, 0.5, float(np.median(sigma))):
+                S = np.zeros(Z.shape)
+                S[:k, :k] = np.diag(np.maximum(sigma - t, 0.0))
+                np.testing.assert_allclose(NuclearNorm().prox(Z, t), U @ S @ Vt, atol=1e-12)
+
     def test_matrix_shrinkage_on_psd_dominant_matrix(self):
         # for Z ⪰ I the shrinkage just subtracts the identity
         delta = 0.3
@@ -180,7 +214,7 @@ class TestInverseImage:
         grid = np.linspace(-50.0, 0.0, 200001)
         for _ in range(10):
             x = rng.uniform(-2, 2, 2)
-            brute = min(np.linalg.norm(x - a * g) for a in grid)
+            brute = np.min(np.linalg.norm(x - grid[:, None] * g, axis=1))
             assert abs(reg.inverse_image_distance(g, x) - brute) <= 1e-6
 
     def test_nuclear_split_index_and_distance(self):

@@ -1,11 +1,13 @@
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
 from ebound.errors import DomainError, InsufficientDataError, LineSearchError
 from ebound.experiments import counterexample_instance, ridge_instance
-from ebound.losses import CompositeSmooth, LeastSquares
+from ebound.losses import CompositeSmooth, LeastSquares, SmoothLoss
 from ebound.problem import ProblemInstance, certify
-from ebound.regularizers import Ridge
+from ebound.regularizers import L1, Ridge
 from ebound.solver import (
     CONVERGED,
     ITERATION_LIMIT,
@@ -16,7 +18,33 @@ from ebound.solver import (
     lipschitz_bound,
     proximal_gradient,
 )
-from ebound.space import IdentityMap, norm
+from ebound.space import DenseMap, IdentityMap, norm
+
+
+@dataclass(frozen=True)
+class CountingMap(DenseMap):
+    """DenseMap that counts its forward and adjoint applications."""
+
+    calls: dict = field(default_factory=lambda: {"forward": 0, "adjoint": 0}, compare=False)
+
+    def __call__(self, x):
+        self.calls["forward"] += 1
+        return super().__call__(x)
+
+    def adjoint(self, y):
+        self.calls["adjoint"] += 1
+        return super().adjoint(y)
+
+
+def lasso_toy(seed=0, m=30, n=60):
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((m, n))
+    b = M[:, :3] @ np.array([1.5, -2.0, 0.5]) + 0.05 * rng.standard_normal(m)
+    lam = 0.3 * float(np.max(np.abs(M.T @ b)))
+    A = CountingMap(M, (n,))
+    prob = ProblemInstance(CompositeSmooth(LeastSquares(b), A, np.zeros(n)), L1(lam), np.zeros(n))
+    A.calls.update(forward=0, adjoint=0)
+    return prob, M, b, lam
 
 
 def ridge_toy(lam=0.3):
@@ -81,22 +109,20 @@ class TestProximalGradient:
     def test_line_search_collapse(self):
         # a smooth part whose domain admits only the starting point forces
         # every candidate step to be rejected
-        class PointDomain:
-            def in_domain(self, x):
-                return bool(np.allclose(x, 0.0))
+        class PointDomain(SmoothLoss):
+            def in_domain(self, y):
+                return bool(np.allclose(y, 0.0))
 
-            def value(self, x):
-                return float(np.sum(x**2))
+            def value(self, y):
+                return float(np.sum(self._check(y) ** 2))
 
-            def gradient(self, x):
-                return 2.0 * np.asarray(x) + 1.0
+            def gradient(self, y):
+                return 2.0 * self._check(y)
 
-        class Stub:
-            smooth = PointDomain()
-            reg = Ridge(0.0)
-
+        smooth = CompositeSmooth(PointDomain(), IdentityMap((3,)), np.ones(3))
+        prob = ProblemInstance(smooth, Ridge(0.0), np.zeros(3))
         with pytest.raises(LineSearchError):
-            proximal_gradient(Stub(), np.zeros(3), step=Backtracking())
+            proximal_gradient(prob, np.zeros(3), step=Backtracking())
 
     def test_solver_limit_certifies(self):
         prob = ridge_instance(3)
@@ -105,6 +131,45 @@ class TestProximalGradient:
                                   tol=1e-11, max_iter=10000)
         cert = certify(prob, trace.terminal, tol=1e-9)
         assert cert.residual_norm <= 1e-11
+
+
+class TestWorkPerIteration:
+    def test_fixed_step_one_forward_one_adjoint(self):
+        prob, *_ = lasso_toy()
+        trace = proximal_gradient(prob, np.zeros(60), step=Fixed(1.0 / lipschitz_bound(prob)),
+                                  tol=1e-14, max_iter=40)
+        K = len(trace.iterations) - 1
+        assert trace.status == ITERATION_LIMIT and K == 40
+        calls = prob.smooth.A.calls
+        assert calls["forward"] <= K + 2
+        assert calls["adjoint"] <= K + 1
+
+    def test_backtracking_one_adjoint_per_iteration(self):
+        prob, *_ = lasso_toy(1)
+        trace = proximal_gradient(prob, np.zeros(60), step=Backtracking(),
+                                  tol=1e-14, max_iter=40)
+        K = len(trace.iterations) - 1
+        assert prob.smooth.A.calls["adjoint"] == K + 1
+
+    def test_fixed_step_matches_numpy_ista(self):
+        prob, M, b, lam = lasso_toy(2)
+        t = 1.0 / lipschitz_bound(prob)
+        K = 60
+        trace = proximal_gradient(prob, np.zeros(60), step=Fixed(t), tol=1e-14, max_iter=K)
+
+        def soft(z, level):
+            return np.sign(z) * np.maximum(np.abs(z) - level, 0.0)
+
+        x = np.zeros(60)
+        for k, F, r, step in trace.iterations:
+            g = M.T @ (M @ x - b)
+            expected_F = 0.5 * float(np.sum((M @ x - b) ** 2)) + lam * float(np.sum(np.abs(x)))
+            assert abs(F - expected_F) <= 1e-12 * max(1.0, abs(expected_F))
+            assert abs(r - np.linalg.norm(soft(x - g, lam) - x)) <= 1e-12
+            assert step == t
+            if k < K:
+                x = soft(x - t * g, t * lam)
+        np.testing.assert_allclose(trace.terminal, x, rtol=0.0, atol=1e-12)
 
 
 class TestRateEstimation:

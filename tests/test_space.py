@@ -230,3 +230,25 @@ class TestLinearMaps:
     def test_duplicate_indices_rejected(self):
         with pytest.raises(InvalidInputError):
             CoordinateSelectMap(((0, 0), (0, 0)), (2, 2))
+
+    def test_out_of_range_indices_rejected(self):
+        for idx in (((0, 0), (2, 1)), ((0, -1),)):
+            with pytest.raises(InvalidInputError):
+                CoordinateSelectMap(idx, (2, 2))
+
+    def test_coordinate_select_matches_entrywise_loop(self):
+        rng = np.random.default_rng(14)
+        for shape, indices in (((4, 5), ((3, 1), (0, 4), (2, 2), (0, 0))),
+                               ((6,), (5, 0, 3))):
+            A = CoordinateSelectMap(indices, shape)
+            X = rng.standard_normal(shape)
+            y = rng.standard_normal(len(indices))
+            assert np.array_equal(A(X), np.array([X[i] for i in A.indices]))
+            back = np.zeros(shape)
+            for i, yi in zip(A.indices, y):
+                back[i] = yi
+            assert np.array_equal(A.adjoint(y), back)
+            placed = X.copy()
+            for i, yi in zip(A.indices, y):
+                placed[i] = yi
+            assert np.array_equal(affine_project(X, A, y), placed)
