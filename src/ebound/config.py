@@ -3,8 +3,11 @@ any computation runs.  Matrices are nested row-major arrays; linear maps are
 {"identity": true}, {"dense": [[...]]}, or {"coordinate_select": [[i,j],...]}.
 
 Validation aggregates every problem it finds, anchored to JSON paths such as
-problem.regularizer.grouped_lasso.weights[1]; syntax errors carry the
-parser's line and column.
+problem.regularizer.grouped_lasso.weights; syntax errors carry the parser's
+line and column.  A custom problem is checked in two passes: the part tables
+below check its JSON types, then instance_from_config builds it with the
+constructors a run uses and evaluates f and P once at x0, so a value that a
+run would reject is rejected here, under the path of the part that holds it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,12 @@ import json
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
+from .losses import (CompositeSmooth, GeneralQuadratic, LeastSquares, Logistic,
+                     NoncompactExample, Poisson)
+from .problem import ProblemInstance
+from .regularizers import L1, GroupedLasso, NuclearNorm, OrthantIndicator, Ridge
+from .space import CoordinateSelectMap, DenseMap, IdentityMap
 
 EXPERIMENTS = (
     "counterexample",
@@ -25,9 +33,70 @@ EXPERIMENTS = (
     "custom",
 )
 
-_LOSSES = ("least_squares", "general_quadratic", "logistic", "poisson", "noncompact")
-_MAPS = ("identity", "dense", "coordinate_select")
-_REGS = ("l1", "ridge", "grouped_lasso", "nuclear_norm", "orthant")
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _array_of(test):
+    return lambda v: isinstance(v, list) and all(test(x) for x in v)
+
+
+def _is_matrix(v):
+    return _array_of(_array_of(_is_number))(v) and len({len(row) for row in v}) == 1
+
+
+def _is_array(v):
+    return _is_number(v) or _array_of(_is_array)(v)
+
+
+#: JSON type → (test, message when a value fails it)
+_TYPES = {
+    "number": (_is_number, "must be a number"),
+    "integer": (_is_int, "must be an integer"),
+    "vector": (_array_of(_is_number), "must be an array of numbers"),
+    "matrix": (_is_matrix, "must be a rectangular array of number rows"),
+    "array": (_is_array, "must be a number or a nested array of numbers"),
+    "index_groups": (_array_of(_array_of(_is_int)), "must be an array of index arrays"),
+    "indices": (_array_of(lambda i: _is_int(i) or _array_of(_is_int)(i)),
+                "must be an array of indices"),
+    "any": (lambda v: True, ""),
+}
+
+
+def _fields(cls):
+    """Constructor that takes a part's body object as keyword arguments."""
+    return lambda body, shape: cls(**body)
+
+
+# Each part table maps a name to (constructor(body, shape), schema).  A dict
+# schema makes the body an object with exactly those typed fields; a string
+# schema types the body itself.  Value checks (B positive definite, labels
+# ±1, groups a partition, ...) are the constructors' own.
+_LOSSES = {
+    "least_squares": (_fields(LeastSquares), {"targets": "vector"}),
+    "general_quadratic": (_fields(GeneralQuadratic), {"B": "matrix", "d": "vector"}),
+    "logistic": (_fields(Logistic), {"labels": "vector"}),
+    "poisson": (_fields(Poisson), {"counts": "vector"}),
+    "noncompact": (_fields(NoncompactExample), {}),
+}
+_MAPS = {
+    "identity": (lambda body, shape: IdentityMap(shape), "any"),
+    "dense": (DenseMap, "matrix"),
+    "coordinate_select": (CoordinateSelectMap, "indices"),
+}
+_REGULARIZERS = {
+    "l1": (_fields(L1), {"weight": "number"}),
+    "ridge": (_fields(Ridge), {"weight": "number"}),
+    "grouped_lasso": (_fields(GroupedLasso), {"groups": "index_groups", "weights": "vector"}),
+    "nuclear_norm": (_fields(NuclearNorm), {}),
+    "orthant": (_fields(OrthantIndicator), {"signs": "vector"}),
+}
+_PARTS = {"loss": _LOSSES, "linear_map": _MAPS, "regularizer": _REGULARIZERS}
 
 
 class _Check:
@@ -42,46 +111,27 @@ class _Check:
             if key not in allowed:
                 self.fail(f"{path}.{key}" if path else key, "unknown key")
 
-    def number(self, obj, path, *, positive=False, nonnegative=False):
-        if not isinstance(obj, (int, float)) or isinstance(obj, bool):
-            self.fail(path, "must be a number")
-            return None
-        if positive and obj <= 0:
-            self.fail(path, "must be > 0")
-        if nonnegative and obj < 0:
-            self.fail(path, "must be >= 0")
-        return obj
-
-    def integer(self, obj, path, *, minimum=None):
-        if not isinstance(obj, int) or isinstance(obj, bool):
-            self.fail(path, "must be an integer")
-            return None
-        if minimum is not None and obj < minimum:
+    def typed(self, obj, path, kind="number", *, minimum=None, positive=False):
+        """Check obj's JSON type and, for a number, its lower bound; True
+        when it passes."""
+        test, message = _TYPES[kind]
+        if not test(obj):
+            self.fail(path, message)
+        elif minimum is not None and obj < minimum:
             self.fail(path, f"must be >= {minimum}")
-        return obj
+        elif positive and obj <= 0:
+            self.fail(path, "must be > 0")
+        else:
+            return True
+        return False
 
-    def vector(self, obj, path):
-        if not isinstance(obj, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj
-        ):
-            self.fail(path, "must be an array of numbers")
+    def attempt(self, path, fn, *args):
+        """fn(*args), or None with the ValueError it raised recorded under path."""
+        try:
+            return fn(*args)
+        except ValueError as exc:
+            self.fail(path, str(exc))
             return None
-        return obj
-
-    def matrix(self, obj, path):
-        if (
-            not isinstance(obj, list)
-            or not obj
-            or not all(isinstance(row, list) for row in obj)
-            or len({len(row) for row in obj}) != 1
-            or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool)
-                for row in obj for v in row
-            )
-        ):
-            self.fail(path, "must be a rectangular array of number rows")
-            return None
-        return obj
 
 
 def _validate_probe(chk, probe, path):
@@ -97,16 +147,18 @@ def _validate_probe(chk, probe, path):
                 if key not in radii:
                     chk.fail(f"{path}.radii.{key}", "missing")
                 else:
-                    chk.number(radii[key], f"{path}.radii.{key}")
-            chk.integer(radii.get("count", 0), f"{path}.radii.count", minimum=2)
+                    chk.typed(radii[key], f"{path}.radii.{key}", positive=True)
+            chk.typed(radii.get("count", 0), f"{path}.radii.count", "integer", minimum=2)
         elif isinstance(radii, list):
-            chk.vector(radii, f"{path}.radii")
+            if chk.typed(radii, f"{path}.radii", "vector"):
+                for i, r in enumerate(radii):
+                    chk.typed(r, f"{path}.radii[{i}]", positive=True)
         else:
             chk.fail(f"{path}.radii", "must be an array or a start/stop/count object")
     if "directions" in probe:
-        chk.integer(probe["directions"], f"{path}.directions", minimum=1)
+        chk.typed(probe["directions"], f"{path}.directions", "integer", minimum=1)
     if "seed" in probe:
-        chk.integer(probe["seed"], f"{path}.seed", minimum=0)
+        chk.typed(probe["seed"], f"{path}.seed", "integer", minimum=0)
 
 
 def _validate_solver(chk, solver, path):
@@ -117,108 +169,46 @@ def _validate_solver(chk, solver, path):
     step = solver.get("step")
     if step is not None and step != "backtracking":
         if isinstance(step, dict) and set(step) == {"fixed"}:
-            chk.number(step["fixed"], f"{path}.step.fixed", positive=True)
+            chk.typed(step["fixed"], f"{path}.step.fixed", positive=True)
         else:
             chk.fail(f"{path}.step", 'must be "backtracking" or {"fixed": t}')
     if "beta" in solver:
-        beta = chk.number(solver["beta"], f"{path}.beta", positive=True)
-        if beta is not None and beta >= 1:
+        if chk.typed(solver["beta"], f"{path}.beta", positive=True) and solver["beta"] >= 1:
             chk.fail(f"{path}.beta", "must be < 1")
     if "t0" in solver:
-        chk.number(solver["t0"], f"{path}.t0", positive=True)
+        chk.typed(solver["t0"], f"{path}.t0", positive=True)
     if "tol" in solver:
-        chk.number(solver["tol"], f"{path}.tol", positive=True)
+        chk.typed(solver["tol"], f"{path}.tol", positive=True)
     if "max_iter" in solver:
-        chk.integer(solver["max_iter"], f"{path}.max_iter", minimum=1)
+        chk.typed(solver["max_iter"], f"{path}.max_iter", "integer", minimum=1)
 
 
-def _validate_loss(chk, loss, path):
-    chk.known_keys(loss, path, _LOSSES)
-    if len(loss) != 1:
-        chk.fail(path, f"must contain exactly one of {_LOSSES}")
+def _validate_part(chk, spec, path, table):
+    if not isinstance(spec, dict) or len(spec) != 1 or next(iter(spec)) not in table:
+        chk.fail(path, f"must contain exactly one of {tuple(table)}")
         return
-    (kind, body), = loss.items()
-    if kind not in _LOSSES or not isinstance(body, dict):
-        if kind in _LOSSES:
-            chk.fail(f"{path}.{kind}", "must be an object")
-        return
-    p = f"{path}.{kind}"
-    if kind == "least_squares":
-        chk.known_keys(body, p, {"targets"})
-        chk.vector(body.get("targets", "missing"), f"{p}.targets")
-    elif kind == "general_quadratic":
-        chk.known_keys(body, p, {"B", "d"})
-        B = chk.matrix(body.get("B", "missing"), f"{p}.B")
-        chk.vector(body.get("d", "missing"), f"{p}.d")
-        if B is not None:
-            arr = np.array(B, dtype=float)
-            if arr.shape[0] != arr.shape[1]:
-                chk.fail(f"{p}.B", "must be square")
-            elif np.linalg.norm(arr - arr.T) > 1e-10 * max(1.0, np.linalg.norm(arr)):
-                chk.fail(f"{p}.B", "must be symmetric")
-            elif np.linalg.eigvalsh((arr + arr.T) / 2).min() <= 0:
-                chk.fail(f"{p}.B", "must be positive definite")
-    elif kind == "logistic":
-        chk.known_keys(body, p, {"labels"})
-        labels = chk.vector(body.get("labels", "missing"), f"{p}.labels")
-        if labels is not None and not all(v in (-1, 1) for v in labels):
-            chk.fail(f"{p}.labels", "labels must be -1 or +1")
-    elif kind == "poisson":
-        chk.known_keys(body, p, {"counts"})
-        counts = chk.vector(body.get("counts", "missing"), f"{p}.counts")
-        if counts is not None and not all(v >= 0 and v == int(v) for v in counts):
-            chk.fail(f"{p}.counts", "counts must be nonnegative integers")
-    else:  # noncompact
-        chk.known_keys(body, p, set())
-
-
-def _validate_regularizer(chk, reg, path):
-    chk.known_keys(reg, path, _REGS)
-    if len(reg) != 1:
-        chk.fail(path, f"must contain exactly one of {_REGS}")
-        return
-    (kind, body), = reg.items()
-    if kind not in _REGS or not isinstance(body, dict):
-        if kind in _REGS:
-            chk.fail(f"{path}.{kind}", "must be an object")
-        return
-    p = f"{path}.{kind}"
-    if kind in ("l1", "ridge"):
-        chk.known_keys(body, p, {"weight"})
-        chk.number(body.get("weight", "missing"), f"{p}.weight", nonnegative=True)
-    elif kind == "grouped_lasso":
-        chk.known_keys(body, p, {"groups", "weights"})
-        groups = body.get("groups")
-        weights = body.get("weights")
-        if not isinstance(groups, list) or not all(isinstance(J, list) for J in groups):
-            chk.fail(f"{p}.groups", "must be an array of index arrays")
-            groups = None
-        weights = chk.vector(weights if weights is not None else "missing", f"{p}.weights")
-        if weights is not None:
-            for i, w in enumerate(weights):
-                if w < 0:
-                    chk.fail(f"{p}.weights[{i}]", "group weights must be >= 0")
-        if groups is not None and weights is not None and len(groups) != len(weights):
-            chk.fail(p, "groups and weights must have the same length")
-        if groups is not None:
-            flat = sorted(i for J in groups for i in J)
-            if flat != list(range(len(flat))):
-                chk.fail(f"{p}.groups", "groups must partition 0..n-1")
-    elif kind == "nuclear_norm":
-        chk.known_keys(body, p, set())
-    else:  # orthant
-        chk.known_keys(body, p, {"signs"})
-        signs = chk.vector(body.get("signs", "missing"), f"{p}.signs")
-        if signs is not None and not all(v in (-1, 0, 1) for v in signs):
-            chk.fail(f"{p}.signs", "signs must be -1, 0, or +1")
+    (kind, body), = spec.items()
+    schema = table[kind][1]
+    path = f"{path}.{kind}"
+    if isinstance(schema, str):
+        chk.typed(body, path, schema)
+    elif not isinstance(body, dict):
+        chk.fail(path, "must be an object")
+    else:
+        chk.known_keys(body, path, schema)
+        for field, field_kind in schema.items():
+            if field not in body:
+                chk.fail(f"{path}.{field}", "missing")
+            else:
+                chk.typed(body[field], f"{path}.{field}", field_kind)
 
 
 def _validate_problem(chk, problem, path):
     if not isinstance(problem, dict):
         chk.fail(path, "must be an object")
         return
-    allowed = {"shape", "loss", "linear_map", "c", "regularizer", "x0", "feasible_point"}
-    chk.known_keys(problem, path, allowed)
+    before = len(chk.errors)
+    chk.known_keys(problem, path, {"shape", *_PARTS, "c", "x0", "feasible_point"})
 
     shape = problem.get("shape")
     if shape is None:
@@ -226,47 +216,73 @@ def _validate_problem(chk, problem, path):
     elif not isinstance(shape, dict) or set(shape) not in ({"vector"}, {"matrix"}):
         chk.fail(f"{path}.shape", 'must be {"vector": n} or {"matrix": [m, n]}')
     elif "vector" in shape:
-        chk.integer(shape["vector"], f"{path}.shape.vector", minimum=1)
+        chk.typed(shape["vector"], f"{path}.shape.vector", "integer", minimum=1)
     else:
         dims = shape["matrix"]
         if not (isinstance(dims, list) and len(dims) == 2):
             chk.fail(f"{path}.shape.matrix", "must be [m, n]")
         else:
             for i, v in enumerate(dims):
-                chk.integer(v, f"{path}.shape.matrix[{i}]", minimum=1)
+                chk.typed(v, f"{path}.shape.matrix[{i}]", "integer", minimum=1)
 
-    loss = problem.get("loss")
-    if loss is None:
-        chk.fail(f"{path}.loss", "missing")
-    elif isinstance(loss, dict):
-        _validate_loss(chk, loss, f"{path}.loss")
-    else:
-        chk.fail(f"{path}.loss", "must be an object")
+    for part, table in _PARTS.items():
+        if part not in problem:
+            chk.fail(f"{path}.{part}", "missing")
+        else:
+            _validate_part(chk, problem[part], f"{path}.{part}", table)
+    for key in ("c", "x0", "feasible_point"):
+        if key in problem:
+            chk.typed(problem[key], f"{path}.{key}", "array")
 
-    lmap = problem.get("linear_map")
-    if lmap is None:
-        chk.fail(f"{path}.linear_map", "missing")
-    elif not isinstance(lmap, dict) or len(lmap) != 1 or next(iter(lmap)) not in _MAPS:
-        chk.fail(f"{path}.linear_map", f"must contain exactly one of {_MAPS}")
-    else:
-        (kind, body), = lmap.items()
-        if kind == "dense":
-            chk.matrix(body, f"{path}.linear_map.dense")
-        elif kind == "coordinate_select":
-            ok = isinstance(body, list) and all(
-                isinstance(i, int) or (isinstance(i, list) and all(isinstance(k, int) for k in i))
-                for i in body
-            )
-            if not ok:
-                chk.fail(f"{path}.linear_map.coordinate_select", "must be an array of indices")
+    if len(chk.errors) == before:
+        try:
+            instance_from_config(problem)
+        except ConfigError as exc:
+            chk.errors.extend(exc.messages)
 
-    reg = problem.get("regularizer")
-    if reg is None:
-        chk.fail(f"{path}.regularizer", "missing")
-    elif isinstance(reg, dict):
-        _validate_regularizer(chk, reg, f"{path}.regularizer")
-    else:
-        chk.fail(f"{path}.regularizer", "must be an object")
+
+def instance_from_config(problem: dict) -> tuple:
+    """Build (ProblemInstance, x0) from a custom-problem block whose JSON
+    types are valid.  Each part is built by its constructor, then P and h∘A
+    are evaluated once at x0, so parts of clashing sizes are caught here.
+    Raises ConfigError with each failure under its part's JSON path."""
+    chk = _Check()
+    dims = problem["shape"]
+    shape = (dims["vector"],) if "vector" in dims else tuple(dims["matrix"])
+
+    paths, parts = {}, {}
+    for part, table in _PARTS.items():
+        (kind, body), = problem[part].items()
+        paths[part] = f"problem.{part}.{kind}"
+        parts[part] = chk.attempt(paths[part], table[kind][0], body, shape)
+
+    def element(key, default):
+        return chk.attempt(f"problem.{key}", lambda: np.array(
+            problem.get(key, default), dtype=float).reshape(shape))
+
+    c = element("c", np.zeros(shape))
+    feasible = element("feasible_point", np.zeros(shape))
+    x0 = element("x0", np.zeros(shape) if feasible is None else feasible)
+    if chk.errors:
+        raise ConfigError(chk.errors)
+
+    h, A, reg = parts["loss"], parts["linear_map"], parts["regularizer"]
+    p0 = chk.attempt(paths["regularizer"], reg.value, x0)
+    try:
+        f0 = h.value(A(x0))
+    except DomainError:
+        f0 = float("inf")
+    except ValueError as exc:
+        chk.fail(paths["loss"], f"does not fit the {A.out_shape[0]} outputs of the "
+                                f"linear map: {exc}")
+    if not chk.errors:
+        prob = chk.attempt("problem.feasible_point", ProblemInstance,
+                           CompositeSmooth(h, A, c), reg, feasible)
+        if not np.isfinite(f0 + p0):
+            chk.fail("problem.x0", "lies outside dom(f) ∩ dom(P)")
+    if chk.errors:
+        raise ConfigError(chk.errors)
+    return prob, x0
 
 
 def validate_config_data(data) -> dict:
@@ -284,7 +300,7 @@ def validate_config_data(data) -> dict:
         chk.fail("experiment", f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
 
     if "seed" in data:
-        chk.integer(data["seed"], "seed", minimum=0)
+        chk.typed(data["seed"], "seed", "integer", minimum=0)
     if "probe" in data:
         _validate_probe(chk, data["probe"], "probe")
     if "solver" in data:
@@ -302,9 +318,9 @@ def validate_config_data(data) -> dict:
             chk.known_keys(block, "noncompact", {"x_start", "x_stop", "count", "y"})
             for key in ("x_start", "x_stop", "y"):
                 if key in block:
-                    chk.number(block[key], f"noncompact.{key}")
+                    chk.typed(block[key], f"noncompact.{key}")
             if "count" in block:
-                chk.integer(block["count"], "noncompact.count", minimum=2)
+                chk.typed(block["count"], "noncompact.count", "integer", minimum=2)
 
     if name == "custom":
         if "problem" not in data:

@@ -1,5 +1,11 @@
-"""Named experiments: instance builders, probe orchestration, and report
-files (samples.csv, loglog.csv, fit.json, summary.txt).
+"""Named experiments: instance builders, the scenario table, one run
+pipeline, and report files (samples.csv, loglog.csv, fit.json, summary.txt).
+
+Every experiment applies the same recipe: build the instance, solve it
+unless its optimum is known in closed form, certify the optimum (freezing
+ȳ = A(x*) and ḡ = ∇f(x*)), sample probe points, fit the exponent, evaluate
+the scenario's assertions, classify the regularity condition, and write the
+reports.  A Scenario holds only data: what differs between experiments.
 
 Every experiment is deterministic given (config, seed): the same inputs
 produce byte-identical output files.
@@ -10,13 +16,17 @@ from __future__ import annotations
 import json
 import math
 import os
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .config import EXPERIMENTS, radii_from_config, validate_config_data
+from .config import instance_from_config, radii_from_config, validate_config_data
 from .diagnostics import (
     Curve,
+    ExponentFit,
     ProbeSample,
     RandomDirections,
     fit_exponent,
@@ -26,23 +36,18 @@ from .diagnostics import (
     strict_complementarity,
 )
 from .errors import ConfigError, InsufficientDataError
-from .losses import (
-    CompositeSmooth,
-    GeneralQuadratic,
-    LeastSquares,
-    Logistic,
-    NoncompactExample,
-    Poisson,
-)
-from .problem import ProblemInstance, certify, objective, residual_map
+from .losses import CompositeSmooth, GeneralQuadratic, LeastSquares, NoncompactExample
+from .problem import OptimalityCertificate, ProblemInstance, certify, objective, residual_map
 from .regularizers import L1, GroupedLasso, NuclearNorm, OrthantIndicator, Ridge
-from .solver import (Backtracking, Fixed, estimate_linear_rate, lipschitz_bound,
-                     proximal_gradient)
+from .solver import (Backtracking, Fixed, SolveTrace, estimate_linear_rate,
+                     lipschitz_bound, proximal_gradient)
 from .space import CoordinateSelectMap, DenseMap, IdentityMap, norm
 
 DEFAULT_RADII = np.logspace(-2, -4, 9)
 DEFAULT_DIRECTIONS = 6
 PROBE_SEED_OFFSET = 1000
+#: certification tolerance at an optimum known in closed form
+KNOWN_OPTIMUM_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -136,54 +141,6 @@ def grouped_lasso_instance(seed: int, m: int = 7):
     return ProblemInstance(smooth, GroupedLasso(groups, weights), np.zeros(n))
 
 
-def instance_from_config(problem: dict) -> tuple:
-    """Build a ProblemInstance from the validated custom-problem block."""
-    shape_spec = problem["shape"]
-    shape = ((shape_spec["vector"],) if "vector" in shape_spec
-             else tuple(shape_spec["matrix"]))
-
-    (loss_kind, loss_body), = problem["loss"].items()
-    if loss_kind == "least_squares":
-        h = LeastSquares(np.array(loss_body["targets"], dtype=float))
-    elif loss_kind == "general_quadratic":
-        h = GeneralQuadratic(np.array(loss_body["B"], dtype=float),
-                             np.array(loss_body["d"], dtype=float))
-    elif loss_kind == "logistic":
-        h = Logistic(np.array(loss_body["labels"], dtype=float))
-    elif loss_kind == "poisson":
-        h = Poisson(np.array(loss_body["counts"], dtype=float))
-    else:
-        h = NoncompactExample()
-
-    (map_kind, map_body), = problem["linear_map"].items()
-    if map_kind == "identity":
-        A = IdentityMap(shape)
-    elif map_kind == "dense":
-        A = DenseMap(np.array(map_body, dtype=float), shape)
-    else:
-        A = CoordinateSelectMap(tuple(tuple(i) if isinstance(i, list) else (i,)
-                                      for i in map_body), shape)
-
-    c = np.array(problem.get("c", np.zeros(shape)), dtype=float).reshape(shape)
-
-    (reg_kind, reg_body), = problem["regularizer"].items()
-    if reg_kind == "l1":
-        reg = L1(reg_body["weight"])
-    elif reg_kind == "ridge":
-        reg = Ridge(reg_body["weight"])
-    elif reg_kind == "grouped_lasso":
-        reg = GroupedLasso(reg_body["groups"], reg_body["weights"])
-    elif reg_kind == "nuclear_norm":
-        reg = NuclearNorm()
-    else:
-        reg = OrthantIndicator(reg_body["signs"])
-
-    feasible = np.array(problem.get("feasible_point", np.zeros(shape)),
-                        dtype=float).reshape(shape)
-    x0 = np.array(problem.get("x0", feasible), dtype=float).reshape(shape)
-    return ProblemInstance(CompositeSmooth(h, A, c), reg, feasible), x0
-
-
 # ---------------------------------------------------------------------------
 # report files
 # ---------------------------------------------------------------------------
@@ -192,71 +149,41 @@ def _fmt(v) -> str:
     return f"{v:.17g}"
 
 
-def _write_samples(out_dir: Path, rows):
-    lines = ["radius,direction_id,d,r_prox,r_alt,F_val"]
-    for radius, did, d, rp, ra, fv in rows:
-        lines.append(f"{_fmt(radius)},{did},{_fmt(d)},{_fmt(rp)},{_fmt(ra)},{_fmt(fv)}")
-    (out_dir / "samples.csv").write_text("\n".join(lines) + "\n")
-
-
-def _write_loglog(out_dir: Path, rows):
-    lines = ["log10_d,log10_r_prox"]
-    for _, _, d, rp, _, _ in rows:
-        if d > 0 and rp > 0:
-            lines.append(f"{_fmt(math.log10(d))},{_fmt(math.log10(rp))}")
-    (out_dir / "loglog.csv").write_text("\n".join(lines) + "\n")
-
-
-def _write_fit(out_dir: Path, payload: dict):
+def _write_reports(out_dir: Path, name: str, samples, payload: dict, lines):
+    """samples.csv, loglog.csv, fit.json (the payload) and summary.txt."""
+    rows = ["radius,direction_id,d,r_prox,r_alt,F_val"]
+    rows += [f"{_fmt(s.radius)},{s.direction_id},{_fmt(s.d)},{_fmt(s.r_prox)},"
+             f"{_fmt(s.r_alt)},{_fmt(s.F_val)}" for s in samples]
+    loglog = ["log10_d,log10_r_prox"]
+    loglog += [f"{_fmt(math.log10(s.d))},{_fmt(math.log10(s.r_prox))}"
+               for s in samples if s.d > 0 and s.r_prox > 0]
+    assertions = payload["assertions"]
+    summary = [f"experiment: {name}", *lines]
+    summary += [f"{'PASS' if a['passed'] else 'FAIL'} {a['name']}: {a['detail']}"
+                for a in assertions]
+    summary.append(f"overall: {'PASS' if all(a['passed'] for a in assertions) else 'FAIL'}")
+    for file, text in (("samples.csv", rows), ("loglog.csv", loglog), ("summary.txt", summary)):
+        (out_dir / file).write_text("\n".join(text) + "\n")
     (out_dir / "fit.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_summary(out_dir: Path, name: str, assertions, extra_lines):
-    lines = [f"experiment: {name}"]
-    lines.extend(extra_lines)
-    for a in assertions:
-        status = "PASS" if a["passed"] else "FAIL"
-        lines.append(f"{status} {a['name']}: {a['detail']}")
-    overall = "PASS" if all(a["passed"] for a in assertions) else "FAIL"
-    lines.append(f"overall: {overall}")
-    (out_dir / "summary.txt").write_text("\n".join(lines) + "\n")
-
-
-def _assertion(name, passed, detail):
-    return {"name": name, "passed": bool(passed), "detail": detail}
-
-
-def _sample_rows(samples):
-    return [(s.radius, s.direction_id, s.d, s.r_prox, s.r_alt, s.F_val) for s in samples]
-
-
-def _fit_payload(fit):
-    if fit is None:
-        return None
-    return {"slope": fit.slope, "intercept": fit.intercept,
-            "r_squared": fit.r_squared, "kappa_max": fit.kappa_max}
-
-
-def _envelope_payload(rows):
+def _envelope_payload(samples):
     """Worst-case (max r_prox per d-bin) variant of the exponent fit, so
     direction averaging cannot mask a bad direction."""
-    samples = [ProbeSample(x=None, radius=r, direction_id=j, d=d, r_prox=rp,
-                           r_alt=ra, F_val=fv)
-               for r, j, d, rp, ra, fv in rows]
     try:
-        return _fit_payload(fit_exponent(samples, envelope=True))
+        return asdict(fit_exponent(samples, envelope=True))
     except InsufficientDataError:
         return None
 
 
-def _solver_settings(config, prob=None):
+def _solver_settings(config, prob):
     """Step policy from the config; defaults to a fixed 1/L step when the
     loss has a global Lipschitz gradient (exact convergence, no f-value
     comparisons), else backtracking."""
     block = config.get("solver", {})
     step_spec = block.get("step")
     if step_spec is None:
-        L = lipschitz_bound(prob) if prob is not None else None
+        L = lipschitz_bound(prob)
         step = Fixed(1.0 / L) if L else Backtracking()
     elif step_spec == "backtracking":
         step = Backtracking(beta=block.get("beta", 0.5), t0=block.get("t0", 1.0))
@@ -265,246 +192,278 @@ def _solver_settings(config, prob=None):
     return step, block.get("tol", 1e-11), block.get("max_iter", 200000)
 
 
-def _probe_settings(config, default_radii, default_seed):
-    block = config.get("probe", {})
-    radii = radii_from_config(block.get("radii"), default_radii)
-    count = block.get("directions", DEFAULT_DIRECTIONS)
-    seed = block.get("seed", default_seed + PROBE_SEED_OFFSET)
-    return radii, RandomDirections(count=count, seed=seed)
-
-
 # ---------------------------------------------------------------------------
-# experiment runners
+# scenarios
 # ---------------------------------------------------------------------------
 
-def _run_counterexample(config):
-    prob, x_bar = counterexample_instance()
-    cert = certify(prob, x_bar, tol=1e-10)
-    assertions = []
+@dataclass
+class Run:
+    """One experiment in progress: what the pipeline has computed so far.
+    Assertions read it; some add the figures they measured to extra and
+    summary lines to notes."""
 
+    scenario: Scenario
+    config: dict
+    prob: ProblemInstance
+    cert: OptimalityCertificate | None = None
+    trace: SolveTrace | None = None
+    samples: list = field(default_factory=list)
+    fit: ExponentFit | None = None
+    extra: dict = field(default_factory=dict)
+    notes: list = field(default_factory=list)
+
+    @property
+    def seed(self) -> int:
+        return self.config.get("seed", 0)
+
+    @property
+    def radii(self) -> np.ndarray:
+        return radii_from_config(self.config.get("probe", {}).get("radii"),
+                                 self.scenario.radii)
+
+    @cached_property
+    def decades(self) -> dict:
+        return kappa_by_decade(self.samples)
+
+
+def _assertion(name, passed, detail):
+    return {"name": name, "passed": bool(passed), "detail": detail}
+
+
+# samplers ------------------------------------------------------------------
+
+def _random_directions(run):
+    block = run.config.get("probe", {})
+    directions = RandomDirections(count=block.get("directions", DEFAULT_DIRECTIONS),
+                                  seed=block.get("seed", run.seed + PROBE_SEED_OFFSET))
+    return probe(run.prob, run.cert, run.radii, directions)
+
+
+def _counterexample_curve(run):
+    curve = Curve.from_map(run.radii, counterexample_curve_point)
+    return probe(run.prob, run.cert, None, curve, unique=True)
+
+
+def _ray(config):
+    """Ray abscissae and height from the config's noncompact block."""
+    block = config.get("noncompact", {})
+    xs = np.linspace(block.get("x_start", -5.0), block.get("x_stop", -50.0),
+                     block.get("count", 46))
+    return xs, block.get("y", 1.0)
+
+
+def _noncompact_ray(run):
+    """Points (x, y) along the ray, each with its exact distance to the
+    solution ray.  The loss is not strictly convex, so ȳ is not invariant
+    and the Dykstra distance would not measure the distance to the ray."""
+    xs, y = _ray(run.config)
+    run.notes.append(f"ray: x from {xs[0]:g} to {xs[-1]:g} at y = {y:g}")
+    samples = []
+    for x in xs:
+        point = np.array([x, y])
+        samples.append(ProbeSample(
+            x=point, radius=float(x), direction_id=0, d=noncompact_ray_distance(point),
+            r_prox=norm(residual_map(run.prob, point)), r_alt=float("nan"),
+            F_val=objective(run.prob, point)))
+    return samples
+
+
+# shared assertions ---------------------------------------------------------
+
+def _certified(run):
+    r = run.cert.residual_norm
+    if run.trace is None:
+        return _assertion("certified", True, f"residual at the optimum {r:.3e}")
+    return _assertion("certified", True, f"optimum certified with residual {r:.3e} "
+                      f"after {len(run.trace.iterations) - 1} iterations")
+
+
+def _slope_is_lipschitz(run):
+    fit = run.fit
+    return _assertion("slope_is_lipschitz", 0.85 <= fit.slope <= 1.15,
+                      f"slope {fit.slope:.4f}, R² {fit.r_squared:.4f}")
+
+
+def _kappa_stable_across_decades(run):
+    vals = list(run.decades.values())
+    spread = max(vals) / min(vals) if vals else float("inf")
+    return _assertion(
+        "kappa_stable_across_decades", len(vals) >= 2 and spread <= 2.0,
+        f"kappa_max by decade {dict(sorted(run.decades.items()))}, spread {spread:.3f}×")
+
+
+def _residuals_comparable(run):
+    ratios = [s.r_prox / s.r_alt for s in run.samples
+              if s.r_alt > 0 and np.isfinite(s.r_alt) and s.r_prox > 0]
+    two_sided = max(ratios) / min(ratios) if ratios else float("inf")
+    return _assertion("residuals_comparable", two_sided <= 1e3,
+                      f"max/min of r_prox/r_alt = {two_sided:.4g} (threshold 1e3)")
+
+
+def _complementarity(holds: bool, s_bar: int, rank_x: int):
+    """Strict complementarity at the certificate, expected to hold or fail
+    with the given s̄ and rank(x*)."""
+    name = "strict_complementarity_holds" if holds else "strict_complementarity_fails"
+
+    def check(run):
+        report = strict_complementarity(run.prob, run.cert)
+        run.extra["complementarity"] = asdict(report)
+        return _assertion(
+            name, report.holds == holds and report.s_bar == s_bar and report.rank_x == rank_x,
+            f"s_bar {report.s_bar}, rank {report.rank_x}, margin {report.margin:.3e}")
+    return check
+
+
+def _linear_convergence(run):
+    rng = np.random.default_rng(run.seed + 7)
+    x0 = run.cert.x_star + 2.0 * rng.standard_normal(run.cert.x_star.shape)
+    trace = proximal_gradient(run.prob, x0, step=Fixed(1.0 / lipschitz_bound(run.prob)),
+                              tol=1e-12, max_iter=5000)
+    rate = estimate_linear_rate(trace, min_r_squared=0.99)
+    if rate is not None:
+        run.extra["linear_rate"] = rate
+    return _assertion("linear_convergence", rate is not None and rate <= 0.99,
+                      f"fitted rate {rate:.4f} per iteration" if rate is not None
+                      else "rate fit rejected (R² < 0.99)")
+
+
+def _probe_completed(run):
+    return _assertion("probe_completed", True,
+                      f"{len(run.samples)} samples, fitted slope {run.fit.slope:.4f}")
+
+
+# counterexample assertions -------------------------------------------------
+
+def _residual_matches_closed_form(run):
     worst = 0.0
     for delta in (1e-1, 1e-2, 1e-3):
         xk = counterexample_curve_point(delta)
         expected = np.diag([-delta**2, delta**2])
-        worst = max(worst, float(np.max(np.abs(residual_map(prob, xk) - expected))))
-    assertions.append(_assertion(
-        "residual_matches_closed_form", worst <= 1e-10,
-        f"max entrywise deviation {worst:.3e} (tolerance 1e-10)"))
+        worst = max(worst, float(np.max(np.abs(residual_map(run.prob, xk) - expected))))
+    return _assertion("residual_matches_closed_form", worst <= 1e-10,
+                      f"max entrywise deviation {worst:.3e} (tolerance 1e-10)")
 
-    r_opt = norm(residual_map(prob, x_bar))
-    assertions.append(_assertion(
-        "optimal_point_residual", r_opt <= 1e-10, f"‖R(x̄)‖ = {r_opt:.3e}"))
 
-    step, tol, max_iter = _solver_settings(config, prob)
-    trace = proximal_gradient(prob, np.diag([2.0, 1.0]), step=step,
+def _optimal_point_residual(run):
+    r_opt = run.cert.residual_norm
+    return _assertion("optimal_point_residual", r_opt <= 1e-10, f"‖R(x̄)‖ = {r_opt:.3e}")
+
+
+def _solver_reaches_unique_optimum(run):
+    step, tol, max_iter = _solver_settings(run.config, run.prob)
+    trace = proximal_gradient(run.prob, np.diag([2.0, 1.0]), step=step,
                               tol=min(tol, 1e-8), max_iter=max_iter)
-    gap = norm(trace.terminal - x_bar)
-    assertions.append(_assertion(
+    gap = norm(trace.terminal - run.cert.x_star)
+    return _assertion(
         "solver_reaches_unique_optimum", gap <= 1e-6,
-        f"terminal point within {gap:.3e} of diag(1, 0) after {len(trace.iterations) - 1} iterations"))
+        f"terminal point within {gap:.3e} of diag(1, 0) after "
+        f"{len(trace.iterations) - 1} iterations")
 
-    deltas = radii_from_config(config.get("probe", {}).get("radii"),
-                               np.logspace(-1, -4, 13))
-    curve = Curve.from_map(deltas, counterexample_curve_point)
-    samples = probe(prob, cert, None, curve, unique=True)
-    fit = fit_exponent(samples)
-    assertions.append(_assertion(
-        "curve_slope_is_two", 1.9 <= fit.slope <= 2.1 and fit.r_squared >= 0.999,
-        f"slope {fit.slope:.4f}, R² {fit.r_squared:.6f}"))
 
-    decades = kappa_by_decade(samples)
-    growth = None
-    if -4 in decades and -3 in decades:
-        growth = decades[-4] / decades[-3]
-    assertions.append(_assertion(
+def _curve_slope_is_two(run):
+    fit = run.fit
+    return _assertion("curve_slope_is_two", 1.9 <= fit.slope <= 2.1 and fit.r_squared >= 0.999,
+                      f"slope {fit.slope:.4f}, R² {fit.r_squared:.6f}")
+
+
+def _kappa_diverges(run):
+    decades = run.decades
+    growth = decades[-4] / decades[-3] if -4 in decades and -3 in decades else None
+    return _assertion(
         "kappa_diverges", growth is not None and growth >= 8.0,
         f"kappa_max grows {growth:.2f}× from the 1e-3 decade to the 1e-4 decade"
-        if growth is not None else "insufficient decades probed"))
-
-    report = strict_complementarity(prob, cert)
-    assertions.append(_assertion(
-        "strict_complementarity_fails",
-        not report.holds and report.s_bar == 2 and report.rank_x == 1,
-        f"s_bar {report.s_bar}, rank {report.rank_x}, margin {report.margin:.3e}"))
-
-    summary = regularity_summary(prob, cert)
-    extra = {
-        "complementarity": {"s_bar": report.s_bar, "rank_x": report.rank_x,
-                            "holds": report.holds, "margin": report.margin},
-        "regularity": {"condition": summary.condition, "eb_expected": summary.eb_expected},
-        "kappa_by_decade": {str(k): v for k, v in decades.items()},
-    }
-    lines = [f"regularity: {summary.condition} (EB expected: {summary.eb_expected})"]
-    return _sample_rows(samples), fit, assertions, extra, lines
+        if growth is not None else "insufficient decades probed")
 
 
-def _run_noncompact(config):
-    prob = noncompact_instance()
-    block = config.get("noncompact", {})
-    xs = np.linspace(block.get("x_start", -5.0), block.get("x_stop", -50.0),
-                     block.get("count", 46))
-    y = block.get("y", 1.0)
+# noncompact assertions -----------------------------------------------------
 
-    rows = []
-    for x in xs:
-        point = np.array([x, y])
-        rp = norm(residual_map(prob, point))
-        d = noncompact_ray_distance(point)
-        rows.append((float(x), 0, d, rp, float("nan"), objective(prob, point)))
+def _along_ray(run):
+    """(d, ‖R‖) toward x → −∞, whichever way the ray was listed."""
+    order = np.argsort([-s.radius for s in run.samples])
+    return (np.array([run.samples[i].d for i in order]),
+            np.array([run.samples[i].r_prox for i in order]))
 
-    # assertions follow the ray toward x → −∞ whichever way it was listed
-    order = np.argsort(-xs)
-    ds = np.array([rows[i][2] for i in order])
-    rs = np.array([rows[i][3] for i in order])
-    assertions = [
-        _assertion("distance_stays_constant", bool(np.max(np.abs(ds - abs(y))) <= 1e-12),
-                   f"max |d − {abs(y):g}| = {np.max(np.abs(ds - abs(y))):.3e}"),
-        _assertion("residual_decreases_monotonically", bool(np.all(np.diff(rs) < 0)),
-                   f"‖R‖ falls from {rs[0]:.3e} to {rs[-1]:.3e}"),
-    ]
+
+def _distance_stays_constant(run):
+    y = abs(_ray(run.config)[1])
+    deviation = np.max(np.abs(_along_ray(run)[0] - y))
+    return _assertion("distance_stays_constant", bool(deviation <= 1e-12),
+                      f"max |d − {y:g}| = {deviation:.3e}")
+
+
+def _residual_decreases_monotonically(run):
+    rs = _along_ray(run)[1]
+    return _assertion("residual_decreases_monotonically", bool(np.all(np.diff(rs) < 0)),
+                      f"‖R‖ falls from {rs[0]:.3e} to {rs[-1]:.3e}")
+
+
+def _ratio_unbounded(run):
+    ds, rs = _along_ray(run)
     final_ratio = ds[-1] / rs[-1] if rs[-1] > 0 else float("inf")
-    assertions.append(_assertion(
-        "ratio_unbounded", final_ratio > 1e10,
-        f"d/‖R‖ at the deepest ray point = {final_ratio:.3e} (threshold 1e10)"))
-
-    extra = {"final_ratio": final_ratio, "ray_y": y}
-    lines = [f"ray: x from {xs[0]:g} to {xs[-1]:g} at y = {y:g}",
-             "no error bound: the ratio d/‖R‖ grows without bound along the ray"]
-    return rows, None, assertions, extra, lines
+    run.extra.update(final_ratio=final_ratio, ray_y=_ray(run.config)[1])
+    run.notes.append("no error bound: the ratio d/‖R‖ grows without bound along the ray")
+    return _assertion("ratio_unbounded", final_ratio > 1e10,
+                      f"d/‖R‖ at the deepest ray point = {final_ratio:.3e} (threshold 1e10)")
 
 
-def _suite_assertions(samples, fit, name_prefix=""):
-    assertions = [_assertion(
-        f"{name_prefix}slope_is_lipschitz", 0.85 <= fit.slope <= 1.15,
-        f"slope {fit.slope:.4f}, R² {fit.r_squared:.4f}")]
-    decades = kappa_by_decade(samples)
-    vals = list(decades.values())
-    spread = max(vals) / min(vals) if vals else float("inf")
-    assertions.append(_assertion(
-        f"{name_prefix}kappa_stable_across_decades", len(vals) >= 2 and spread <= 2.0,
-        f"kappa_max by decade {dict(sorted(decades.items()))}, spread {spread:.3f}×"))
-    ratios = [s.r_prox / s.r_alt for s in samples
-              if s.r_alt > 0 and np.isfinite(s.r_alt) and s.r_prox > 0]
-    two_sided = max(ratios) / min(ratios) if ratios else float("inf")
-    assertions.append(_assertion(
-        f"{name_prefix}residuals_comparable", two_sided <= 1e3,
-        f"max/min of r_prox/r_alt = {two_sided:.4g} (threshold 1e3)"))
-    return assertions, decades
+# the table -----------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Scenario:
+    """One named experiment as data.  build(config) returns (instance, x):
+    with solve set, x is where the solver starts; otherwise x is the optimum
+    known in closed form and is certified as given."""
+
+    build: Callable
+    solve: bool
+    checks: tuple
+    radii: np.ndarray | None  # default probe radii (curve parameters for a curve)
+    sample: Callable = _random_directions
+    prints_seed: bool = False
+    #: False when the samples are not radii around x* (the noncompact ray):
+    #: no exponent fit, kappa table or regularity class is reported
+    fitted: bool = True
 
 
-def _run_scenario_suite(config, build, *, rate_check: bool):
-    seed = config.get("seed", 0)
-    prob = build(seed)
-    step, tol, max_iter = _solver_settings(config, prob)
-    trace = proximal_gradient(prob, prob.feasible_point, step=step, tol=tol,
-                              max_iter=max_iter)
-    cert = certify(prob, trace.terminal, tol=1e-9)
-    assertions = [_assertion(
-        "certified", True,
-        f"optimum certified with residual {cert.residual_norm:.3e} "
-        f"after {len(trace.iterations) - 1} iterations")]
-
-    radii, directions = _probe_settings(config, DEFAULT_RADII, seed)
-    samples = probe(prob, cert, radii, directions)
-    fit = fit_exponent(samples)
-    suite_asserts, decades = _suite_assertions(samples, fit)
-    assertions.extend(suite_asserts)
-
-    rate = None
-    if rate_check:
-        L = float(np.linalg.norm(prob.smooth.h.B, 2))
-        rng = np.random.default_rng(seed + 7)
-        x0 = cert.x_star + 2.0 * rng.standard_normal(cert.x_star.shape)
-        rate_trace = proximal_gradient(prob, x0, step=Fixed(1.0 / L), tol=1e-12,
-                                       max_iter=5000)
-        rate = estimate_linear_rate(rate_trace, min_r_squared=0.99)
-        assertions.append(_assertion(
-            "linear_convergence", rate is not None and rate <= 0.99,
-            f"fitted rate {rate:.4f} per iteration" if rate is not None
-            else "rate fit rejected (R² < 0.99)"))
-
-    summary = regularity_summary(prob, cert)
-    extra = {
-        "regularity": {"condition": summary.condition, "eb_expected": summary.eb_expected},
-        "kappa_by_decade": {str(k): v for k, v in decades.items()},
-    }
-    if rate is not None:
-        extra["linear_rate"] = rate
-    lines = [f"seed: {seed}",
-             f"regularity: {summary.condition} (EB expected: {summary.eb_expected})"]
-    return _sample_rows(samples), fit, assertions, extra, lines
+def _from_feasible_point(family):
+    """Builder for an instance family indexed by the seed, started (or, for
+    noncompact, certified) at the instance's feasible point."""
+    def build(config):
+        prob = family(config.get("seed", 0))
+        return prob, prob.feasible_point
+    return build
 
 
-def _run_nuclear_regular(config):
-    seed = config.get("seed", 0)
-    prob, x_star = nuclear_regular_instance()
-    cert = certify(prob, x_star, tol=1e-10)
-    assertions = [_assertion("certified", True,
-                             f"residual at the optimum {cert.residual_norm:.3e}")]
+_SUITE_CHECKS = (_certified, _slope_is_lipschitz, _kappa_stable_across_decades,
+                 _residuals_comparable)
 
-    report = strict_complementarity(prob, cert)
-    assertions.append(_assertion(
-        "strict_complementarity_holds",
-        report.holds and report.s_bar == report.rank_x == 2,
-        f"s_bar {report.s_bar}, rank {report.rank_x}, margin {report.margin:.3e}"))
-
-    radii, directions = _probe_settings(config, np.logspace(-1.5, -3.5, 9), seed)
-    samples = probe(prob, cert, radii, directions)
-    fit = fit_exponent(samples)
-    assertions.append(_assertion(
-        "slope_is_lipschitz", 0.85 <= fit.slope <= 1.15,
-        f"slope {fit.slope:.4f}, R² {fit.r_squared:.4f}"))
-
-    summary = regularity_summary(prob, cert)
-    extra = {
-        "complementarity": {"s_bar": report.s_bar, "rank_x": report.rank_x,
-                            "holds": report.holds, "margin": report.margin},
-        "regularity": {"condition": summary.condition, "eb_expected": summary.eb_expected},
-        "kappa_by_decade": {str(k): v for k, v in kappa_by_decade(samples).items()},
-    }
-    lines = [f"regularity: {summary.condition} (EB expected: {summary.eb_expected})"]
-    return _sample_rows(samples), fit, assertions, extra, lines
-
-
-def _run_custom(config):
-    prob, x0 = instance_from_config(config["problem"])
-    step, tol, max_iter = _solver_settings(config, prob)
-    trace = proximal_gradient(prob, x0, step=step, tol=tol, max_iter=max_iter)
-    cert = certify(prob, trace.terminal, tol=max(1e-9, 10.0 * tol))
-    assertions = [_assertion(
-        "certified", True,
-        f"optimum certified with residual {cert.residual_norm:.3e} "
-        f"after {len(trace.iterations) - 1} iterations")]
-
-    seed = config.get("seed", 0)
-    radii, directions = _probe_settings(config, DEFAULT_RADII, seed)
-    unique = prob.strongly_convex
-    samples = probe(prob, cert, radii, directions, unique=unique)
-    fit = fit_exponent(samples)
-    assertions.append(_assertion(
-        "probe_completed", True,
-        f"{len(samples)} samples, fitted slope {fit.slope:.4f}"))
-
-    summary = regularity_summary(prob, cert)
-    extra = {
-        "regularity": {"condition": summary.condition, "eb_expected": summary.eb_expected},
-        "kappa_by_decade": {str(k): v for k, v in kappa_by_decade(samples).items()},
-    }
-    lines = [f"seed: {seed}",
-             f"regularity: {summary.condition} (EB expected: {summary.eb_expected})"]
-    return _sample_rows(samples), fit, assertions, extra, lines
-
-
-_RUNNERS = {
-    "counterexample": _run_counterexample,
-    "noncompact": _run_noncompact,
-    "lasso": lambda cfg: _run_scenario_suite(cfg, lasso_instance, rate_check=False),
-    "grouped-lasso": lambda cfg: _run_scenario_suite(cfg, grouped_lasso_instance,
-                                                     rate_check=False),
-    "strongly-convex": lambda cfg: _run_scenario_suite(cfg, ridge_instance,
-                                                       rate_check=True),
-    "nuclear-regular": _run_nuclear_regular,
-    "custom": _run_custom,
+SCENARIOS = {
+    "counterexample": Scenario(
+        build=lambda config: counterexample_instance(), solve=False,
+        sample=_counterexample_curve, radii=np.logspace(-1, -4, 13),
+        checks=(_residual_matches_closed_form, _optimal_point_residual,
+                _solver_reaches_unique_optimum, _curve_slope_is_two, _kappa_diverges,
+                _complementarity(False, s_bar=2, rank_x=1))),
+    "noncompact": Scenario(
+        build=_from_feasible_point(lambda seed: noncompact_instance()), solve=False,
+        sample=_noncompact_ray, radii=None, fitted=False,
+        checks=(_distance_stays_constant, _residual_decreases_monotonically,
+                _ratio_unbounded)),
+    "grouped-lasso": Scenario(build=_from_feasible_point(grouped_lasso_instance),
+                              solve=True, radii=DEFAULT_RADII, prints_seed=True,
+                              checks=_SUITE_CHECKS),
+    "lasso": Scenario(build=_from_feasible_point(lasso_instance), solve=True,
+                      radii=DEFAULT_RADII, prints_seed=True, checks=_SUITE_CHECKS),
+    "strongly-convex": Scenario(build=_from_feasible_point(ridge_instance), solve=True,
+                                radii=DEFAULT_RADII, prints_seed=True,
+                                checks=_SUITE_CHECKS + (_linear_convergence,)),
+    "nuclear-regular": Scenario(
+        build=lambda config: nuclear_regular_instance(), solve=False,
+        radii=np.logspace(-1.5, -3.5, 9),
+        checks=(_certified, _complementarity(True, s_bar=2, rank_x=2), _slope_is_lipschitz)),
+    "custom": Scenario(build=lambda config: instance_from_config(config["problem"]),
+                       solve=True, radii=DEFAULT_RADII, prints_seed=True,
+                       checks=(_certified, _probe_completed)),
 }
 
 
@@ -520,8 +479,6 @@ def run_experiment(name: str, config: dict | None = None,
     Exit code 0 when every per-experiment assertion passes, 1 otherwise.
     Unknown names and invalid configs raise ConfigError (usage errors).
     """
-    if name not in EXPERIMENTS:
-        raise ConfigError([f"unknown experiment {name!r}; choose from {EXPERIMENTS}"])
     config = dict(config) if config else {}
     config.setdefault("experiment", name)
     if config["experiment"] != name:
@@ -533,17 +490,33 @@ def run_experiment(name: str, config: dict | None = None,
     out = Path(out_dir) if out_dir else Path(config.get("output", default_output_dir(name)))
     out.mkdir(parents=True, exist_ok=True)
 
-    rows, fit, assertions, extra, lines = _RUNNERS[name](config)
+    scenario = SCENARIOS[name]
+    prob, x = scenario.build(config)
+    run = Run(scenario, config, prob)
+    tol = KNOWN_OPTIMUM_TOL
+    if scenario.solve:
+        step, solver_tol, max_iter = _solver_settings(config, prob)
+        run.trace = proximal_gradient(prob, x, step=step, tol=solver_tol, max_iter=max_iter)
+        x, tol = run.trace.terminal, max(1e-9, 10.0 * solver_tol)
+    run.cert = certify(prob, x, tol=tol)
+    run.samples = scenario.sample(run)
+    if scenario.fitted:
+        run.fit = fit_exponent(run.samples)
+    assertions = [check(run) for check in scenario.checks]
 
-    _write_samples(out, rows)
-    _write_loglog(out, rows)
-    payload = {"experiment": name, "seed": config.get("seed", 0),
-               "fit": _fit_payload(fit),
-               "fit_envelope": _envelope_payload(rows) if fit is not None else None,
+    lines = [f"seed: {run.seed}"] if scenario.prints_seed else []
+    payload = {"experiment": name, "seed": run.seed, "fit": None, "fit_envelope": None,
                "assertions": assertions}
-    payload.update(extra)
-    _write_fit(out, payload)
-    _write_summary(out, name, assertions, lines)
+    if scenario.fitted:
+        summary = regularity_summary(prob, run.cert)
+        payload.update(
+            fit=asdict(run.fit), fit_envelope=_envelope_payload(run.samples),
+            regularity={"condition": summary.condition, "eb_expected": summary.eb_expected},
+            kappa_by_decade={str(k): v for k, v in run.decades.items()})
+        lines.append(f"regularity: {summary.condition} (EB expected: {summary.eb_expected})")
+    payload.update(run.extra)
+    lines.extend(run.notes)
+    _write_reports(out, name, run.samples, payload, lines)
 
     exit_code = 0 if all(a["passed"] for a in assertions) else 1
     return exit_code, payload

@@ -21,6 +21,9 @@ class SmoothLoss:
     #: subset of the domain; the regularity classification relies on it
     strongly_convex_on_compacts: bool = True
 
+    #: global Lipschitz constant of ∇h, or None when there is none
+    grad_lipschitz: float | None = None
+
     def in_domain(self, y) -> bool:
         return True
 
@@ -42,6 +45,7 @@ class LeastSquares(SmoothLoss):
     """h(y) = ½‖y − b‖²."""
 
     targets: np.ndarray
+    grad_lipschitz = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "targets", np.asarray(self.targets, dtype=float))
@@ -62,6 +66,7 @@ class GeneralQuadratic(SmoothLoss):
     B: np.ndarray
     d: np.ndarray
     _constant: float = field(init=False, repr=False)
+    grad_lipschitz: float = field(init=False, repr=False)  # ‖B‖₂
 
     def __post_init__(self):
         B = np.asarray(self.B, dtype=float)
@@ -78,6 +83,7 @@ class GeneralQuadratic(SmoothLoss):
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "_constant", 0.5 * float(d @ np.linalg.solve(B, d)))
+        object.__setattr__(self, "grad_lipschitz", float(np.linalg.norm(B, 2)))
 
     def value(self, y):
         y = self._check(y)
@@ -93,6 +99,7 @@ class Logistic(SmoothLoss):
     """h(y) = Σᵢ log(1 + exp(−yᵢ bᵢ)) with labels bᵢ ∈ {−1, +1}."""
 
     labels: np.ndarray
+    grad_lipschitz = 0.25
 
     def __post_init__(self):
         b = np.asarray(self.labels, dtype=float)

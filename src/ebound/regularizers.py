@@ -207,19 +207,15 @@ class L1(Regularizer):
             if np.max(np.abs(g), initial=0.0) > tau_eq:
                 return EmptyImage(reason="zero weight but g ≠ 0")
             return BoxImage(lo=np.full(g.shape, -np.inf), hi=np.full(g.shape, np.inf))
-        lo = np.zeros_like(g)
-        hi = np.zeros_like(g)
         band = tau_eq * max(1.0, lam)
-        for i, gi in enumerate(g):
-            if abs(-gi - lam) <= band:
-                lo[i], hi[i] = 0.0, np.inf
-            elif abs(-gi + lam) <= band:
-                lo[i], hi[i] = -np.inf, 0.0
-            elif abs(gi) < lam:
-                lo[i], hi[i] = 0.0, 0.0
-            else:
-                return EmptyImage(reason=f"coordinate {i} has |g_i| > λ")
-        return BoxImage(lo=lo, hi=hi)
+        # per coordinate, in this order: −g_i = λ, −g_i = −λ, |g_i| < λ;
+        # any other coordinate (NaN included) empties the image
+        up = np.abs(-g - lam) <= band
+        down = ~up & (np.abs(-g + lam) <= band)
+        bad = ~(up | down | (np.abs(g) < lam))
+        if bad.any():
+            return EmptyImage(reason=f"coordinate {int(np.argmax(bad))} has |g_i| > λ")
+        return BoxImage(lo=np.where(down, -np.inf, 0.0), hi=np.where(up, np.inf, 0.0))
 
 
 @dataclass(frozen=True)
@@ -262,8 +258,9 @@ class GroupedLasso(Regularizer):
         self.weights = tuple(float(w) for w in weights)
         if len(self.groups) != len(self.weights):
             raise InvalidInputError("one weight per group required")
-        if any(w < 0 for w in self.weights):
-            raise InvalidInputError("group weights must be >= 0")
+        for i, w in enumerate(self.weights):
+            if w < 0:
+                raise InvalidInputError(f"weights[{i}] is {w:g}; group weights must be >= 0")
         covered = np.concatenate(self.groups) if self.groups else np.array([], dtype=int)
         self.n = covered.size
         if sorted(covered.tolist()) != list(range(self.n)):
@@ -377,10 +374,10 @@ class OrthantIndicator(Regularizer):
     polyhedral_solution_set = True
 
     def __init__(self, signs):
-        signs = np.asarray(signs, dtype=int)
+        signs = np.asarray(signs)
         if not np.all(np.isin(signs, (-1, 0, 1))):
             raise InvalidInputError("signs must be -1, 0, or +1")
-        self.signs = signs
+        self.signs = signs.astype(int)
         self.lo = np.where(signs > 0, 0.0, -np.inf)
         self.hi = np.where(signs < 0, 0.0, np.inf)
 
@@ -426,26 +423,15 @@ class OrthantIndicator(Regularizer):
 
     def inverse_image(self, g, tau_eq=TAU_EQ):
         g = self._check(g)
-        lo = np.zeros_like(g)
-        hi = np.zeros_like(g)
-        for i, (gi, sg) in enumerate(zip(g, self.signs)):
-            v = -gi  # the required normal-cone member
-            if sg == 0:
-                if abs(v) > tau_eq:
-                    return EmptyImage(reason=f"free coordinate {i} needs g_i = 0")
-                lo[i], hi[i] = -np.inf, np.inf
-            elif sg < 0:
-                if v > tau_eq:
-                    lo[i], hi[i] = 0.0, 0.0
-                elif v < -tau_eq:
-                    return EmptyImage(reason=f"coordinate {i}: -g_i < 0 not in cone [0, ∞)")
-                else:
-                    lo[i], hi[i] = -np.inf, 0.0
-            else:
-                if v < -tau_eq:
-                    lo[i], hi[i] = 0.0, 0.0
-                elif v > tau_eq:
-                    return EmptyImage(reason=f"coordinate {i}: -g_i > 0 not in cone (−∞, 0]")
-                else:
-                    lo[i], hi[i] = 0.0, np.inf
-        return BoxImage(lo=lo, hi=hi)
+        v, s = -g, self.signs  # −g_i must lie in the normal cone at x_i
+        bad = ((s == 0) & (np.abs(v) > tau_eq)) | ((s < 0) & (v < -tau_eq)) \
+            | ((s > 0) & (v > tau_eq))
+        if bad.any():
+            i = int(np.argmax(bad))
+            return EmptyImage(reason=(
+                f"free coordinate {i} needs g_i = 0" if s[i] == 0
+                else f"coordinate {i}: -g_i < 0 not in cone [0, ∞)" if s[i] < 0
+                else f"coordinate {i}: -g_i > 0 not in cone (−∞, 0]"))
+        # a strictly interior normal-cone member pins the coordinate to 0
+        pinned = ((s < 0) & (v > tau_eq)) | ((s > 0) & (v < -tau_eq))
+        return BoxImage(lo=np.where(pinned, 0.0, self.lo), hi=np.where(pinned, 0.0, self.hi))

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError, LineSearchError
-from .losses import GeneralQuadratic, LeastSquares, Logistic
 from .problem import ProblemInstance
 from .space import inner, norm
 
@@ -32,14 +31,8 @@ class Backtracking:
 def lipschitz_bound(prob: ProblemInstance):
     """Global Lipschitz constant of ∇f when the loss admits one
     (L_h · ‖A‖²), else None.  1/L is a safe fixed step."""
-    h = prob.smooth.h
-    if isinstance(h, LeastSquares):
-        L_h = 1.0
-    elif isinstance(h, GeneralQuadratic):
-        L_h = float(np.linalg.norm(h.B, 2))
-    elif isinstance(h, Logistic):
-        L_h = 0.25
-    else:
+    L_h = prob.smooth.h.grad_lipschitz
+    if L_h is None:
         return None
     return L_h * prob.smooth.A.operator_norm() ** 2
 

@@ -18,13 +18,6 @@ from .errors import InfeasibleTargetError, InvalidInputError
 GROUP_TOL = 1e-8
 
 
-def as_element(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2):
-        raise InvalidInputError(f"element must be 1-d or 2-d, got ndim={x.ndim}")
-    return x
-
-
 def inner(x, y) -> float:
     """Euclidean / Frobenius inner product ⟨x, y⟩."""
     return float(np.sum(np.asarray(x) * np.asarray(y)))

@@ -153,3 +153,51 @@ def orthant_graph_member(rng, signs):
             x[i] = 0.0
             s[i] = -sg * abs(rng.standard_normal())  # outward normal at 0
     return x, s
+
+
+# ---------------------------------------------------------------------------
+# inverse-image oracles: per-coordinate case analysis, one coordinate at a time
+# ---------------------------------------------------------------------------
+
+def l1_inverse_image_oracle(g, lam, tau_eq):
+    """Box (lo, hi) of Γ_P(g) for P = λ‖·‖₁ with λ > 0, or the index of the
+    first coordinate that empties it."""
+    lo, hi = np.zeros_like(g), np.zeros_like(g)
+    band = tau_eq * max(1.0, lam)
+    for i, gi in enumerate(g):
+        if abs(-gi - lam) <= band:
+            lo[i], hi[i] = 0.0, np.inf
+        elif abs(-gi + lam) <= band:
+            lo[i], hi[i] = -np.inf, 0.0
+        elif abs(gi) < lam:
+            lo[i], hi[i] = 0.0, 0.0
+        else:
+            return i
+    return lo, hi
+
+
+def orthant_inverse_image_oracle(g, signs, tau_eq):
+    """Box (lo, hi) of Γ_P(g) for the sign-constrained box indicator, or the
+    index of the first coordinate that empties it."""
+    lo, hi = np.zeros_like(g), np.zeros_like(g)
+    for i, (gi, sg) in enumerate(zip(g, signs)):
+        v = -gi
+        if sg == 0:
+            if abs(v) > tau_eq:
+                return i
+            lo[i], hi[i] = -np.inf, np.inf
+        elif sg < 0:
+            if v > tau_eq:
+                lo[i], hi[i] = 0.0, 0.0
+            elif v < -tau_eq:
+                return i
+            else:
+                lo[i], hi[i] = -np.inf, 0.0
+        else:
+            if v < -tau_eq:
+                lo[i], hi[i] = 0.0, 0.0
+            elif v > tau_eq:
+                return i
+            else:
+                lo[i], hi[i] = 0.0, np.inf
+    return lo, hi

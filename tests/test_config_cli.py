@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from ebound.cli import main
-from ebound.config import validate_config, validate_config_data
+from ebound.config import EXPERIMENTS, validate_config, validate_config_data
 from ebound.errors import ConfigError
-from ebound.experiments import run_experiment
+from ebound.experiments import SCENARIOS, run_experiment
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -89,6 +89,56 @@ class TestValidation:
             validate_config_data({"experiment": "lasso",
                                   "problem": MINIMAL_CUSTOM["problem"]})
 
+    @pytest.mark.parametrize("radii, path", [
+        ({"start": -1, "stop": 1e-4, "count": 5}, "probe.radii.start"),
+        ({"start": 0, "stop": 1e-4, "count": 5}, "probe.radii.start"),
+        ({"start": 1e-2, "stop": 0.0, "count": 5}, "probe.radii.stop"),
+        ([1e-2, -1e-3, 1e-4], "probe.radii[1]"),
+        ([1e-2, 0, 1e-4], "probe.radii[1]"),
+    ])
+    def test_nonpositive_radii_rejected(self, radii, path):
+        with pytest.raises(ConfigError) as err:
+            validate_config_data({"experiment": "lasso", "probe": {"radii": radii}})
+        assert err.value.messages == [f"{path}: must be > 0"]
+
+
+def _custom_with(**problem):
+    config = json.loads(json.dumps(MINIMAL_CUSTOM))
+    config["problem"].update(problem)
+    return config
+
+
+class TestValidationBuildsTheInstance:
+    """Each config below passed a types-only validation, then failed at run
+    time with a traceback or a bare error; validation now builds the instance
+    and evaluates f and P at x0, so validate and run both reject it."""
+
+    @pytest.mark.parametrize("problem, path", [
+        ({"x0": "abc"}, "problem.x0"),
+        ({"c": [1.0, 2.0]}, "problem.c"),
+        ({"feasible_point": [0.0, 0.0, 0.0, 0.0]}, "problem.feasible_point"),
+        ({"loss": {"least_squares": {"targets": [1.0, -1.0, 2.0]}}},
+         "problem.loss.least_squares"),
+        ({"linear_map": {"dense": [[1, 0], [0, 1]]}}, "problem.linear_map.dense"),
+        ({"linear_map": {"coordinate_select": [0, 7]}},
+         "problem.linear_map.coordinate_select"),
+        ({"regularizer": {"nuclear_norm": {}}}, "problem.regularizer.nuclear_norm"),
+        ({"regularizer": {"orthant": {"signs": [1, 0]}}}, "problem.regularizer.orthant"),
+        ({"regularizer": {"orthant": {"signs": [1, 1, 1]}}, "x0": [-1.0, 0.0, 0.0]},
+         "problem.x0"),
+    ])
+    def test_rejected_by_validate_and_run(self, tmp_path, capsys, problem, path):
+        config = _custom_with(**problem)
+        with pytest.raises(ConfigError) as err:
+            validate_config_data(config)
+        assert [m.split(":")[0] for m in err.value.messages] == [path]
+
+        cfg = write_config(tmp_path, config)
+        assert main(["validate", cfg]) == 2
+        assert main(["run", "custom", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err_lines = capsys.readouterr().err.splitlines()
+        assert err_lines == [f"error: {m}" for m in err.value.messages] * 2
+
 
 class TestRunExperiment:
     def test_counterexample_artifacts(self, tmp_path):
@@ -102,9 +152,11 @@ class TestRunExperiment:
         assert 1.9 <= fit["fit"]["slope"] <= 2.1
         assert fit["complementarity"]["holds"] is False
 
-    def test_byte_identical_reruns(self, tmp_path):
-        run_experiment("grouped-lasso", out_dir=tmp_path / "a", seed=7)
-        run_experiment("grouped-lasso", out_dir=tmp_path / "b", seed=7)
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_byte_identical_reruns(self, tmp_path, experiment):
+        config = MINIMAL_CUSTOM if experiment == "custom" else None
+        run_experiment(experiment, config, out_dir=tmp_path / "a", seed=7)
+        run_experiment(experiment, config, out_dir=tmp_path / "b", seed=7)
         for name in ("samples.csv", "loglog.csv", "fit.json", "summary.txt"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -112,6 +164,9 @@ class TestRunExperiment:
         code, payload = run_experiment("grouped-lasso", out_dir=tmp_path, seed=7)
         assert code == 0
         assert 0.85 <= payload["fit"]["slope"] <= 1.15
+
+    def test_every_experiment_has_a_scenario(self):
+        assert set(SCENARIOS) == set(EXPERIMENTS)
 
     def test_unknown_name_raises_config_error(self, tmp_path):
         with pytest.raises(ConfigError):

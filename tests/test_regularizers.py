@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,8 @@ class TestValues:
         reg = OrthantIndicator([-1, 1])
         assert reg.value(np.array([-1.0, 2.0])) == 0.0
         assert reg.value(np.array([1.0, 2.0])) == np.inf
+        with pytest.raises(InvalidInputError):
+            OrthantIndicator([1, 0.5, 0])  # checked before the cast to int
 
     def test_kind_mismatch(self):
         with pytest.raises(InvalidInputError):
@@ -249,6 +253,72 @@ class TestInverseImage:
         np.testing.assert_allclose(img.lo, [0.0, 0.0])
         np.testing.assert_allclose(img.hi, [0.0, np.inf])
         assert reg.inverse_image(np.array([1.0, 0.0])).is_empty
+
+    @staticmethod
+    def _box_cases(rng, edges, band):
+        """Random gradients; gradients on the band around the case edges (so
+        the image is nonempty), the same with one coordinate moved just off
+        it, and gradients on the band's boundary; NaN entries; and the empty
+        vector."""
+        cases = [rng.uniform(-1.5, 1.5, 40) for _ in range(10)]
+        for _ in range(20):
+            g = rng.choice(edges, 40) + rng.uniform(-0.5, 0.5, 40) * band
+            off = g.copy()
+            off[rng.integers(40)] += rng.choice([-2.0, 2.0]) * band
+            on_edge = rng.choice(edges, 40) + rng.choice([-1.0, 1.0], 40) * band
+            cases.extend([g, off, on_edge])
+        nan = cases[10].copy()
+        nan[7] = np.nan
+        cases.extend([nan, np.full(5, np.nan), np.array([])])
+        return cases
+
+    @staticmethod
+    def _assert_matches(img, expected):
+        if isinstance(expected, int):
+            assert img.is_empty and re.search(rf"coordinate {expected}\b", img.reason)
+        else:
+            assert not img.is_empty
+            np.testing.assert_array_equal(img.lo, expected[0])
+            np.testing.assert_array_equal(img.hi, expected[1])
+
+    @pytest.mark.parametrize("lam", [1.0, 0.3, 2.5, 1e-9])
+    def test_l1_matches_coordinate_loop(self, lam):
+        rng = np.random.default_rng(11)
+        P = L1(lam)
+        for g in self._box_cases(rng, [lam, -lam, 0.0], 1e-8 * max(1.0, lam)):
+            self._assert_matches(P.inverse_image(g),
+                                 oracles.l1_inverse_image_oracle(g, lam, 1e-8))
+
+    def test_l1_zero_weight_is_whole_space_or_empty(self):
+        P = L1(0.0)
+        img = P.inverse_image(np.zeros(3))
+        np.testing.assert_array_equal(img.lo, np.full(3, -np.inf))
+        np.testing.assert_array_equal(img.hi, np.full(3, np.inf))
+        assert P.inverse_image(np.array([0.0, 1e-7, 0.0])).is_empty
+
+    def test_orthant_matches_coordinate_loop(self):
+        rng = np.random.default_rng(12)
+        for g in self._box_cases(rng, [0.0], 1e-8):
+            signs = rng.choice([-1, 0, 1], g.size)
+            reg = OrthantIndicator(signs)
+            self._assert_matches(reg.inverse_image(g),
+                                 oracles.orthant_inverse_image_oracle(g, signs, 1e-8))
+        # every sign in one vector, with a gradient that keeps the image nonempty
+        reg = OrthantIndicator([-1, -1, 0, 1, 1])
+        g = np.array([-2.0, 0.0, 0.0, 2.0, 0.0])
+        self._assert_matches(reg.inverse_image(g),
+                             oracles.orthant_inverse_image_oracle(g, reg.signs, 1e-8))
+
+    def test_empty_reason_names_first_offending_coordinate(self):
+        assert L1(1.0).inverse_image(np.array([0.1, 3.0, 5.0])).reason \
+            == "coordinate 1 has |g_i| > λ"
+        reg = OrthantIndicator([1, 0, -1])
+        assert reg.inverse_image(np.array([0.0, 0.0, 1.0])).reason \
+            == "coordinate 2: -g_i < 0 not in cone [0, ∞)"
+        assert reg.inverse_image(np.array([0.0, 1.0, -1.0])).reason \
+            == "free coordinate 1 needs g_i = 0"
+        assert reg.inverse_image(np.array([-1.0, 0.0, 0.0])).reason \
+            == "coordinate 0: -g_i > 0 not in cone (−∞, 0]"
 
     def test_ridge_point(self):
         P = Ridge(0.5)

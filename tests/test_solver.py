@@ -210,3 +210,21 @@ class TestLipschitzBound:
     def test_unbounded_losses_return_none(self):
         from ebound.experiments import noncompact_instance
         assert lipschitz_bound(noncompact_instance()) is None
+
+    def test_loss_declares_its_gradient_lipschitz_constant(self):
+        from ebound.losses import GeneralQuadratic, Logistic, NoncompactExample, Poisson
+
+        B = np.array([[3.0, 1.0], [1.0, 2.0]])
+        assert GeneralQuadratic(B, np.ones(2)).grad_lipschitz == float(np.linalg.norm(B, 2))
+        assert LeastSquares(np.ones(2)).grad_lipschitz == 1.0
+        assert Logistic(np.ones(2)).grad_lipschitz == 0.25
+        assert Poisson(np.ones(2)).grad_lipschitz is None
+        assert NoncompactExample().grad_lipschitz is None
+
+    def test_bound_scales_by_operator_norm_squared(self):
+        from ebound.losses import Logistic
+
+        M = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0]])
+        smooth = CompositeSmooth(Logistic(np.ones(2)), DenseMap(M, (3,)), np.zeros(3))
+        prob = ProblemInstance(smooth, L1(0.1), np.zeros(3))
+        assert lipschitz_bound(prob) == 0.25 * float(np.linalg.norm(M, 2)) ** 2
