@@ -483,9 +483,9 @@ def run_experiment(name: str, config: dict | None = None,
     config.setdefault("experiment", name)
     if config["experiment"] != name:
         raise ConfigError([f"config is for {config['experiment']!r}, not {name!r}"])
-    validate_config_data(config)
     if seed is not None:
         config["seed"] = seed
+    validate_config_data(config)
 
     out = Path(out_dir) if out_dir else Path(config.get("output", default_output_dir(name)))
     out.mkdir(parents=True, exist_ok=True)

@@ -3,18 +3,21 @@ optimality certification, and distance to the optimal set.
 
 The optimal set is the intersection of the affine piece {x : A(x) = ȳ} and
 the inverse image Γ_P(ḡ); its nearest point is computed by Dykstra's
-alternating projections unless the optimum is known to be unique.
+alternating projections unless the optimum is known to be unique.  Both
+pieces are fixed by the certificate, which builds Γ_P(ḡ) on first use and
+keeps it; an empty Γ_P(ḡ) raises InfeasibleTargetError on every use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NotOptimalError
 from .losses import CompositeSmooth
-from .regularizers import Regularizer
+from .regularizers import InverseImage, Regularizer
 from .space import affine_project, norm
 
 CERT_TOL = 1e-9
@@ -50,6 +53,12 @@ class OptimalityCertificate:
     g_bar: np.ndarray
     residual_norm: float
     tol: float
+    reg: Regularizer = field(repr=False)
+
+    @cached_property
+    def image(self) -> InverseImage:
+        """Γ_P(ḡ), built on first use."""
+        return self.reg.inverse_image(self.g_bar)
 
 
 def objective(prob: ProblemInstance, x) -> float:
@@ -76,6 +85,7 @@ def certify(prob: ProblemInstance, x, tol: float = CERT_TOL) -> OptimalityCertif
         g_bar=point.gradient,
         residual_norm=r,
         tol=tol,
+        reg=prob.reg,
     )
 
 
@@ -122,13 +132,11 @@ def distance_to_solution_set(
     x = np.asarray(x, dtype=float)
     if unique or prob.strongly_convex:
         return norm(x - cert.x_star)
-    image = prob.reg.inverse_image(cert.g_bar)
-    image._require_nonempty()
     A = prob.smooth.A
     proj = _dykstra(
         x,
         lambda z: affine_project(z, A, cert.y_bar),
-        image.project,
+        cert.image.project,
         tol,
         max_sweeps,
     )

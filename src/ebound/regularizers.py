@@ -6,6 +6,9 @@ computations that drive the error-bound diagnostics,
 
 inverse_image(g) returns an explicit parameterization of Γ_P(g) whose
 project() method realizes the nearest point; the distance is derived from it.
+An empty Γ_P(g) is not a set but a wrong target: inverse_image raises
+InfeasibleTargetError naming the first coordinate, group or singular value
+that empties it.
 """
 
 from __future__ import annotations
@@ -24,11 +27,12 @@ TAU_EQ = 1e-8
 # inverse images Γ_P(g)
 # ---------------------------------------------------------------------------
 
-class InverseImage:
-    """A parameterized closed convex set with a nearest-point map."""
+def _empty(reason: str) -> InfeasibleTargetError:
+    return InfeasibleTargetError(f"inverse image is empty: {reason}")
 
-    is_empty: bool = False
-    reason: str = ""
+
+class InverseImage:
+    """A parameterized nonempty closed convex set with a nearest-point map."""
 
     def project(self, x) -> np.ndarray:
         raise NotImplementedError
@@ -36,23 +40,11 @@ class InverseImage:
     def distance(self, x) -> float:
         return norm(np.asarray(x, dtype=float) - self.project(x))
 
-    def _require_nonempty(self):
-        if self.is_empty:
-            raise InfeasibleTargetError(f"inverse image is empty: {self.reason}")
-
-
-@dataclass
-class EmptyImage(InverseImage):
-    reason: str
-    is_empty: bool = True
-
-    def project(self, x):
-        self._require_nonempty()
-
 
 @dataclass
 class BoxImage(InverseImage):
-    """Per-coordinate interval sets (L1, orthant indicator, zero weights)."""
+    """Per-coordinate intervals [lo_i, hi_i] (L1, orthant indicator, ridge
+    points, zero weights)."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -61,49 +53,27 @@ class BoxImage(InverseImage):
         return np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
 
 
-@dataclass
-class PointImage(InverseImage):
-    point: np.ndarray
-
-    def project(self, x):
-        return self.point.copy()
-
-
-GROUP_EMPTY = "empty"
-GROUP_ZERO = "zero"
-GROUP_RAY = "ray"
-GROUP_FULL = "full_space"
+def _zero_weight_image(g, tau_eq) -> BoxImage:
+    """Γ_P(g) of a zero penalty: the whole space when g = 0, else empty."""
+    if np.max(np.abs(g), initial=0.0) > tau_eq:
+        raise _empty("zero weight but g ≠ 0")
+    return BoxImage(lo=np.full(g.shape, -np.inf), hi=np.full(g.shape, np.inf))
 
 
 @dataclass
 class GroupImage(InverseImage):
-    """Per-group cases of the grouped-LASSO inverse image: each block is
-    ∅, {0}, the ray {a·g_J : a ≤ 0}, or the whole subspace."""
+    """Grouped-LASSO inverse image: each block J is {0}, the whole subspace,
+    or the ray {a·g_J : a ≤ 0}.  `ray` holds g_J/‖g_J‖ on ray blocks and 0
+    elsewhere; `free` marks the coordinates of whole-subspace blocks."""
 
-    groups: tuple
-    cases: tuple  # (tag, payload) per group; payload is g_J for rays
-    n: int
-
-    def __post_init__(self):
-        empties = [i for i, (tag, _) in enumerate(self.cases) if tag == GROUP_EMPTY]
-        if empties:
-            self.is_empty = True
-            self.reason = f"group {empties[0]} has ‖g_J‖ > ω_J"
+    group_of: np.ndarray
+    ray: np.ndarray
+    free: np.ndarray
 
     def project(self, x):
-        self._require_nonempty()
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for J, (tag, payload) in zip(self.groups, self.cases):
-            xj = x[J]
-            if tag == GROUP_FULL:
-                out[J] = xj
-            elif tag == GROUP_ZERO:
-                out[J] = 0.0
-            else:  # ray along payload = g_J with nonpositive multiplier
-                a = min(float(xj @ payload) / float(payload @ payload), 0.0)
-                out[J] = a * payload
-        return out
+        a = np.minimum(np.bincount(self.group_of, weights=x * self.ray), 0.0)
+        return np.where(self.free, x, a[self.group_of] * self.ray)
 
 
 @dataclass
@@ -117,7 +87,6 @@ class NuclearImage(InverseImage):
     s_bar: int
 
     def project(self, x):
-        self._require_nonempty()
         x = np.asarray(x, dtype=float)
         M = self.U.T @ x @ self.V
         s = self.s_bar
@@ -165,12 +134,11 @@ class Regularizer:
         raise NotImplementedError
 
     def inverse_image(self, g, tau_eq: float = TAU_EQ) -> InverseImage:
+        """Γ_P(g); raises InfeasibleTargetError when it is empty."""
         raise NotImplementedError
 
     def inverse_image_distance(self, g, x, tau_eq: float = TAU_EQ) -> float:
-        img = self.inverse_image(g, tau_eq)
-        img._require_nonempty()
-        return img.distance(self._check(x))
+        return self.inverse_image(g, tau_eq).distance(self._check(x))
 
 
 @dataclass(frozen=True)
@@ -204,9 +172,7 @@ class L1(Regularizer):
         g = self._check(g)
         lam = self.weight
         if lam == 0.0:
-            if np.max(np.abs(g), initial=0.0) > tau_eq:
-                return EmptyImage(reason="zero weight but g ≠ 0")
-            return BoxImage(lo=np.full(g.shape, -np.inf), hi=np.full(g.shape, np.inf))
+            return _zero_weight_image(g, tau_eq)
         band = tau_eq * max(1.0, lam)
         # per coordinate, in this order: −g_i = λ, −g_i = −λ, |g_i| < λ;
         # any other coordinate (NaN included) empties the image
@@ -214,7 +180,7 @@ class L1(Regularizer):
         down = ~up & (np.abs(-g + lam) <= band)
         bad = ~(up | down | (np.abs(g) < lam))
         if bad.any():
-            return EmptyImage(reason=f"coordinate {int(np.argmax(bad))} has |g_i| > λ")
+            raise _empty(f"coordinate {int(np.argmax(bad))} has |g_i| > λ")
         return BoxImage(lo=np.where(down, -np.inf, 0.0), hi=np.where(up, np.inf, 0.0))
 
 
@@ -242,10 +208,9 @@ class Ridge(Regularizer):
     def inverse_image(self, g, tau_eq=TAU_EQ):
         g = self._check(g)
         if self.weight == 0.0:
-            if np.max(np.abs(g), initial=0.0) > tau_eq:
-                return EmptyImage(reason="zero weight but g ≠ 0")
-            return BoxImage(lo=np.full(g.shape, -np.inf), hi=np.full(g.shape, np.inf))
-        return PointImage(point=-g / (2.0 * self.weight))
+            return _zero_weight_image(g, tau_eq)
+        p = -g / (2.0 * self.weight)
+        return BoxImage(lo=p, hi=p)
 
 
 class GroupedLasso(Regularizer):
@@ -294,31 +259,33 @@ class GroupedLasso(Regularizer):
 
     def subdiff_distance(self, x, s):
         x, s = self._check(x), self._check(s)
-        dist_sq = 0.0
-        for J, w in zip(self.groups, self.weights):
-            xj, sj = x[J], s[J]
-            nx = np.linalg.norm(xj)
-            if nx > 0.0:
-                dist_sq += float(np.sum((sj - w * xj / nx) ** 2))
-            else:
-                dist_sq += max(np.linalg.norm(sj) - w, 0.0) ** 2
-        return float(np.sqrt(dist_sq))
+        # on a block with x_J ≠ 0, ∂ is the point ω_J x_J/‖x_J‖; on x_J = 0 it
+        # is the ω_J-ball, which s_J overshoots by max(‖s_J‖ − ω_J, 0)
+        nx = self._group_norms(x)
+        live = nx > 0.0
+        scale = np.zeros_like(nx)
+        scale[live] = self._weight[live] / nx[live]
+        r = s - scale[self._group_of] * x
+        r_sq = np.bincount(self._group_of, weights=r * r, minlength=nx.size)
+        over = np.maximum(np.sqrt(r_sq) - self._weight, 0.0)
+        return float(np.sqrt(np.sum(np.where(live, r_sq, over * over))))
 
     def inverse_image(self, g, tau_eq=TAU_EQ):
         g = self._check(g)
-        cases = []
-        for J, w in zip(self.groups, self.weights):
-            gj = g[J]
-            ng = np.linalg.norm(gj)
-            if w == 0.0:
-                cases.append((GROUP_FULL, None) if ng <= tau_eq else (GROUP_EMPTY, None))
-            elif abs(ng - w) <= tau_eq * max(1.0, w):
-                cases.append((GROUP_RAY, gj.copy()))
-            elif ng > w:
-                cases.append((GROUP_EMPTY, None))
-            else:
-                cases.append((GROUP_ZERO, None))
-        return GroupImage(groups=self.groups, cases=tuple(cases), n=self.n)
+        w, ng = self._weight, self._group_norms(g)
+        # per group, in this order: zero weight (the whole block when g_J = 0),
+        # ‖g_J‖ = ω_J within the band (a ray), ‖g_J‖ > ω_J (empty), else {0}
+        zero_w = w == 0.0
+        free = zero_w & (ng <= tau_eq)
+        ray = ~zero_w & (np.abs(ng - w) <= tau_eq * np.maximum(1.0, w))
+        bad = (zero_w & ~free) | (~zero_w & ~ray & (ng > w))
+        if bad.any():
+            raise _empty(f"group {int(np.argmax(bad))} has ‖g_J‖ > ω_J")
+        unit = np.zeros_like(ng)
+        live = ray & (ng > 0.0)
+        unit[live] = 1.0 / ng[live]
+        return GroupImage(group_of=self._group_of, ray=unit[self._group_of] * g,
+                          free=free[self._group_of])
 
 
 @dataclass(frozen=True)
@@ -362,7 +329,7 @@ class NuclearNorm(Regularizer):
         g = self._check(g)
         fac = svd(-g, self.group_tol)
         if fac.sigma.size and fac.sigma[0] > 1.0 + tau_eq:
-            return EmptyImage(reason=f"spectral norm of -g is {fac.sigma[0]:.6g} > 1")
+            raise _empty(f"spectral norm of -g is {fac.sigma[0]:.6g} > 1")
         s_bar = fac.count_at_least(1.0, tau_eq)
         return NuclearImage(U=fac.U, V=fac.V, sigma=fac.sigma, s_bar=s_bar)
 
@@ -411,15 +378,12 @@ class OrthantIndicator(Regularizer):
         x, s = self._check(x), self._check(s)
         if not self.contains(x):
             raise DomainError("point outside the constraint set")
-        dist_sq = 0.0
-        for xi, si, sg in zip(x, s, self.signs):
-            if sg == 0 or xi != 0.0:
-                dist_sq += si * si  # interior: normal cone is {0}
-            elif sg < 0:
-                dist_sq += min(si, 0.0) ** 2  # cone [0, ∞)
-            else:
-                dist_sq += max(si, 0.0) ** 2  # cone (−∞, 0]
-        return float(np.sqrt(dist_sq))
+        # the cone is {0} off the faces, [0, ∞) on a face of a −1 sign and
+        # (−∞, 0] on a face of a +1 sign
+        face = x == 0.0
+        r = s - np.clip(s, np.where(face & (self.signs > 0), -np.inf, 0.0),
+                        np.where(face & (self.signs < 0), np.inf, 0.0))
+        return float(np.sqrt(np.sum(r * r)))
 
     def inverse_image(self, g, tau_eq=TAU_EQ):
         g = self._check(g)
@@ -428,10 +392,10 @@ class OrthantIndicator(Regularizer):
             | ((s > 0) & (v > tau_eq))
         if bad.any():
             i = int(np.argmax(bad))
-            return EmptyImage(reason=(
+            raise _empty(
                 f"free coordinate {i} needs g_i = 0" if s[i] == 0
                 else f"coordinate {i}: -g_i < 0 not in cone [0, ∞)" if s[i] < 0
-                else f"coordinate {i}: -g_i > 0 not in cone (−∞, 0]"))
+                else f"coordinate {i}: -g_i > 0 not in cone (−∞, 0]")
         # a strictly interior normal-cone member pins the coordinate to 0
         pinned = ((s < 0) & (v > tau_eq)) | ((s > 0) & (v < -tau_eq))
         return BoxImage(lo=np.where(pinned, 0.0, self.lo), hi=np.where(pinned, 0.0, self.hi))

@@ -156,7 +156,7 @@ def orthant_graph_member(rng, signs):
 
 
 # ---------------------------------------------------------------------------
-# inverse-image oracles: per-coordinate case analysis, one coordinate at a time
+# inverse-image oracles: case analysis one coordinate or group at a time
 # ---------------------------------------------------------------------------
 
 def l1_inverse_image_oracle(g, lam, tau_eq):
@@ -201,3 +201,70 @@ def orthant_inverse_image_oracle(g, signs, tau_eq):
             else:
                 lo[i], hi[i] = 0.0, np.inf
     return lo, hi
+
+
+def grouped_inverse_image_oracle(g, groups, weights, tau_eq):
+    """Per-group case list of Γ_P(g) for P = Σ ω_J ‖x_J‖: ("full", None),
+    ("zero", None) or ("ray", g_J) per group, or the index of the first group
+    that empties it."""
+    cases = []
+    for i, (J, w) in enumerate(zip(groups, weights)):
+        gj = g[J]
+        ng = np.linalg.norm(gj)
+        if w == 0.0:
+            if ng > tau_eq:
+                return i
+            cases.append(("full", None))
+        elif abs(ng - w) <= tau_eq * max(1.0, w):
+            cases.append(("ray", gj.copy()))
+        elif ng > w:
+            return i
+        else:
+            cases.append(("zero", None))
+    return cases
+
+
+def grouped_image_project_oracle(x, groups, cases):
+    """Nearest point of the per-group cases, one group at a time; a ray
+    along g_J = 0 (a weight inside the band around 0) is the block {0}."""
+    out = np.zeros_like(x)
+    for J, (tag, payload) in zip(groups, cases):
+        xj = x[J]
+        if tag == "full":
+            out[J] = xj
+        elif tag == "ray" and payload @ payload > 0.0:  # {a·g_J : a ≤ 0}
+            a = min(float(xj @ payload) / float(payload @ payload), 0.0)
+            out[J] = a * payload
+    return out
+
+
+# ---------------------------------------------------------------------------
+# subdifferential-distance oracles: one group or coordinate at a time
+# ---------------------------------------------------------------------------
+
+def grouped_subdiff_distance_oracle(x, s, groups, weights):
+    """Per group: distance from s_J to the ω_J-ball (x_J = 0) or to the
+    point ω_J x_J/‖x_J‖."""
+    dist_sq = 0.0
+    for J, w in zip(groups, weights):
+        xj, sj = x[J], s[J]
+        nx = np.linalg.norm(xj)
+        if nx > 0.0:
+            dist_sq += float(np.sum((sj - w * xj / nx) ** 2))
+        else:
+            dist_sq += max(np.linalg.norm(sj) - w, 0.0) ** 2
+    return math.sqrt(dist_sq)
+
+
+def orthant_subdiff_distance_oracle(x, s, signs):
+    """Distance from s to the normal cone of the sign-constrained box at x
+    (x inside the box)."""
+    dist_sq = 0.0
+    for xi, si, sg in zip(x, s, signs):
+        if sg == 0 or xi != 0.0:
+            dist_sq += si * si  # interior: normal cone is {0}
+        elif sg < 0:
+            dist_sq += min(si, 0.0) ** 2  # cone [0, ∞)
+        else:
+            dist_sq += max(si, 0.0) ** 2  # cone (−∞, 0]
+    return math.sqrt(dist_sq)

@@ -202,6 +202,14 @@ class TestCli:
         assert main(["validate", path]) == 2
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,seed", [("lasso", "-1"), ("nuclear-regular", "-3")])
+    def test_run_rejects_negative_seed_override(self, tmp_path, capsys, name, seed):
+        # the --seed override goes through the same check as a config seed
+        out = tmp_path / "out"
+        assert main(["run", name, "--seed", seed, "--out", str(out)]) == 2
+        assert "error: seed: must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_unknown_experiment_exit_2(self, capsys):
         assert main(["run", "nonsense"]) == 2
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ebound.errors import DomainError, NotOptimalError
+from ebound.diagnostics import RandomDirections, probe
+from ebound.errors import DomainError, InfeasibleTargetError, NotOptimalError
 from ebound.experiments import (
     counterexample_curve_point,
     counterexample_instance,
@@ -22,6 +23,7 @@ from ebound.regularizers import L1, GroupedLasso, Ridge
 from ebound.solver import Fixed, lipschitz_bound, proximal_gradient
 from ebound.space import DenseMap, IdentityMap, norm
 
+import oracles
 from test_losses import COUNTER_B, COUNTER_D, quadratic_oracle
 
 
@@ -140,21 +142,9 @@ class TestAlternativeResidual:
             x = cert.x_star + 0.1 * rng.standard_normal(2)
             got = r_alt(prob, cert, x)
             affine = norm(prob.smooth.A(x) - cert.y_bar)
-            expected = affine + per_group_subdiff_oracle(prob.reg, x, -cert.g_bar)
+            expected = affine + oracles.grouped_subdiff_distance_oracle(
+                x, -cert.g_bar, prob.reg.groups, prob.reg.weights)
             assert abs(got - expected) <= 1e-9
-
-
-def per_group_subdiff_oracle(reg, x, s):
-    # brute force per group: distance to the ball (x_J = 0) or to the
-    # singleton ω x_J/‖x_J‖
-    total = 0.0
-    for J, w in zip(reg.groups, reg.weights):
-        xj, sj = x[J], s[J]
-        if np.linalg.norm(xj) == 0.0:
-            total += max(np.linalg.norm(sj) - w, 0.0) ** 2
-        else:
-            total += np.linalg.norm(sj - w * xj / np.linalg.norm(xj)) ** 2
-    return np.sqrt(total)
 
 
 def grouped_toy():
@@ -164,6 +154,19 @@ def grouped_toy():
                              DenseMap(np.array([[1.0, 0.0]]), (2,)), np.zeros(2))
     reg = GroupedLasso([[0], [1]], [2.0, 0.0])
     return ProblemInstance(smooth, reg, np.array([1.0, 0.0]))
+
+
+def record_inverse_images(monkeypatch, cls):
+    """Record the g of every cls.inverse_image(g) call."""
+    calls = []
+    build = cls.inverse_image
+
+    def recording(self, g, *args):
+        calls.append(g)
+        return build(self, g, *args)
+
+    monkeypatch.setattr(cls, "inverse_image", recording)
+    return calls
 
 
 class TestDistanceToSolutionSet:
@@ -204,6 +207,29 @@ class TestDistanceToSolutionSet:
             d = distance_to_solution_set(prob, cert, x)
             brute = np.min(np.linalg.norm(x - segment, axis=(1, 2)))
             assert abs(d - brute) <= 1e-5
+
+    def test_image_built_once_per_certificate(self, monkeypatch):
+        calls = record_inverse_images(monkeypatch, GroupedLasso)
+        prob = grouped_toy()
+        cert = certify(prob, np.array([1.0, 5.0]), tol=1e-9)
+        first = probe(prob, cert, [0.1, 0.01], RandomDirections(3, seed=0))
+        second = probe(prob, cert, [0.05], RandomDirections(3, seed=1))
+        assert len(first) == 6 and len(second) == 3
+        assert len(calls) == 1 and calls[0] is cert.g_bar
+
+    def test_empty_image_raises_on_every_call(self, monkeypatch):
+        # f = ½(x₁ − 3)² with λ = 1: x* = (2, 0), and (2 − 1e-4, 0) certifies
+        # at tol 1e-3 with |ḡ₁| = 1 + 1e-4 > λ, so Γ_P(ḡ) is empty
+        calls = record_inverse_images(monkeypatch, L1)
+        smooth = CompositeSmooth(LeastSquares(np.array([3.0])),
+                                 DenseMap(np.array([[1.0, 0.0]]), (2,)), np.zeros(2))
+        prob = ProblemInstance(smooth, L1(1.0), np.zeros(2))
+        cert = certify(prob, np.array([2.0 - 1e-4, 0.0]), tol=1e-3)
+        for _ in range(3):
+            with pytest.raises(InfeasibleTargetError,
+                               match=r"^inverse image is empty: coordinate 0 has \|g_i\| > λ$"):
+                distance_to_solution_set(prob, cert, np.array([1.5, 0.5]))
+        assert len(calls) == 3
 
     def test_strongly_convex_shortcut(self):
         prob = ridge_instance(0)

@@ -5,9 +5,6 @@ import pytest
 
 from ebound.errors import InfeasibleTargetError, InvalidInputError
 from ebound.regularizers import (
-    GROUP_FULL,
-    GROUP_RAY,
-    GROUP_ZERO,
     L1,
     GroupedLasso,
     NuclearImage,
@@ -22,6 +19,17 @@ import oracles
 
 def make_grouped():
     return GroupedLasso([[0, 1], [2, 3, 4]], [1.0, 2.0])
+
+
+def raises_empty(reason):
+    """The exact error an empty inverse image raises."""
+    return pytest.raises(InfeasibleTargetError,
+                         match=f"^{re.escape(f'inverse image is empty: {reason}')}$")
+
+
+# non-contiguous groups of unequal size with one zero-weight group
+SCATTERED_GROUPS = [[4, 0, 7], [2], [8, 1, 5, 3], [6, 9]]
+SCATTERED_WEIGHTS = [0.5, 0.0, 1.2, 0.7]
 
 
 class TestValues:
@@ -184,6 +192,32 @@ class TestSubdiffDistance:
         assert reg.subdiff_distance(x, np.array([3.0, 0.0])) == 0.0
         assert abs(reg.subdiff_distance(x, np.array([-2.0, 1.0])) - np.hypot(2, 1)) <= 1e-14
 
+    def test_grouped_matches_per_group_loop(self):
+        reg = GroupedLasso(SCATTERED_GROUPS, SCATTERED_WEIGHTS)
+        rng = np.random.default_rng(15)
+        for _ in range(40):
+            # zero a random set of blocks, the zero-weight block included,
+            # and draw s so that ‖s_J‖ falls on both sides of ω_J
+            x = rng.standard_normal(10)
+            for J in reg.groups:
+                if rng.random() < 0.4:
+                    x[J] = 0.0
+            s = rng.uniform(0.0, 1.5) * rng.standard_normal(10)
+            expected = oracles.grouped_subdiff_distance_oracle(x, s, reg.groups, reg.weights)
+            assert abs(reg.subdiff_distance(x, s) - expected) <= 1e-14 * max(1.0, expected)
+
+    def test_orthant_matches_coordinate_loop(self):
+        rng = np.random.default_rng(16)
+        for _ in range(40):
+            signs = rng.choice([-1, 0, 1], 12)
+            reg = OrthantIndicator(signs)
+            # inside the box, with a random share of coordinates on the faces
+            x = np.where(signs == 0, rng.standard_normal(12), signs * rng.exponential(size=12))
+            x[rng.random(12) < 0.5] = 0.0
+            s = rng.standard_normal(12)
+            expected = oracles.orthant_subdiff_distance_oracle(x, s, signs)
+            assert abs(reg.subdiff_distance(x, s) - expected) <= 1e-14 * max(1.0, expected)
+
     def test_orthant_outside_domain(self):
         from ebound.errors import DomainError
         reg = OrthantIndicator([-1, 1])
@@ -193,17 +227,64 @@ class TestSubdiffDistance:
 
 class TestInverseImage:
     def test_grouped_cases(self):
+        x = np.array([1.0, -3.0])
         reg = GroupedLasso([[0, 1]], [2.0])
-        img = reg.inverse_image(np.array([1.8, 2.4]))  # ‖g‖ = 3 > 2
-        assert img.is_empty
-        img = reg.inverse_image(np.array([0.3, 0.4]))  # ‖g‖ = 0.5 < 2... scaled below
-        assert img.cases[0][0] == GROUP_ZERO
+        with raises_empty("group 0 has ‖g_J‖ > ω_J"):
+            reg.inverse_image(np.array([1.8, 2.4]))  # ‖g‖ = 3 > 2
+        img = reg.inverse_image(np.array([0.3, 0.4]))  # ‖g‖ = 0.5 < 2: the block is {0}
+        np.testing.assert_array_equal(img.project(x), np.zeros(2))
         reg1 = GroupedLasso([[0, 1]], [1.0])
-        img = reg1.inverse_image(np.array([0.6, 0.8]))
-        assert img.cases[0][0] == GROUP_RAY
+        img = reg1.inverse_image(np.array([0.6, 0.8]))  # the ray {a·(0.6, 0.8) : a ≤ 0}
+        np.testing.assert_allclose(img.project(np.array([-3.8, -3.4])), [-3.0, -4.0],
+                                   rtol=1e-15)
+        np.testing.assert_array_equal(img.project(np.array([3.0, 4.0])), np.zeros(2))
         reg0 = GroupedLasso([[0, 1]], [0.0])
-        assert reg0.inverse_image(np.zeros(2)).cases[0][0] == GROUP_FULL
-        assert reg0.inverse_image(np.array([0.1, 0.0])).is_empty
+        np.testing.assert_array_equal(reg0.inverse_image(np.zeros(2)).project(x), x)
+        with raises_empty("group 0 has ‖g_J‖ > ω_J"):
+            reg0.inverse_image(np.array([0.1, 0.0]))
+
+    @staticmethod
+    def _group_gradients(rng, groups, weights, band):
+        """Random gradients, and gradients whose blocks sit on the case edges:
+        ‖g_J‖ inside the ray band, next to its boundary on either side, or
+        outside it, g_J = 0, and zero-weight blocks inside or outside the
+        tolerance."""
+        n = sum(len(J) for J in groups)
+        cases = [rng.uniform(-1.0, 1.0, n) for _ in range(10)]
+        for _ in range(30):
+            g = np.zeros(n)
+            for J, w in zip(groups, weights):
+                u = rng.standard_normal(len(J))
+                u /= np.linalg.norm(u)
+                # two ways of summing ‖g_J‖² may round apart, so stay 1e-3
+                # band widths (far above the rounding) off the band's boundary
+                offset = rng.choice([0.0, 0.5, -0.5, 0.999, -0.999, 1.001, -1.001,
+                                     2.0, -2.0]) * band
+                g[J] = rng.choice([0.0, rng.uniform(0.0, 1.0), 1.0]) * u * w \
+                    if rng.random() < 0.3 else (w + offset) * u
+            cases.append(g)
+        return cases
+
+    # the weight 1e-9 lies inside the band around 0, so g_J = 0 is a ray block
+    @pytest.mark.parametrize("weights", [SCATTERED_WEIGHTS, [1e-9, 2.5, 1.0, 0.0]])
+    def test_grouped_matches_per_group_loop(self, weights):
+        rng = np.random.default_rng(14)
+        reg = GroupedLasso(SCATTERED_GROUPS, weights)
+        groups = reg.groups
+        empties = 0
+        for g in self._group_gradients(rng, groups, weights, 1e-8):
+            expected = oracles.grouped_inverse_image_oracle(g, groups, weights, 1e-8)
+            if isinstance(expected, int):
+                empties += 1
+                with raises_empty(f"group {expected} has ‖g_J‖ > ω_J"):
+                    reg.inverse_image(g)
+                continue
+            img = reg.inverse_image(g)
+            for x in (rng.standard_normal(10), -g, g, np.zeros(10)):
+                np.testing.assert_allclose(
+                    img.project(x), oracles.grouped_image_project_oracle(x, groups, expected),
+                    rtol=1e-13, atol=1e-15)
+        assert 0 < empties < 40
 
     def test_grouped_ray_distances(self):
         reg = GroupedLasso([[0, 1]], [1.0])
@@ -224,7 +305,7 @@ class TestInverseImage:
     def test_nuclear_split_index_and_distance(self):
         P = NuclearNorm()
         img = P.inverse_image(-np.diag([1.0, 0.3]))
-        assert img.s_bar == 1 and not img.is_empty
+        assert img.s_bar == 1
         # the set is {diag(z, 0) : z ≥ 0}
         d = P.inverse_image_distance(-np.diag([1.0, 0.3]), np.diag([5.0, 0.2]))
         assert abs(d - 0.2) <= 1e-12
@@ -235,8 +316,8 @@ class TestInverseImage:
 
     def test_nuclear_empty_when_spectral_norm_exceeds_one(self):
         P = NuclearNorm()
-        img = P.inverse_image(-np.diag([1.5, 0.2]))
-        assert img.is_empty
+        with raises_empty("spectral norm of -g is 1.5 > 1"):
+            P.inverse_image(-np.diag([1.5, 0.2]))
         with pytest.raises(InfeasibleTargetError):
             P.inverse_image_distance(-np.diag([1.5, 0.2]), np.eye(2))
 
@@ -245,14 +326,16 @@ class TestInverseImage:
         img = P.inverse_image(np.array([-1.0, 1.0, 0.2]))
         np.testing.assert_allclose(img.lo, [0.0, -np.inf, 0.0])
         np.testing.assert_allclose(img.hi, [np.inf, 0.0, 0.0])
-        assert P.inverse_image(np.array([2.0, 0.0, 0.0])).is_empty
+        with raises_empty("coordinate 0 has |g_i| > λ"):
+            P.inverse_image(np.array([2.0, 0.0, 0.0]))
 
     def test_orthant_cases(self):
         reg = OrthantIndicator([-1, 1])
         img = reg.inverse_image(np.array([-1.0, 0.0]))  # -g = (1, 0)
         np.testing.assert_allclose(img.lo, [0.0, 0.0])
         np.testing.assert_allclose(img.hi, [0.0, np.inf])
-        assert reg.inverse_image(np.array([1.0, 0.0])).is_empty
+        with raises_empty("coordinate 0: -g_i < 0 not in cone [0, ∞)"):
+            reg.inverse_image(np.array([1.0, 0.0]))
 
     @staticmethod
     def _box_cases(rng, edges, band):
@@ -273,11 +356,12 @@ class TestInverseImage:
         return cases
 
     @staticmethod
-    def _assert_matches(img, expected):
+    def _assert_matches(reg, g, expected):
         if isinstance(expected, int):
-            assert img.is_empty and re.search(rf"coordinate {expected}\b", img.reason)
+            with pytest.raises(InfeasibleTargetError, match=rf"coordinate {expected}\b"):
+                reg.inverse_image(g)
         else:
-            assert not img.is_empty
+            img = reg.inverse_image(g)
             np.testing.assert_array_equal(img.lo, expected[0])
             np.testing.assert_array_equal(img.hi, expected[1])
 
@@ -286,44 +370,43 @@ class TestInverseImage:
         rng = np.random.default_rng(11)
         P = L1(lam)
         for g in self._box_cases(rng, [lam, -lam, 0.0], 1e-8 * max(1.0, lam)):
-            self._assert_matches(P.inverse_image(g),
-                                 oracles.l1_inverse_image_oracle(g, lam, 1e-8))
+            self._assert_matches(P, g, oracles.l1_inverse_image_oracle(g, lam, 1e-8))
 
     def test_l1_zero_weight_is_whole_space_or_empty(self):
         P = L1(0.0)
         img = P.inverse_image(np.zeros(3))
         np.testing.assert_array_equal(img.lo, np.full(3, -np.inf))
         np.testing.assert_array_equal(img.hi, np.full(3, np.inf))
-        assert P.inverse_image(np.array([0.0, 1e-7, 0.0])).is_empty
+        with raises_empty("zero weight but g ≠ 0"):
+            P.inverse_image(np.array([0.0, 1e-7, 0.0]))
 
     def test_orthant_matches_coordinate_loop(self):
         rng = np.random.default_rng(12)
         for g in self._box_cases(rng, [0.0], 1e-8):
             signs = rng.choice([-1, 0, 1], g.size)
             reg = OrthantIndicator(signs)
-            self._assert_matches(reg.inverse_image(g),
-                                 oracles.orthant_inverse_image_oracle(g, signs, 1e-8))
+            self._assert_matches(reg, g, oracles.orthant_inverse_image_oracle(g, signs, 1e-8))
         # every sign in one vector, with a gradient that keeps the image nonempty
         reg = OrthantIndicator([-1, -1, 0, 1, 1])
         g = np.array([-2.0, 0.0, 0.0, 2.0, 0.0])
-        self._assert_matches(reg.inverse_image(g),
-                             oracles.orthant_inverse_image_oracle(g, reg.signs, 1e-8))
+        self._assert_matches(reg, g, oracles.orthant_inverse_image_oracle(g, reg.signs, 1e-8))
 
     def test_empty_reason_names_first_offending_coordinate(self):
-        assert L1(1.0).inverse_image(np.array([0.1, 3.0, 5.0])).reason \
-            == "coordinate 1 has |g_i| > λ"
+        with raises_empty("coordinate 1 has |g_i| > λ"):
+            L1(1.0).inverse_image(np.array([0.1, 3.0, 5.0]))
         reg = OrthantIndicator([1, 0, -1])
-        assert reg.inverse_image(np.array([0.0, 0.0, 1.0])).reason \
-            == "coordinate 2: -g_i < 0 not in cone [0, ∞)"
-        assert reg.inverse_image(np.array([0.0, 1.0, -1.0])).reason \
-            == "free coordinate 1 needs g_i = 0"
-        assert reg.inverse_image(np.array([-1.0, 0.0, 0.0])).reason \
-            == "coordinate 0: -g_i > 0 not in cone (−∞, 0]"
+        with raises_empty("coordinate 2: -g_i < 0 not in cone [0, ∞)"):
+            reg.inverse_image(np.array([0.0, 0.0, 1.0]))
+        with raises_empty("free coordinate 1 needs g_i = 0"):
+            reg.inverse_image(np.array([0.0, 1.0, -1.0]))
+        with raises_empty("coordinate 0: -g_i > 0 not in cone (−∞, 0]"):
+            reg.inverse_image(np.array([-1.0, 0.0, 0.0]))
 
     def test_ridge_point(self):
         P = Ridge(0.5)
         img = P.inverse_image(np.array([2.0, -1.0]))
-        np.testing.assert_allclose(img.point, [-2.0, 1.0])
+        np.testing.assert_allclose(img.lo, [-2.0, 1.0])
+        np.testing.assert_allclose(img.hi, [-2.0, 1.0])
         assert abs(P.inverse_image_distance(np.array([2.0, -1.0]),
                                             np.array([-2.0, 0.0])) - 1.0) <= 1e-14
 
