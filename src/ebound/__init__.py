@@ -69,7 +69,6 @@ from .space import (
     norm,
     psd_project,
     svd,
-    sym_eig,
 )
 
 __version__ = "0.1.0"

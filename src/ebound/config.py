@@ -68,21 +68,17 @@ _TYPES = {
 }
 
 
-def _fields(cls):
-    """Constructor that takes a part's body object as keyword arguments."""
-    return lambda body, shape: cls(**body)
-
-
-# Each part table maps a name to (constructor(body, shape), schema).  A dict
-# schema makes the body an object with exactly those typed fields; a string
-# schema types the body itself.  Value checks (B positive definite, labels
-# ±1, groups a partition, ...) are the constructors' own.
+# Each part table maps a name to (constructor, schema).  A dict schema makes
+# the body an object with exactly those typed fields, passed to the
+# constructor as keyword arguments; a string schema types the body itself,
+# and the constructor takes (body, shape).  Value checks (B positive
+# definite, labels ±1, groups a partition, ...) are the constructors' own.
 _LOSSES = {
-    "least_squares": (_fields(LeastSquares), {"targets": "vector"}),
-    "general_quadratic": (_fields(GeneralQuadratic), {"B": "matrix", "d": "vector"}),
-    "logistic": (_fields(Logistic), {"labels": "vector"}),
-    "poisson": (_fields(Poisson), {"counts": "vector"}),
-    "noncompact": (_fields(NoncompactExample), {}),
+    "least_squares": (LeastSquares, {"targets": "vector"}),
+    "general_quadratic": (GeneralQuadratic, {"B": "matrix", "d": "vector"}),
+    "logistic": (Logistic, {"labels": "vector"}),
+    "poisson": (Poisson, {"counts": "vector"}),
+    "noncompact": (NoncompactExample, {}),
 }
 _MAPS = {
     "identity": (lambda body, shape: IdentityMap(shape), "any"),
@@ -90,11 +86,11 @@ _MAPS = {
     "coordinate_select": (CoordinateSelectMap, "indices"),
 }
 _REGULARIZERS = {
-    "l1": (_fields(L1), {"weight": "number"}),
-    "ridge": (_fields(Ridge), {"weight": "number"}),
-    "grouped_lasso": (_fields(GroupedLasso), {"groups": "index_groups", "weights": "vector"}),
-    "nuclear_norm": (_fields(NuclearNorm), {}),
-    "orthant": (_fields(OrthantIndicator), {"signs": "vector"}),
+    "l1": (L1, {"weight": "number"}),
+    "ridge": (Ridge, {"weight": "number"}),
+    "grouped_lasso": (GroupedLasso, {"groups": "index_groups", "weights": "vector"}),
+    "nuclear_norm": (NuclearNorm, {}),
+    "orthant": (OrthantIndicator, {"signs": "vector"}),
 }
 _PARTS = {"loss": _LOSSES, "linear_map": _MAPS, "regularizer": _REGULARIZERS}
 
@@ -125,10 +121,11 @@ class _Check:
             return True
         return False
 
-    def attempt(self, path, fn, *args):
-        """fn(*args), or None with the ValueError it raised recorded under path."""
+    def attempt(self, path, fn, *args, **kwargs):
+        """fn(*args, **kwargs), or None with the ValueError it raised
+        recorded under path."""
         try:
-            return fn(*args)
+            return fn(*args, **kwargs)
         except ValueError as exc:
             self.fail(path, str(exc))
             return None
@@ -253,8 +250,10 @@ def instance_from_config(problem: dict) -> tuple:
     paths, parts = {}, {}
     for part, table in _PARTS.items():
         (kind, body), = problem[part].items()
-        paths[part] = f"problem.{part}.{kind}"
-        parts[part] = chk.attempt(paths[part], table[kind][0], body, shape)
+        ctor, schema = table[kind]
+        paths[part] = path = f"problem.{part}.{kind}"
+        parts[part] = (chk.attempt(path, ctor, **body) if isinstance(schema, dict)
+                       else chk.attempt(path, ctor, body, shape))
 
     def element(key, default):
         return chk.attempt(f"problem.{key}", lambda: np.array(

@@ -20,8 +20,8 @@ from .problem import (
     r_alt,
     residual_map,
 )
-from .regularizers import TAU_EQ, NuclearNorm
-from .space import norm, svd, sym_eig
+from .regularizers import NuclearNorm
+from .space import norm, numerical_rank
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ def kappa_by_decade(samples) -> dict:
 class ComplementarityReport:
     """Strict complementarity for nuclear-norm instances: the count s̄ of
     unit singular values of −ḡ must equal rank(x*); the margin is the
-    smallest eigenvalue of x* expressed in the leading (Ū₁, V̄₁) block."""
+    smallest eigenvalue of the symmetric part of Ū₁ᵀ x* V̄₁."""
 
     s_bar: int
     rank_x: int
@@ -171,24 +171,21 @@ class ComplementarityReport:
     margin: float
 
 
-def strict_complementarity(
-    prob: ProblemInstance,
-    cert: OptimalityCertificate,
-    tau_eq: float = TAU_EQ,
-) -> ComplementarityReport:
+def strict_complementarity(prob: ProblemInstance,
+                           cert: OptimalityCertificate) -> ComplementarityReport:
+    """Read s̄, Ū₁ and V̄₁ from the certificate's Γ_P(ḡ); raises
+    InfeasibleTargetError when ‖ḡ‖₂ > 1, where that set is empty."""
     if not isinstance(prob.reg, NuclearNorm):
         raise InvalidInputError("strict complementarity applies to nuclear-norm instances")
-    fac_g = svd(-cert.g_bar)
-    s_bar = fac_g.count_at_least(1.0, tau_eq)
-    rank_x = svd(cert.x_star).rank
-    if s_bar == 0:
+    image = cert.image
+    rank_x = numerical_rank(np.linalg.svd(cert.x_star, compute_uv=False))
+    if image.s_bar == 0:
         margin = float("inf")
     else:
-        block = fac_g.U[:, :s_bar].T @ cert.x_star @ fac_g.V[:, :s_bar]
-        w, _ = sym_eig((block + block.T) / 2.0)
-        margin = float(w[-1])
+        block = image.U.T @ cert.x_star @ image.V
+        margin = float(np.linalg.eigvalsh((block + block.T) / 2.0)[0])
     return ComplementarityReport(
-        s_bar=s_bar, rank_x=rank_x, holds=(rank_x == s_bar), margin=margin,
+        s_bar=image.s_bar, rank_x=rank_x, holds=(rank_x == image.s_bar), margin=margin,
     )
 
 

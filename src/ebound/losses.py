@@ -152,7 +152,7 @@ class NoncompactExample(SmoothLoss):
     strongly convex on compact sets.
     """
 
-    strongly_convex_on_compacts: bool = False
+    strongly_convex_on_compacts = False
 
     def in_domain(self, y):
         y = np.asarray(y)

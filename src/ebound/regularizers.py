@@ -6,9 +6,10 @@ computations that drive the error-bound diagnostics,
 
 inverse_image(g) returns an explicit parameterization of Γ_P(g) whose
 project() method realizes the nearest point; the distance is derived from it.
-An empty Γ_P(g) is not a set but a wrong target: inverse_image raises
-InfeasibleTargetError naming the first coordinate, group or singular value
-that empties it.
+Equalities such as |g_i| = λ, ‖g_J‖ = ω_J or σ₁(−g) = 1 hold within TAU_EQ,
+scaled by max(1, λ) or max(1, ω_J) for a weighted penalty.  An empty Γ_P(g)
+is not a set but a wrong target: inverse_image raises InfeasibleTargetError
+naming the first coordinate, group or singular value that empties it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InfeasibleTargetError, InvalidInputError
-from .space import GROUP_TOL, _require_finite, norm, psd_project, svd
+from .space import _require_finite, norm, psd_project, svd
 
 TAU_EQ = 1e-8
 
@@ -53,9 +54,9 @@ class BoxImage(InverseImage):
         return np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
 
 
-def _zero_weight_image(g, tau_eq) -> BoxImage:
+def _zero_weight_image(g) -> BoxImage:
     """Γ_P(g) of a zero penalty: the whole space when g = 0, else empty."""
-    if np.max(np.abs(g), initial=0.0) > tau_eq:
+    if np.max(np.abs(g), initial=0.0) > TAU_EQ:
         raise _empty("zero weight but g ≠ 0")
     return BoxImage(lo=np.full(g.shape, -np.inf), hi=np.full(g.shape, np.inf))
 
@@ -78,22 +79,25 @@ class GroupImage(InverseImage):
 
 @dataclass
 class NuclearImage(InverseImage):
-    """Γ_P(G) for the nuclear norm: with −G = Ū Σ V̄ᵀ and s̄ unit singular
-    values, the set is Ū [Z 0; 0 0] V̄ᵀ over positive semidefinite Z (s̄×s̄)."""
+    """Γ_P(G) for the nuclear norm: {Ū₁ Z V̄₁ᵀ : Z ⪰ 0 (s̄×s̄)}, where
+    U = Ū₁ and V = V̄₁ hold the s̄ left and right singular vectors of −G
+    whose singular value is 1.  The set does not depend on which such
+    vectors are chosen: flipping the sign of a column of U with its partner
+    in V, or rotating both by one orthogonal matrix, leaves project()
+    unchanged."""
 
     U: np.ndarray
     V: np.ndarray
-    sigma: np.ndarray
-    s_bar: int
+
+    @property
+    def s_bar(self) -> int:
+        return self.U.shape[1]
 
     def project(self, x):
         x = np.asarray(x, dtype=float)
-        M = self.U.T @ x @ self.V
-        s = self.s_bar
-        out = np.zeros_like(M)
-        if s > 0:
-            out[:s, :s] = psd_project(M[:s, :s])
-        return self.U @ out @ self.V.T
+        if self.s_bar == 0:
+            return np.zeros_like(x)
+        return self.U @ psd_project(self.U.T @ x @ self.V) @ self.V.T
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +137,12 @@ class Regularizer:
     def subdiff_distance(self, x, s) -> float:
         raise NotImplementedError
 
-    def inverse_image(self, g, tau_eq: float = TAU_EQ) -> InverseImage:
+    def inverse_image(self, g) -> InverseImage:
         """Γ_P(g); raises InfeasibleTargetError when it is empty."""
         raise NotImplementedError
 
-    def inverse_image_distance(self, g, x, tau_eq: float = TAU_EQ) -> float:
-        return self.inverse_image(g, tau_eq).distance(self._check(x))
+    def inverse_image_distance(self, g, x) -> float:
+        return self.inverse_image(g).distance(self._check(x))
 
 
 @dataclass(frozen=True)
@@ -146,7 +150,7 @@ class L1(Regularizer):
     """P(x) = λ‖x‖₁."""
 
     weight: float = 1.0
-    polyhedral_solution_set: bool = True
+    polyhedral_solution_set = True
 
     def __post_init__(self):
         if self.weight < 0:
@@ -168,12 +172,12 @@ class L1(Regularizer):
         dist_sq += np.sum(np.maximum(np.abs(s[~active]) - lam, 0.0) ** 2)
         return float(np.sqrt(dist_sq))
 
-    def inverse_image(self, g, tau_eq=TAU_EQ):
+    def inverse_image(self, g):
         g = self._check(g)
         lam = self.weight
         if lam == 0.0:
-            return _zero_weight_image(g, tau_eq)
-        band = tau_eq * max(1.0, lam)
+            return _zero_weight_image(g)
+        band = TAU_EQ * max(1.0, lam)
         # per coordinate, in this order: −g_i = λ, −g_i = −λ, |g_i| < λ;
         # any other coordinate (NaN included) empties the image
         up = np.abs(-g - lam) <= band
@@ -189,7 +193,7 @@ class Ridge(Regularizer):
     """P(x) = λ‖x‖₂²."""
 
     weight: float = 1.0
-    polyhedral_solution_set: bool = True  # Γ_P(g) is a single point
+    polyhedral_solution_set = True  # Γ_P(g) is a single point
 
     def __post_init__(self):
         if self.weight < 0:
@@ -205,10 +209,10 @@ class Ridge(Regularizer):
         x, s = self._check(x), self._check(s)
         return norm(s - 2.0 * self.weight * x)
 
-    def inverse_image(self, g, tau_eq=TAU_EQ):
+    def inverse_image(self, g):
         g = self._check(g)
         if self.weight == 0.0:
-            return _zero_weight_image(g, tau_eq)
+            return _zero_weight_image(g)
         p = -g / (2.0 * self.weight)
         return BoxImage(lo=p, hi=p)
 
@@ -270,14 +274,14 @@ class GroupedLasso(Regularizer):
         over = np.maximum(np.sqrt(r_sq) - self._weight, 0.0)
         return float(np.sqrt(np.sum(np.where(live, r_sq, over * over))))
 
-    def inverse_image(self, g, tau_eq=TAU_EQ):
+    def inverse_image(self, g):
         g = self._check(g)
         w, ng = self._weight, self._group_norms(g)
         # per group, in this order: zero weight (the whole block when g_J = 0),
         # ‖g_J‖ = ω_J within the band (a ray), ‖g_J‖ > ω_J (empty), else {0}
         zero_w = w == 0.0
-        free = zero_w & (ng <= tau_eq)
-        ray = ~zero_w & (np.abs(ng - w) <= tau_eq * np.maximum(1.0, w))
+        free = zero_w & (ng <= TAU_EQ)
+        ray = ~zero_w & (np.abs(ng - w) <= TAU_EQ * np.maximum(1.0, w))
         bad = (zero_w & ~free) | (~zero_w & ~ray & (ng > w))
         if bad.any():
             raise _empty(f"group {int(np.argmax(bad))} has ‖g_J‖ > ω_J")
@@ -292,8 +296,7 @@ class GroupedLasso(Regularizer):
 class NuclearNorm(Regularizer):
     """P(X) = ‖X‖_* (sum of singular values)."""
 
-    group_tol: float = GROUP_TOL
-    expects_matrix: bool = True
+    expects_matrix = True
 
     def value(self, x):
         x = self._check(x)
@@ -314,7 +317,7 @@ class NuclearNorm(Regularizer):
         s = np.asarray(s, dtype=float)
         if s.shape != x.shape:
             raise InvalidInputError("subgradient candidate must match the matrix shape")
-        fac = svd(x, self.group_tol)
+        fac = svd(x)
         r = fac.rank
         S = fac.U.T @ s @ fac.V
         dist_sq = float(np.sum((S[:r, :r] - np.eye(r)) ** 2))
@@ -325,13 +328,12 @@ class NuclearNorm(Regularizer):
             dist_sq += float(np.sum(np.maximum(sv - 1.0, 0.0) ** 2))
         return float(np.sqrt(dist_sq))
 
-    def inverse_image(self, g, tau_eq=TAU_EQ):
-        g = self._check(g)
-        fac = svd(-g, self.group_tol)
-        if fac.sigma.size and fac.sigma[0] > 1.0 + tau_eq:
+    def inverse_image(self, g):
+        fac = svd(-self._check(g))
+        if fac.sigma.size and fac.sigma[0] > 1.0 + TAU_EQ:
             raise _empty(f"spectral norm of -g is {fac.sigma[0]:.6g} > 1")
-        s_bar = fac.count_at_least(1.0, tau_eq)
-        return NuclearImage(U=fac.U, V=fac.V, sigma=fac.sigma, s_bar=s_bar)
+        s_bar = int(np.sum(fac.sigma >= 1.0 - TAU_EQ))
+        return NuclearImage(U=fac.U[:, :s_bar], V=fac.V[:, :s_bar])
 
 
 class OrthantIndicator(Regularizer):
@@ -385,11 +387,11 @@ class OrthantIndicator(Regularizer):
                         np.where(face & (self.signs < 0), np.inf, 0.0))
         return float(np.sqrt(np.sum(r * r)))
 
-    def inverse_image(self, g, tau_eq=TAU_EQ):
+    def inverse_image(self, g):
         g = self._check(g)
         v, s = -g, self.signs  # −g_i must lie in the normal cone at x_i
-        bad = ((s == 0) & (np.abs(v) > tau_eq)) | ((s < 0) & (v < -tau_eq)) \
-            | ((s > 0) & (v > tau_eq))
+        bad = ((s == 0) & (np.abs(v) > TAU_EQ)) | ((s < 0) & (v < -TAU_EQ)) \
+            | ((s > 0) & (v > TAU_EQ))
         if bad.any():
             i = int(np.argmax(bad))
             raise _empty(
@@ -397,5 +399,5 @@ class OrthantIndicator(Regularizer):
                 else f"coordinate {i}: -g_i < 0 not in cone [0, ∞)" if s[i] < 0
                 else f"coordinate {i}: -g_i > 0 not in cone (−∞, 0]")
         # a strictly interior normal-cone member pins the coordinate to 0
-        pinned = ((s < 0) & (v > tau_eq)) | ((s > 0) & (v < -tau_eq))
+        pinned = ((s < 0) & (v > TAU_EQ)) | ((s > 0) & (v < -TAU_EQ))
         return BoxImage(lo=np.where(pinned, 0.0, self.lo), hi=np.where(pinned, 0.0, self.hi))

@@ -8,7 +8,7 @@ the Frobenius norm for matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -178,105 +178,40 @@ class CoordinateSelectMap(LinearMap):
         return 1.0
 
 
+def numerical_rank(sigma) -> int:
+    """Number of singular values above GROUP_TOL · max(1, σ₁), for sigma
+    sorted non-increasing."""
+    scale = max(1.0, float(sigma[0])) if sigma.size else 1.0
+    return int(np.sum(sigma > GROUP_TOL * scale))
+
+
 @dataclass(frozen=True)
 class SvdFactorization:
-    """Full SVD X = U Σ̂ Vᵀ with grouping of equal singular values.
-
-    U is m×m, V is n×n, sigma has length min(m, n), sorted non-increasing.
-    Two singular values are treated as equal when they differ by at most
-    group_tol · max(1, σ₁); rank counts those above the same threshold.
-    """
+    """Full SVD X = U Σ Vᵀ: U is m×m, V is n×n, sigma has length min(m, n),
+    sorted non-increasing."""
 
     U: np.ndarray
     sigma: np.ndarray
     V: np.ndarray
-    group_tol: float = GROUP_TOL
-    shape: tuple = field(default=None)
-
-    @property
-    def _scale(self) -> float:
-        return max(1.0, float(self.sigma[0])) if self.sigma.size else 1.0
 
     @property
     def rank(self) -> int:
-        return int(np.sum(self.sigma > self.group_tol * self._scale))
-
-    def groups(self):
-        """Index blocks of equal singular values (nonzero ones only)."""
-        r = self.rank
-        blocks, start = [], 0
-        for i in range(1, r + 1):
-            if i == r or abs(self.sigma[i] - self.sigma[i - 1]) > self.group_tol * self._scale:
-                blocks.append(range(start, i))
-                start = i
-        return blocks
-
-    def reconstruct(self) -> np.ndarray:
-        m, n = self.shape
-        smat = np.zeros((m, n))
-        k = min(m, n)
-        smat[:k, :k] = np.diag(self.sigma)
-        return self.U @ smat @ self.V.T
-
-    def count_at_least(self, level: float, tol: float) -> int:
-        """Number of singular values ≥ level − tol."""
-        return int(np.sum(self.sigma >= level - tol))
+        return numerical_rank(self.sigma)
 
 
-def _fix_signs(U, V):
-    """Deterministic sign convention: the largest-magnitude entry of each
-    column of V is positive; paired U columns flip with it.  Unpaired
-    tail columns of U and V are fixed the same way independently."""
-    k = min(U.shape[1], V.shape[1])
-    for j in range(k):
-        i = int(np.argmax(np.abs(V[:, j])))
-        if V[i, j] < 0:
-            V[:, j] = -V[:, j]
-            U[:, j] = -U[:, j]
-    for M in (U, V):
-        for j in range(k, M.shape[1]):
-            i = int(np.argmax(np.abs(M[:, j])))
-            if M[i, j] < 0:
-                M[:, j] = -M[:, j]
-    return U, V
+def svd(X) -> SvdFactorization:
+    """Full singular value decomposition, as LAPACK returns it.
 
-
-def svd(X, group_tol: float = GROUP_TOL) -> SvdFactorization:
-    """Full singular value decomposition with deterministic signs.
-
-    Wide inputs (m > n) are transposed internally and U/V swapped back, so
-    sigma always has length min(m, n).
+    The signs of the singular vectors are LAPACK's.  Every consumer is
+    invariant under flipping a column of U together with the paired column
+    of V: the Γ_P(ḡ) projection (D·psd(M)·D = psd(DMD)), the nuclear-norm
+    subdifferential distance (squared entries) and the complementarity
+    margin (eigenvalues of DBD).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     _require_finite(X, "svd input")
-    m, n = X.shape
-    transposed = m > n
-    work = X.T if transposed else X
-    U, s, Vt = np.linalg.svd(work, full_matrices=True)
-    V = Vt.T
-    if transposed:
-        U, V = V, U
-    U, V = _fix_signs(U.copy(), V.copy())
-    return SvdFactorization(U=U, sigma=s, V=V, group_tol=group_tol, shape=(m, n))
-
-
-def sym_eig(M):
-    """Eigendecomposition of a symmetric matrix: eigenvalues descending,
-    orthogonal eigenvectors as columns, deterministic signs."""
-    M = np.asarray(M, dtype=float)
-    _require_finite(M, "sym_eig input")
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise InvalidInputError("sym_eig requires a square matrix")
-    scale = max(1.0, float(np.linalg.norm(M)))
-    if np.linalg.norm(M - M.T) > 1e-10 * scale:
-        raise InvalidInputError("sym_eig input is not symmetric")
-    w, Q = np.linalg.eigh((M + M.T) / 2.0)
-    w, Q = w[::-1].copy(), Q[:, ::-1].copy()
-    for j in range(Q.shape[1]):
-        i = int(np.argmax(np.abs(Q[:, j])))
-        if Q[i, j] < 0:
-            Q[:, j] = -Q[:, j]
-    return w, Q
+    U, s, Vt = np.linalg.svd(X, full_matrices=True)
+    return SvdFactorization(U=U, sigma=s, V=Vt.T)
 
 
 def psd_project(M):

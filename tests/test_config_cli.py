@@ -1,10 +1,12 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
 from ebound.cli import main
-from ebound.config import EXPERIMENTS, validate_config, validate_config_data
+from ebound.config import (_LOSSES, _REGULARIZERS, EXPERIMENTS, validate_config,
+                           validate_config_data)
 from ebound.errors import ConfigError
 from ebound.experiments import SCENARIOS, run_experiment
 
@@ -106,6 +108,14 @@ def _custom_with(**problem):
     config = json.loads(json.dumps(MINIMAL_CUSTOM))
     config["problem"].update(problem)
     return config
+
+
+@pytest.mark.parametrize("name", [*_LOSSES, *_REGULARIZERS])
+def test_constructor_takes_exactly_the_schema_fields(name):
+    # a class fact (polyhedral Γ_P, strong convexity, matrix input) is not a
+    # constructor argument, so no config or caller can overturn it
+    ctor, schema = {**_LOSSES, **_REGULARIZERS}[name]
+    assert list(inspect.signature(ctor).parameters) == list(schema)
 
 
 class TestValidationBuildsTheInstance:

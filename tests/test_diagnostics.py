@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ebound import regularizers, space
 from ebound.diagnostics import (
     NUCLEAR_WITH_SC,
     POLYHEDRAL,
@@ -15,7 +16,8 @@ from ebound.diagnostics import (
     regularity_summary,
     strict_complementarity,
 )
-from ebound.errors import EmptyProbeError, InsufficientDataError, InvalidInputError
+from ebound.errors import (EmptyProbeError, InfeasibleTargetError, InsufficientDataError,
+                           InvalidInputError)
 from ebound.experiments import (
     counterexample_curve_point,
     counterexample_instance,
@@ -24,7 +26,7 @@ from ebound.experiments import (
     nuclear_regular_instance,
     ridge_instance,
 )
-from ebound.losses import CompositeSmooth, GeneralQuadratic
+from ebound.losses import CompositeSmooth, GeneralQuadratic, LeastSquares
 from ebound.problem import ProblemInstance, certify
 from ebound.regularizers import NuclearNorm
 from ebound.solver import Fixed, lipschitz_bound, proximal_gradient
@@ -34,6 +36,31 @@ from ebound.space import CoordinateSelectMap, DenseMap
 def certified_counterexample():
     prob, x_bar = counterexample_instance()
     return prob, certify(prob, x_bar, tol=1e-10)
+
+
+def certified_completion(seed, m, n, rank=2):
+    """A small nuclear-norm matrix completion solved to 1e-11 and certified."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+    rows, cols = np.nonzero(rng.random((m, n)) < 0.6)
+    A = CoordinateSelectMap(tuple(zip(rows.tolist(), cols.tolist())), (m, n))
+    smooth = CompositeSmooth(LeastSquares(X[rows, cols]), A, np.zeros((m, n)))
+    prob = ProblemInstance(smooth, NuclearNorm(), np.zeros((m, n)))
+    trace = proximal_gradient(prob, np.zeros((m, n)), step=Fixed(1.0), tol=1e-11,
+                              max_iter=100000)
+    return prob, certify(prob, trace.terminal, tol=1e-9)
+
+
+def complementarity_reference(cert):
+    """(s̄, rank(x*), margin) from numpy's SVD and eigvalsh alone."""
+    U, sg, Vt = np.linalg.svd(-cert.g_bar)
+    s_bar = int(np.sum(sg >= 1.0 - 1e-8))
+    sx = np.linalg.svd(cert.x_star, compute_uv=False)
+    rank = int(np.sum(sx > 1e-8 * max(1.0, sx[0])))
+    if s_bar == 0:
+        return s_bar, rank, np.inf
+    B = U[:, :s_bar].T @ cert.x_star @ Vt[:s_bar].T
+    return s_bar, rank, float(np.min(np.linalg.eigvalsh((B + B.T) / 2.0)))
 
 
 def certified_ridge(seed):
@@ -186,6 +213,48 @@ class TestStrictComplementarity:
         report = strict_complementarity(rotated, cert)
         assert not report.holds
         assert report.s_bar == 2 and report.rank_x == 1
+
+
+    @pytest.mark.parametrize("case", ["counterexample", "nuclear-regular",
+                                      "completion-tall", "completion-wide"])
+    def test_matches_numpy_reference(self, case):
+        if case == "counterexample":
+            prob, cert = certified_counterexample()
+        elif case == "nuclear-regular":
+            prob, x_star = nuclear_regular_instance()
+            cert = certify(prob, x_star, tol=1e-10)
+        else:
+            prob, cert = certified_completion(3, *((7, 5) if case.endswith("tall") else (5, 7)))
+        report = strict_complementarity(prob, cert)
+        s_bar, rank, margin = complementarity_reference(cert)
+        assert (report.s_bar, report.rank_x) == (s_bar, rank)
+        assert report.s_bar > 0 and report.margin == pytest.approx(margin, abs=1e-12)
+
+    def test_reads_the_certificate_image(self, monkeypatch):
+        # the image build is the only factorization of −ḡ; rank(x*) takes
+        # singular values alone
+        calls = []
+        original = space.svd
+
+        def counted(X):
+            calls.append(np.shape(X))
+            return original(X)
+
+        for module in (space, regularizers):
+            monkeypatch.setattr(module, "svd", counted)
+        prob, cert = certified_counterexample()
+        strict_complementarity(prob, cert)
+        assert calls == [(2, 2)]
+        strict_complementarity(prob, cert)
+        assert calls == [(2, 2)]
+
+    def test_empty_image_raises(self):
+        # a non-optimal point passes a loose certificate, but ‖ḡ‖₂ = 1.3 > 1
+        # leaves Γ_P(ḡ) empty, so s̄ has no meaning
+        prob, _ = counterexample_instance()
+        cert = certify(prob, np.diag([1.0, -0.1]), tol=1.0)
+        with pytest.raises(InfeasibleTargetError, match="spectral norm of -g is 1.3 > 1"):
+            strict_complementarity(prob, cert)
 
 
 class TestRegularitySummary:

@@ -169,6 +169,30 @@ class TestSubdiffDistance:
             ])
             assert abs(P.subdiff_distance(x, s) - cands.min()) <= 1e-7
 
+    @pytest.mark.parametrize("m,n,rank", [(5, 3, 2), (3, 5, 2), (4, 4, 1), (4, 4, 0)],
+                             ids=["tall", "wide", "rank-deficient", "zero"])
+    def test_nuclear_matches_graph_member(self, m, n, rank):
+        # (x, s) with s ∈ ∂‖x‖_* is at distance 0; moving s by E inside the
+        # rank block costs ‖E‖, and scaling the tail block W to spectral norm
+        # c > 1 costs ‖(σ(cW/‖W‖₂) − 1)₊‖
+        P = NuclearNorm()
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            x, s = oracles.nuclear_graph_member(rng, m, n, rank)
+            assert P.subdiff_distance(x, s) <= 1e-9
+            U, _, Vt = np.linalg.svd(x)
+            E = rng.standard_normal((rank, rank))
+            moved = s + U[:, :rank] @ E @ Vt[:rank]
+            assert abs(P.subdiff_distance(x, moved) - np.linalg.norm(E)) <= 1e-9
+            W = U[:, rank:].T @ s @ Vt[rank:].T
+            if W.size == 0:
+                continue
+            c = rng.uniform(1.5, 3.0)
+            spread = s + U[:, rank:] @ ((c / np.linalg.norm(W, 2) - 1.0) * W) @ Vt[rank:]
+            over = np.linalg.svd(c * W / np.linalg.norm(W, 2), compute_uv=False) - 1.0
+            expected = np.linalg.norm(np.maximum(over, 0.0))
+            assert abs(P.subdiff_distance(x, spread) - expected) <= 1e-9
+
     def test_grouped_on_unit_direction(self):
         reg = GroupedLasso([[0, 1]], [1.0])
         assert reg.subdiff_distance(np.array([3.0, 4.0]),
@@ -529,7 +553,7 @@ class TestRotationInvariance:
         theta = 0.7
         Q = np.array([[np.cos(theta), -np.sin(theta)],
                       [np.sin(theta), np.cos(theta)]])
-        rotated = NuclearImage(U=Q, V=Q, sigma=np.ones(2), s_bar=2)
+        rotated = NuclearImage(U=Q, V=Q)
         for _ in range(50):
             x = rng.standard_normal((2, 2))
             assert abs(base.distance(x) - rotated.distance(x)) <= 1e-10
@@ -538,13 +562,30 @@ class TestRotationInvariance:
         P = NuclearNorm()
         G = -np.diag([1.0, 1.0, 0.3])
         base = P.inverse_image(G)
-        perm = np.eye(3)[:, [1, 0, 2]]  # swap the two unit singular directions
-        rotated = NuclearImage(U=base.U @ perm, V=base.V @ perm,
-                               sigma=base.sigma, s_bar=base.s_bar)
+        perm = np.eye(2)[:, [1, 0]]  # swap the two unit singular directions
+        rotated = NuclearImage(U=base.U @ perm, V=base.V @ perm)
         rng = np.random.default_rng(11)
         for _ in range(50):
             x = rng.standard_normal((3, 3))
             assert abs(base.distance(x) - rotated.distance(x)) <= 1e-10
+
+    @pytest.mark.parametrize("shape", [(5, 3), (3, 5), (4, 4)])
+    def test_paired_sign_flips_leave_projection_unchanged(self, shape):
+        # the singular vectors are LAPACK's, signs included; flipping a
+        # column of Ū₁ with its partner in V̄₁ must not move the projection
+        rng = np.random.default_rng(14)
+        m, n = shape
+        U, _, Vt = np.linalg.svd(rng.standard_normal(shape))
+        sigma = np.array([1.0, 1.0, 0.6][:min(m, n)])
+        G = -(U[:, :sigma.size] * sigma) @ Vt[:sigma.size]
+        base = NuclearNorm().inverse_image(G)
+        assert base.s_bar == 2
+        for _ in range(20):
+            D = rng.choice([-1.0, 1.0], base.s_bar)
+            flipped = NuclearImage(U=base.U * D, V=base.V * D)
+            x = rng.standard_normal(shape)
+            np.testing.assert_allclose(flipped.project(x), base.project(x),
+                                       rtol=0, atol=1e-12)
 
 
 class TestMoreauAndNonexpansive:
