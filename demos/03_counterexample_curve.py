@@ -14,6 +14,7 @@ from ebound import (
     certify,
     fit_exponent,
     kappa_by_decade,
+    norm,
     probe,
     regularity_summary,
     residual_map,
@@ -40,8 +41,9 @@ print(f"regularity verdict: {summary.condition} (error bound expected: "
 
 # .. probing the curve shows slope 2 and a diverging kappa ..
 deltas = np.logspace(-1, -4, 13)
-samples = probe(prob, cert, None,
-                Curve.from_map(deltas, counterexample_curve_point), unique=True)
+# the optimum is unique, so the distance is ||X(d) - x_bar||, carried by the curve
+curve = Curve.from_map(deltas, counterexample_curve_point, lambda x: norm(x - x_bar))
+samples = probe(prob, cert, None, curve)
 fit = fit_exponent(samples)
 print(f"\nlog-log fit: slope = {fit.slope:.4f}  (R^2 = {fit.r_squared:.6f})")
 print("kappa_max by radius decade (diverges like 1/delta):")

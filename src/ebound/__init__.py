@@ -1,5 +1,5 @@
 """Structured convex problems F = h∘A + ⟨c,·⟩ + P: proximal residual maps,
-inverse-subdifferential geometry for four regularizer families, and
+inverse-subdifferential geometry for five regularizer families, and
 empirical error-bound probing."""
 
 from .diagnostics import (

@@ -13,6 +13,7 @@ run would reject is rejected here, under the path of the part that holds it.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -35,7 +36,9 @@ EXPERIMENTS = (
 
 
 def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A JSON number other than NaN and ±Infinity, which Python's json accepts."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and (isinstance(v, int) or math.isfinite(v)))
 
 
 def _is_int(v):
@@ -56,11 +59,11 @@ def _is_array(v):
 
 #: JSON type → (test, message when a value fails it)
 _TYPES = {
-    "number": (_is_number, "must be a number"),
+    "number": (_is_number, "must be a finite number"),
     "integer": (_is_int, "must be an integer"),
-    "vector": (_array_of(_is_number), "must be an array of numbers"),
-    "matrix": (_is_matrix, "must be a rectangular array of number rows"),
-    "array": (_is_array, "must be a number or a nested array of numbers"),
+    "vector": (_array_of(_is_number), "must be an array of finite numbers"),
+    "matrix": (_is_matrix, "must be a rectangular array of finite number rows"),
+    "array": (_is_array, "must be a finite number or a nested array of them"),
     "index_groups": (_array_of(_array_of(_is_int)), "must be an array of index arrays"),
     "indices": (_array_of(lambda i: _is_int(i) or _array_of(_is_int)(i)),
                 "must be an array of indices"),
@@ -140,16 +143,18 @@ def _validate_probe(chk, probe, path):
     if radii is not None:
         if isinstance(radii, dict):
             chk.known_keys(radii, f"{path}.radii", {"start", "stop", "count"})
-            for key in ("start", "stop"):
+            for key in ("start", "stop", "count"):
                 if key not in radii:
                     chk.fail(f"{path}.radii.{key}", "missing")
+                elif key == "count":
+                    chk.typed(radii[key], f"{path}.radii.count", "integer", minimum=2)
                 else:
                     chk.typed(radii[key], f"{path}.radii.{key}", positive=True)
-            chk.typed(radii.get("count", 0), f"{path}.radii.count", "integer", minimum=2)
         elif isinstance(radii, list):
-            if chk.typed(radii, f"{path}.radii", "vector"):
-                for i, r in enumerate(radii):
-                    chk.typed(r, f"{path}.radii[{i}]", positive=True)
+            if not radii:
+                chk.fail(f"{path}.radii", "must not be empty")
+            for i, r in enumerate(radii):
+                chk.typed(r, f"{path}.radii[{i}]", positive=True)
         else:
             chk.fail(f"{path}.radii", "must be an array or a start/stop/count object")
     if "directions" in probe:
@@ -315,9 +320,12 @@ def validate_config_data(data) -> dict:
             chk.fail("noncompact", "must be an object")
         else:
             chk.known_keys(block, "noncompact", {"x_start", "x_stop", "count", "y"})
-            for key in ("x_start", "x_stop", "y"):
-                if key in block:
-                    chk.typed(block[key], f"noncompact.{key}")
+            if "y" in block:
+                chk.typed(block["y"], "noncompact.y")
+            for key in ("x_start", "x_stop"):
+                typed = key in block and chk.typed(block[key], f"noncompact.{key}")
+                if typed and block[key] >= 1:
+                    chk.fail(f"noncompact.{key}", "must be < 1, inside dom(f) = {x < 1}")
             if "count" in block:
                 chk.typed(block["count"], "noncompact.count", "integer", minimum=2)
 

@@ -43,15 +43,18 @@ class RandomDirections:
 
 @dataclass(frozen=True)
 class Curve:
-    """Explicit probe points with their curve parameters (used as radii)."""
+    """Explicit probe points with their curve parameters (used as radii) and
+    the exact distance of each point to the solution set."""
 
     params: tuple
     points: tuple
+    distances: tuple
 
     @classmethod
-    def from_map(cls, params, point_fn):
+    def from_map(cls, params, point_fn, distance_fn):
         params = tuple(float(p) for p in params)
-        return cls(params=params, points=tuple(point_fn(p) for p in params))
+        points = tuple(point_fn(p) for p in params)
+        return cls(params, points, tuple(float(distance_fn(x)) for x in points))
 
 
 def _unit_directions(shape, count, seed):
@@ -63,35 +66,30 @@ def _unit_directions(shape, count, seed):
     return dirs
 
 
-def probe(
-    prob: ProblemInstance,
-    cert: OptimalityCertificate,
-    radii,
-    directions,
-    *,
-    unique: bool = False,
-    distance_tol: float = 1e-10,
-) -> list:
+def probe(prob: ProblemInstance, cert: OptimalityCertificate, radii, directions) -> list:
     """Sample x = x* + ρ·u (or explicit curve points) and record
     (d(x,𝒳), ‖R(x)‖, r_alt(x), F(x)) per sample.
 
-    Points outside dom(f) are rejected; when the subdifferential of P is
-    empty at a sample, r_alt is recorded as inf.  Samples are ordered by
-    (radius, direction index) as generated, so reports are reproducible.
+    A curve brings its own distances; around x* they are measured by
+    distance_to_solution_set.  Points outside dom(f) are rejected; when the
+    subdifferential of P is empty at a sample, r_alt is recorded as inf.
+    Samples are ordered by (radius, direction index) as generated, so
+    reports are reproducible.
     """
     if isinstance(directions, Curve):
-        pending = [(float(p), 0, np.asarray(pt, dtype=float))
-                   for p, pt in zip(directions.params, directions.points)]
+        pending = [(float(p), 0, np.asarray(pt, dtype=float), d) for p, pt, d in
+                   zip(directions.params, directions.points, directions.distances)]
     else:
         units = _unit_directions(cert.x_star.shape, directions.count, directions.seed)
-        pending = [(float(rho), j, cert.x_star + rho * u)
+        pending = [(float(rho), j, cert.x_star + rho * u, None)
                    for rho in radii for j, u in enumerate(units)]
 
     samples = []
-    for rho, j, x in pending:
+    for rho, j, x, d in pending:
         if not prob.smooth.in_domain(x):
             continue
-        d = distance_to_solution_set(prob, cert, x, unique=unique, tol=distance_tol)
+        if d is None:
+            d = distance_to_solution_set(prob, cert, x)
         rp = norm(residual_map(prob, x))
         try:
             ra = r_alt(prob, cert, x)

@@ -27,7 +27,6 @@ from .config import instance_from_config, radii_from_config, validate_config_dat
 from .diagnostics import (
     Curve,
     ExponentFit,
-    ProbeSample,
     RandomDirections,
     fit_exponent,
     kappa_by_decade,
@@ -37,7 +36,7 @@ from .diagnostics import (
 )
 from .errors import ConfigError, InsufficientDataError
 from .losses import CompositeSmooth, GeneralQuadratic, LeastSquares, NoncompactExample
-from .problem import OptimalityCertificate, ProblemInstance, certify, objective, residual_map
+from .problem import OptimalityCertificate, ProblemInstance, certify, residual_map
 from .regularizers import L1, GroupedLasso, NuclearNorm, OrthantIndicator, Ridge
 from .solver import (Backtracking, Fixed, SolveTrace, estimate_linear_rate,
                      lipschitz_bound, proximal_gradient)
@@ -240,8 +239,10 @@ def _random_directions(run):
 
 
 def _counterexample_curve(run):
-    curve = Curve.from_map(run.radii, counterexample_curve_point)
-    return probe(run.prob, run.cert, None, curve, unique=True)
+    """The curve toward the unique optimum x*, whose distance is ‖x − x*‖."""
+    curve = Curve.from_map(run.radii, counterexample_curve_point,
+                           lambda x: norm(x - run.cert.x_star))
+    return probe(run.prob, run.cert, None, curve)
 
 
 def _ray(config):
@@ -254,18 +255,11 @@ def _ray(config):
 
 def _noncompact_ray(run):
     """Points (x, y) along the ray, each with its exact distance to the
-    solution ray.  The loss is not strictly convex, so ȳ is not invariant
-    and the Dykstra distance would not measure the distance to the ray."""
+    solution ray."""
     xs, y = _ray(run.config)
     run.notes.append(f"ray: x from {xs[0]:g} to {xs[-1]:g} at y = {y:g}")
-    samples = []
-    for x in xs:
-        point = np.array([x, y])
-        samples.append(ProbeSample(
-            x=point, radius=float(x), direction_id=0, d=noncompact_ray_distance(point),
-            r_prox=norm(residual_map(run.prob, point)), r_alt=float("nan"),
-            F_val=objective(run.prob, point)))
-    return samples
+    curve = Curve.from_map(xs, lambda x: np.array([x, y]), noncompact_ray_distance)
+    return probe(run.prob, run.cert, None, curve)
 
 
 # shared assertions ---------------------------------------------------------

@@ -1,11 +1,12 @@
 """Composite problem assembly: F = f + P, the proximal residual map,
 optimality certification, and distance to the optimal set.
 
-The optimal set is the intersection of the affine piece {x : A(x) = ȳ} and
-the inverse image Γ_P(ḡ); its nearest point is computed by Dykstra's
-alternating projections unless the optimum is known to be unique.  Both
-pieces are fixed by the certificate, which builds Γ_P(ḡ) on first use and
-keeps it; an empty Γ_P(ḡ) raises InfeasibleTargetError on every use.
+For a loss strongly convex on compact sets, the optimal set is the
+intersection of the affine piece {x : A(x) = ȳ} and the inverse image
+Γ_P(ḡ); its nearest point is computed by Dykstra's alternating projections
+unless A is the identity, which makes f strongly convex.  Both pieces are
+fixed by the certificate, which builds Γ_P(ḡ) on first use and keeps it; an
+empty Γ_P(ḡ) raises InfeasibleTargetError on every use.
 """
 
 from __future__ import annotations
@@ -15,12 +16,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NotOptimalError
+from .errors import ConvergenceError, DomainError, InvalidInputError, NotOptimalError
 from .losses import CompositeSmooth
 from .regularizers import InverseImage, Regularizer
 from .space import affine_project, norm
 
 CERT_TOL = 1e-9
+#: Dykstra stops when an iterate moves less than this, or fails after the budget
+DYKSTRA_TOL = 1e-10
+DYKSTRA_MAX_SWEEPS = 10**4
 
 
 @dataclass(frozen=True)
@@ -36,11 +40,6 @@ class ProblemInstance:
             raise DomainError("feasible_point lies outside dom(f)")
         if not np.isfinite(self.reg.value(x0)):
             raise DomainError("feasible_point lies outside dom(P)")
-
-    @property
-    def strongly_convex(self) -> bool:
-        """f itself is strongly convex on compacts (identity A, suitable h)."""
-        return self.smooth.A.is_identity and self.smooth.h.strongly_convex_on_compacts
 
 
 @dataclass(frozen=True)
@@ -90,54 +89,48 @@ def certify(prob: ProblemInstance, x, tol: float = CERT_TOL) -> OptimalityCertif
 
 
 def r_alt(prob: ProblemInstance, cert: OptimalityCertificate, x) -> float:
-    """The alternative residual ‖A(x) − ȳ‖ + d(−ḡ, ∂P(x))."""
+    """The alternative residual ‖A(x) − ȳ‖ + d(−ḡ, ∂P(x)); nan when the loss
+    is not strongly convex on compacts, since ȳ and ḡ then vary over 𝒳."""
+    if not prob.smooth.h.strongly_convex_on_compacts:
+        return float("nan")
     x = np.asarray(x, dtype=float)
     if not prob.reg.subdiff_nonempty(x):
         raise DomainError("∂P(x) is empty at the probe point")
     return norm(prob.smooth.A(x) - cert.y_bar) + prob.reg.subdiff_distance(x, -cert.g_bar)
 
 
-def _dykstra(x0, project_a, project_b, tol, max_sweeps):
+def _dykstra(x0, project_a, project_b):
     """Projection of x0 onto the intersection of two closed convex sets."""
     x = np.asarray(x0, dtype=float).copy()
     p = np.zeros_like(x)
     q = np.zeros_like(x)
-    for _ in range(max_sweeps):
+    for _ in range(DYKSTRA_MAX_SWEEPS):
         y = project_a(x + p)
         p = x + p - y
         x_new = project_b(y + q)
         q = y + q - x_new
         gap = max(norm(y - x_new), norm(x_new - x))
         x = x_new
-        if gap <= tol:
+        if gap <= DYKSTRA_TOL:
             return x
     raise ConvergenceError("Dykstra did not reach the intersection", gap)
 
 
-def distance_to_solution_set(
-    prob: ProblemInstance,
-    cert: OptimalityCertificate,
-    x,
-    *,
-    unique: bool = False,
-    tol: float = 1e-10,
-    max_sweeps: int = 10**4,
-) -> float:
+def distance_to_solution_set(prob: ProblemInstance, cert: OptimalityCertificate, x) -> float:
     """d(x, 𝒳) with 𝒳 = {z : A(z) = ȳ} ∩ Γ_P(ḡ).
 
-    For strongly convex instances, or when the caller asserts the optimum is
-    unique, this is just ‖x − x*‖.  Otherwise Dykstra alternates the exact
+    That set is 𝒳 only for a loss strongly convex on compacts; any other
+    loss raises InvalidInputError.  With the identity map f = h is strongly
+    convex and this is just ‖x − x*‖; otherwise Dykstra alternates the exact
     affine projection with the Γ_P(ḡ) nearest-point map.
     """
+    if not prob.smooth.h.strongly_convex_on_compacts:
+        raise InvalidInputError("the distance to the solution set needs a loss strongly "
+                                "convex on compact sets: for any other loss "
+                                "{A z = ȳ} ∩ Γ_P(ḡ) need not be the solution set")
     x = np.asarray(x, dtype=float)
-    if unique or prob.strongly_convex:
-        return norm(x - cert.x_star)
     A = prob.smooth.A
-    proj = _dykstra(
-        x,
-        lambda z: affine_project(z, A, cert.y_bar),
-        cert.image.project,
-        tol,
-        max_sweeps,
-    )
+    if A.is_identity:
+        return norm(x - cert.x_star)
+    proj = _dykstra(x, lambda z: affine_project(z, A, cert.y_bar), cert.image.project)
     return norm(x - proj)

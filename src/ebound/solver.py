@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError, LineSearchError
+from .errors import DomainError, InsufficientDataError, InvalidInputError, LineSearchError
 from .problem import ProblemInstance
 from .space import inner, norm
 
@@ -17,15 +17,28 @@ CONVERGED = "converged"
 ITERATION_LIMIT = "iteration_limit"
 
 
+def _require_positive(name, v):
+    if not (math.isfinite(v) and v > 0):
+        raise InvalidInputError(f"{name} must be finite and > 0, got {v!r}")
+
+
 @dataclass(frozen=True)
 class Fixed:
     t: float
+
+    def __post_init__(self):
+        _require_positive("t", self.t)
 
 
 @dataclass(frozen=True)
 class Backtracking:
     beta: float = 0.5
     t0: float = 1.0
+
+    def __post_init__(self):
+        _require_positive("t0", self.t0)
+        if not 0 < self.beta < 1:
+            raise InvalidInputError(f"beta must be in (0, 1), got {self.beta!r}")
 
 
 def lipschitz_bound(prob: ProblemInstance):

@@ -16,6 +16,8 @@ import numpy as np
 from .errors import InfeasibleTargetError, InvalidInputError
 
 GROUP_TOL = 1e-8
+#: relative residual ‖A(z) − ȳ‖ above which ȳ is reported outside the range of A
+AFFINE_TOL = 1e-9
 
 
 def inner(x, y) -> float:
@@ -230,7 +232,7 @@ def psd_project(M):
     return (S + S.T) / 2.0
 
 
-def affine_project(x, A: LinearMap, y_bar, *, tol: float = 1e-9):
+def affine_project(x, A: LinearMap, y_bar):
     """Exact projection of x onto {z : A(z) = ȳ}.
 
     Raises InfeasibleTargetError when ȳ is not in the range of A.
@@ -245,9 +247,8 @@ def affine_project(x, A: LinearMap, y_bar, *, tol: float = 1e-9):
         return out
     # dense: z = x − A⁺(A(x) − ȳ) via the SVD pseudoinverse
     residual = A(x) - y_bar
-    pinv = A._pinv if isinstance(A, DenseMap) else np.linalg.pinv(A.as_matrix(), rcond=1e-12)
-    z = (x.reshape(-1) - pinv @ residual).reshape(x.shape)
-    if norm(A(z) - y_bar) > tol * max(1.0, norm(y_bar)):
+    z = (x.reshape(-1) - A._pinv @ residual).reshape(x.shape)
+    if norm(A(z) - y_bar) > AFFINE_TOL * max(1.0, norm(y_bar)):
         raise InfeasibleTargetError(
             "target is not in the range of the linear map "
             f"(projection residual {norm(A(z) - y_bar):.3e})"

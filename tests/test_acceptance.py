@@ -88,8 +88,8 @@ def test_criterion_3_counterexample_error_bound_failure():
     prob, x_bar = counterexample_instance()
     cert = certify(prob, x_bar, tol=1e-10)
     deltas = np.logspace(-1, -4, 13)
-    samples = probe(prob, cert, None,
-                    Curve.from_map(deltas, counterexample_curve_point), unique=True)
+    curve = Curve.from_map(deltas, counterexample_curve_point, lambda x: norm(x - x_bar))
+    samples = probe(prob, cert, None, curve)
     fit = fit_exponent(samples)
     assert 1.9 <= fit.slope <= 2.1
     assert fit.r_squared >= 0.999

@@ -103,6 +103,43 @@ class TestValidation:
             validate_config_data({"experiment": "lasso", "probe": {"radii": radii}})
         assert err.value.messages == [f"{path}: must be > 0"]
 
+    @pytest.mark.parametrize("radii, message", [
+        ([], "probe.radii: must not be empty"),
+        ({"start": 1e-2, "stop": 1e-4}, "probe.radii.count: missing"),
+        ({"stop": 1e-4, "count": 3}, "probe.radii.start: missing"),
+    ])
+    def test_empty_or_incomplete_radii_rejected(self, radii, message):
+        with pytest.raises(ConfigError) as err:
+            validate_config_data({"experiment": "lasso", "probe": {"radii": radii}})
+        assert err.value.messages == [message]
+
+    @pytest.mark.parametrize("config, path", [
+        ({"experiment": "lasso", "probe": {"radii": [float("nan"), 1e-3]}},
+         "probe.radii[0]"),
+        ({"experiment": "lasso", "solver": {"tol": float("nan")}}, "solver.tol"),
+        ({"experiment": "lasso", "probe": {"radii": {"start": float("inf"), "stop": 1e-3,
+                                                     "count": 3}}}, "probe.radii.start"),
+        ({"experiment": "noncompact", "noncompact": {"y": float("-inf")}}, "noncompact.y"),
+        ({"experiment": "lasso", "solver": {"step": {"fixed": float("inf")}}},
+         "solver.step.fixed"),
+    ])
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, config, path):
+        # Python's json reads NaN and Infinity; json.dumps writes them back
+        with pytest.raises(ConfigError) as err:
+            validate_config_data(config)
+        assert [m.split(":")[0] for m in err.value.messages] == [path]
+        assert main(["validate", write_config(tmp_path, config)]) == 2
+        assert f"error: {path}: must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block, path", [
+        ({"x_stop": 2.0}, "noncompact.x_stop"),
+        ({"x_start": 1.0}, "noncompact.x_start"),
+    ])
+    def test_ray_outside_loss_domain_rejected(self, block, path):
+        with pytest.raises(ConfigError) as err:
+            validate_config_data({"experiment": "noncompact", "noncompact": block})
+        assert err.value.messages == [f"{path}: must be < 1, inside dom(f) = {{x < 1}}"]
+
 
 def _custom_with(**problem):
     config = json.loads(json.dumps(MINIMAL_CUSTOM))
@@ -228,6 +265,23 @@ class TestCli:
                      "--x-range=-5..-40", "--y", "1.0"]) == 0
         out = capsys.readouterr().out
         assert "overall: PASS" in out
+
+    @pytest.mark.parametrize("x_range", ["0..2", "-5..2"])
+    def test_ray_flags_outside_loss_domain_exit_2(self, tmp_path, capsys, x_range):
+        assert main(["run", "noncompact", "--out", str(tmp_path / "o"),
+                     f"--x-range={x_range}"]) == 2
+        assert capsys.readouterr().err == (
+            "error: noncompact.x_stop: must be < 1, inside dom(f) = {x < 1}\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_custom_loss_not_strongly_convex_exit_1(self, tmp_path, capsys):
+        # the Dykstra distance would measure against {x*}, not the solution ray
+        config = write_config(tmp_path, {"experiment": "custom", "problem": {
+            "shape": {"vector": 2}, "loss": {"noncompact": {}},
+            "linear_map": {"identity": True},
+            "regularizer": {"orthant": {"signs": [-1, 1]}}, "x0": [-1.0, 0.0]}})
+        assert main(["run", "custom", "--config", config, "--out", str(tmp_path / "o")]) == 1
+        assert "needs a loss strongly convex on compact sets" in capsys.readouterr().err
 
     def test_ray_flags_rejected_elsewhere(self, tmp_path):
         assert main(["run", "lasso", "--out", str(tmp_path), "--y", "1.0"]) == 2

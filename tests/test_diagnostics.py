@@ -23,6 +23,7 @@ from ebound.experiments import (
     counterexample_instance,
     grouped_lasso_instance,
     noncompact_instance,
+    noncompact_ray_distance,
     nuclear_regular_instance,
     ridge_instance,
 )
@@ -30,7 +31,7 @@ from ebound.losses import CompositeSmooth, GeneralQuadratic, LeastSquares
 from ebound.problem import ProblemInstance, certify
 from ebound.regularizers import NuclearNorm
 from ebound.solver import Fixed, lipschitz_bound, proximal_gradient
-from ebound.space import CoordinateSelectMap, DenseMap
+from ebound.space import CoordinateSelectMap, DenseMap, norm
 
 
 def certified_counterexample():
@@ -75,8 +76,9 @@ class TestProbe:
     def test_counterexample_curve_scaling(self):
         prob, cert = certified_counterexample()
         deltas = np.logspace(-1, -4, 7)
-        curve = Curve.from_map(deltas, counterexample_curve_point)
-        samples = probe(prob, cert, None, curve, unique=True)
+        curve = Curve.from_map(deltas, counterexample_curve_point,
+                               lambda x: norm(x - cert.x_star))
+        samples = probe(prob, cert, None, curve)
         assert len(samples) == len(deltas)
         for s, delta in zip(samples, deltas):
             assert abs(s.d - delta * np.sqrt(2 + 5 * delta**2)) <= 1e-12
@@ -110,8 +112,8 @@ class TestProbe:
     def test_rejects_points_outside_domain(self):
         prob = noncompact_instance()
         cert = certify(prob, np.array([-1.0, 0.0]), tol=1e-12)
-        curve = Curve(params=(1.0, 2.0), points=(np.array([2.0, 1.0]),
-                                                 np.array([3.0, 1.0])))
+        curve = Curve.from_map((2.0, 3.0), lambda x: np.array([x, 1.0]),
+                               noncompact_ray_distance)
         with pytest.raises(EmptyProbeError):
             probe(prob, cert, None, curve)
 
@@ -128,8 +130,9 @@ class TestFitExponent:
 
     def test_counterexample_curve_slope_two(self):
         prob, cert = certified_counterexample()
-        curve = Curve.from_map(np.logspace(-1, -4, 13), counterexample_curve_point)
-        fit = fit_exponent(probe(prob, cert, None, curve, unique=True))
+        curve = Curve.from_map(np.logspace(-1, -4, 13), counterexample_curve_point,
+                               lambda x: norm(x - cert.x_star))
+        fit = fit_exponent(probe(prob, cert, None, curve))
         assert abs(fit.slope - 2.0) <= 0.05
 
     def test_grouped_lasso_slope_one(self):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ebound.diagnostics import RandomDirections, probe
-from ebound.errors import DomainError, InfeasibleTargetError, NotOptimalError
+from ebound import diagnostics
+from ebound.diagnostics import Curve, RandomDirections, probe
+from ebound.errors import DomainError, InfeasibleTargetError, InvalidInputError, NotOptimalError
 from ebound.experiments import (
     counterexample_curve_point,
     counterexample_instance,
@@ -170,13 +171,19 @@ def record_inverse_images(monkeypatch, cls):
 
 
 class TestDistanceToSolutionSet:
-    def test_counterexample_unique_distance(self):
+    def test_counterexample_unique_distance(self, monkeypatch):
+        # the optimum is unique, so a curve carries d = ‖x − x̄‖ and probe
+        # never runs Dykstra, which stalls on the counterexample's touching sets
+        def no_dykstra(*args):
+            raise AssertionError("probe measured a curve point by Dykstra")
+
+        monkeypatch.setattr(diagnostics, "distance_to_solution_set", no_dykstra)
         prob, x_bar = counterexample_instance()
         cert = certify(prob, x_bar, tol=1e-10)
-        for delta in (1e-1, 1e-2, 1e-3):
-            d = distance_to_solution_set(prob, cert, counterexample_curve_point(delta),
-                                         unique=True)
-            assert abs(d - delta * np.sqrt(2.0 + 5.0 * delta**2)) <= 1e-12
+        deltas = (1e-1, 1e-2, 1e-3)
+        curve = Curve.from_map(deltas, counterexample_curve_point, lambda x: norm(x - x_bar))
+        for s, delta in zip(probe(prob, cert, None, curve), deltas):
+            assert abs(s.d - delta * np.sqrt(2.0 + 5.0 * delta**2)) <= 1e-12
 
     def test_zero_on_members(self):
         prob, x_star = nuclear_regular_instance()
@@ -231,6 +238,16 @@ class TestDistanceToSolutionSet:
                 distance_to_solution_set(prob, cert, np.array([1.5, 0.5]))
         assert len(calls) == 3
 
+    def test_loss_not_strongly_convex_rejected(self):
+        # 𝒳 is the ray {(x, 0) : x ≤ 0}, but {A z = ȳ} ∩ Γ_P(ḡ) is {x*}: at
+        # (−0.95, 0.05) Dykstra measured ‖x − x*‖ = 0.071, not the true 0.05
+        prob = noncompact_instance()
+        cert = certify(prob, np.array([-1.0, 0.0]), tol=1e-12)
+        with pytest.raises(InvalidInputError, match="strongly convex on compact sets"):
+            distance_to_solution_set(prob, cert, np.array([-0.95, 0.05]))
+        with pytest.raises(InvalidInputError):
+            probe(prob, cert, [0.1], RandomDirections(3, seed=0))
+
     def test_strongly_convex_shortcut(self):
         prob = ridge_instance(0)
         L = lipschitz_bound(prob)
@@ -283,6 +300,13 @@ class TestResidualComparisons:
         assert spread <= 1e3
 
 
+def test_r_alt_is_nan_for_a_loss_not_strongly_convex():
+    # ȳ and ḡ are not invariant over 𝒳, so ‖A(x) − ȳ‖ + d(−ḡ, ∂P(x)) means nothing
+    prob = noncompact_instance()
+    cert = certify(prob, np.array([-1.0, 0.0]), tol=1e-12)
+    assert np.isnan(r_alt(prob, cert, np.array([-5.0, 1.0])))
+
+
 class TestFeasiblePointValidation:
     def test_rejects_infeasible_witness(self):
         smooth = CompositeSmooth(LeastSquares(np.zeros(2)), IdentityMap((2,)), np.zeros(2))
@@ -293,12 +317,11 @@ class TestFeasiblePointValidation:
 
 class TestDykstraBudget:
     def test_degenerate_intersection_raises_convergence_error(self):
-        # without the uniqueness shortcut the counterexample's touching sets
-        # exhaust a small sweep budget; the error carries the last gap
+        # the counterexample's touching sets exhaust Dykstra's sweep budget;
+        # the error carries the last gap
         from ebound.errors import ConvergenceError
         prob, x_bar = counterexample_instance()
         cert = certify(prob, x_bar, tol=1e-10)
         with pytest.raises(ConvergenceError) as err:
-            distance_to_solution_set(prob, cert, counterexample_curve_point(0.1),
-                                     max_sweeps=5)
+            distance_to_solution_set(prob, cert, counterexample_curve_point(0.1))
         assert err.value.gap > 0.0

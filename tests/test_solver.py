@@ -3,7 +3,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from ebound.errors import DomainError, InsufficientDataError, LineSearchError
+from ebound.errors import DomainError, InsufficientDataError, InvalidInputError, LineSearchError
 from ebound.experiments import counterexample_instance, ridge_instance
 from ebound.losses import CompositeSmooth, LeastSquares, SmoothLoss
 from ebound.problem import ProblemInstance, certify
@@ -99,6 +99,17 @@ class TestProximalGradient:
                                   tol=1e-12, max_iter=5)
         assert trace.status == ITERATION_LIMIT
         assert len(trace.iterations) == 6
+
+    @pytest.mark.parametrize("make", [
+        lambda: Fixed(-0.01), lambda: Fixed(0.0), lambda: Fixed(float("nan")),
+        lambda: Fixed(float("inf")), lambda: Backtracking(beta=1.0, t0=10.0),
+        lambda: Backtracking(beta=0.0), lambda: Backtracking(beta=float("nan")),
+        lambda: Backtracking(t0=-1.0), lambda: Backtracking(t0=float("inf")),
+    ])
+    def test_step_policy_rejects_bad_values(self, make):
+        # beta = 1 never shrinks a rejected step, and a negative t ascends
+        with pytest.raises(InvalidInputError):
+            make()
 
     def test_x0_outside_domain_rejected(self):
         from ebound.experiments import noncompact_instance
