@@ -320,8 +320,9 @@ def validate_config_data(data) -> dict:
             chk.fail("noncompact", "must be an object")
         else:
             chk.known_keys(block, "noncompact", {"x_start", "x_stop", "count", "y"})
-            if "y" in block:
-                chk.typed(block["y"], "noncompact.y")
+            if "y" in block and chk.typed(block["y"], "noncompact.y") and block["y"] <= 0:
+                chk.fail("noncompact.y", "must be > 0: at y = 0 the ray is the solution "
+                                         "set, below it lies outside dom(P) = {y ≥ 0}")
             for key in ("x_start", "x_stop"):
                 typed = key in block and chk.typed(block[key], f"noncompact.{key}")
                 if typed and block[key] >= 1:

@@ -15,10 +15,8 @@ from .errors import DomainError, EmptyProbeError, InsufficientDataError, Invalid
 from .problem import (
     OptimalityCertificate,
     ProblemInstance,
+    alt_residual,
     distance_to_solution_set,
-    objective,
-    r_alt,
-    residual_map,
 )
 from .regularizers import NuclearNorm
 from .space import norm, numerical_rank
@@ -71,7 +69,9 @@ def probe(prob: ProblemInstance, cert: OptimalityCertificate, radii, directions)
     (d(x,𝒳), ‖R(x)‖, r_alt(x), F(x)) per sample.
 
     A curve brings its own distances; around x* they are measured by
-    distance_to_solution_set.  Points outside dom(f) are rejected; when the
+    distance_to_solution_set.  f is evaluated once per sample, and that one
+    evaluation (one application of A and one of its adjoint) gives ‖R(x)‖,
+    r_alt and F.  Points outside dom(f) are rejected; when the
     subdifferential of P is empty at a sample, r_alt is recorded as inf.
     Samples are ordered by (radius, direction index) as generated, so
     reports are reproducible.
@@ -86,18 +86,20 @@ def probe(prob: ProblemInstance, cert: OptimalityCertificate, radii, directions)
 
     samples = []
     for rho, j, x, d in pending:
-        if not prob.smooth.in_domain(x):
+        try:
+            point = prob.smooth.at(x)
+        except DomainError:
             continue
         if d is None:
             d = distance_to_solution_set(prob, cert, x)
-        rp = norm(residual_map(prob, x))
+        rp = norm(prob.reg.prox_diff(x, point.gradient))
         try:
-            ra = r_alt(prob, cert, x)
+            ra = alt_residual(prob, cert, x, point.y)
         except DomainError:
             ra = float("inf")
         samples.append(ProbeSample(
             x=x, radius=rho, direction_id=j, d=d, r_prox=rp, r_alt=ra,
-            F_val=objective(prob, x),
+            F_val=point.value + prob.reg.value(x),
         ))
     if not samples:
         raise EmptyProbeError("all probe points were rejected")

@@ -393,7 +393,8 @@ def _residual_decreases_monotonically(run):
 
 def _ratio_unbounded(run):
     ds, rs = _along_ray(run)
-    final_ratio = ds[-1] / rs[-1] if rs[-1] > 0 else float("inf")
+    # d = ‖R‖ = 0 is a point of the solution set, where the bound holds
+    final_ratio = ds[-1] / rs[-1] if rs[-1] > 0 else float("inf") if ds[-1] > 0 else 0.0
     run.extra.update(final_ratio=final_ratio, ray_y=_ray(run.config)[1])
     run.notes.append("no error bound: the ratio d/‖R‖ grows without bound along the ray")
     return _assertion("ratio_unbounded", final_ratio > 1e10,

@@ -3,10 +3,16 @@ optimality certification, and distance to the optimal set.
 
 For a loss strongly convex on compact sets, the optimal set is the
 intersection of the affine piece {x : A(x) = ȳ} and the inverse image
-Γ_P(ḡ); its nearest point is computed by Dykstra's alternating projections
-unless A is the identity, which makes f strongly convex.  Both pieces are
-fixed by the certificate, which builds Γ_P(ḡ) on first use and keeps it; an
-empty Γ_P(ḡ) raises InfeasibleTargetError on every use.
+Γ_P(ḡ) = {c + T z : z ∈ K}, where T is an isometry from the k coordinates of
+a face (see regularizers.Face).  So 𝒳 = {c + T z : z ∈ K, B z = r} with
+B = A∘T and r = ȳ − A(c), and the distance to 𝒳 splits into the part of
+x − c off the range of T and the distance, in k coordinates, to
+K ∩ {B z = r}; Dykstra's alternating projections compute the latter unless
+A is the identity, which makes f strongly convex.  Everything is fixed by
+the certificate, which builds Γ_P(ḡ) and the reduced set on first use and
+keeps them.  An empty Γ_P(ḡ) raises InfeasibleTargetError on every use, and
+a reduced set whose least-squares point misses {A z = ȳ} by more than
+DYKSTRA_TOL raises ConvergenceError on every use.
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, InvalidInputError, NotOptimalError
 from .losses import CompositeSmooth
-from .regularizers import InverseImage, Regularizer
-from .space import affine_project, norm
+from .regularizers import Face, InverseImage, Regularizer
+from .space import LinearMap, affine_project, norm
 
 CERT_TOL = 1e-9
 #: Dykstra stops when an iterate moves less than this, or fails after the budget
@@ -53,11 +59,40 @@ class OptimalityCertificate:
     residual_norm: float
     tol: float
     reg: Regularizer = field(repr=False)
+    A: LinearMap = field(repr=False)
 
     @cached_property
     def image(self) -> InverseImage:
         """Γ_P(ḡ), built on first use."""
         return self.reg.inverse_image(self.g_bar)
+
+    @cached_property
+    def reduced(self) -> ReducedSet:
+        """{A z = ȳ} ∩ Γ_P(ḡ) in the coordinates of the face of Γ_P(ḡ),
+        built on first use with k applications of A."""
+        face = self.image.face()
+        B = np.empty((self.y_bar.size, face.k))
+        for j, e in enumerate(np.eye(face.k)):
+            B[:, j] = self.A(face.T(e))
+        r = self.y_bar - self.A(face.c)
+        B_pinv = np.linalg.pinv(B, rcond=1e-12)
+        p = face.c + face.T(B_pinv @ r)
+        return ReducedSet(face=face, B=B, r=r, B_pinv=B_pinv,
+                          gap=norm(p - affine_project(p, self.A, self.y_bar)))
+
+
+@dataclass(frozen=True)
+class ReducedSet:
+    """{c + T z : z ∈ K, B z = r}, with B⁺ for the projection onto
+    {B z = r}.  gap is the distance from c + T B⁺r, the least-squares point
+    of the face, to {A z = ȳ}: above rounding only when the face's affine
+    hull misses the affine piece."""
+
+    face: Face
+    B: np.ndarray
+    r: np.ndarray
+    B_pinv: np.ndarray
+    gap: float
 
 
 def objective(prob: ProblemInstance, x) -> float:
@@ -85,18 +120,24 @@ def certify(prob: ProblemInstance, x, tol: float = CERT_TOL) -> OptimalityCertif
         residual_norm=r,
         tol=tol,
         reg=prob.reg,
+        A=prob.smooth.A,
     )
 
 
 def r_alt(prob: ProblemInstance, cert: OptimalityCertificate, x) -> float:
     """The alternative residual ‖A(x) − ȳ‖ + d(−ḡ, ∂P(x)); nan when the loss
     is not strongly convex on compacts, since ȳ and ḡ then vary over 𝒳."""
+    x = np.asarray(x, dtype=float)
+    return alt_residual(prob, cert, x, prob.smooth.A(x))
+
+
+def alt_residual(prob: ProblemInstance, cert: OptimalityCertificate, x, y) -> float:
+    """r_alt at x, given y = A(x)."""
     if not prob.smooth.h.strongly_convex_on_compacts:
         return float("nan")
-    x = np.asarray(x, dtype=float)
     if not prob.reg.subdiff_nonempty(x):
         raise DomainError("∂P(x) is empty at the probe point")
-    return norm(prob.smooth.A(x) - cert.y_bar) + prob.reg.subdiff_distance(x, -cert.g_bar)
+    return norm(y - cert.y_bar) + prob.reg.subdiff_distance(x, -cert.g_bar)
 
 
 def _dykstra(x0, project_a, project_b):
@@ -121,16 +162,30 @@ def distance_to_solution_set(prob: ProblemInstance, cert: OptimalityCertificate,
 
     That set is 𝒳 only for a loss strongly convex on compacts; any other
     loss raises InvalidInputError.  With the identity map f = h is strongly
-    convex and this is just ‖x − x*‖; otherwise Dykstra alternates the exact
-    affine projection with the Γ_P(ḡ) nearest-point map.
+    convex and this is just ‖x − x*‖.  Otherwise, with w = T*(x − c) in the
+    certificate's reduced set,
+
+        d² = ‖(x − c) − T w‖² + ‖w − Π(w)‖²,
+
+    where Π, the projection onto K ∩ {B z = r}, alternates the exact
+    projection onto {B z = r} with that onto K by Dykstra.  Where B is
+    injective and its least-squares point lies in K, Dykstra stops after two
+    sweeps and d is exact to rounding.  Raises ConvergenceError when the
+    face's least-squares point misses {A z = ȳ} by more than DYKSTRA_TOL
+    (the two pieces do not meet), or when Dykstra exhausts its budget.
     """
     if not prob.smooth.h.strongly_convex_on_compacts:
         raise InvalidInputError("the distance to the solution set needs a loss strongly "
                                 "convex on compact sets: for any other loss "
                                 "{A z = ȳ} ∩ Γ_P(ḡ) need not be the solution set")
     x = np.asarray(x, dtype=float)
-    A = prob.smooth.A
-    if A.is_identity:
+    if prob.smooth.A.is_identity:
         return norm(x - cert.x_star)
-    proj = _dykstra(x, lambda z: affine_project(z, A, cert.y_bar), cert.image.project)
-    return norm(x - proj)
+    red = cert.reduced
+    if red.gap > DYKSTRA_TOL:
+        raise ConvergenceError("{A z = ȳ} and Γ_P(ḡ) do not meet", red.gap)
+    face = red.face
+    v = x - face.c
+    w = face.T_adj(v)
+    z = _dykstra(w, lambda u: u - red.B_pinv @ (red.B @ u - red.r), face.project)
+    return float(np.hypot(norm(v - face.T(w)), norm(w - z)))

@@ -6,6 +6,8 @@ computations that drive the error-bound diagnostics,
 
 inverse_image(g) returns an explicit parameterization of Γ_P(g) whose
 project() method realizes the nearest point; the distance is derived from it.
+Its face() writes the same set as {c + T z : z ∈ K} with T an isometry from
+ℝᵏ, so a problem over Γ_P(g) can be solved in k coordinates.
 Equalities such as |g_i| = λ, ‖g_J‖ = ω_J or σ₁(−g) = 1 hold within TAU_EQ,
 scaled by max(1, λ) or max(1, ω_J) for a weighted penalty.  An empty Γ_P(g)
 is not a set but a wrong target: inverse_image raises InfeasibleTargetError
@@ -15,6 +17,7 @@ naming the first coordinate, group or singular value that empties it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -32,10 +35,27 @@ def _empty(reason: str) -> InfeasibleTargetError:
     return InfeasibleTargetError(f"inverse image is empty: {reason}")
 
 
+@dataclass(frozen=True)
+class Face:
+    """Γ = {c + T z : z ∈ K}: T is an isometry (T*T = I) from ℝᵏ onto a
+    subspace that holds Γ − c, T_adj is its adjoint, and project is the
+    nearest-point map of the closed convex set K ⊂ ℝᵏ, so that
+    Γ.project(x) = c + T(project(T_adj(x − c)))."""
+
+    c: np.ndarray
+    T: Callable
+    T_adj: Callable
+    project: Callable
+    k: int
+
+
 class InverseImage:
     """A parameterized nonempty closed convex set with a nearest-point map."""
 
     def project(self, x) -> np.ndarray:
+        raise NotImplementedError
+
+    def face(self) -> Face:
         raise NotImplementedError
 
     def distance(self, x) -> float:
@@ -52,6 +72,22 @@ class BoxImage(InverseImage):
 
     def project(self, x):
         return np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
+
+    def face(self):
+        """Coordinates with lo = hi are fixed in c; every other one is a
+        column of T, and K is the product of their intervals."""
+        fixed = self.lo == self.hi
+        free = np.flatnonzero(~fixed)
+        lo, hi = self.lo[free], self.hi[free]
+        c = np.where(fixed, self.lo, 0.0)
+
+        def T(z):
+            out = np.zeros_like(c)
+            out[free] = z
+            return out
+
+        return Face(c=c, T=T, T_adj=lambda x: x[free],
+                    project=lambda z: np.clip(z, lo, hi), k=free.size)
 
 
 def _zero_weight_image(g) -> BoxImage:
@@ -76,6 +112,30 @@ class GroupImage(InverseImage):
         a = np.minimum(np.bincount(self.group_of, weights=x * self.ray), 0.0)
         return np.where(self.free, x, a[self.group_of] * self.ray)
 
+    def face(self):
+        """One column u_J per ray block, with K = (−∞, 0] along it, then one
+        unit column per coordinate of a free block, with K = ℝ; a {0} block,
+        or a ray block whose direction is 0, has no column."""
+        groups = int(self.group_of.max(initial=-1)) + 1
+        rays = np.flatnonzero(np.bincount(self.group_of[self.ray != 0.0], minlength=groups))
+        free = np.flatnonzero(self.free)
+        r = rays.size
+
+        def T(z):
+            a = np.zeros(groups)
+            a[rays] = z[:r]
+            out = a[self.group_of] * self.ray
+            out[free] = z[r:]
+            return out
+
+        def T_adj(x):
+            a = np.bincount(self.group_of, weights=x * self.ray, minlength=groups)
+            return np.concatenate((a[rays], x[free]))
+
+        return Face(c=np.zeros(self.group_of.size), T=T, T_adj=T_adj,
+                    project=lambda z: np.concatenate((np.minimum(z[:r], 0.0), z[r:])),
+                    k=r + free.size)
+
 
 @dataclass
 class NuclearImage(InverseImage):
@@ -98,6 +158,28 @@ class NuclearImage(InverseImage):
         if self.s_bar == 0:
             return np.zeros_like(x)
         return self.U @ psd_project(self.U.T @ x @ self.V) @ self.V.T
+
+    def face(self):
+        """T(z) = Ū₁ Z V̄₁ᵀ for the symmetric s̄×s̄ matrix Z whose coordinates
+        in the orthonormal basis E_ii, (E_ij + E_ji)/√2 are z, so k =
+        s̄(s̄+1)/2 and K = S₊.  Keeping Z symmetric keeps the reduced problem
+        off the skew directions, along which Γ_P(G) has no extent."""
+        s = self.s_bar
+        upper = np.triu_indices(s)
+        scale = np.where(upper[0] == upper[1], 1.0, np.sqrt(2.0))
+
+        def smat(z):
+            Z = np.zeros((s, s))
+            Z[upper] = z / scale
+            return Z + np.triu(Z, 1).T
+
+        def svec(M):
+            return ((M + M.T) / 2.0)[upper] * scale
+
+        return Face(c=np.zeros((self.U.shape[0], self.V.shape[0])),
+                    T=lambda z: self.U @ smat(z) @ self.V.T,
+                    T_adj=lambda x: svec(self.U.T @ x @ self.V),
+                    project=lambda z: svec(psd_project(smat(z))), k=upper[0].size)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ from ebound.cli import main
 from ebound.config import (_LOSSES, _REGULARIZERS, EXPERIMENTS, validate_config,
                            validate_config_data)
 from ebound.errors import ConfigError
-from ebound.experiments import SCENARIOS, run_experiment
+from ebound.experiments import (SCENARIOS, Run, _noncompact_ray, _ratio_unbounded,
+                                noncompact_instance, run_experiment)
+from ebound.problem import certify
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -139,6 +141,29 @@ class TestValidation:
         with pytest.raises(ConfigError) as err:
             validate_config_data({"experiment": "noncompact", "noncompact": block})
         assert err.value.messages == [f"{path}: must be < 1, inside dom(f) = {{x < 1}}"]
+
+    @pytest.mark.parametrize("y", [0, 0.0, -1.0])
+    def test_ray_on_or_below_the_solution_set_rejected(self, y):
+        # at y = 0 every ray point is optimal (d = ‖R‖ = 0); below it F = inf
+        with pytest.raises(ConfigError) as err:
+            validate_config_data({"experiment": "noncompact", "noncompact": {"y": y}})
+        assert err.value.messages == [RAY_HEIGHT_MESSAGE]
+
+
+RAY_HEIGHT_MESSAGE = ("noncompact.y: must be > 0: at y = 0 the ray is the solution set, "
+                      "below it lies outside dom(P) = {y ≥ 0}")
+
+
+def test_ratio_unbounded_reads_zero_over_zero_as_bounded():
+    # on the solution set d = ‖R‖ = 0, and d ≤ κ‖R‖ holds for every κ
+    prob = noncompact_instance()
+    run = Run(SCENARIOS["noncompact"], {"noncompact": {"y": 0.0}}, prob)
+    run.cert = certify(prob, prob.feasible_point, tol=1e-10)
+    run.samples = _noncompact_ray(run)
+    assert all(s.d == 0.0 and s.r_prox == 0.0 for s in run.samples)
+    assertion = _ratio_unbounded(run)
+    assert not assertion["passed"]
+    assert run.extra["final_ratio"] == 0.0
 
 
 def _custom_with(**problem):
@@ -272,6 +297,12 @@ class TestCli:
                      f"--x-range={x_range}"]) == 2
         assert capsys.readouterr().err == (
             "error: noncompact.x_stop: must be < 1, inside dom(f) = {x < 1}\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("y", ["0", "-1"])
+    def test_ray_height_flag_off_the_domain_exit_2(self, tmp_path, capsys, y):
+        assert main(["run", "noncompact", "--out", str(tmp_path / "o"), f"--y={y}"]) == 2
+        assert capsys.readouterr().err == f"error: {RAY_HEIGHT_MESSAGE}\n"
         assert not (tmp_path / "o").exists()
 
     def test_custom_loss_not_strongly_convex_exit_1(self, tmp_path, capsys):

@@ -1,9 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 
 from ebound import diagnostics
 from ebound.diagnostics import Curve, RandomDirections, probe
-from ebound.errors import DomainError, InfeasibleTargetError, InvalidInputError, NotOptimalError
+from ebound.errors import (ConvergenceError, DomainError, InfeasibleTargetError,
+                           InvalidInputError, NotOptimalError)
 from ebound.experiments import (
     counterexample_curve_point,
     counterexample_instance,
@@ -20,9 +23,9 @@ from ebound.problem import (
     r_alt,
     residual_map,
 )
-from ebound.regularizers import L1, GroupedLasso, Ridge
+from ebound.regularizers import L1, GroupedLasso, NuclearNorm, Ridge
 from ebound.solver import Fixed, lipschitz_bound, proximal_gradient
-from ebound.space import DenseMap, IdentityMap, norm
+from ebound.space import CoordinateSelectMap, DenseMap, IdentityMap, norm
 
 import oracles
 from test_losses import COUNTER_B, COUNTER_D, quadratic_oracle
@@ -257,6 +260,110 @@ class TestDistanceToSolutionSet:
         x = cert.x_star + 0.01 * np.ones_like(cert.x_star)
         assert abs(distance_to_solution_set(prob, cert, x)
                    - norm(x - cert.x_star)) <= 1e-14
+
+
+def _sparse_instance(seed, groups=None, m=60, n=150):
+    """min ½‖Mx − b‖² + P(x) with P = λ‖x‖₁, or the grouped norm over
+    consecutive groups of the given size, built like the sparse workloads."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((m, n))
+    x_true = np.zeros(n)
+    x_true[:4] = [1.5, 0.0, -1.0, -2.0]
+    b = M @ x_true + 0.05 * rng.standard_normal(m)
+    smooth = CompositeSmooth(LeastSquares(b), DenseMap(M, (n,)), np.zeros(n))
+    if groups is None:
+        reg = L1(0.3 * float(np.max(np.abs(M.T @ b))))
+    else:
+        blocks = np.arange(n).reshape(-1, groups)
+        w = 0.45 * float(np.max(np.linalg.norm((M.T @ b)[blocks], axis=1)))
+        reg = GroupedLasso(blocks.tolist(), [w] * len(blocks))
+    prob = ProblemInstance(smooth, reg, np.zeros(n))
+    trace = proximal_gradient(prob, np.zeros(n), step=Fixed(1.0 / lipschitz_bound(prob)),
+                              tol=1e-11, max_iter=100000)
+    return prob, M, certify(prob, trace.terminal, tol=1e-9)
+
+
+def _completion_instance(seed, m=20, n=30, rank=2):
+    """The matrix-completion family of the nuclear-completion workload: a
+    rank-2 truth, each entry observed with probability 1/2, solved to 1e-11."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+    rows, cols = np.nonzero(rng.random((m, n)) < 0.5)
+    A = CoordinateSelectMap(tuple(zip(rows.tolist(), cols.tolist())), (m, n))
+    smooth = CompositeSmooth(LeastSquares(X[rows, cols]), A, np.zeros((m, n)))
+    prob = ProblemInstance(smooth, NuclearNorm(), np.zeros((m, n)))
+    trace = proximal_gradient(prob, prob.feasible_point,
+                              step=Fixed(1.0 / lipschitz_bound(prob)), tol=1e-11,
+                              max_iter=200000)
+    return prob, certify(prob, trace.terminal, tol=1e-10)
+
+
+def _directions(shape, count, seed):
+    rng = np.random.default_rng(seed)
+    return [u / norm(u) for u in rng.standard_normal((count, *shape))]
+
+
+class TestFaceDistance:
+    """Distances through the face of Γ_P(ḡ), checked against numpy."""
+
+    def test_lasso_is_distance_to_the_support_least_squares_point(self):
+        # 𝒳 = {x̂}: M restricted to the support S of x* is injective, and the
+        # least-squares solution of M_S x_S = ȳ carries the signs of x*
+        prob, M, cert = _sparse_instance(0)
+        S = np.flatnonzero(cert.x_star)
+        x_hat = np.zeros_like(cert.x_star)
+        x_hat[S] = np.linalg.lstsq(M[:, S], cert.y_bar, rcond=None)[0]
+        np.testing.assert_array_equal(np.sign(x_hat[S]), np.sign(cert.x_star[S]))
+        assert cert.reduced.face.k == S.size
+        for rho in (1.0, 1e-1, 1e-2):
+            for u in _directions(x_hat.shape, 3, 1):
+                x = cert.x_star + rho * u
+                exact = norm(x - x_hat)
+                assert abs(distance_to_solution_set(prob, cert, x) - exact) <= 1e-12 * exact
+
+    def test_grouped_lasso_is_distance_to_the_ray_least_squares_point(self):
+        # 𝒳 = {x̂}: x̂ = Σ a_J u_J over the ray blocks, u_J = ḡ_J/‖ḡ_J‖, with a
+        # the least-squares solution of M U a = ȳ, all a_J < 0
+        prob, M, cert = _sparse_instance(0, groups=5)
+        norms = np.linalg.norm(cert.g_bar.reshape(-1, 5), axis=1)
+        rays = np.flatnonzero(np.isclose(norms, prob.reg.weights[0], rtol=1e-8))
+        U = np.zeros((cert.x_star.size, rays.size))
+        for col, J in enumerate(rays):
+            U[5 * J:5 * J + 5, col] = cert.g_bar[5 * J:5 * J + 5] / norms[J]
+        a = np.linalg.lstsq(M @ U, cert.y_bar, rcond=None)[0]
+        assert rays.size >= 1 and np.all(a < 0)
+        x_hat = U @ a
+        assert cert.reduced.face.k == rays.size
+        for rho in (1.0, 1e-1, 1e-2):
+            for u in _directions(x_hat.shape, 3, 2):
+                x = cert.x_star + rho * u
+                exact = norm(x - x_hat)
+                assert abs(distance_to_solution_set(prob, cert, x) - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_completion_distance_is_bracketed(self, seed):
+        # d(x, A⁻¹ȳ) and d(x, Γ_P(ḡ)) bound d below; ‖x − x*‖ plus the
+        # certificate's gap to {A z = ȳ} bounds it above
+        prob, cert = _completion_instance(seed)
+        for rho in (1e-2, 1e-3, 1e-4):
+            for u in _directions(cert.x_star.shape, 2, seed):
+                x = cert.x_star + rho * u
+                d = distance_to_solution_set(prob, cert, x)
+                lower = max(norm(prob.smooth.A(x) - cert.y_bar), cert.image.distance(x))
+                assert lower <= d <= norm(x - cert.x_star) + cert.reduced.gap
+
+    def test_inconsistent_completion_certificate_raises_at_once(self):
+        # family seed 2 certifies, but the least-squares point of the face
+        # misses {A z = ȳ} by 5.1e-10 > DYKSTRA_TOL, so no Dykstra sweep can
+        # close the gap: the error comes from the cached certificate
+        prob, cert = _completion_instance(2)
+        x = cert.x_star + 1e-3 * _directions(cert.x_star.shape, 1, 0)[0]
+        start = time.perf_counter()
+        for _ in range(3):
+            with pytest.raises(ConvergenceError, match="do not meet") as err:
+                distance_to_solution_set(prob, cert, x)
+            assert 4e-10 <= err.value.gap <= 6e-10
+        assert time.perf_counter() - start < 0.1
 
 
 class TestResidualComparisons:

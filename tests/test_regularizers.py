@@ -435,6 +435,63 @@ class TestInverseImage:
                                             np.array([-2.0, 0.0])) - 1.0) <= 1e-14
 
 
+def _nuclear_target(shape, s_bar, seed):
+    """G with exactly s_bar singular values of −G equal to 1, the rest in (0, 1)."""
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((shape[0], shape[0])))
+    V, _ = np.linalg.qr(rng.standard_normal((shape[1], shape[1])))
+    r = min(shape)
+    sigma = np.r_[np.ones(s_bar), np.linspace(0.8, 0.2, r - s_bar)]
+    return -(U[:, :r] * sigma) @ V[:, :r].T
+
+
+#: (regularizer, g, k): each kind of Γ_P(g) with the dimension of its face
+FACE_CASES = {
+    # coordinates 0 and 4 point up, 1 down, 2 and 3 are interior
+    "l1": (L1(0.5), np.array([-0.5, 0.5, 0.1, 0.0, -0.5]), 3),
+    "ridge-point": (Ridge(0.3), np.array([0.6, -1.2, 0.0]), 0),
+    "zero-weight": (L1(0.0), np.zeros(4), 4),
+    # coordinates 3 and 4 are pinned by strictly interior normal-cone members
+    "orthant": (OrthantIndicator([-1, 0, 1, 1, -1]), np.array([0.0, 0.0, 0.0, 0.3, -0.2]), 3),
+    # blocks: a ray, {0}, free, a ray with g_J = 0 (so {0}), a ray along an axis
+    "grouped": (GroupedLasso([[0, 5], [2, 3, 9], [1, 6], [7], [8, 4]],
+                             [1.0, 2.0, 0.0, 1e-9, 3.0]),
+                np.array([0.6, 0.0, 0.1, 0.2, 0.0, -0.8, 0.0, 0.0, 3.0, 0.3]), 4),
+    **{f"nuclear-{shape[0]}x{shape[1]}-s{s_bar}":
+       (NuclearNorm(), _nuclear_target(shape, s_bar, 7 * s_bar + shape[0]),
+        s_bar * (s_bar + 1) // 2)
+       for shape in ((5, 3), (3, 5)) for s_bar in range(4)},
+}
+
+
+class TestFace:
+    """Γ_P(g) = {c + T z : z ∈ K}, with T an isometry and its adjoint."""
+
+    @pytest.mark.parametrize("case", FACE_CASES)
+    def test_isometry_with_adjoint(self, case):
+        reg, g, k = FACE_CASES[case]
+        face = reg.inverse_image(g).face()
+        assert face.k == k
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            z = rng.standard_normal(k)
+            x = rng.standard_normal(g.shape)
+            np.testing.assert_allclose(face.T_adj(face.T(z)), z, rtol=0, atol=1e-14)
+            assert abs(np.sum(face.T(z) * x) - z @ face.T_adj(x)) <= 1e-13
+
+    @pytest.mark.parametrize("case", FACE_CASES)
+    def test_projection_through_the_face(self, case):
+        reg, g, _ = FACE_CASES[case]
+        image = reg.inverse_image(g)
+        face = image.face()
+        rng = np.random.default_rng(2)
+        for scale in (0.1, 1.0, 10.0):
+            x = scale * rng.standard_normal(g.shape)
+            via_face = face.c + face.T(face.project(face.T_adj(x - face.c)))
+            np.testing.assert_allclose(via_face, image.project(x), rtol=0,
+                                       atol=1e-12 * max(1.0, norm(x)))
+
+
 def _graph_members(reg, rng, count):
     if isinstance(reg, L1):
         return [oracles.l1_graph_member(rng, 5, reg.weight) for _ in range(count)]
