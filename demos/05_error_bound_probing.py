@@ -58,6 +58,6 @@ prob = ridge_instance(seed=0)
 L = lipschitz_bound(prob)
 x0 = np.full(8, 3.0)
 trace = proximal_gradient(prob, x0, step=Fixed(1.0 / L), tol=1e-12, max_iter=5000)
-rate = estimate_linear_rate(trace, min_r_squared=0.99)
+rate = estimate_linear_rate(trace)
 print(f"\nproximal gradient on the ridge instance: geometric residual decay,"
       f" fitted rate {rate:.3f} per iteration")

@@ -118,25 +118,23 @@ def fit_exponent(samples, envelope: bool = False) -> ExponentFit:
     """Least-squares line through (log d, log r_prox).
 
     A slope near 1 is the Lipschitzian error-bound signature; the
-    counterexample curve shows slope 2.  With envelope=True the samples are
-    binned by d and only the largest r_prox per bin is fitted, so direction
-    averaging cannot mask the worst case.  kappa_max = max d/r_prox is
-    always taken over all usable samples.
+    counterexample curve shows slope 2.  With envelope=True only the sample
+    with the largest r_prox at each radius (or curve parameter) is fitted, at
+    its own d, so direction averaging cannot mask the worst case.  kappa_max
+    = max d/r_prox is always taken over all usable samples.
     """
-    pairs = [(s.d, s.r_prox) for s in samples if s.d > 0 and s.r_prox > 0]
-    if len(pairs) < 4:
-        raise InsufficientDataError(f"need >= 4 samples with d, r_prox > 0, got {len(pairs)}")
-    kappa_max = max(d / r for d, r in pairs)
+    usable = [s for s in samples if s.d > 0 and s.r_prox > 0]
+    if len(usable) < 4:
+        raise InsufficientDataError(f"need >= 4 samples with d, r_prox > 0, got {len(usable)}")
+    kappa_max = max(s.d / s.r_prox for s in usable)
     if envelope:
-        bins = {}
-        for d, r in pairs:
-            key = round(math.log10(d), 1)
-            bins[key] = max(bins.get(key, 0.0), r)
-        pairs = [(10.0**k, r) for k, r in sorted(bins.items())]
-        if len(pairs) < 4:
-            raise InsufficientDataError("fewer than 4 distinct d-bins for the envelope fit")
-    logd = np.log(np.array([p[0] for p in pairs]))
-    logr = np.log(np.array([p[1] for p in pairs]))
+        # later entries win, so each radius keeps its largest r_prox
+        worst = {s.radius: s for s in sorted(usable, key=lambda s: s.r_prox)}
+        usable = [worst[rho] for rho in sorted(worst)]
+        if len(usable) < 4:
+            raise InsufficientDataError("fewer than 4 distinct radii for the envelope fit")
+    logd = np.log(np.array([s.d for s in usable]))
+    logr = np.log(np.array([s.r_prox for s in usable]))
     slope, intercept = np.polyfit(logd, logr, 1)
     fitted = slope * logd + intercept
     ss_res = float(np.sum((logr - fitted) ** 2))

@@ -38,8 +38,8 @@ from .errors import ConfigError, InsufficientDataError
 from .losses import CompositeSmooth, GeneralQuadratic, LeastSquares, NoncompactExample
 from .problem import OptimalityCertificate, ProblemInstance, certify, residual_map
 from .regularizers import L1, GroupedLasso, NuclearNorm, OrthantIndicator, Ridge
-from .solver import (Backtracking, Fixed, SolveTrace, estimate_linear_rate,
-                     lipschitz_bound, proximal_gradient)
+from .solver import (RATE_MIN_R_SQUARED, Backtracking, Fixed, SolveTrace,
+                     estimate_linear_rate, lipschitz_bound, proximal_gradient)
 from .space import CoordinateSelectMap, DenseMap, IdentityMap, norm
 
 DEFAULT_RADII = np.logspace(-2, -4, 9)
@@ -47,6 +47,8 @@ DEFAULT_DIRECTIONS = 6
 PROBE_SEED_OFFSET = 1000
 #: certification tolerance at an optimum known in closed form
 KNOWN_OPTIMUM_TOL = 1e-10
+#: sizes of the random suites: the lasso matrix, grouped-lasso rows, ridge dimension
+LASSO_SHAPE, GROUPED_LASSO_ROWS, RIDGE_DIM = (6, 8), 7, 8
 
 
 # ---------------------------------------------------------------------------
@@ -97,10 +99,11 @@ def nuclear_regular_instance():
     return prob, x_star
 
 
-def ridge_instance(seed: int, n: int = 8):
+def ridge_instance(seed: int):
     """Strongly convex suite member: random well-conditioned quadratic loss
     with identity operator and a ridge penalty."""
     rng = np.random.default_rng(seed)
+    n = RIDGE_DIM
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     eigs = rng.uniform(0.5, 2.5, n)
     B = (Q * eigs) @ Q.T
@@ -110,10 +113,11 @@ def ridge_instance(seed: int, n: int = 8):
     return ProblemInstance(smooth, Ridge(0.3), np.zeros(n))
 
 
-def lasso_instance(seed: int, m: int = 6, n: int = 8):
+def lasso_instance(seed: int):
     """Underdetermined least-squares with an L1 penalty (scenario with a
     polyhedral inverse image, so the error bound is expected)."""
     rng = np.random.default_rng(seed)
+    m, n = LASSO_SHAPE
     M = rng.standard_normal((m, n))
     x_true = np.zeros(n)
     x_true[0], x_true[3] = 1.5, -2.0
@@ -123,12 +127,12 @@ def lasso_instance(seed: int, m: int = 6, n: int = 8):
     return ProblemInstance(smooth, L1(lam), np.zeros(n))
 
 
-def grouped_lasso_instance(seed: int, m: int = 7):
+def grouped_lasso_instance(seed: int):
     """Grouped LASSO on three blocks of three coordinates; weights chosen so
     some groups are active and some vanish at the optimum."""
     rng = np.random.default_rng(seed)
     groups = [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
-    n = 9
+    m, n = GROUPED_LASSO_ROWS, 9
     M = rng.standard_normal((m, n))
     x_true = np.zeros(n)
     x_true[:3] = [1.0, -1.5, 0.5]
@@ -167,7 +171,7 @@ def _write_reports(out_dir: Path, name: str, samples, payload: dict, lines):
 
 
 def _envelope_payload(samples):
-    """Worst-case (max r_prox per d-bin) variant of the exponent fit, so
+    """Worst-case (max r_prox per radius) variant of the exponent fit, so
     direction averaging cannot mask a bad direction."""
     try:
         return asdict(fit_exponent(samples, envelope=True))
@@ -313,12 +317,12 @@ def _linear_convergence(run):
     x0 = run.cert.x_star + 2.0 * rng.standard_normal(run.cert.x_star.shape)
     trace = proximal_gradient(run.prob, x0, step=Fixed(1.0 / lipschitz_bound(run.prob)),
                               tol=1e-12, max_iter=5000)
-    rate = estimate_linear_rate(trace, min_r_squared=0.99)
+    rate = estimate_linear_rate(trace)
     if rate is not None:
         run.extra["linear_rate"] = rate
     return _assertion("linear_convergence", rate is not None and rate <= 0.99,
                       f"fitted rate {rate:.4f} per iteration" if rate is not None
-                      else "rate fit rejected (R² < 0.99)")
+                      else f"rate fit rejected (R² < {RATE_MIN_R_SQUARED:g})")
 
 
 def _probe_completed(run):

@@ -3,10 +3,10 @@ optimality certification, and distance to the optimal set.
 
 For a loss strongly convex on compact sets, the optimal set is the
 intersection of the affine piece {x : A(x) = ȳ} and the inverse image
-Γ_P(ḡ) = {c + T z : z ∈ K}, where T is an isometry from the k coordinates of
-a face (see regularizers.Face).  So 𝒳 = {c + T z : z ∈ K, B z = r} with
-B = A∘T and r = ȳ − A(c), and the distance to 𝒳 splits into the part of
-x − c off the range of T and the distance, in k coordinates, to
+Γ_P(ḡ) = {c + T z : z ∈ K}, where T is an isometry from the k coordinates
+of a face (see regularizers.InverseImage).  So 𝒳 = {c + T z : z ∈ K,
+B z = r} with B = A∘T and r = ȳ − A(c), and the distance to 𝒳 splits into
+the part of x − c off the range of T and the distance, in k coordinates, to
 K ∩ {B z = r}; Dykstra's alternating projections compute the latter unless
 A is the identity, which makes f strongly convex.  Everything is fixed by
 the certificate, which builds Γ_P(ḡ) and the reduced set on first use and
@@ -24,11 +24,12 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, InvalidInputError, NotOptimalError
 from .losses import CompositeSmooth
-from .regularizers import Face, InverseImage, Regularizer
+from .regularizers import InverseImage, Regularizer
 from .space import LinearMap, affine_project, norm
 
 CERT_TOL = 1e-9
-#: Dykstra stops when an iterate moves less than this, or fails after the budget
+#: Dykstra stops when an iterate moves less than this, or fails after the
+#: budget; a reduced set whose gap exceeds it is reported as not meeting
 DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_SWEEPS = 10**4
 
@@ -70,25 +71,24 @@ class OptimalityCertificate:
     def reduced(self) -> ReducedSet:
         """{A z = ȳ} ∩ Γ_P(ḡ) in the coordinates of the face of Γ_P(ḡ),
         built on first use with k applications of A."""
-        face = self.image.face()
-        B = np.empty((self.y_bar.size, face.k))
-        for j, e in enumerate(np.eye(face.k)):
-            B[:, j] = self.A(face.T(e))
-        r = self.y_bar - self.A(face.c)
+        image = self.image
+        B = np.empty((self.y_bar.size, image.k))
+        for j, e in enumerate(np.eye(image.k)):
+            B[:, j] = self.A(image.T(e))
+        r = self.y_bar - self.A(image.c)
         B_pinv = np.linalg.pinv(B, rcond=1e-12)
-        p = face.c + face.T(B_pinv @ r)
-        return ReducedSet(face=face, B=B, r=r, B_pinv=B_pinv,
+        p = image.c + image.T(B_pinv @ r)
+        return ReducedSet(B=B, r=r, B_pinv=B_pinv,
                           gap=norm(p - affine_project(p, self.A, self.y_bar)))
 
 
 @dataclass(frozen=True)
 class ReducedSet:
-    """{c + T z : z ∈ K, B z = r}, with B⁺ for the projection onto
-    {B z = r}.  gap is the distance from c + T B⁺r, the least-squares point
-    of the face, to {A z = ȳ}: above rounding only when the face's affine
-    hull misses the affine piece."""
+    """{c + T z : z ∈ K, B z = r} in the face of the certificate's Γ_P(ḡ),
+    with B⁺ for the projection onto {B z = r}.  gap is the distance from
+    c + T B⁺r, the least-squares point of the face, to {A z = ȳ}: above
+    rounding only when the face's affine hull misses the affine piece."""
 
-    face: Face
     B: np.ndarray
     r: np.ndarray
     B_pinv: np.ndarray
@@ -184,8 +184,8 @@ def distance_to_solution_set(prob: ProblemInstance, cert: OptimalityCertificate,
     red = cert.reduced
     if red.gap > DYKSTRA_TOL:
         raise ConvergenceError("{A z = ȳ} and Γ_P(ḡ) do not meet", red.gap)
-    face = red.face
-    v = x - face.c
-    w = face.T_adj(v)
-    z = _dykstra(w, lambda u: u - red.B_pinv @ (red.B @ u - red.r), face.project)
-    return float(np.hypot(norm(v - face.T(w)), norm(w - z)))
+    image = cert.image
+    v = x - image.c
+    w = image.T_adj(v)
+    z = _dykstra(w, lambda u: u - red.B_pinv @ (red.B @ u - red.r), image.project_K)
+    return float(np.hypot(norm(v - image.T(w)), norm(w - z)))

@@ -4,10 +4,10 @@ computations that drive the error-bound diagnostics,
     subdiff_distance(x, s)        = d(s, ∂P(x)),
     inverse_image_distance(g, x)  = d(x, Γ_P(g)),  Γ_P(g) = {x : −g ∈ ∂P(x)}.
 
-inverse_image(g) returns an explicit parameterization of Γ_P(g) whose
-project() method realizes the nearest point; the distance is derived from it.
-Its face() writes the same set as {c + T z : z ∈ K} with T an isometry from
-ℝᵏ, so a problem over Γ_P(g) can be solved in k coordinates.
+inverse_image(g) writes Γ_P(g) as its face {c + T z : z ∈ K}, with T an
+isometry from ℝᵏ and K closed and convex, so a problem over Γ_P(g) can be
+solved in k coordinates; the nearest point c + T(Π_K(T*(x − c))), and the
+distance with it, follow from that one form.
 Equalities such as |g_i| = λ, ‖g_J‖ = ω_J or σ₁(−g) = 1 hold within TAU_EQ,
 scaled by max(1, λ) or max(1, ω_J) for a weighted penalty.  An empty Γ_P(g)
 is not a set but a wrong target: inverse_image raises InfeasibleTargetError
@@ -17,7 +17,6 @@ naming the first coordinate, group or singular value that empties it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -35,28 +34,29 @@ def _empty(reason: str) -> InfeasibleTargetError:
     return InfeasibleTargetError(f"inverse image is empty: {reason}")
 
 
-@dataclass(frozen=True)
-class Face:
-    """Γ = {c + T z : z ∈ K}: T is an isometry (T*T = I) from ℝᵏ onto a
-    subspace that holds Γ − c, T_adj is its adjoint, and project is the
-    nearest-point map of the closed convex set K ⊂ ℝᵏ, so that
-    Γ.project(x) = c + T(project(T_adj(x − c)))."""
+class InverseImage:
+    """A nonempty closed convex set as its face Γ = {c + T z : z ∈ K}: T is an
+    isometry (T*T = I) from ℝᵏ onto a subspace holding Γ − c, T_adj is its
+    adjoint, and project_K is the nearest-point map of the closed convex
+    K ⊂ ℝᵏ.  Each subclass sets c and k when built and defines the maps."""
 
     c: np.ndarray
-    T: Callable
-    T_adj: Callable
-    project: Callable
     k: int
 
+    def T(self, z) -> np.ndarray:
+        raise NotImplementedError
 
-class InverseImage:
-    """A parameterized nonempty closed convex set with a nearest-point map."""
+    def T_adj(self, x) -> np.ndarray:
+        raise NotImplementedError
+
+    def project_K(self, z) -> np.ndarray:
+        raise NotImplementedError
 
     def project(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def face(self) -> Face:
-        raise NotImplementedError
+        x = np.asarray(x, dtype=float)
+        if x.shape != self.c.shape:
+            raise InvalidInputError(f"point of shape {x.shape} for a set in shape {self.c.shape}")
+        return self.c + self.T(self.project_K(self.T_adj(x - self.c)))
 
     def distance(self, x) -> float:
         return norm(np.asarray(x, dtype=float) - self.project(x))
@@ -65,29 +65,29 @@ class InverseImage:
 @dataclass
 class BoxImage(InverseImage):
     """Per-coordinate intervals [lo_i, hi_i] (L1, orthant indicator, ridge
-    points, zero weights)."""
+    points, zero weights).  Coordinates with lo = hi are fixed in c; every
+    other one is a column of T, and K is the product of their intervals."""
 
     lo: np.ndarray
     hi: np.ndarray
 
-    def project(self, x):
-        return np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
-
-    def face(self):
-        """Coordinates with lo = hi are fixed in c; every other one is a
-        column of T, and K is the product of their intervals."""
+    def __post_init__(self):
         fixed = self.lo == self.hi
-        free = np.flatnonzero(~fixed)
-        lo, hi = self.lo[free], self.hi[free]
-        c = np.where(fixed, self.lo, 0.0)
+        self._free = np.flatnonzero(~fixed)
+        self._lo, self._hi = self.lo[self._free], self.hi[self._free]
+        self.c = np.where(fixed, self.lo, 0.0)
+        self.k = self._free.size
 
-        def T(z):
-            out = np.zeros_like(c)
-            out[free] = z
-            return out
+    def T(self, z):
+        out = np.zeros_like(self.c)
+        out[self._free] = z
+        return out
 
-        return Face(c=c, T=T, T_adj=lambda x: x[free],
-                    project=lambda z: np.clip(z, lo, hi), k=free.size)
+    def T_adj(self, x):
+        return x[self._free]
+
+    def project_K(self, z):
+        return np.clip(z, self._lo, self._hi)
 
 
 def _zero_weight_image(g) -> BoxImage:
@@ -101,85 +101,75 @@ def _zero_weight_image(g) -> BoxImage:
 class GroupImage(InverseImage):
     """Grouped-LASSO inverse image: each block J is {0}, the whole subspace,
     or the ray {a·g_J : a ≤ 0}.  `ray` holds g_J/‖g_J‖ on ray blocks and 0
-    elsewhere; `free` marks the coordinates of whole-subspace blocks."""
+    elsewhere; `free` marks the coordinates of whole-subspace blocks.  T has a
+    column u_J per ray block (K = (−∞, 0] along it), then a unit column per
+    coordinate of a free block (K = ℝ); {0} blocks and zero rays have none."""
 
     group_of: np.ndarray
     ray: np.ndarray
     free: np.ndarray
 
-    def project(self, x):
-        x = np.asarray(x, dtype=float)
-        a = np.minimum(np.bincount(self.group_of, weights=x * self.ray), 0.0)
-        return np.where(self.free, x, a[self.group_of] * self.ray)
+    def __post_init__(self):
+        self._groups = int(self.group_of.max(initial=-1)) + 1
+        self._rays = np.flatnonzero(
+            np.bincount(self.group_of[self.ray != 0.0], minlength=self._groups))
+        self._free = np.flatnonzero(self.free)
+        self.c = np.zeros(self.group_of.size)
+        self.k = self._rays.size + self._free.size
 
-    def face(self):
-        """One column u_J per ray block, with K = (−∞, 0] along it, then one
-        unit column per coordinate of a free block, with K = ℝ; a {0} block,
-        or a ray block whose direction is 0, has no column."""
-        groups = int(self.group_of.max(initial=-1)) + 1
-        rays = np.flatnonzero(np.bincount(self.group_of[self.ray != 0.0], minlength=groups))
-        free = np.flatnonzero(self.free)
-        r = rays.size
+    def T(self, z):
+        r = self._rays.size
+        a = np.zeros(self._groups)
+        a[self._rays] = z[:r]
+        out = a[self.group_of] * self.ray
+        out[self._free] = z[r:]
+        return out
 
-        def T(z):
-            a = np.zeros(groups)
-            a[rays] = z[:r]
-            out = a[self.group_of] * self.ray
-            out[free] = z[r:]
-            return out
+    def T_adj(self, x):
+        a = np.bincount(self.group_of, weights=x * self.ray, minlength=self._groups)
+        return np.concatenate((a[self._rays], x[self._free]))
 
-        def T_adj(x):
-            a = np.bincount(self.group_of, weights=x * self.ray, minlength=groups)
-            return np.concatenate((a[rays], x[free]))
-
-        return Face(c=np.zeros(self.group_of.size), T=T, T_adj=T_adj,
-                    project=lambda z: np.concatenate((np.minimum(z[:r], 0.0), z[r:])),
-                    k=r + free.size)
+    def project_K(self, z):
+        r = self._rays.size
+        return np.concatenate((np.minimum(z[:r], 0.0), z[r:]))
 
 
 @dataclass
 class NuclearImage(InverseImage):
-    """Γ_P(G) for the nuclear norm: {Ū₁ Z V̄₁ᵀ : Z ⪰ 0 (s̄×s̄)}, where
-    U = Ū₁ and V = V̄₁ hold the s̄ left and right singular vectors of −G
-    whose singular value is 1.  The set does not depend on which such
-    vectors are chosen: flipping the sign of a column of U with its partner
-    in V, or rotating both by one orthogonal matrix, leaves project()
-    unchanged."""
+    """Γ_P(G) for the nuclear norm: {Ū₁ Z V̄₁ᵀ : Z ⪰ 0 (s̄×s̄)}, with U = Ū₁
+    and V = V̄₁ the s̄ left and right singular vectors of −G whose singular
+    value is 1; flipping a column of U with its partner in V, or rotating
+    both by one orthogonal matrix, leaves the set unchanged.  T(z) = Ū₁ Z V̄₁ᵀ
+    for the symmetric Z with coordinates z in the orthonormal basis E_ii,
+    (E_ij + E_ji)/√2, so k = s̄(s̄+1)/2, K = S₊, and the reduced problem stays
+    off the skew directions, along which Γ_P(G) has no extent."""
 
     U: np.ndarray
     V: np.ndarray
 
-    @property
-    def s_bar(self) -> int:
-        return self.U.shape[1]
+    def __post_init__(self):
+        self.s_bar = self.U.shape[1]
+        self._upper = np.triu_indices(self.s_bar)
+        self._scale = np.where(self._upper[0] == self._upper[1], 1.0, np.sqrt(2.0))
+        self.c = np.zeros((self.U.shape[0], self.V.shape[0]))
+        self.k = self._upper[0].size
 
-    def project(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.s_bar == 0:
-            return np.zeros_like(x)
-        return self.U @ psd_project(self.U.T @ x @ self.V) @ self.V.T
+    def _smat(self, z):
+        Z = np.zeros((self.s_bar, self.s_bar))
+        Z[self._upper] = z / self._scale
+        return Z + np.triu(Z, 1).T
 
-    def face(self):
-        """T(z) = Ū₁ Z V̄₁ᵀ for the symmetric s̄×s̄ matrix Z whose coordinates
-        in the orthonormal basis E_ii, (E_ij + E_ji)/√2 are z, so k =
-        s̄(s̄+1)/2 and K = S₊.  Keeping Z symmetric keeps the reduced problem
-        off the skew directions, along which Γ_P(G) has no extent."""
-        s = self.s_bar
-        upper = np.triu_indices(s)
-        scale = np.where(upper[0] == upper[1], 1.0, np.sqrt(2.0))
+    def _svec(self, M):
+        return ((M + M.T) / 2.0)[self._upper] * self._scale
 
-        def smat(z):
-            Z = np.zeros((s, s))
-            Z[upper] = z / scale
-            return Z + np.triu(Z, 1).T
+    def T(self, z):
+        return self.U @ self._smat(z) @ self.V.T
 
-        def svec(M):
-            return ((M + M.T) / 2.0)[upper] * scale
+    def T_adj(self, x):
+        return self._svec(self.U.T @ x @ self.V)
 
-        return Face(c=np.zeros((self.U.shape[0], self.V.shape[0])),
-                    T=lambda z: self.U @ smat(z) @ self.V.T,
-                    T_adj=lambda x: svec(self.U.T @ x @ self.V),
-                    project=lambda z: svec(psd_project(smat(z))), k=upper[0].size)
+    def project_K(self, z):
+        return self._svec(psd_project(self._smat(z)))
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +189,13 @@ class Regularizer:
             kind = "matrix" if self.expects_matrix else "vector"
             raise InvalidInputError(f"{type(self).__name__} applies to {kind} elements")
         return x
+
+    def _check_pair(self, x, s):
+        """x and a subgradient candidate s, which must have the shape of x."""
+        x, s = self._check(x), np.asarray(s, dtype=float)
+        if s.shape != x.shape:
+            raise InvalidInputError(f"subgradient candidate of shape {s.shape} for {x.shape}")
+        return x, s
 
     def value(self, x) -> float:
         raise NotImplementedError
@@ -247,7 +244,7 @@ class L1(Regularizer):
         return np.sign(z) * np.maximum(np.abs(z) - lam, 0.0)
 
     def subdiff_distance(self, x, s):
-        x, s = self._check(x), self._check(s)
+        x, s = self._check_pair(x, s)
         lam = self.weight
         active = x != 0
         dist_sq = np.sum((s[active] - lam * np.sign(x[active])) ** 2)
@@ -288,7 +285,7 @@ class Ridge(Regularizer):
         return self._check(z) / (1.0 + 2.0 * t * self.weight)
 
     def subdiff_distance(self, x, s):
-        x, s = self._check(x), self._check(s)
+        x, s = self._check_pair(x, s)
         return norm(s - 2.0 * self.weight * x)
 
     def inverse_image(self, g):
@@ -344,7 +341,7 @@ class GroupedLasso(Regularizer):
         return scale[self._group_of] * z
 
     def subdiff_distance(self, x, s):
-        x, s = self._check(x), self._check(s)
+        x, s = self._check_pair(x, s)
         # on a block with x_J ≠ 0, ∂ is the point ω_J x_J/‖x_J‖; on x_J = 0 it
         # is the ω_J-ball, which s_J overshoots by max(‖s_J‖ − ω_J, 0)
         nx = self._group_norms(x)
@@ -395,10 +392,7 @@ class NuclearNorm(Regularizer):
         return (U * np.maximum(sigma - t, 0.0)) @ Vt
 
     def subdiff_distance(self, x, s):
-        x = self._check(x)
-        s = np.asarray(s, dtype=float)
-        if s.shape != x.shape:
-            raise InvalidInputError("subgradient candidate must match the matrix shape")
+        x, s = self._check_pair(x, s)
         fac = svd(x)
         r = fac.rank
         S = fac.U.T @ s @ fac.V
@@ -459,7 +453,7 @@ class OrthantIndicator(Regularizer):
 
     def subdiff_distance(self, x, s):
         """Distance to the normal cone of C at x."""
-        x, s = self._check(x), self._check(s)
+        x, s = self._check_pair(x, s)
         if not self.contains(x):
             raise DomainError("point outside the constraint set")
         # the cone is {0} off the faces, [0, ∞) on a face of a −1 sign and

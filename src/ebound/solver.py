@@ -12,6 +12,8 @@ from .problem import ProblemInstance
 from .space import inner, norm
 
 _MIN_STEP = 1e-14
+#: estimate_linear_rate rejects a tail fit that explains less of the variance
+RATE_MIN_R_SQUARED = 0.99
 
 CONVERGED = "converged"
 ITERATION_LIMIT = "iteration_limit"
@@ -131,11 +133,11 @@ def proximal_gradient(
     return SolveTrace(rows, x, ITERATION_LIMIT)
 
 
-def estimate_linear_rate(trace: SolveTrace, min_r_squared: float = 0.9):
+def estimate_linear_rate(trace: SolveTrace):
     """Geometric decay factor of ‖R(xₖ)‖ fitted on the tail half of the trace.
 
     Returns exp(slope) of the least-squares line through (k, log ‖R(xₖ)‖),
-    or None when the fit explains less than min_r_squared of the variance.
+    or None when its R² is below RATE_MIN_R_SQUARED.
     """
     ks = np.array([row[0] for row in trace.iterations], dtype=float)
     rs = trace.residuals
@@ -150,6 +152,6 @@ def estimate_linear_rate(trace: SolveTrace, min_r_squared: float = 0.9):
     ss_res = float(np.sum((logr - fitted) ** 2))
     ss_tot = float(np.sum((logr - logr.mean()) ** 2))
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    if r_squared < min_r_squared:
+    if r_squared < RATE_MIN_R_SQUARED:
         return None
     return float(math.exp(slope))

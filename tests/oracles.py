@@ -238,6 +238,20 @@ def grouped_image_project_oracle(x, groups, cases):
     return out
 
 
+def nuclear_image_project_oracle(x, G, tau_eq):
+    """Nearest point of Γ_P(G) for the nuclear norm, Ū₁ psd(Ū₁ᵀ x V̄₁) V̄₁ᵀ,
+    with Ū₁ and V̄₁ the singular vectors of −G whose singular value is 1
+    within tau_eq, from numpy's own SVD; 0 when there are none."""
+    U, sigma, Vt = np.linalg.svd(-G)
+    s_bar = int(np.sum(sigma >= 1.0 - tau_eq))
+    if s_bar == 0:
+        return np.zeros_like(x)
+    U1, V1 = U[:, :s_bar], Vt[:s_bar].T
+    M = U1.T @ x @ V1
+    w, Q = np.linalg.eigh((M + M.T) / 2.0)
+    return U1 @ ((Q * np.maximum(w, 0.0)) @ Q.T) @ V1.T
+
+
 # ---------------------------------------------------------------------------
 # subdifferential-distance oracles: one group or coordinate at a time
 # ---------------------------------------------------------------------------

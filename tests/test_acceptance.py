@@ -260,7 +260,7 @@ def test_criterion_10_linear_convergence_under_eb():
         x0 = prob_trace.terminal + 2.0 * rng.standard_normal(8)
         trace = proximal_gradient(prob, x0, step=Fixed(1.0 / L), tol=1e-12,
                                   max_iter=10000)
-        rate = estimate_linear_rate(trace, min_r_squared=0.99)
+        rate = estimate_linear_rate(trace)
         assert rate is not None, f"seed {seed}: R² below 0.99"
         assert rate <= 0.99, f"seed {seed}: rate {rate}"
         rates.append(rate)

@@ -151,6 +151,27 @@ class TestFitExponent:
         fit = fit_exponent(samples, envelope=True)
         assert 0.85 <= fit.slope <= 1.15
 
+    def test_envelope_is_stable_under_rounding_of_d(self):
+        # the default radii put log10 ρ at −2.25, −2.75, ...: a 1e-8 relative
+        # change in each d, on either side of ρ, must not move the envelope
+        rng = np.random.default_rng(5)
+        radii = np.logspace(-2, -4, 9)
+        kappas = rng.uniform(0.3, 1.0, (radii.size, 6))
+
+        def envelope(rel):
+            return fit_exponent([ProbeSample(x=np.zeros(1), radius=rho, direction_id=j,
+                                             d=rho * (1.0 + rel), r_prox=k * rho,
+                                             r_alt=0.0, F_val=0.0)
+                                 for rho, row in zip(radii, kappas)
+                                 for j, k in enumerate(row)], envelope=True)
+
+        below, above = envelope(-1e-8), envelope(1e-8)
+        assert abs(below.slope - above.slope) <= 1e-7
+        assert abs(below.intercept - above.intercept) <= 1e-7
+        # each radius contributes its worst sample at that sample's own d
+        assert abs(above.slope - np.polyfit(np.log(radii * (1.0 + 1e-8)),
+                                            np.log(kappas.max(axis=1) * radii), 1)[0]) <= 1e-12
+
     def test_insufficient_samples(self):
         samples = [ProbeSample(x=np.zeros(1), radius=0.1, direction_id=0,
                                d=0.1, r_prox=0.1, r_alt=0.1, F_val=0.0)] * 3

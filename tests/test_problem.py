@@ -314,7 +314,7 @@ class TestFaceDistance:
         x_hat = np.zeros_like(cert.x_star)
         x_hat[S] = np.linalg.lstsq(M[:, S], cert.y_bar, rcond=None)[0]
         np.testing.assert_array_equal(np.sign(x_hat[S]), np.sign(cert.x_star[S]))
-        assert cert.reduced.face.k == S.size
+        assert cert.image.k == S.size
         for rho in (1.0, 1e-1, 1e-2):
             for u in _directions(x_hat.shape, 3, 1):
                 x = cert.x_star + rho * u
@@ -333,7 +333,7 @@ class TestFaceDistance:
         a = np.linalg.lstsq(M @ U, cert.y_bar, rcond=None)[0]
         assert rays.size >= 1 and np.all(a < 0)
         x_hat = U @ a
-        assert cert.reduced.face.k == rays.size
+        assert cert.image.k == rays.size
         for rho in (1.0, 1e-1, 1e-2):
             for u in _directions(x_hat.shape, 3, 2):
                 x = cert.x_star + rho * u

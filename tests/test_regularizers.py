@@ -249,6 +249,34 @@ class TestSubdiffDistance:
             reg.subdiff_distance(np.array([1.0, 1.0]), np.zeros(2))
 
 
+#: (regularizer, target g, a point of another shape) per family
+MISMATCHED = {
+    "l1": (L1(0.5), np.array([-0.5, 0.5, 0.1]), np.array([5.0])),
+    "ridge": (Ridge(0.5), np.array([1.0, -1.0, 0.0]), np.array([5.0])),
+    "grouped": (GroupedLasso([[0, 1], [2]], [1.0, 1.0]), np.array([0.6, 0.8, 0.0]),
+                np.array([5.0])),
+    "orthant": (OrthantIndicator([-1, 0, 1]), np.zeros(3), np.array([5.0])),
+    "nuclear": (NuclearNorm(), -np.eye(2, 3), np.ones((3, 2))),
+}
+
+
+class TestShapeMismatch:
+    """A point whose shape differs from the target's, or from the
+    subgradient candidate's, raises instead of broadcasting."""
+
+    @pytest.mark.parametrize("case", MISMATCHED)
+    def test_inverse_image_distance(self, case):
+        reg, g, x = MISMATCHED[case]
+        with pytest.raises(InvalidInputError):
+            reg.inverse_image_distance(g, x)
+
+    @pytest.mark.parametrize("case", MISMATCHED)
+    def test_subdiff_distance(self, case):
+        reg, g, x = MISMATCHED[case]
+        with pytest.raises(InvalidInputError):
+            reg.subdiff_distance(np.zeros_like(g), np.ones_like(x))
+
+
 class TestInverseImage:
     def test_grouped_cases(self):
         x = np.array([1.0, -3.0])
@@ -464,32 +492,50 @@ FACE_CASES = {
 }
 
 
+def _image_project_oracle(reg, g, x):
+    """Nearest point of Γ_P(g) from the oracles' case analysis: a clip onto
+    the box [lo, hi], the per-group cases, or the nuclear-norm closed form."""
+    if isinstance(reg, NuclearNorm):
+        return oracles.nuclear_image_project_oracle(x, g, 1e-8)
+    if isinstance(reg, GroupedLasso):
+        cases = oracles.grouped_inverse_image_oracle(g, reg.groups, reg.weights, 1e-8)
+        return oracles.grouped_image_project_oracle(x, reg.groups, cases)
+    if isinstance(reg, OrthantIndicator):
+        lo, hi = oracles.orthant_inverse_image_oracle(g, reg.signs, 1e-8)
+    elif isinstance(reg, Ridge):
+        lo = hi = -g / (2.0 * reg.weight)
+    elif reg.weight == 0.0:
+        lo, hi = np.full(g.shape, -np.inf), np.full(g.shape, np.inf)
+    else:
+        lo, hi = oracles.l1_inverse_image_oracle(g, reg.weight, 1e-8)
+    return np.clip(x, lo, hi)
+
+
 class TestFace:
     """Γ_P(g) = {c + T z : z ∈ K}, with T an isometry and its adjoint."""
 
     @pytest.mark.parametrize("case", FACE_CASES)
     def test_isometry_with_adjoint(self, case):
         reg, g, k = FACE_CASES[case]
-        face = reg.inverse_image(g).face()
-        assert face.k == k
+        image = reg.inverse_image(g)
+        assert image.k == k
+        assert image.c.shape == g.shape
         rng = np.random.default_rng(1)
         for _ in range(5):
             z = rng.standard_normal(k)
             x = rng.standard_normal(g.shape)
-            np.testing.assert_allclose(face.T_adj(face.T(z)), z, rtol=0, atol=1e-14)
-            assert abs(np.sum(face.T(z) * x) - z @ face.T_adj(x)) <= 1e-13
+            np.testing.assert_allclose(image.T_adj(image.T(z)), z, rtol=0, atol=1e-14)
+            assert abs(np.sum(image.T(z) * x) - z @ image.T_adj(x)) <= 1e-13
 
     @pytest.mark.parametrize("case", FACE_CASES)
     def test_projection_through_the_face(self, case):
         reg, g, _ = FACE_CASES[case]
         image = reg.inverse_image(g)
-        face = image.face()
         rng = np.random.default_rng(2)
         for scale in (0.1, 1.0, 10.0):
             x = scale * rng.standard_normal(g.shape)
-            via_face = face.c + face.T(face.project(face.T_adj(x - face.c)))
-            np.testing.assert_allclose(via_face, image.project(x), rtol=0,
-                                       atol=1e-12 * max(1.0, norm(x)))
+            np.testing.assert_allclose(image.project(x), _image_project_oracle(reg, g, x),
+                                       rtol=0, atol=1e-12 * max(1.0, norm(x)))
 
 
 def _graph_members(reg, rng, count):

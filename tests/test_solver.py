@@ -189,7 +189,7 @@ class TestRateEstimation:
         L = lipschitz_bound(prob)
         trace = proximal_gradient(prob, np.ones(8) * 2.0, step=Fixed(1.0 / L),
                                   tol=1e-12, max_iter=5000)
-        rate = estimate_linear_rate(trace, min_r_squared=0.99)
+        rate = estimate_linear_rate(trace)
         assert rate is not None and 0.0 < rate < 1.0
 
     def test_constant_residual_gives_rate_one(self):
@@ -207,7 +207,7 @@ class TestRateEstimation:
         rng = np.random.default_rng(0)
         rows = [(k, 1.0, float(np.exp(rng.uniform(-8, 0))), 0.1) for k in range(40)]
         trace = SolveTrace(rows, np.zeros(2), ITERATION_LIMIT)
-        assert estimate_linear_rate(trace, min_r_squared=0.9) is None
+        assert estimate_linear_rate(trace) is None
 
 
 class TestLipschitzBound:
