@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import EXPERIMENTS, validate_config
+from .config import EXPERIMENTS, load_config, validate_config
 from .errors import ConfigError, EboundError
 from .experiments import run_experiment
 
@@ -49,18 +49,17 @@ def _build_parser():
 
 
 def _cmd_run(args) -> int:
-    config = validate_config(args.config) if args.config else {}
+    # run_experiment validates the config, with the flags applied
+    config = load_config(args.config) if args.config else {}
     if args.x_range or args.y is not None:
         if args.experiment != "noncompact":
             raise ConfigError(["--x-range/--y apply only to the noncompact experiment"])
-        block = dict(config.get("noncompact", {}))
+        flags = {"y": args.y} if args.y is not None else {}
         if args.x_range:
-            start, stop = _parse_range(args.x_range)
-            block["x_start"], block["x_stop"] = start, stop
-        if args.y is not None:
-            block["y"] = args.y
-        config = dict(config)
-        config["noncompact"] = block
+            flags["x_start"], flags["x_stop"] = _parse_range(args.x_range)
+        block = config.get("noncompact", {}) if isinstance(config, dict) else None
+        if isinstance(block, dict):  # otherwise validation rejects the config
+            config = {**config, "noncompact": {**block, **flags}}
 
     exit_code, payload = run_experiment(args.experiment, config,
                                         out_dir=args.out, seed=args.seed)

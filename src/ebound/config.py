@@ -2,18 +2,23 @@
 any computation runs.  Matrices are nested row-major arrays; linear maps are
 {"identity": true}, {"dense": [[...]]}, or {"coordinate_select": [[i,j],...]}.
 
-Validation aggregates every problem it finds, anchored to JSON paths such as
-problem.regularizer.grouped_lasso.weights; syntax errors carry the parser's
-line and column.  A custom problem is checked in two passes: the part tables
-below check its JSON types, then instance_from_config builds it with the
-constructors a run uses and evaluates f and P once at x0, so a value that a
-run would reject is rejected here, under the path of the part that holds it.
+Each field's JSON type, bound and default is declared once, in the tables
+CONFIG (the top level), PROBE, SOLVER, NONCOMPACT and PROBLEM (the custom
+problem).  One walker checks a config against them, aggregating every
+failure under its JSON path (problem.regularizer.grouped_lasso.weights);
+syntax errors carry the parser's line and column.  settings(config, block)
+reads a block with its defaults.  A default of None is derived by the run:
+the scenario's radii, the probe seed, the step and the output directory.
+A custom problem that passes the tables is then built by instance_from_config
+with the constructors a run uses, and f and P are evaluated once at x0, so a
+value that a run would reject is rejected here, under its part's path.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -22,6 +27,7 @@ from .losses import (CompositeSmooth, GeneralQuadratic, LeastSquares, Logistic,
                      NoncompactExample, Poisson)
 from .problem import ProblemInstance
 from .regularizers import L1, GroupedLasso, NuclearNorm, OrthantIndicator, Ridge
+from .solver import Backtracking
 from .space import CoordinateSelectMap, DenseMap, IdentityMap
 
 EXPERIMENTS = (
@@ -67,9 +73,52 @@ _TYPES = {
     "index_groups": (_array_of(_array_of(_is_int)), "must be an array of index arrays"),
     "indices": (_array_of(lambda i: _is_int(i) or _array_of(_is_int)(i)),
                 "must be an array of indices"),
+    "path": (lambda v: isinstance(v, str), "must be a string path"),
     "any": (lambda v: True, ""),
 }
 
+
+class Field(NamedTuple):
+    """One config field: its type, the checks on its value (each returns the
+    message of the bound the value breaks, or None), its default, whether it
+    must be given, and the one experiment that accepts it (None: all)."""
+    type: object
+    checks: tuple = ()
+    default: object = None
+    required: bool = False
+    experiment: str | None = None
+
+
+class _OneOf(NamedTuple):
+    """An object with exactly one key of table, which selects its body's type."""
+    table: dict
+    message: str
+
+
+class _Either(NamedTuple):
+    """A value whose JSON kind (the Python type json gives it) selects its type."""
+    kinds: dict
+    message: str
+
+
+class _ArrayOf(NamedTuple):
+    """An array whose length passes sized and whose items have type item."""
+    item: object
+    sized: Callable
+    message: str
+
+
+def _bound(test, message):
+    return lambda v: None if test(v) else message
+
+
+def _integer(low, **field):
+    return Field("integer", (_bound(lambda v: v >= low, f"must be >= {low}"),), **field)
+
+
+_POSITIVE = _bound(lambda v: v > 0, "must be > 0")
+_INSIDE_DOM_F = _bound(lambda v: v < 1, "must be < 1, inside dom(f) = {x < 1}")
+_STEP = 'must be "backtracking" or {"fixed": t}'
 
 # Each part table maps a name to (constructor, schema).  A dict schema makes
 # the body an object with exactly those typed fields, passed to the
@@ -97,32 +146,81 @@ _REGULARIZERS = {
 }
 _PARTS = {"loss": _LOSSES, "linear_map": _MAPS, "regularizer": _REGULARIZERS}
 
+# In a table, a bare type (not a Field) is a required field with no bound.
+PROBE = {
+    "radii": Field(_Either({
+        list: _ArrayOf(Field("number", (_POSITIVE,)), bool, "must not be empty"),
+        dict: {"start": Field("number", (_POSITIVE,), required=True),
+               "stop": Field("number", (_POSITIVE,), required=True),
+               "count": _integer(2, required=True)},
+        type(None): "any",  # null: the default
+    }, "must be an array or a start/stop/count object")),
+    "directions": _integer(1, default=6),
+    "seed": _integer(0),
+}
+SOLVER = {
+    "step": Field(_Either({
+        str: Field("any", (_bound(lambda v: v == "backtracking", _STEP),)),
+        dict: _OneOf({"fixed": Field("number", (_POSITIVE,))}, _STEP),
+        type(None): "any",  # null: the default
+    }, _STEP)),
+    "beta": Field("number", (_POSITIVE, _bound(lambda v: v < 1, "must be < 1")),
+                  default=Backtracking.beta),
+    "t0": Field("number", (_POSITIVE,), default=Backtracking.t0),
+    "tol": Field("number", (_POSITIVE,), default=1e-11),
+    "max_iter": _integer(1, default=200000),
+}
+NONCOMPACT = {
+    "y": Field("number", (_bound(lambda v: v > 0, "must be > 0: at y = 0 the ray is the "
+                                 "solution set, below it lies outside dom(P) = {y ≥ 0}"),),
+               default=1.0),
+    "x_start": Field("number", (_INSIDE_DOM_F,), default=-5.0),
+    "x_stop": Field("number", (_INSIDE_DOM_F,), default=-50.0),
+    "count": _integer(2, default=46),
+}
+PROBLEM = {
+    "shape": _OneOf({"vector": _integer(1),
+                     "matrix": _ArrayOf(_integer(1), lambda v: len(v) == 2, "must be [m, n]")},
+                    'must be {"vector": n} or {"matrix": [m, n]}'),
+    **{part: _OneOf({kind: schema for kind, (_, schema) in table.items()},
+                    f"must contain exactly one of {tuple(table)}")
+       for part, table in _PARTS.items()},
+    **dict.fromkeys(("c", "x0", "feasible_point"), Field("array")),
+}
+
+
+def _builds(problem):
+    """The custom problem's last check; raises ConfigError if it fails."""
+    instance_from_config(problem)
+
+
+CONFIG = {
+    "experiment": Field("any", (lambda v: None if v in EXPERIMENTS else
+                                f"unknown experiment {v!r}; choose from {EXPERIMENTS}",),
+                        required=True),
+    "seed": _integer(0, default=0),
+    "probe": Field(PROBE),
+    "solver": Field(SOLVER),
+    "output": Field("path"),
+    "noncompact": Field(NONCOMPACT, experiment="noncompact"),
+    "problem": Field(PROBLEM, (_builds,), required=True, experiment="custom"),
+}
+
+
+def settings(config: dict, block: str | None = None) -> dict:
+    """A valid config's top level, or one settings block, with its defaults."""
+    table = CONFIG if block is None else CONFIG[block].type
+    given = config if block is None else config.get(block, {})
+    return {key: given.get(key, field.default) for key, field in table.items()}
+
 
 class _Check:
-    def __init__(self):
+    def __init__(self, experiment=None):
         self.errors = []
+        self.experiment = experiment
 
     def fail(self, path, message):
         self.errors.append(f"{path}: {message}")
-
-    def known_keys(self, obj, path, allowed):
-        for key in obj:
-            if key not in allowed:
-                self.fail(f"{path}.{key}" if path else key, "unknown key")
-
-    def typed(self, obj, path, kind="number", *, minimum=None, positive=False):
-        """Check obj's JSON type and, for a number, its lower bound; True
-        when it passes."""
-        test, message = _TYPES[kind]
-        if not test(obj):
-            self.fail(path, message)
-        elif minimum is not None and obj < minimum:
-            self.fail(path, f"must be >= {minimum}")
-        elif positive and obj <= 0:
-            self.fail(path, "must be > 0")
-        else:
-            return True
-        return False
 
     def attempt(self, path, fn, *args, **kwargs):
         """fn(*args, **kwargs), or None with the ValueError it raised
@@ -133,114 +231,57 @@ class _Check:
             self.fail(path, str(exc))
             return None
 
-
-def _validate_probe(chk, probe, path):
-    if not isinstance(probe, dict):
-        chk.fail(path, "must be an object")
-        return
-    chk.known_keys(probe, path, {"radii", "directions", "seed"})
-    radii = probe.get("radii")
-    if radii is not None:
-        if isinstance(radii, dict):
-            chk.known_keys(radii, f"{path}.radii", {"start", "stop", "count"})
-            for key in ("start", "stop", "count"):
-                if key not in radii:
-                    chk.fail(f"{path}.radii.{key}", "missing")
-                elif key == "count":
-                    chk.typed(radii[key], f"{path}.radii.count", "integer", minimum=2)
+    def walk(self, value, kind, path) -> bool:
+        """Check value against kind (a Field, a table, a _OneOf, _Either or
+        _ArrayOf, or a _TYPES name), recording each failure under its JSON
+        path; True when it passes."""
+        before = len(self.errors)
+        if isinstance(kind, Field):
+            if self.walk(value, kind.type, path):
+                try:
+                    message = next(filter(None, (check(value) for check in kind.checks)),
+                                   None)
+                except ConfigError as exc:  # from _builds, under the parts' own paths
+                    self.errors.extend(exc.messages)
                 else:
-                    chk.typed(radii[key], f"{path}.radii.{key}", positive=True)
-        elif isinstance(radii, list):
-            if not radii:
-                chk.fail(f"{path}.radii", "must not be empty")
-            for i, r in enumerate(radii):
-                chk.typed(r, f"{path}.radii[{i}]", positive=True)
-        else:
-            chk.fail(f"{path}.radii", "must be an array or a start/stop/count object")
-    if "directions" in probe:
-        chk.typed(probe["directions"], f"{path}.directions", "integer", minimum=1)
-    if "seed" in probe:
-        chk.typed(probe["seed"], f"{path}.seed", "integer", minimum=0)
+                    if message is not None:
+                        self.fail(path, message)
+        elif isinstance(kind, dict):
+            self._object(value, kind, path)
+        elif (isinstance(kind, _OneOf) and isinstance(value, dict) and len(value) == 1
+              and next(iter(value)) in kind.table):
+            (key, body), = value.items()
+            self.walk(body, kind.table[key], f"{path}.{key}")
+        elif isinstance(kind, _Either) and type(value) in kind.kinds:
+            self.walk(value, kind.kinds[type(value)], path)
+        elif isinstance(kind, _ArrayOf) and isinstance(value, list) and kind.sized(value):
+            for i, item in enumerate(value):
+                self.walk(item, kind.item, f"{path}[{i}]")
+        elif isinstance(kind, (_OneOf, _Either, _ArrayOf)):
+            self.fail(path, kind.message)
+        elif not _TYPES[kind][0](value):
+            self.fail(path, _TYPES[kind][1])
+        return len(self.errors) == before
 
-
-def _validate_solver(chk, solver, path):
-    if not isinstance(solver, dict):
-        chk.fail(path, "must be an object")
-        return
-    chk.known_keys(solver, path, {"step", "beta", "t0", "tol", "max_iter"})
-    step = solver.get("step")
-    if step is not None and step != "backtracking":
-        if isinstance(step, dict) and set(step) == {"fixed"}:
-            chk.typed(step["fixed"], f"{path}.step.fixed", positive=True)
-        else:
-            chk.fail(f"{path}.step", 'must be "backtracking" or {"fixed": t}')
-    if "beta" in solver:
-        if chk.typed(solver["beta"], f"{path}.beta", positive=True) and solver["beta"] >= 1:
-            chk.fail(f"{path}.beta", "must be < 1")
-    if "t0" in solver:
-        chk.typed(solver["t0"], f"{path}.t0", positive=True)
-    if "tol" in solver:
-        chk.typed(solver["tol"], f"{path}.tol", positive=True)
-    if "max_iter" in solver:
-        chk.typed(solver["max_iter"], f"{path}.max_iter", "integer", minimum=1)
-
-
-def _validate_part(chk, spec, path, table):
-    if not isinstance(spec, dict) or len(spec) != 1 or next(iter(spec)) not in table:
-        chk.fail(path, f"must contain exactly one of {tuple(table)}")
-        return
-    (kind, body), = spec.items()
-    schema = table[kind][1]
-    path = f"{path}.{kind}"
-    if isinstance(schema, str):
-        chk.typed(body, path, schema)
-    elif not isinstance(body, dict):
-        chk.fail(path, "must be an object")
-    else:
-        chk.known_keys(body, path, schema)
-        for field, field_kind in schema.items():
-            if field not in body:
-                chk.fail(f"{path}.{field}", "missing")
-            else:
-                chk.typed(body[field], f"{path}.{field}", field_kind)
-
-
-def _validate_problem(chk, problem, path):
-    if not isinstance(problem, dict):
-        chk.fail(path, "must be an object")
-        return
-    before = len(chk.errors)
-    chk.known_keys(problem, path, {"shape", *_PARTS, "c", "x0", "feasible_point"})
-
-    shape = problem.get("shape")
-    if shape is None:
-        chk.fail(f"{path}.shape", "missing")
-    elif not isinstance(shape, dict) or set(shape) not in ({"vector"}, {"matrix"}):
-        chk.fail(f"{path}.shape", 'must be {"vector": n} or {"matrix": [m, n]}')
-    elif "vector" in shape:
-        chk.typed(shape["vector"], f"{path}.shape.vector", "integer", minimum=1)
-    else:
-        dims = shape["matrix"]
-        if not (isinstance(dims, list) and len(dims) == 2):
-            chk.fail(f"{path}.shape.matrix", "must be [m, n]")
-        else:
-            for i, v in enumerate(dims):
-                chk.typed(v, f"{path}.shape.matrix[{i}]", "integer", minimum=1)
-
-    for part, table in _PARTS.items():
-        if part not in problem:
-            chk.fail(f"{path}.{part}", "missing")
-        else:
-            _validate_part(chk, problem[part], f"{path}.{part}", table)
-    for key in ("c", "x0", "feasible_point"):
-        if key in problem:
-            chk.typed(problem[key], f"{path}.{key}", "array")
-
-    if len(chk.errors) == before:
-        try:
-            instance_from_config(problem)
-        except ConfigError as exc:
-            chk.errors.extend(exc.messages)
+    def _object(self, obj, table, path):
+        if not isinstance(obj, dict):
+            self.fail(path, "must be an object")
+            return
+        for key in obj:
+            if key not in table:
+                self.fail(f"{path}.{key}" if path else key, "unknown key")
+        for key, field in table.items():
+            if not isinstance(field, Field):
+                field = Field(field, required=True)
+            sub = f"{path}.{key}" if path else key
+            owned = field.experiment in (None, self.experiment)
+            if key in obj and not owned:
+                self.fail(sub, f"only valid for the {field.experiment} experiment")
+            elif key in obj:
+                self.walk(obj[key], field, sub)
+            elif field.required and owned:
+                self.fail(sub, "missing" if field.experiment is None else
+                          f"missing (required for the {field.experiment} experiment)")
 
 
 def instance_from_config(problem: dict) -> tuple:
@@ -291,75 +332,28 @@ def instance_from_config(problem: dict) -> tuple:
 
 def validate_config_data(data) -> dict:
     """Validate a parsed configuration object; returns it unchanged."""
-    chk = _Check()
     if not isinstance(data, dict):
         raise ConfigError(["top level: must be a JSON object"])
-    chk.known_keys(data, "", {"experiment", "seed", "probe", "solver", "problem",
-                              "noncompact", "output"})
-
-    name = data.get("experiment")
-    if name is None:
-        chk.fail("experiment", "missing")
-    elif name not in EXPERIMENTS:
-        chk.fail("experiment", f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
-
-    if "seed" in data:
-        chk.typed(data["seed"], "seed", "integer", minimum=0)
-    if "probe" in data:
-        _validate_probe(chk, data["probe"], "probe")
-    if "solver" in data:
-        _validate_solver(chk, data["solver"], "solver")
-    if "output" in data and not isinstance(data["output"], str):
-        chk.fail("output", "must be a string path")
-
-    if "noncompact" in data:
-        block = data["noncompact"]
-        if name not in (None, "noncompact"):
-            chk.fail("noncompact", "only valid for the noncompact experiment")
-        elif not isinstance(block, dict):
-            chk.fail("noncompact", "must be an object")
-        else:
-            chk.known_keys(block, "noncompact", {"x_start", "x_stop", "count", "y"})
-            if "y" in block and chk.typed(block["y"], "noncompact.y") and block["y"] <= 0:
-                chk.fail("noncompact.y", "must be > 0: at y = 0 the ray is the solution "
-                                         "set, below it lies outside dom(P) = {y ≥ 0}")
-            for key in ("x_start", "x_stop"):
-                typed = key in block and chk.typed(block[key], f"noncompact.{key}")
-                if typed and block[key] >= 1:
-                    chk.fail(f"noncompact.{key}", "must be < 1, inside dom(f) = {x < 1}")
-            if "count" in block:
-                chk.typed(block["count"], "noncompact.count", "integer", minimum=2)
-
-    if name == "custom":
-        if "problem" not in data:
-            chk.fail("problem", "missing (required for the custom experiment)")
-        else:
-            _validate_problem(chk, data["problem"], "problem")
-    elif "problem" in data:
-        chk.fail("problem", "only the custom experiment accepts an inline problem")
-
+    chk = _Check(data.get("experiment"))
+    chk.walk(data, CONFIG, "")
     if chk.errors:
         raise ConfigError(chk.errors)
     return data
 
 
-def validate_config(path) -> dict:
-    """Load and validate a JSON config file."""
+def load_config(path):
+    """Parse a JSON config file without validating it; a file that cannot be
+    read or parsed raises ConfigError, a syntax error with its line and
+    column."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError([f"{path}: {exc}"]) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError([f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"]) from exc
-    return validate_config_data(data)
 
 
-def radii_from_config(spec, default):
-    if spec is None:
-        return np.asarray(default, dtype=float)
-    if isinstance(spec, dict):
-        return np.logspace(
-            np.log10(spec["start"]), np.log10(spec["stop"]), spec["count"]
-        )
-    return np.asarray(spec, dtype=float)
+def validate_config(path) -> dict:
+    """Load and validate a JSON config file."""
+    return validate_config_data(load_config(path))

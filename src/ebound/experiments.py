@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import instance_from_config, radii_from_config, validate_config_data
+from .config import instance_from_config, settings, validate_config_data
 from .diagnostics import (
     Curve,
     ExponentFit,
@@ -43,7 +43,6 @@ from .solver import (RATE_MIN_R_SQUARED, Backtracking, Fixed, SolveTrace,
 from .space import CoordinateSelectMap, DenseMap, IdentityMap, norm
 
 DEFAULT_RADII = np.logspace(-2, -4, 9)
-DEFAULT_DIRECTIONS = 6
 PROBE_SEED_OFFSET = 1000
 #: certification tolerance at an optimum known in closed form
 KNOWN_OPTIMUM_TOL = 1e-10
@@ -183,16 +182,15 @@ def _solver_settings(config, prob):
     """Step policy from the config; defaults to a fixed 1/L step when the
     loss has a global Lipschitz gradient (exact convergence, no f-value
     comparisons), else backtracking."""
-    block = config.get("solver", {})
-    step_spec = block.get("step")
-    if step_spec is None:
+    block = settings(config, "solver")
+    if block["step"] is None:
         L = lipschitz_bound(prob)
         step = Fixed(1.0 / L) if L else Backtracking()
-    elif step_spec == "backtracking":
-        step = Backtracking(beta=block.get("beta", 0.5), t0=block.get("t0", 1.0))
+    elif block["step"] == "backtracking":
+        step = Backtracking(beta=block["beta"], t0=block["t0"])
     else:
-        step = Fixed(step_spec["fixed"])
-    return step, block.get("tol", 1e-11), block.get("max_iter", 200000)
+        step = Fixed(block["step"]["fixed"])
+    return step, block["tol"], block["max_iter"]
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +215,17 @@ class Run:
 
     @property
     def seed(self) -> int:
-        return self.config.get("seed", 0)
+        return settings(self.config)["seed"]
 
     @property
     def radii(self) -> np.ndarray:
-        return radii_from_config(self.config.get("probe", {}).get("radii"),
-                                 self.scenario.radii)
+        spec = settings(self.config, "probe")["radii"]
+        if spec is None:
+            return self.scenario.radii
+        if isinstance(spec, dict):
+            return np.logspace(np.log10(spec["start"]), np.log10(spec["stop"]),
+                               spec["count"])
+        return np.asarray(spec, dtype=float)
 
     @cached_property
     def decades(self) -> dict:
@@ -236,9 +239,9 @@ def _assertion(name, passed, detail):
 # samplers ------------------------------------------------------------------
 
 def _random_directions(run):
-    block = run.config.get("probe", {})
-    directions = RandomDirections(count=block.get("directions", DEFAULT_DIRECTIONS),
-                                  seed=block.get("seed", run.seed + PROBE_SEED_OFFSET))
+    block = settings(run.config, "probe")
+    seed = run.seed + PROBE_SEED_OFFSET if block["seed"] is None else block["seed"]
+    directions = RandomDirections(count=block["directions"], seed=seed)
     return probe(run.prob, run.cert, run.radii, directions)
 
 
@@ -251,10 +254,8 @@ def _counterexample_curve(run):
 
 def _ray(config):
     """Ray abscissae and height from the config's noncompact block."""
-    block = config.get("noncompact", {})
-    xs = np.linspace(block.get("x_start", -5.0), block.get("x_stop", -50.0),
-                     block.get("count", 46))
-    return xs, block.get("y", 1.0)
+    block = settings(config, "noncompact")
+    return np.linspace(block["x_start"], block["x_stop"], block["count"]), block["y"]
 
 
 def _noncompact_ray(run):
@@ -428,7 +429,7 @@ def _from_feasible_point(family):
     """Builder for an instance family indexed by the seed, started (or, for
     noncompact, certified) at the instance's feasible point."""
     def build(config):
-        prob = family(config.get("seed", 0))
+        prob = family(settings(config)["seed"])
         return prob, prob.feasible_point
     return build
 
@@ -466,11 +467,6 @@ SCENARIOS = {
 }
 
 
-def default_output_dir(name: str) -> Path:
-    base = os.environ.get("EBOUND_OUT", "ebound-out")
-    return Path(base) / name
-
-
 def run_experiment(name: str, config: dict | None = None,
                    out_dir=None, seed: int | None = None):
     """Run a registry experiment; returns (exit_code, report dict).
@@ -478,15 +474,19 @@ def run_experiment(name: str, config: dict | None = None,
     Exit code 0 when every per-experiment assertion passes, 1 otherwise.
     Unknown names and invalid configs raise ConfigError (usage errors).
     """
-    config = dict(config) if config else {}
-    config.setdefault("experiment", name)
+    config = {} if config is None else config
+    if isinstance(config, dict):  # anything else fails validation
+        config = {"experiment": name, **config}
+        if seed is not None:
+            config["seed"] = seed
+    validate_config_data(config)
     if config["experiment"] != name:
         raise ConfigError([f"config is for {config['experiment']!r}, not {name!r}"])
-    if seed is not None:
-        config["seed"] = seed
-    validate_config_data(config)
 
-    out = Path(out_dir) if out_dir else Path(config.get("output", default_output_dir(name)))
+    output = settings(config)["output"]
+    if output is None:
+        output = Path(os.environ.get("EBOUND_OUT", "ebound-out")) / name
+    out = Path(out_dir or output)
     out.mkdir(parents=True, exist_ok=True)
 
     scenario = SCENARIOS[name]

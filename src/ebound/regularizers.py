@@ -191,10 +191,10 @@ class Regularizer:
         return x
 
     def _check_pair(self, x, s):
-        """x and a subgradient candidate s, which must have the shape of x."""
+        """x and a gradient or subgradient candidate s of the same shape."""
         x, s = self._check(x), np.asarray(s, dtype=float)
         if s.shape != x.shape:
-            raise InvalidInputError(f"subgradient candidate of shape {s.shape} for {x.shape}")
+            raise InvalidInputError(f"element of shape {s.shape} paired with {x.shape}")
         return x, s
 
     def value(self, x) -> float:
@@ -207,8 +207,8 @@ class Regularizer:
     def prox_diff(self, x, g) -> np.ndarray:
         """prox_P(x − g) − x.  Overridden where the difference can be formed
         without cancellation (needed when ‖g‖ is far below the ulp of x)."""
-        x = np.asarray(x, dtype=float)
-        return self.prox(x - np.asarray(g, dtype=float)) - x
+        x, g = self._check_pair(x, g)
+        return self.prox(x - g) - x
 
     def subdiff_nonempty(self, x) -> bool:
         return True
@@ -445,7 +445,7 @@ class OrthantIndicator(Regularizer):
     def prox_diff(self, x, g):
         # clip(x − g, lo, hi) − x == clip(−g, lo − x, hi − x), exactly;
         # the right-hand form keeps tiny gradients below the ulp of x alive
-        x, g = self._check(x), self._check(g)
+        x, g = self._check_pair(x, g)
         return np.clip(-g, self.lo - x, self.hi - x)
 
     def subdiff_nonempty(self, x):

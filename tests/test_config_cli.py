@@ -4,12 +4,14 @@ import json
 import numpy as np
 import pytest
 
+from ebound import config as config_module
+from ebound import experiments as experiments_module
 from ebound.cli import main
-from ebound.config import (_LOSSES, _REGULARIZERS, EXPERIMENTS, validate_config,
-                           validate_config_data)
+from ebound.config import (_LOSSES, _REGULARIZERS, CONFIG, EXPERIMENTS, Field, _ArrayOf,
+                           _Either, _OneOf, validate_config, validate_config_data)
 from ebound.errors import ConfigError
-from ebound.experiments import (SCENARIOS, Run, _noncompact_ray, _ratio_unbounded,
-                                noncompact_instance, run_experiment)
+from ebound.experiments import (PROBE_SEED_OFFSET, SCENARIOS, Run, _noncompact_ray,
+                                _ratio_unbounded, noncompact_instance, run_experiment)
 from ebound.problem import certify
 
 
@@ -180,6 +182,149 @@ def test_constructor_takes_exactly_the_schema_fields(name):
     assert list(inspect.signature(ctor).parameters) == list(schema)
 
 
+def _bounded(kind, path=""):
+    """The table path of every field with a value check; an array item's
+    path ends in []."""
+    if isinstance(kind, Field):
+        if kind.checks:
+            yield path
+        yield from _bounded(kind.type, path)
+    elif isinstance(kind, dict):
+        for key, sub in kind.items():
+            yield from _bounded(sub, f"{path}.{key}" if path else key)
+    elif isinstance(kind, _OneOf):
+        for key, sub in kind.table.items():
+            yield from _bounded(sub, f"{path}.{key}")
+    elif isinstance(kind, _Either):
+        for sub in kind.kinds.values():
+            yield from _bounded(sub, path)
+    elif isinstance(kind, _ArrayOf):
+        yield from _bounded(kind.item, f"{path}[]")
+
+
+def _radii(**range_):
+    return {"experiment": "lasso",
+            "probe": {"radii": {"start": 1e-2, "stop": 1e-4, "count": 5, **range_}}}
+
+
+#: (table path, a config breaking that field's bound, the one message it gets)
+OUT_OF_RANGE = [
+    ("experiment", {"experiment": "bogus"},
+     f"experiment: unknown experiment 'bogus'; choose from {EXPERIMENTS}"),
+    ("seed", {"experiment": "lasso", "seed": -1}, "seed: must be >= 0"),
+    ("probe.radii[]", {"experiment": "lasso", "probe": {"radii": [1e-2, 0]}},
+     "probe.radii[1]: must be > 0"),
+    ("probe.radii.start", _radii(start=0), "probe.radii.start: must be > 0"),
+    ("probe.radii.stop", _radii(stop=-1e-4), "probe.radii.stop: must be > 0"),
+    ("probe.radii.count", _radii(count=1), "probe.radii.count: must be >= 2"),
+    ("probe.directions", {"experiment": "lasso", "probe": {"directions": 0}},
+     "probe.directions: must be >= 1"),
+    ("probe.seed", {"experiment": "lasso", "probe": {"seed": -1}}, "probe.seed: must be >= 0"),
+    ("solver.step", {"experiment": "lasso", "solver": {"step": "newton"}},
+     'solver.step: must be "backtracking" or {"fixed": t}'),
+    ("solver.step.fixed", {"experiment": "lasso", "solver": {"step": {"fixed": 0}}},
+     "solver.step.fixed: must be > 0"),
+    ("solver.beta", {"experiment": "lasso", "solver": {"beta": 0}}, "solver.beta: must be > 0"),
+    ("solver.beta", {"experiment": "lasso", "solver": {"beta": 1}}, "solver.beta: must be < 1"),
+    ("solver.t0", {"experiment": "lasso", "solver": {"t0": 0.0}}, "solver.t0: must be > 0"),
+    ("solver.tol", {"experiment": "lasso", "solver": {"tol": -1e-3}}, "solver.tol: must be > 0"),
+    ("solver.max_iter", {"experiment": "lasso", "solver": {"max_iter": 0}},
+     "solver.max_iter: must be >= 1"),
+    ("noncompact.y", {"experiment": "noncompact", "noncompact": {"y": 0}},
+     RAY_HEIGHT_MESSAGE),
+    ("noncompact.x_start", {"experiment": "noncompact", "noncompact": {"x_start": 1}},
+     "noncompact.x_start: must be < 1, inside dom(f) = {x < 1}"),
+    ("noncompact.x_stop", {"experiment": "noncompact", "noncompact": {"x_stop": 2.5}},
+     "noncompact.x_stop: must be < 1, inside dom(f) = {x < 1}"),
+    ("noncompact.count", {"experiment": "noncompact", "noncompact": {"count": 1}},
+     "noncompact.count: must be >= 2"),
+    ("problem", _custom_with(regularizer={"orthant": {"signs": [1, 1, 1]}},
+                             x0=[-1.0, 0.0, 0.0]),
+     "problem.x0: lies outside dom(f) ∩ dom(P)"),
+    ("problem.shape.vector", _custom_with(shape={"vector": 0}),
+     "problem.shape.vector: must be >= 1"),
+    ("problem.shape.matrix[]", _custom_with(shape={"matrix": [2, 0]}),
+     "problem.shape.matrix[1]: must be >= 1"),
+]
+
+
+class TestFieldTable:
+    def test_every_bound_has_a_case(self):
+        assert {path for path, _, _ in OUT_OF_RANGE} == set(_bounded(CONFIG))
+
+    @pytest.mark.parametrize("path, config, message", OUT_OF_RANGE,
+                             ids=[path for path, _, _ in OUT_OF_RANGE])
+    def test_out_of_range_value_gets_one_message(self, path, config, message):
+        with pytest.raises(ConfigError) as err:
+            validate_config_data(config)
+        assert err.value.messages == [message]
+
+    @pytest.mark.parametrize("path", [*CONFIG, *(
+        f"{block}.{key}" for block in ("probe", "solver", "noncompact", "problem")
+        for key in CONFIG[block].type)])
+    def test_value_of_the_wrong_type_gets_one_message(self, path):
+        # true is a JSON value of no field's type
+        block, _, key = path.rpartition(".")
+        if "problem" in (block, key):
+            config = _custom_with(**{key: True}) if block else {**MINIMAL_CUSTOM, key: True}
+        else:
+            config = {"experiment": "noncompact",
+                      **({block: {key: True}} if block else {key: True})}
+        with pytest.raises(ConfigError) as err:
+            validate_config_data(config)
+        assert [m.split(": ")[0] for m in err.value.messages] == [path]
+
+
+#: every settings default the table declares, written out
+WRITTEN_DEFAULTS = {"seed": 0, "probe": {"directions": 6},
+                    "solver": {"tol": 1e-11, "max_iter": 200000}}
+RAY_DEFAULTS = {"x_start": -5.0, "x_stop": -50.0, "count": 46, "y": 1.0}
+REPORTS = ("samples.csv", "loglog.csv", "fit.json", "summary.txt")
+
+
+def _same_reports(tmp_path, name, config, written):
+    run_experiment(name, config, out_dir=tmp_path / "given")
+    run_experiment(name, written, out_dir=tmp_path / "written")
+    for report in REPORTS:
+        assert ((tmp_path / "given" / report).read_bytes()
+                == (tmp_path / "written" / report).read_bytes()), report
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_written_defaults_give_the_same_reports(self, tmp_path, name):
+        config = json.loads(json.dumps(MINIMAL_CUSTOM)) if name == "custom" else {}
+        written = json.loads(json.dumps({**config, **WRITTEN_DEFAULTS}))
+        # the defaults the run derives: the probe seed and the scenario's radii
+        written["probe"]["seed"] = PROBE_SEED_OFFSET
+        if SCENARIOS[name].radii is not None:
+            written["probe"]["radii"] = SCENARIOS[name].radii.tolist()
+        if name == "noncompact":
+            written["noncompact"] = RAY_DEFAULTS
+        _same_reports(tmp_path, name, config, written)
+
+    @pytest.mark.parametrize("name", ["counterexample", "lasso"])
+    def test_written_backtracking_defaults_give_the_same_reports(self, tmp_path, name):
+        config = {"solver": {"step": "backtracking"}}
+        written = {"solver": {"step": "backtracking", "beta": 0.5, "t0": 1.0}}
+        _same_reports(tmp_path, name, config, written)
+
+
+def test_run_with_config_validates_once(tmp_path, monkeypatch):
+    calls = []
+    for module in (config_module, experiments_module):
+        for name in ("validate_config_data", "instance_from_config"):
+            def spy(*args, _fn=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(module, name, spy)
+    cfg = write_config(tmp_path, MINIMAL_CUSTOM)
+    assert main(["run", "custom", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    # one validation, which builds the instance once; the run builds it again
+    assert calls.count("validate_config_data") == 1
+    assert calls.count("instance_from_config") == 2
+
+
 class TestValidationBuildsTheInstance:
     """Each config below passed a types-only validation, then failed at run
     time with a traceback or a bare error; validation now builds the instance
@@ -313,6 +458,21 @@ class TestCli:
             "regularizer": {"orthant": {"signs": [-1, 1]}}, "x0": [-1.0, 0.0]}})
         assert main(["run", "custom", "--config", config, "--out", str(tmp_path / "o")]) == 1
         assert "needs a loss strongly convex on compact sets" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "top level: must be a JSON object"),
+        ('{"experiment": "noncompact", "noncompact": 5}', "noncompact: must be an object"),
+        ('{\n  "experiment": \n}', ":3:1: Expecting value"),
+    ])
+    def test_run_rejects_a_config_the_flags_cannot_merge_into(self, tmp_path, capsys,
+                                                             text, message):
+        # run only loads the file, so the flags meet the raw JSON
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["run", "noncompact", "--config", str(path), "--y", "1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_ray_flags_rejected_elsewhere(self, tmp_path):
         assert main(["run", "lasso", "--out", str(tmp_path), "--y", "1.0"]) == 2

@@ -257,6 +257,7 @@ MISMATCHED = {
                 np.array([5.0])),
     "orthant": (OrthantIndicator([-1, 0, 1]), np.zeros(3), np.array([5.0])),
     "nuclear": (NuclearNorm(), -np.eye(2, 3), np.ones((3, 2))),
+    "nuclear_row": (NuclearNorm(), -np.eye(2, 3), np.ones((1, 3))),
 }
 
 
@@ -275,6 +276,13 @@ class TestShapeMismatch:
         reg, g, x = MISMATCHED[case]
         with pytest.raises(InvalidInputError):
             reg.subdiff_distance(np.zeros_like(g), np.ones_like(x))
+
+    @pytest.mark.parametrize("case", MISMATCHED)
+    def test_prox_diff(self, case):
+        # the point has the target's shape, the gradient the other one
+        reg, g, x = MISMATCHED[case]
+        with pytest.raises(InvalidInputError):
+            reg.prox_diff(g, x)
 
 
 class TestInverseImage:
