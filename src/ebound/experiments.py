@@ -181,12 +181,12 @@ def _envelope_payload(samples):
 def _solver_settings(config, prob):
     """Step policy from the config; defaults to a fixed 1/L step when the
     loss has a global Lipschitz gradient (exact convergence, no f-value
-    comparisons), else backtracking."""
+    comparisons), else backtracking with the block's beta and t0."""
     block = settings(config, "solver")
-    if block["step"] is None:
-        L = lipschitz_bound(prob)
-        step = Fixed(1.0 / L) if L else Backtracking()
-    elif block["step"] == "backtracking":
+    L = lipschitz_bound(prob) if block["step"] is None else None
+    if L:
+        step = Fixed(1.0 / L)
+    elif block["step"] in (None, "backtracking"):
         step = Backtracking(beta=block["beta"], t0=block["t0"])
     else:
         step = Fixed(block["step"]["fixed"])

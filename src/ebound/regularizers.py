@@ -204,11 +204,21 @@ class Regularizer:
         """prox_{tP}(z); the unit step t = 1 matches the residual map."""
         raise NotImplementedError
 
+    def prox_value(self, z, t: float = 1.0):
+        """(p, P(p)) with p = prox_{tP}(z)."""
+        p = self.prox(z, t)
+        return p, self.value(p)
+
+    def residual(self, x, g, p) -> np.ndarray:
+        """R = p − x for the unit-step prox point p = prox_P(x − g).
+        Overridden where R can be formed without cancellation (needed when
+        ‖g‖ is far below the ulp of x)."""
+        return p - x
+
     def prox_diff(self, x, g) -> np.ndarray:
-        """prox_P(x − g) − x.  Overridden where the difference can be formed
-        without cancellation (needed when ‖g‖ is far below the ulp of x)."""
+        """prox_P(x − g) − x."""
         x, g = self._check_pair(x, g)
-        return self.prox(x - g) - x
+        return self.residual(x, g, self.prox(x - g))
 
     def subdiff_nonempty(self, x) -> bool:
         return True
@@ -383,13 +393,15 @@ class NuclearNorm(Regularizer):
         return float(np.sum(np.linalg.svd(x, compute_uv=False)))
 
     def prox(self, z, t=1.0):
-        """Matrix shrinkage: each singular value σ ↦ max(σ − t, 0).  A thin
-        SVD suffices, and U diag(σ') Vᵀ does not depend on the signs of the
-        singular vectors."""
-        z = self._check(z)
-        _require_finite(z, "nuclear norm prox input")
-        U, sigma, Vt = np.linalg.svd(z, full_matrices=False)
-        return (U * np.maximum(sigma - t, 0.0)) @ Vt
+        return self.prox_value(z, t)[0]
+
+    def prox_value(self, z, t=1.0):
+        """Matrix shrinkage: each singular value σ ↦ σ' = max(σ − t, 0), so
+        the nuclear norm of the result is Σ σ'.  A thin SVD suffices, and
+        U diag(σ') Vᵀ does not depend on the signs of the singular vectors."""
+        fac = svd(self._check(z), full_matrices=False)
+        shrunk = np.maximum(fac.sigma - t, 0.0)
+        return (fac.U * shrunk) @ fac.V.T, float(shrunk.sum())
 
     def subdiff_distance(self, x, s):
         x, s = self._check_pair(x, s)
@@ -442,10 +454,9 @@ class OrthantIndicator(Regularizer):
     def prox(self, z, t=1.0):
         return np.clip(self._check(z), self.lo, self.hi)
 
-    def prox_diff(self, x, g):
+    def residual(self, x, g, p):
         # clip(x − g, lo, hi) − x == clip(−g, lo − x, hi − x), exactly;
         # the right-hand form keeps tiny gradients below the ulp of x alive
-        x, g = self._check_pair(x, g)
         return np.clip(-g, self.lo - x, self.hi - x)
 
     def subdiff_nonempty(self, x):

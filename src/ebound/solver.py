@@ -89,34 +89,41 @@ def proximal_gradient(
 
     f is evaluated once per point and its gradient once per iterate, so an
     iteration costs one forward and one adjoint application of A with Fixed,
-    one forward per trial step and one adjoint with Backtracking, and two
-    prox calls (the residual and the step) plus one per rejected trial.
+    one forward per trial step and one adjoint with Backtracking.  The
+    residual's prox is the step's prox when t = 1, so an iteration takes one
+    prox (one thin SVD for the nuclear norm) at the unit step, and one more
+    per trial step otherwise.  P(xₖ) comes with the prox that formed xₖ
+    (`prox_value`, which the nuclear norm reads off the shrunk singular
+    values), so the solver evaluates P on its own only at x0.
     """
     x = np.asarray(x0, dtype=float)
     point = _evaluate(prob.smooth, x)
-    if point is None or not np.isfinite(prob.reg.value(x)):
+    if point is None or not np.isfinite(P_x := prob.reg.value(x)):
         raise DomainError("x0 lies outside dom(f) ∩ dom(P)")
 
     rows = []
     t = step.t0 if isinstance(step, Backtracking) else step.t
     for k in range(max_iter + 1):
         g = point.gradient
-        r = norm(prob.reg.prox_diff(x, g))
-        rows.append((k, point.value + prob.reg.value(x), r, t))
+        # at t = 1 the step's prox is the residual's: form it once, with P there
+        unit = prob.reg.prox_value(x - g) if t == 1.0 else None
+        r = norm(prob.reg.prox_diff(x, g) if unit is None
+                 else prob.reg.residual(x, g, unit[0]))
+        rows.append((k, point.value + P_x, r, t))
         if r <= tol:
             return SolveTrace(rows, x, CONVERGED)
         if k == max_iter:
             break
 
         if isinstance(step, Fixed):
-            x = prob.reg.prox(x - t * g, t)
+            x, P_x = unit or prob.reg.prox_value(x - t * g, t)
             point = prob.smooth.at(x)
         else:
             # warm-started: keep the last accepted t, halve until the
             # quadratic upper bound holds (up to a few ulps of f)
             fx = point.value
             while True:
-                cand = prob.reg.prox(x - t * g, t)
+                cand, P_c = unit or prob.reg.prox_value(x - t * g, t)
                 dx = cand - x
                 trial = _evaluate(prob.smooth, cand)
                 if trial is not None:
@@ -125,10 +132,11 @@ def proximal_gradient(
                     slack = 4.0 * np.finfo(float).eps * max(1.0, abs(fx), abs(fc))
                     if fc <= bound + slack:
                         break
+                unit = None
                 t *= step.beta
                 if t < _MIN_STEP:
                     raise LineSearchError(f"step collapsed below {_MIN_STEP:g} at iteration {k}")
-            x, point = cand, trial
+            x, point, P_x = cand, trial, P_c
 
     return SolveTrace(rows, x, ITERATION_LIMIT)
 

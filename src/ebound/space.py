@@ -31,7 +31,7 @@ def norm(x) -> float:
 
 
 def _require_finite(x, what="input"):
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise InvalidInputError(f"{what} has non-finite entries")
 
 
@@ -189,8 +189,8 @@ def numerical_rank(sigma) -> int:
 
 @dataclass(frozen=True)
 class SvdFactorization:
-    """Full SVD X = U Σ Vᵀ: U is m×m, V is n×n, sigma has length min(m, n),
-    sorted non-increasing."""
+    """SVD X = U Σ Vᵀ, sigma of length k = min(m, n) sorted non-increasing.
+    U is m×m and V n×n for the full SVD, m×k and n×k for the thin one."""
 
     U: np.ndarray
     sigma: np.ndarray
@@ -201,18 +201,18 @@ class SvdFactorization:
         return numerical_rank(self.sigma)
 
 
-def svd(X) -> SvdFactorization:
-    """Full singular value decomposition, as LAPACK returns it.
+def svd(X, full_matrices: bool = True) -> SvdFactorization:
+    """Full (or thin) singular value decomposition, as LAPACK returns it.
 
     The signs of the singular vectors are LAPACK's.  Every consumer is
     invariant under flipping a column of U together with the paired column
     of V: the Γ_P(ḡ) projection (D·psd(M)·D = psd(DMD)), the nuclear-norm
-    subdifferential distance (squared entries) and the complementarity
-    margin (eigenvalues of DBD).
+    subdifferential distance (squared entries), the complementarity margin
+    (eigenvalues of DBD) and the nuclear-norm prox U diag(σ') Vᵀ.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     _require_finite(X, "svd input")
-    U, s, Vt = np.linalg.svd(X, full_matrices=True)
+    U, s, Vt = np.linalg.svd(X, full_matrices=full_matrices)
     return SvdFactorization(U=U, sigma=s, V=Vt.T)
 
 

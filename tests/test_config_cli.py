@@ -310,6 +310,33 @@ class TestDefaults:
         _same_reports(tmp_path, name, config, written)
 
 
+#: a loss with no global Lipschitz gradient, so the run backtracks
+POISSON_CUSTOM = {
+    "problem": {
+        "shape": {"vector": 3},
+        "loss": {"poisson": {"counts": [1, 0, 2]}},
+        "linear_map": {"dense": [[1.0, 0.5, 0.0], [0.0, 1.0, -0.5], [0.3, 0.0, 1.0]]},
+        "regularizer": {"l1": {"weight": 0.3}},
+    },
+}
+
+
+def test_derived_backtracking_reads_beta_and_t0(tmp_path):
+    solver = {"beta": 0.9, "t0": 0.01}
+    details = {}
+    for label, block in (("default", None), ("derived", solver),
+                         ("written", {"step": "backtracking", **solver})):
+        config = {**POISSON_CUSTOM, **({"solver": block} if block else {})}
+        _, payload = run_experiment("custom", config, out_dir=tmp_path / label)
+        details[label] = next(a["detail"] for a in payload["assertions"]
+                              if a["name"] == "certified")
+    # the detail names the iteration count: 4073 with beta 0.9 and t0 0.01, 69 without
+    assert details["derived"] == details["written"] != details["default"]
+    for report in REPORTS:
+        assert ((tmp_path / "derived" / report).read_bytes()
+                == (tmp_path / "written" / report).read_bytes()), report
+
+
 def test_run_with_config_validates_once(tmp_path, monkeypatch):
     calls = []
     for module in (config_module, experiments_module):

@@ -257,16 +257,16 @@ class TestStrictComplementarity:
     def test_reads_the_certificate_image(self, monkeypatch):
         # the image build is the only factorization of −ḡ; rank(x*) takes
         # singular values alone
+        prob, cert = certified_counterexample()
         calls = []
         original = space.svd
 
-        def counted(X):
+        def counted(X, *args, **kwargs):
             calls.append(np.shape(X))
-            return original(X)
+            return original(X, *args, **kwargs)
 
         for module in (space, regularizers):
             monkeypatch.setattr(module, "svd", counted)
-        prob, cert = certified_counterexample()
         strict_complementarity(prob, cert)
         assert calls == [(2, 2)]
         strict_complementarity(prob, cert)

@@ -148,6 +148,41 @@ class TestProx:
         np.testing.assert_allclose(reg.prox_diff(x, g), -g, rtol=0, atol=0)
 
 
+PROX_VALUE_CASES = {
+    "l1": (L1(0.7), np.array([1.5, -0.2, 0.0, -3.0, 0.69])),
+    "ridge": (Ridge(0.4), np.array([1.5, -0.2, 0.0, -3.0])),
+    "grouped": (GroupedLasso(SCATTERED_GROUPS, SCATTERED_WEIGHTS),
+                np.random.default_rng(3).standard_normal(10)),
+    "orthant": (OrthantIndicator([-1, 0, 1, 1]), np.array([0.5, -0.2, -1.0, 2.0])),
+    "nuclear": (NuclearNorm(), 2.0 * np.random.default_rng(4).standard_normal((4, 6))),
+}
+
+
+class TestProxValue:
+    """prox_value(z, t) is (prox(z, t), value(prox(z, t))) from one prox, and
+    the residual formed from its unit-step point is prox_diff's."""
+
+    @pytest.mark.parametrize("t", [1.0, 0.3])
+    @pytest.mark.parametrize("case", PROX_VALUE_CASES)
+    def test_point_and_value(self, case, t):
+        reg, z = PROX_VALUE_CASES[case]
+        p, v = reg.prox_value(z, t)
+        assert np.array_equal(p, reg.prox(z, t))
+        if isinstance(reg, NuclearNorm):
+            # Σ max(σ − t, 0) of z against the singular values of the result
+            assert v == pytest.approx(reg.value(p), rel=1e-14)
+        else:
+            assert v == reg.value(p)
+
+    @pytest.mark.parametrize("case", PROX_VALUE_CASES)
+    def test_residual_from_the_unit_point_is_prox_diff(self, case):
+        reg, z = PROX_VALUE_CASES[case]
+        x = reg.prox(z)
+        g = 0.5 * np.ones_like(z)
+        p, _ = reg.prox_value(x - g)
+        assert np.array_equal(reg.residual(x, g, p), reg.prox_diff(x, g))
+
+
 class TestSubdiffDistance:
     def test_nuclear_at_rank_deficient_optimum(self):
         # ∂‖diag(1,0)‖_* = {Z : Z₁₁ = 1, off-diag 0, Z₂₂ ∈ [−1, 1]}

@@ -3,11 +3,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
+from ebound import regularizers
 from ebound.errors import DomainError, InsufficientDataError, InvalidInputError, LineSearchError
 from ebound.experiments import counterexample_instance, ridge_instance
 from ebound.losses import CompositeSmooth, LeastSquares, SmoothLoss
 from ebound.problem import ProblemInstance, certify
-from ebound.regularizers import L1, Ridge
+from ebound.regularizers import L1, NuclearNorm, Ridge
 from ebound.solver import (
     CONVERGED,
     ITERATION_LIMIT,
@@ -18,7 +19,7 @@ from ebound.solver import (
     lipschitz_bound,
     proximal_gradient,
 )
-from ebound.space import DenseMap, IdentityMap, norm
+from ebound.space import CoordinateSelectMap, DenseMap, IdentityMap, norm
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,18 @@ def lasso_toy(seed=0, m=30, n=60):
     prob = ProblemInstance(CompositeSmooth(LeastSquares(b), A, np.zeros(n)), L1(lam), np.zeros(n))
     A.calls.update(forward=0, adjoint=0)
     return prob, M, b, lam
+
+
+def completion_toy(seed=0, m=6, n=8):
+    """Nuclear-norm matrix completion of a rank-2 matrix from about half of
+    its entries; least squares on a coordinate selection, so L = 1."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((m, 2)) @ rng.standard_normal((2, n))
+    rows, cols = np.nonzero(rng.random((m, n)) < 0.5)
+    b = X[rows, cols]
+    A = CoordinateSelectMap(tuple(zip(rows.tolist(), cols.tolist())), (m, n))
+    smooth = CompositeSmooth(LeastSquares(b), A, np.zeros((m, n)))
+    return ProblemInstance(smooth, NuclearNorm(), np.zeros((m, n))), rows, cols, b
 
 
 def ridge_toy(lam=0.3):
@@ -181,6 +194,57 @@ class TestWorkPerIteration:
             if k < K:
                 x = soft(x - t * g, t * lam)
         np.testing.assert_allclose(trace.terminal, x, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("t", [1.0, 0.5])
+    def test_fixed_step_matches_numpy_svt(self, t):
+        # singular value thresholding as a plain numpy loop: the iterates and
+        # residuals agree bit for bit, F (P from the shrunk singular values
+        # against a separate SVD of x) to rounding
+        prob, rows, cols, b = completion_toy()
+        K = 30
+        trace = proximal_gradient(prob, np.zeros((6, 8)), step=Fixed(t), tol=1e-14, max_iter=K)
+        assert len(trace.iterations) == K + 1
+
+        def svt(z, level):
+            U, sigma, Vt = np.linalg.svd(z, full_matrices=False)
+            return (U * np.maximum(sigma - level, 0.0)) @ Vt
+
+        x = np.zeros((6, 8))
+        for k, F, r, step in trace.iterations:
+            g = np.zeros((6, 8))
+            g[rows, cols] = x[rows, cols] - b
+            expected_F = (0.5 * float(np.sum((x[rows, cols] - b) ** 2))
+                          + float(np.sum(np.linalg.svd(x, compute_uv=False))))
+            assert abs(F - expected_F) <= 1e-12 * max(1.0, abs(expected_F))
+            assert r == np.linalg.norm(svt(x - g, 1.0) - x)
+            assert step == t
+            if k < K:
+                x = svt(x - t * g, t)
+        assert np.array_equal(trace.terminal, x)
+
+    @pytest.mark.parametrize("t, svds_per_iter", [(1.0, 1), (0.5, 2)])
+    def test_nuclear_svds_per_iteration(self, monkeypatch, t, svds_per_iter):
+        # the unit step is the residual's prox; any other step takes its own,
+        # and P(xₖ) comes from the prox, so the nuclear norm is evaluated at x0 only
+        prob, *_ = completion_toy(1)
+        calls = {"svd": 0, "value": 0}
+        svd, value = regularizers.svd, NuclearNorm.value
+
+        def counted_svd(X, *args, **kwargs):
+            calls["svd"] += 1
+            return svd(X, *args, **kwargs)
+
+        def counted_value(self, x):
+            calls["value"] += 1
+            return value(self, x)
+
+        monkeypatch.setattr(regularizers, "svd", counted_svd)
+        monkeypatch.setattr(NuclearNorm, "value", counted_value)
+        K = 25
+        trace = proximal_gradient(prob, np.zeros((6, 8)), step=Fixed(t), tol=1e-14, max_iter=K)
+        assert trace.status == ITERATION_LIMIT
+        # K iterations, then the residual at the last point
+        assert calls == {"svd": svds_per_iter * K + 1, "value": 1}
 
 
 class TestRateEstimation:
