@@ -3,7 +3,6 @@ inverse-subdifferential geometry for five regularizer families, and
 empirical error-bound probing."""
 
 from .diagnostics import (
-    ComplementarityReport,
     Curve,
     ExponentFit,
     ProbeSample,
@@ -47,6 +46,7 @@ from .problem import (
 )
 from .regularizers import (
     L1,
+    ComplementarityReport,
     GroupedLasso,
     NuclearNorm,
     OrthantIndicator,

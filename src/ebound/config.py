@@ -11,7 +11,8 @@ reads a block with its defaults.  A default of None is derived by the run:
 the scenario's radii, the probe seed, the step and the output directory.
 A custom problem that passes the tables is then built by instance_from_config
 with the constructors a run uses, and f and P are evaluated once at x0, so a
-value that a run would reject is rejected here, under its part's path.
+value that a run would reject is rejected here, under its part's path;
+validated_problem returns that instance, which the run then uses.
 """
 
 from __future__ import annotations
@@ -189,11 +190,6 @@ PROBLEM = {
 }
 
 
-def _builds(problem):
-    """The custom problem's last check; raises ConfigError if it fails."""
-    instance_from_config(problem)
-
-
 CONFIG = {
     "experiment": Field("any", (lambda v: None if v in EXPERIMENTS else
                                 f"unknown experiment {v!r}; choose from {EXPERIMENTS}",),
@@ -203,7 +199,7 @@ CONFIG = {
     "solver": Field(SOLVER),
     "output": Field("path"),
     "noncompact": Field(NONCOMPACT, experiment="noncompact"),
-    "problem": Field(PROBLEM, (_builds,), required=True, experiment="custom"),
+    "problem": Field(PROBLEM, required=True, experiment="custom"),
 }
 
 
@@ -238,14 +234,9 @@ class _Check:
         before = len(self.errors)
         if isinstance(kind, Field):
             if self.walk(value, kind.type, path):
-                try:
-                    message = next(filter(None, (check(value) for check in kind.checks)),
-                                   None)
-                except ConfigError as exc:  # from _builds, under the parts' own paths
-                    self.errors.extend(exc.messages)
-                else:
-                    if message is not None:
-                        self.fail(path, message)
+                message = next(filter(None, (check(value) for check in kind.checks)), None)
+                if message is not None:
+                    self.fail(path, message)
         elif isinstance(kind, dict):
             self._object(value, kind, path)
         elif (isinstance(kind, _OneOf) and isinstance(value, dict) and len(value) == 1
@@ -263,10 +254,12 @@ class _Check:
             self.fail(path, _TYPES[kind][1])
         return len(self.errors) == before
 
-    def _object(self, obj, table, path):
+    def _object(self, obj, table, path) -> set:
+        """Check obj against table; returns the keys whose values passed."""
+        passed = set()
         if not isinstance(obj, dict):
             self.fail(path, "must be an object")
-            return
+            return passed
         for key in obj:
             if key not in table:
                 self.fail(f"{path}.{key}" if path else key, "unknown key")
@@ -278,10 +271,12 @@ class _Check:
             if key in obj and not owned:
                 self.fail(sub, f"only valid for the {field.experiment} experiment")
             elif key in obj:
-                self.walk(obj[key], field, sub)
+                if self.walk(obj[key], field, sub):
+                    passed.add(key)
             elif field.required and owned:
                 self.fail(sub, "missing" if field.experiment is None else
                           f"missing (required for the {field.experiment} experiment)")
+        return passed
 
 
 def instance_from_config(problem: dict) -> tuple:
@@ -330,14 +325,28 @@ def instance_from_config(problem: dict) -> tuple:
     return prob, x0
 
 
-def validate_config_data(data) -> dict:
-    """Validate a parsed configuration object; returns it unchanged."""
+def validated_problem(data) -> tuple | None:
+    """Validate a parsed configuration object; returns the custom problem's
+    (ProblemInstance, x0), built once by instance_from_config, or None for
+    any other experiment.  A problem block that passes the tables is built
+    even when other fields fail, and its errors follow theirs."""
     if not isinstance(data, dict):
         raise ConfigError(["top level: must be a JSON object"])
     chk = _Check(data.get("experiment"))
-    chk.walk(data, CONFIG, "")
+    built = None
+    if "problem" in chk._object(data, CONFIG, ""):  # walked for custom alone
+        try:
+            built = instance_from_config(data["problem"])
+        except ConfigError as exc:  # under the parts' own paths
+            chk.errors.extend(exc.messages)
     if chk.errors:
         raise ConfigError(chk.errors)
+    return built
+
+
+def validate_config_data(data) -> dict:
+    """Validate a parsed configuration object; returns it unchanged."""
+    validated_problem(data)
     return data
 
 

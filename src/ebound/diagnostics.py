@@ -1,7 +1,8 @@
 """Empirical error-bound probing: sampled (d, ‖R‖, r_alt) triples, log-log
-exponent fits, the strict-complementarity certificate for nuclear-norm
-instances, and the regularity classification that predicts whether a
-Lipschitzian error bound should hold.
+exponent fits, and the regularity classification that predicts whether a
+Lipschitzian error bound should hold.  The classification reads the
+certificate's Γ_P(ḡ), which states what the bound needs beyond it: nothing
+for a polyhedral set, strict complementarity for the nuclear norm's.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from .problem import (
     alt_residual,
     distance_to_solution_set,
 )
-from .regularizers import NuclearNorm
-from .space import norm, numerical_rank
+from .regularizers import ComplementarityReport
+from .space import line_fit, norm
 
 
 @dataclass(frozen=True)
@@ -135,15 +136,9 @@ def fit_exponent(samples, envelope: bool = False) -> ExponentFit:
             raise InsufficientDataError("fewer than 4 distinct radii for the envelope fit")
     logd = np.log(np.array([s.d for s in usable]))
     logr = np.log(np.array([s.r_prox for s in usable]))
-    slope, intercept = np.polyfit(logd, logr, 1)
-    fitted = slope * logd + intercept
-    ss_res = float(np.sum((logr - fitted) ** 2))
-    ss_tot = float(np.sum((logr - logr.mean()) ** 2))
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return ExponentFit(
-        slope=float(slope), intercept=float(intercept),
-        r_squared=float(r_squared), kappa_max=float(kappa_max),
-    )
+    slope, intercept, r_squared = line_fit(logd, logr)
+    return ExponentFit(slope=slope, intercept=intercept, r_squared=r_squared,
+                       kappa_max=float(kappa_max))
 
 
 def kappa_by_decade(samples) -> dict:
@@ -157,34 +152,15 @@ def kappa_by_decade(samples) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class ComplementarityReport:
-    """Strict complementarity for nuclear-norm instances: the count s̄ of
-    unit singular values of −ḡ must equal rank(x*); the margin is the
-    smallest eigenvalue of the symmetric part of Ū₁ᵀ x* V̄₁."""
-
-    s_bar: int
-    rank_x: int
-    holds: bool
-    margin: float
-
-
 def strict_complementarity(prob: ProblemInstance,
                            cert: OptimalityCertificate) -> ComplementarityReport:
-    """Read s̄, Ū₁ and V̄₁ from the certificate's Γ_P(ḡ); raises
-    InfeasibleTargetError when ‖ḡ‖₂ > 1, where that set is empty."""
-    if not isinstance(prob.reg, NuclearNorm):
+    """The report of the certificate's Γ_P(ḡ), which holds s̄, Ū₁ and V̄₁;
+    raises InvalidInputError when Γ_P(ḡ) is polyhedral and needs no such
+    condition, InfeasibleTargetError when it is empty."""
+    report = cert.image.complementarity(cert.x_star)
+    if report is None:
         raise InvalidInputError("strict complementarity applies to nuclear-norm instances")
-    image = cert.image
-    rank_x = numerical_rank(np.linalg.svd(cert.x_star, compute_uv=False))
-    if image.s_bar == 0:
-        margin = float("inf")
-    else:
-        block = image.U.T @ cert.x_star @ image.V
-        margin = float(np.linalg.eigvalsh((block + block.T) / 2.0)[0])
-    return ComplementarityReport(
-        s_bar=image.s_bar, rank_x=rank_x, holds=(rank_x == image.s_bar), margin=margin,
-    )
+    return report
 
 
 STRONGLY_CONVEX = "strongly_convex"
@@ -205,7 +181,8 @@ def regularity_summary(prob: ProblemInstance, cert: OptimalityCertificate) -> Re
 
     The strongly-convex and polyhedral routes both require the loss to be
     strongly convex with Lipschitz gradient on compact sets; without that
-    the instance is reported as unverified.
+    the instance is reported as unverified.  Past the identity map, the
+    certificate's Γ_P(ḡ), which must not be empty, says what the bound needs.
     """
     if not prob.smooth.h.strongly_convex_on_compacts:
         return RegularitySummary(
@@ -216,20 +193,18 @@ def regularity_summary(prob: ProblemInstance, cert: OptimalityCertificate) -> Re
         return RegularitySummary(
             STRONGLY_CONVEX, True, "identity operator makes f strongly convex on compacts",
         )
-    if prob.reg.polyhedral_solution_set:
+    report = cert.image.complementarity(cert.x_star)
+    if report is None:
         return RegularitySummary(
             POLYHEDRAL, True,
             "the inverse image of the subdifferential at the certificate is polyhedral",
         )
-    if isinstance(prob.reg, NuclearNorm):
-        report = strict_complementarity(prob, cert)
-        if report.holds:
-            return RegularitySummary(
-                NUCLEAR_WITH_SC, True,
-                f"strict complementarity holds (s_bar = rank = {report.s_bar})",
-            )
+    if report.holds:
         return RegularitySummary(
-            UNVERIFIED, False,
-            f"strict complementarity fails (s_bar = {report.s_bar}, rank = {report.rank_x})",
+            NUCLEAR_WITH_SC, True,
+            f"strict complementarity holds (s_bar = rank = {report.s_bar})",
         )
-    return RegularitySummary(UNVERIFIED, False, "no sufficient condition applies")
+    return RegularitySummary(
+        UNVERIFIED, False,
+        f"strict complementarity fails (s_bar = {report.s_bar}, rank = {report.rank_x})",
+    )

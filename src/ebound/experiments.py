@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import instance_from_config, settings, validate_config_data
+from .config import settings, validated_problem
 from .diagnostics import (
     Curve,
     ExponentFit,
@@ -412,9 +412,10 @@ def _ratio_unbounded(run):
 class Scenario:
     """One named experiment as data.  build(config) returns (instance, x):
     with solve set, x is where the solver starts; otherwise x is the optimum
-    known in closed form and is certified as given."""
+    known in closed form and is certified as given.  build is None for the
+    custom problem, whose instance validation builds."""
 
-    build: Callable
+    build: Callable | None
     solve: bool
     checks: tuple
     radii: np.ndarray | None  # default probe radii (curve parameters for a curve)
@@ -461,8 +462,7 @@ SCENARIOS = {
         build=lambda config: nuclear_regular_instance(), solve=False,
         radii=np.logspace(-1.5, -3.5, 9),
         checks=(_certified, _complementarity(True, s_bar=2, rank_x=2), _slope_is_lipschitz)),
-    "custom": Scenario(build=lambda config: instance_from_config(config["problem"]),
-                       solve=True, radii=DEFAULT_RADII, prints_seed=True,
+    "custom": Scenario(build=None, solve=True, radii=DEFAULT_RADII, prints_seed=True,
                        checks=(_certified, _probe_completed)),
 }
 
@@ -479,7 +479,7 @@ def run_experiment(name: str, config: dict | None = None,
         config = {"experiment": name, **config}
         if seed is not None:
             config["seed"] = seed
-    validate_config_data(config)
+    custom = validated_problem(config)
     if config["experiment"] != name:
         raise ConfigError([f"config is for {config['experiment']!r}, not {name!r}"])
 
@@ -490,7 +490,7 @@ def run_experiment(name: str, config: dict | None = None,
     out.mkdir(parents=True, exist_ok=True)
 
     scenario = SCENARIOS[name]
-    prob, x = scenario.build(config)
+    prob, x = custom or scenario.build(config)
     run = Run(scenario, config, prob)
     tol = KNOWN_OPTIMUM_TOL
     if scenario.solve:

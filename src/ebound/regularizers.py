@@ -7,7 +7,8 @@ computations that drive the error-bound diagnostics,
 inverse_image(g) writes Γ_P(g) as its face {c + T z : z ∈ K}, with T an
 isometry from ℝᵏ and K closed and convex, so a problem over Γ_P(g) can be
 solved in k coordinates; the nearest point c + T(Π_K(T*(x − c))), and the
-distance with it, follow from that one form.
+distance with it, follow from that one form.  complementarity(x*) says what
+the error bound needs beyond Γ_P(ḡ): nothing for a polyhedral K.
 Equalities such as |g_i| = λ, ‖g_J‖ = ω_J or σ₁(−g) = 1 hold within TAU_EQ,
 scaled by max(1, λ) or max(1, ω_J) for a weighted penalty.  An empty Γ_P(g)
 is not a set but a wrong target: inverse_image raises InfeasibleTargetError
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InfeasibleTargetError, InvalidInputError
-from .space import _require_finite, norm, psd_project, svd
+from .space import _require_finite, norm, numerical_rank, psd_project, svd
 
 TAU_EQ = 1e-8
 
@@ -32,6 +33,18 @@ TAU_EQ = 1e-8
 
 def _empty(reason: str) -> InfeasibleTargetError:
     return InfeasibleTargetError(f"inverse image is empty: {reason}")
+
+
+@dataclass(frozen=True)
+class ComplementarityReport:
+    """Strict complementarity for nuclear-norm instances: the count s̄ of
+    unit singular values of −ḡ must equal rank(x*); the margin is the
+    smallest eigenvalue of the symmetric part of Ū₁ᵀ x* V̄₁."""
+
+    s_bar: int
+    rank_x: int
+    holds: bool
+    margin: float
 
 
 class InverseImage:
@@ -60,6 +73,10 @@ class InverseImage:
 
     def distance(self, x) -> float:
         return norm(np.asarray(x, dtype=float) - self.project(x))
+
+    def complementarity(self, x_star) -> ComplementarityReport | None:
+        """None: with K polyhedral, {A⁻¹(ȳ), Γ_P(ḡ)} is regular at any x*."""
+        return None
 
 
 @dataclass
@@ -171,6 +188,16 @@ class NuclearImage(InverseImage):
     def project_K(self, z):
         return self._svec(psd_project(self._smat(z)))
 
+    def complementarity(self, x_star):
+        """K = S₊ is not polyhedral: regularity needs strict complementarity."""
+        rank_x = numerical_rank(np.linalg.svd(x_star, compute_uv=False))
+        margin = float("inf")
+        if self.s_bar:
+            block = self.U.T @ x_star @ self.V
+            margin = float(np.linalg.eigvalsh((block + block.T) / 2.0)[0])
+        return ComplementarityReport(s_bar=self.s_bar, rank_x=rank_x,
+                                     holds=(rank_x == self.s_bar), margin=margin)
+
 
 # ---------------------------------------------------------------------------
 # regularizers
@@ -178,9 +205,6 @@ class NuclearImage(InverseImage):
 
 class Regularizer:
     expects_matrix: bool = False
-    #: Γ_P(ḡ) is polyhedral, so the bounded-linear-regularity condition
-    #: holds without further assumptions
-    polyhedral_solution_set: bool = False
 
     def _check(self, x):
         x = np.asarray(x, dtype=float)
@@ -239,7 +263,6 @@ class L1(Regularizer):
     """P(x) = λ‖x‖₁."""
 
     weight: float = 1.0
-    polyhedral_solution_set = True
 
     def __post_init__(self):
         if self.weight < 0:
@@ -282,7 +305,6 @@ class Ridge(Regularizer):
     """P(x) = λ‖x‖₂²."""
 
     weight: float = 1.0
-    polyhedral_solution_set = True  # Γ_P(g) is a single point
 
     def __post_init__(self):
         if self.weight < 0:
@@ -308,8 +330,6 @@ class Ridge(Regularizer):
 
 class GroupedLasso(Regularizer):
     """P(x) = Σ_J ω_J ‖x_J‖₂ over a partition of the coordinates."""
-
-    polyhedral_solution_set = True
 
     def __init__(self, groups, weights):
         self.groups = tuple(np.asarray(J, dtype=int) for J in groups)
@@ -427,8 +447,6 @@ class NuclearNorm(Regularizer):
 class OrthantIndicator(Regularizer):
     """Indicator of a sign-constrained box C: signs[i] = −1 forces xᵢ ≤ 0,
     +1 forces xᵢ ≥ 0, 0 leaves the coordinate free."""
-
-    polyhedral_solution_set = True
 
     def __init__(self, signs):
         signs = np.asarray(signs)

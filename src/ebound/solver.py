@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DomainError, InsufficientDataError, InvalidInputError, LineSearchError
 from .problem import ProblemInstance
-from .space import inner, norm
+from .space import inner, line_fit, norm
 
 _MIN_STEP = 1e-14
 #: estimate_linear_rate rejects a tail fit that explains less of the variance
@@ -155,11 +155,7 @@ def estimate_linear_rate(trace: SolveTrace):
         raise InsufficientDataError(f"need >= 10 iterations with positive residual, got {ks.size}")
     half = ks.size // 2
     ks, logr = ks[half:], np.log(rs[half:])
-    slope, intercept = np.polyfit(ks, logr, 1)
-    fitted = slope * ks + intercept
-    ss_res = float(np.sum((logr - fitted) ** 2))
-    ss_tot = float(np.sum((logr - logr.mean()) ** 2))
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    slope, _, r_squared = line_fit(ks, logr)
     if r_squared < RATE_MIN_R_SQUARED:
         return None
-    return float(math.exp(slope))
+    return math.exp(slope)

@@ -47,12 +47,9 @@ class LinearMap:
     def adjoint(self, y):
         raise NotImplementedError
 
-    def as_matrix(self) -> np.ndarray:
-        """Dense matrix acting on the vectorized (row-major) input."""
-        raise NotImplementedError
-
     def operator_norm(self) -> float:
-        return float(np.linalg.norm(self.as_matrix(), 2))
+        """Spectral norm ‖A‖₂."""
+        raise NotImplementedError
 
     @property
     def is_identity(self) -> bool:
@@ -79,10 +76,6 @@ class IdentityMap(LinearMap):
 
     def adjoint(self, y):
         return np.asarray(y, dtype=float)
-
-    def as_matrix(self):
-        n = int(np.prod(self.shape))
-        return np.eye(n)
 
     def operator_norm(self):
         return 1.0
@@ -120,8 +113,8 @@ class DenseMap(LinearMap):
     def adjoint(self, y):
         return (self.matrix.T @ np.asarray(y, dtype=float)).reshape(self.in_shape)
 
-    def as_matrix(self):
-        return self.matrix
+    def operator_norm(self):
+        return float(np.linalg.norm(self.matrix, 2))
 
     @cached_property
     def _pinv(self) -> np.ndarray:
@@ -171,13 +164,19 @@ class CoordinateSelectMap(LinearMap):
         out.reshape(-1)[self._flat] = np.asarray(y, dtype=float)
         return out
 
-    def as_matrix(self):
-        m = np.zeros((len(self.indices), int(np.prod(self.in_shape))))
-        m[np.arange(len(self.indices)), self._flat] = 1.0
-        return m
-
     def operator_norm(self):
         return 1.0
+
+
+def line_fit(x, y) -> tuple:
+    """Least-squares line y ≈ slope·x + intercept through 1-d arrays; returns
+    (slope, intercept, R²), with R² = 1 when y is constant."""
+    slope, intercept = np.polyfit(x, y, 1)
+    fitted = slope * x + intercept
+    ss_res = float(np.sum((y - fitted) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return float(slope), float(intercept), r_squared
 
 
 def numerical_rank(sigma) -> int:

@@ -29,7 +29,7 @@ from ebound.experiments import (
 )
 from ebound.losses import CompositeSmooth, GeneralQuadratic, LeastSquares
 from ebound.problem import ProblemInstance, certify
-from ebound.regularizers import NuclearNorm
+from ebound.regularizers import L1, GroupedLasso, NuclearNorm, OrthantIndicator, Ridge
 from ebound.solver import Fixed, lipschitz_bound, proximal_gradient
 from ebound.space import CoordinateSelectMap, DenseMap, norm
 
@@ -70,6 +70,37 @@ def certified_ridge(seed):
     trace = proximal_gradient(prob, prob.feasible_point, step=Fixed(1.0 / L),
                               tol=1e-12, max_iter=10000)
     return prob, certify(prob, trace.terminal, tol=1e-9)
+
+
+#: least-squares instances on dense maps, one for each polyhedral family:
+#: (regularizer, map matrix, targets)
+POLYHEDRAL_CASES = {
+    "l1": (L1(0.4), [[1, 0, 0], [0, 1, 1]], [1.0, -1.0]),
+    "grouped-lasso": (GroupedLasso([[0], [1, 2]], [0.4, 0.4]),
+                      [[1, 0, 0], [0, 1, 1]], [1.0, -1.0]),
+    "orthant": (OrthantIndicator([1, 1, 0]), [[1, 0, 0], [0, 1, 1]], [1.0, -1.0]),
+    "ridge": (Ridge(0.3), [[1, 0, 2, 0], [0, 1, 0, -1], [1, 1, 0, 1]], [1.0, -1.0, 0.5]),
+}
+
+
+def certified_dense(case):
+    reg, matrix, targets = POLYHEDRAL_CASES[case]
+    n = len(matrix[0])
+    smooth = CompositeSmooth(LeastSquares(np.array(targets)),
+                             DenseMap(np.array(matrix, dtype=float), (n,)), np.zeros(n))
+    prob = ProblemInstance(smooth, reg, np.zeros(n))
+    trace = proximal_gradient(prob, np.zeros(n), step=Fixed(1.0 / lipschitz_bound(prob)),
+                              tol=1e-11, max_iter=100000)
+    return prob, certify(prob, trace.terminal, tol=1e-9)
+
+
+def certified_empty_image():
+    # f = ½(x₁ − 3)² with λ = 1: (2 − 1e-4, 0) certifies at tol 1e-3 with
+    # |ḡ₁| = 1 + 1e-4 > λ, so Γ_P(ḡ) is empty
+    smooth = CompositeSmooth(LeastSquares(np.array([3.0])),
+                             DenseMap(np.array([[1.0, 0.0]]), (2,)), np.zeros(2))
+    prob = ProblemInstance(smooth, L1(1.0), np.zeros(2))
+    return prob, certify(prob, np.array([2.0 - 1e-4, 0.0]), tol=1e-3)
 
 
 class TestProbe:
@@ -280,6 +311,17 @@ class TestStrictComplementarity:
         with pytest.raises(InfeasibleTargetError, match="spectral norm of -g is 1.3 > 1"):
             strict_complementarity(prob, cert)
 
+    @pytest.mark.parametrize("case", list(POLYHEDRAL_CASES))
+    def test_polyhedral_image_rejected(self, case):
+        prob, cert = certified_dense(case)
+        with pytest.raises(InvalidInputError, match="applies to nuclear-norm instances"):
+            strict_complementarity(prob, cert)
+
+    def test_empty_polyhedral_image_raises(self):
+        prob, cert = certified_empty_image()
+        with pytest.raises(InfeasibleTargetError, match="coordinate 0 has"):
+            strict_complementarity(prob, cert)
+
 
 class TestRegularitySummary:
     def test_ridge_identity_is_strongly_convex(self):
@@ -295,6 +337,19 @@ class TestRegularitySummary:
         cert = certify(prob, trace.terminal, tol=1e-9)
         summary = regularity_summary(prob, cert)
         assert summary.condition == POLYHEDRAL and summary.eb_expected
+
+    @pytest.mark.parametrize("case", list(POLYHEDRAL_CASES))
+    def test_dense_polyhedral_families(self, case):
+        prob, cert = certified_dense(case)
+        summary = regularity_summary(prob, cert)
+        assert summary.condition == POLYHEDRAL and summary.eb_expected
+
+    def test_empty_image_raises(self):
+        # a set that does not exist is not classified as polyhedral
+        prob, cert = certified_empty_image()
+        with pytest.raises(InfeasibleTargetError,
+                           match=r"^inverse image is empty: coordinate 0 has \|g_i\| > λ$"):
+            regularity_summary(prob, cert)
 
     def test_counterexample_unverified(self):
         prob, cert = certified_counterexample()

@@ -189,12 +189,6 @@ class TestLinearMaps:
         np.testing.assert_allclose(A.adjoint(np.array([3.0, 4.0])),
                                    np.diag([3.0, 4.0]))
 
-    def test_as_matrix_agrees_with_forward(self):
-        rng = np.random.default_rng(10)
-        A = CoordinateSelectMap(((0, 1), (1, 0)), (2, 2))
-        X = rng.standard_normal((2, 2))
-        np.testing.assert_allclose(A.as_matrix() @ X.reshape(-1), A(X))
-
     def test_duplicate_indices_rejected(self):
         with pytest.raises(InvalidInputError):
             CoordinateSelectMap(((0, 0), (0, 0)), (2, 2))
