@@ -89,7 +89,9 @@ def proximal_gradient(
 
     f is evaluated once per point and its gradient once per iterate, so an
     iteration costs one forward and one adjoint application of A with Fixed,
-    one forward per trial step and one adjoint with Backtracking.  The
+    one forward per trial step and one adjoint with Backtracking.  On a
+    large dense map the forward reads only the columns on the point's
+    support, so it costs O(m·|supp x|) at a sparse point.  The
     residual's prox is the step's prox when t = 1, so an iteration takes one
     prox (one thin SVD for the nuclear norm) at the unit step, and one more
     per trial step otherwise.  P(xₖ) comes with the prox that formed xₖ

@@ -16,6 +16,11 @@ import numpy as np
 from .errors import InfeasibleTargetError, InvalidInputError
 
 GROUP_TOL = 1e-8
+#: a dense map with at least this many entries multiplies only the columns
+#: on its input's support when GATHER_RATIO·|supp x| ≤ n; below it, the
+#: support scan and the gather cost more than the full product
+GATHER_MIN_ENTRIES = 100_000
+GATHER_RATIO = 16
 #: relative residual ‖A(z) − ȳ‖ above which ȳ is reported outside the range of A
 AFFINE_TOL = 1e-9
 
@@ -33,6 +38,22 @@ def norm(x) -> float:
 def _require_finite(x, what="input"):
     if not np.isfinite(x).all():
         raise InvalidInputError(f"{what} has non-finite entries")
+
+
+def _shaped(v, shape, what):
+    """v as a float array, which must have the given shape."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != shape:
+        raise InvalidInputError(f"{what} takes shape {shape}, got {v.shape}")
+    return v
+
+
+def _sized(v, size, what):
+    """v as a flat float array, which must have `size` entries."""
+    v = np.asarray(v, dtype=float).reshape(-1)
+    if v.size != size:
+        raise InvalidInputError(f"{what} takes {size} entries, got {v.size}")
+    return v
 
 
 class LinearMap:
@@ -72,10 +93,10 @@ class IdentityMap(LinearMap):
         return self.shape
 
     def __call__(self, x):
-        return np.asarray(x, dtype=float)
+        return _shaped(x, self.shape, "identity map")
 
     def adjoint(self, y):
-        return np.asarray(y, dtype=float)
+        return _shaped(y, self.shape, "identity map adjoint")
 
     def operator_norm(self):
         return 1.0
@@ -87,7 +108,15 @@ class IdentityMap(LinearMap):
 
 @dataclass(frozen=True)
 class DenseMap(LinearMap):
-    """Matrix acting on the vectorized input; output is a vector."""
+    """Matrix acting on the vectorized input; output is a vector.
+
+    Inputs are taken by size: any array with as many entries as the matrix
+    has columns (rows for the adjoint).  On a matrix of at least
+    GATHER_MIN_ENTRIES entries, the forward product of an input with
+    GATHER_RATIO·|supp x| ≤ n reads only the columns on its support,
+    matrix[:, s] @ x[s]: the same product up to rounding.  NaN and ±inf are
+    nonzero, so they stay in s and propagate as in the full product.
+    """
 
     matrix: np.ndarray
     in_shape: tuple
@@ -108,10 +137,16 @@ class DenseMap(LinearMap):
         return (self.matrix.shape[0],)
 
     def __call__(self, x):
-        return self.matrix @ np.asarray(x, dtype=float).reshape(-1)
+        x = _sized(x, self.matrix.shape[1], "dense map")
+        if (self.matrix.size >= GATHER_MIN_ENTRIES
+                and GATHER_RATIO * np.count_nonzero(x) <= x.size):
+            s = np.flatnonzero(x)
+            return self.matrix[:, s] @ x[s]
+        return self.matrix @ x
 
     def adjoint(self, y):
-        return (self.matrix.T @ np.asarray(y, dtype=float)).reshape(self.in_shape)
+        y = _sized(y, self.matrix.shape[0], "dense map adjoint")
+        return (self.matrix.T @ y).reshape(self.in_shape)
 
     def operator_norm(self):
         return float(np.linalg.norm(self.matrix, 2))
@@ -157,11 +192,11 @@ class CoordinateSelectMap(LinearMap):
         return np.ravel_multi_index(tuple(coords.T), self.in_shape)
 
     def __call__(self, x):
-        return np.take(np.asarray(x, dtype=float), self._flat)
+        return np.take(_shaped(x, self.in_shape, "coordinate-select map"), self._flat)
 
     def adjoint(self, y):
         out = np.zeros(self.in_shape)
-        out.reshape(-1)[self._flat] = np.asarray(y, dtype=float)
+        out.reshape(-1)[self._flat] = _shaped(y, self.out_shape, "coordinate-select adjoint")
         return out
 
     def operator_norm(self):

@@ -19,7 +19,15 @@ from ebound.solver import (
     lipschitz_bound,
     proximal_gradient,
 )
-from ebound.space import CoordinateSelectMap, DenseMap, IdentityMap, norm
+from ebound.space import (
+    GATHER_MIN_ENTRIES,
+    GATHER_RATIO,
+    CoordinateSelectMap,
+    DenseMap,
+    IdentityMap,
+    LinearMap,
+    norm,
+)
 
 
 @dataclass(frozen=True)
@@ -245,6 +253,47 @@ class TestWorkPerIteration:
         assert trace.status == ITERATION_LIMIT
         # K iterations, then the residual at the last point
         assert calls == {"svd": svds_per_iter * K + 1, "value": 1}
+
+
+@dataclass(frozen=True)
+class FullProductMap(LinearMap):
+    """Dense matrix whose forward always forms the full matrix @ x."""
+
+    matrix: np.ndarray
+    in_shape: tuple
+
+    @property
+    def out_shape(self):
+        return (self.matrix.shape[0],)
+
+    def __call__(self, x):
+        return self.matrix @ np.asarray(x, dtype=float).reshape(-1)
+
+    def adjoint(self, y):
+        return (self.matrix.T @ np.asarray(y, dtype=float)).reshape(self.in_shape)
+
+    def operator_norm(self):
+        return float(np.linalg.norm(self.matrix, 2))
+
+
+class TestSparseForward:
+    """On a map large enough to gather, a sparse iterate's forward product
+    reads only its support; the solve is the full-product solve to rounding."""
+
+    @pytest.mark.parametrize("step", ["fixed", "backtracking"])
+    def test_same_iterations_as_full_product(self, step):
+        m, n = 200, GATHER_MIN_ENTRIES // 200
+        prob, M, b, lam = lasso_toy(0, m, n)
+        smooth = CompositeSmooth(LeastSquares(b), FullProductMap(M, (n,)), np.zeros(n))
+        reference = ProblemInstance(smooth, L1(lam), np.zeros(n))
+        rule = Fixed(1.0 / lipschitz_bound(prob)) if step == "fixed" else Backtracking()
+        traces = [proximal_gradient(p, np.zeros(n), step=rule, tol=1e-11)
+                  for p in (prob, reference)]
+        gathered, full = traces
+        assert gathered.status == full.status == CONVERGED
+        assert len(gathered.iterations) == len(full.iterations)
+        assert norm(gathered.terminal - full.terminal) <= 1e-13 * norm(full.terminal)
+        assert 0 < GATHER_RATIO * np.count_nonzero(gathered.terminal) <= n
 
 
 class TestRateEstimation:

@@ -3,6 +3,8 @@ import pytest
 
 from ebound.errors import InfeasibleTargetError, InvalidInputError
 from ebound.space import (
+    GATHER_MIN_ENTRIES,
+    GATHER_RATIO,
     CoordinateSelectMap,
     DenseMap,
     IdentityMap,
@@ -214,3 +216,113 @@ class TestLinearMaps:
             for i, yi in zip(A.indices, y):
                 placed[i] = yi
             assert np.array_equal(affine_project(X, A, y), placed)
+
+    def test_dense_forward_rejects_wrong_size(self):
+        # inputs are taken by size; a short sparse input on a map that
+        # gathers would otherwise read the wrong columns silently
+        A = DenseMap(np.ones((GATHER_MIN_ENTRIES // 400, 400)), (20, 20))
+        assert A(np.ones(400)).shape == A(np.ones((20, 20))).shape == (A.matrix.shape[0],)
+        for x in (np.ones(399), np.eye(1, 399).ravel(), np.eye(1, 401).ravel(),
+                  np.ones((20, 21))):
+            with pytest.raises(InvalidInputError):
+                A(x)
+
+    def test_dense_adjoint_rejects_wrong_size(self):
+        A = DenseMap(np.ones((3, 4)), (2, 2))
+        assert A.adjoint(np.ones((3, 1))).shape == (2, 2)
+        for y in (np.ones(2), np.ones(4), np.ones((2, 2))):
+            with pytest.raises(InvalidInputError):
+                A.adjoint(y)
+
+    def test_coordinate_select_forward_rejects_wrong_shape(self):
+        C = CoordinateSelectMap((0, 2), (5,))
+        for x in (np.arange(7.0), np.arange(4.0), np.zeros((5, 1))):
+            with pytest.raises(InvalidInputError):
+                C(x)
+
+    def test_coordinate_select_adjoint_rejects_wrong_shape(self):
+        C = CoordinateSelectMap((0, 2), (5,))
+        for y in (np.ones(1), np.ones(3), np.ones((2, 1))):
+            with pytest.raises(InvalidInputError):
+                C.adjoint(y)
+
+    def test_identity_forward_rejects_wrong_shape(self):
+        identity = IdentityMap((2, 3))
+        for x in (np.zeros(6), np.zeros((3, 2)), np.zeros((2, 4))):
+            with pytest.raises(InvalidInputError):
+                identity(x)
+
+    def test_identity_adjoint_rejects_wrong_shape(self):
+        identity = IdentityMap((3,))
+        for y in (np.zeros(2), np.zeros((3, 1)), 1.0):
+            with pytest.raises(InvalidInputError):
+                identity.adjoint(y)
+
+
+def sparse_input(rng, shape, k):
+    """Gaussian entries on k random positions of an element of the shape."""
+    x = np.zeros(int(np.prod(shape)))
+    x[rng.choice(x.size, k, replace=False)] = rng.standard_normal(k)
+    return x.reshape(shape)
+
+
+class TestDenseSupportGather:
+    """The forward product of a large dense map reads only the columns on
+    its input's support when GATHER_RATIO·|supp x| ≤ n."""
+
+    @pytest.mark.parametrize("in_shape", [(400,), (16, 25)])
+    def test_agrees_with_full_product(self, in_shape):
+        rng = np.random.default_rng(21)
+        n = int(np.prod(in_shape))
+        M = rng.standard_normal((GATHER_MIN_ENTRIES // n, n))
+        A = DenseMap(M, in_shape)
+        threshold = n // GATHER_RATIO
+        for k in (0, 1, 4, threshold, threshold + 1, n):
+            x = sparse_input(rng, in_shape, k)
+            full = M @ x.reshape(-1)
+            out = A(x)
+            assert out.shape == (M.shape[0],)
+            assert norm(out - full) <= 1e-14 * norm(full)
+
+    def test_zero_input_gives_zeros(self):
+        A = DenseMap(np.ones((GATHER_MIN_ENTRIES // 500, 500)), (500,))
+        out = A(np.zeros(500))
+        assert out.shape == (A.matrix.shape[0],) and not out.any()
+
+    def test_nonfinite_entries_propagate_as_in_full_product(self):
+        rng = np.random.default_rng(22)
+        M = rng.standard_normal((250, 400))
+        M[::7, 5] = 0.0   # 0·inf = nan in some rows of the output
+        A = DenseMap(M, (400,))
+        for bad in ({5: np.inf}, {5: -np.inf, 90: 2.0}, {17: np.nan},
+                    {5: np.inf, 17: np.nan}, {5: np.inf, 6: -np.inf}):
+            x = np.zeros(400)
+            for j, v in bad.items():
+                x[j] = v
+            with np.errstate(invalid="ignore", over="ignore"):
+                np.testing.assert_array_equal(A(x), M @ x)
+
+    @pytest.mark.parametrize("rows, k, gathers", [
+        (40, 1, False),
+        (GATHER_MIN_ENTRIES // 1000 - 1, 1, False),
+        (GATHER_MIN_ENTRIES // 1000, 1000 // GATHER_RATIO, True),
+        (GATHER_MIN_ENTRIES // 1000, 1000 // GATHER_RATIO + 1, False),
+    ])
+    def test_gather_rule(self, monkeypatch, rows, k, gathers):
+        # below the size gate, or past the support ratio, the support is
+        # never scanned and the product is the full one, bit for bit
+        rng = np.random.default_rng(23)
+        M = rng.standard_normal((rows, 1000))
+        x = sparse_input(rng, (1000,), k)
+        scans = []
+        flatnonzero = np.flatnonzero
+
+        def spy(v):
+            scans.append(v.size)
+            return flatnonzero(v)
+
+        monkeypatch.setattr(np, "flatnonzero", spy)
+        out = DenseMap(M, (1000,))(x)
+        assert scans == ([1000] if gathers else [])
+        if not gathers:
+            assert np.array_equal(out, M @ x)
