@@ -18,7 +18,9 @@ l1 = L1(1.0)
 z = np.array([2.0, -0.5, 1.0])
 print("L1 prox of", z, "->", l1.prox(z))
 img = l1.inverse_image(np.array([-1.0, 0.3, 1.0]))
-print("L1 inverse image bounds: lo =", img.lo, " hi =", img.hi)
+# the set is a box: its nearest points to -inf and +inf are its bounds
+print("L1 inverse image bounds: lo =", img.project(np.full(3, -np.inf)),
+      " hi =", img.project(np.full(3, np.inf)))
 
 # .. grouped penalty: radial shrinkage, ray geometry ..
 gl = GroupedLasso([[0, 1]], [1.0])

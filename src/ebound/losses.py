@@ -33,8 +33,18 @@ class SmoothLoss:
     def gradient(self, y) -> np.ndarray:
         raise NotImplementedError
 
+    @property
+    def data(self) -> np.ndarray | None:
+        """The data vector whose shape every input y must have; None for a
+        loss with no data."""
+        return None
+
     def _check(self, y):
         y = np.asarray(y, dtype=float)
+        data = self.data
+        if data is not None and y.shape != data.shape:
+            raise InvalidInputError(f"{type(self).__name__}: input of shape {y.shape} "
+                                    f"for data of shape {data.shape}")
         if not self.in_domain(y):
             raise DomainError(f"{type(self).__name__}: point outside the loss domain")
         return y
@@ -49,6 +59,10 @@ class LeastSquares(SmoothLoss):
 
     def __post_init__(self):
         object.__setattr__(self, "targets", np.asarray(self.targets, dtype=float))
+
+    @property
+    def data(self):
+        return self.targets
 
     def value(self, y):
         y = self._check(y)
@@ -85,6 +99,10 @@ class GeneralQuadratic(SmoothLoss):
         object.__setattr__(self, "_constant", 0.5 * float(d @ np.linalg.solve(B, d)))
         object.__setattr__(self, "grad_lipschitz", float(np.linalg.norm(B, 2)))
 
+    @property
+    def data(self):
+        return self.d
+
     def value(self, y):
         y = self._check(y)
         return 0.5 * float(y @ self.B @ y) - float(self.d @ y) + self._constant
@@ -107,6 +125,10 @@ class Logistic(SmoothLoss):
             raise InvalidInputError("Logistic labels must be ±1")
         object.__setattr__(self, "labels", b)
 
+    @property
+    def data(self):
+        return self.labels
+
     def value(self, y):
         y = self._check(y)
         return float(np.sum(np.logaddexp(0.0, -y * self.labels)))
@@ -128,6 +150,10 @@ class Poisson(SmoothLoss):
         if np.any(b < 0) or np.any(b != np.round(b)):
             raise InvalidInputError("Poisson counts must be nonnegative integers")
         object.__setattr__(self, "counts", b)
+
+    @property
+    def data(self):
+        return self.counts
 
     def in_domain(self, y):
         # exp overflow guard; the mathematical domain is all of T

@@ -107,11 +107,12 @@ def residual_map(prob: ProblemInstance, x) -> np.ndarray:
 
 
 def certify(prob: ProblemInstance, x, tol: float = CERT_TOL) -> OptimalityCertificate:
-    """Verify ‖R(x)‖ ≤ tol and freeze the invariants (ȳ, ḡ)."""
+    """Verify ‖R(x)‖ ≤ tol and freeze the invariants (ȳ, ḡ); a NaN or
+    infinite ‖R(x)‖ is not optimal."""
     x = np.asarray(x, dtype=float)
     point = prob.smooth.at(x)
     r = norm(prob.reg.prox_diff(x, point.gradient))
-    if r > tol:
+    if not r <= tol:
         raise NotOptimalError(r, tol)
     return OptimalityCertificate(
         x_star=x,

@@ -7,7 +7,10 @@ computations that drive the error-bound diagnostics,
 inverse_image(g) writes Γ_P(g) as its face {c + T z : z ∈ K}, with T an
 isometry from ℝᵏ and K closed and convex, so a problem over Γ_P(g) can be
 solved in k coordinates; the nearest point c + T(Π_K(T*(x − c))), and the
-distance with it, follow from that one form.  complementarity(x*) says what
+distance with it, follow from that one form.  Every polyhedral Γ_P(g) (L1,
+ridge, the orthant indicator, grouped LASSO, zero weights) is a BoxImage:
+fixed coordinates in c, disjoint unit columns in T, and K a box; the nuclear
+norm's is a NuclearImage, with K the PSD cone.  complementarity(x*) says what
 the error bound needs beyond Γ_P(ḡ): nothing for a polyhedral K.
 Equalities such as |g_i| = λ, ‖g_J‖ = ω_J or σ₁(−g) = 1 hold within TAU_EQ,
 scaled by max(1, λ) or max(1, ω_J) for a weighted penalty.  An empty Γ_P(g)
@@ -81,74 +84,51 @@ class InverseImage:
 
 @dataclass
 class BoxImage(InverseImage):
-    """Per-coordinate intervals [lo_i, hi_i] (L1, orthant indicator, ridge
-    points, zero weights).  Coordinates with lo = hi are fixed in c; every
-    other one is a column of T, and K is the product of their intervals."""
+    """Every polyhedral Γ_P(g): {c + T z : lo ≤ z ≤ hi}.  Each column of T is
+    a unit vector, and no two columns share a coordinate: `column` holds each
+    coordinate's column (−1 for a coordinate fixed at c_i) and `direction` its
+    value in that column's unit vector.  So T scatters z, T* gathers with one
+    bincount, and K is the box of the columns' intervals [lo_j, hi_j]."""
 
+    c: np.ndarray
+    column: np.ndarray
+    direction: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
 
     def __post_init__(self):
-        fixed = self.lo == self.hi
-        self._free = np.flatnonzero(~fixed)
-        self._lo, self._hi = self.lo[self._free], self.hi[self._free]
-        self.c = np.where(fixed, self.lo, 0.0)
-        self.k = self._free.size
+        self._on = np.flatnonzero(self.column >= 0)
+        self._column = self.column[self._on]
+        self._direction = self.direction[self._on]
+        self.k = self.lo.size
+
+    @classmethod
+    def intervals(cls, lo, hi) -> BoxImage:
+        """Per-coordinate intervals [lo_i, hi_i] (L1, orthant indicator, ridge
+        points, zero weights): coordinates with lo = hi are fixed, and every
+        other one is a column of its own, in index order."""
+        free = lo != hi
+        return cls(c=np.where(free, 0.0, lo), column=np.where(free, np.cumsum(free) - 1, -1),
+                   direction=np.ones(lo.shape), lo=lo[free], hi=hi[free])
 
     def T(self, z):
         out = np.zeros_like(self.c)
-        out[self._free] = z
+        out[self._on] = z[self._column] * self._direction
         return out
 
     def T_adj(self, x):
-        return x[self._free]
+        return np.bincount(self._column, weights=x[self._on] * self._direction,
+                           minlength=self.k)
 
     def project_K(self, z):
-        return np.clip(z, self._lo, self._hi)
+        return np.clip(z, self.lo, self.hi)
 
 
 def _zero_weight_image(g) -> BoxImage:
     """Γ_P(g) of a zero penalty: the whole space when g = 0, else empty."""
     if np.max(np.abs(g), initial=0.0) > TAU_EQ:
         raise _empty("zero weight but g ≠ 0")
-    return BoxImage(lo=np.full(g.shape, -np.inf), hi=np.full(g.shape, np.inf))
-
-
-@dataclass
-class GroupImage(InverseImage):
-    """Grouped-LASSO inverse image: each block J is {0}, the whole subspace,
-    or the ray {a·g_J : a ≤ 0}.  `ray` holds g_J/‖g_J‖ on ray blocks and 0
-    elsewhere; `free` marks the coordinates of whole-subspace blocks.  T has a
-    column u_J per ray block (K = (−∞, 0] along it), then a unit column per
-    coordinate of a free block (K = ℝ); {0} blocks and zero rays have none."""
-
-    group_of: np.ndarray
-    ray: np.ndarray
-    free: np.ndarray
-
-    def __post_init__(self):
-        self._groups = int(self.group_of.max(initial=-1)) + 1
-        self._rays = np.flatnonzero(
-            np.bincount(self.group_of[self.ray != 0.0], minlength=self._groups))
-        self._free = np.flatnonzero(self.free)
-        self.c = np.zeros(self.group_of.size)
-        self.k = self._rays.size + self._free.size
-
-    def T(self, z):
-        r = self._rays.size
-        a = np.zeros(self._groups)
-        a[self._rays] = z[:r]
-        out = a[self.group_of] * self.ray
-        out[self._free] = z[r:]
-        return out
-
-    def T_adj(self, x):
-        a = np.bincount(self.group_of, weights=x * self.ray, minlength=self._groups)
-        return np.concatenate((a[self._rays], x[self._free]))
-
-    def project_K(self, z):
-        r = self._rays.size
-        return np.concatenate((np.minimum(z[:r], 0.0), z[r:]))
+    return BoxImage.intervals(np.full(g.shape, -np.inf), np.full(g.shape, np.inf))
 
 
 @dataclass
@@ -297,7 +277,7 @@ class L1(Regularizer):
         bad = ~(up | down | (np.abs(g) < lam))
         if bad.any():
             raise _empty(f"coordinate {int(np.argmax(bad))} has |g_i| > λ")
-        return BoxImage(lo=np.where(down, -np.inf, 0.0), hi=np.where(up, np.inf, 0.0))
+        return BoxImage.intervals(np.where(down, -np.inf, 0.0), np.where(up, np.inf, 0.0))
 
 
 @dataclass(frozen=True)
@@ -325,7 +305,7 @@ class Ridge(Regularizer):
         if self.weight == 0.0:
             return _zero_weight_image(g)
         p = -g / (2.0 * self.weight)
-        return BoxImage(lo=p, hi=p)
+        return BoxImage.intervals(p, p)
 
 
 class GroupedLasso(Regularizer):
@@ -394,11 +374,20 @@ class GroupedLasso(Regularizer):
         bad = (zero_w & ~free) | (~zero_w & ~ray & (ng > w))
         if bad.any():
             raise _empty(f"group {int(np.argmax(bad))} has ‖g_J‖ > ω_J")
-        unit = np.zeros_like(ng)
+        # one column along g_J/‖g_J‖ per ray block with g_J ≠ 0, K = (−∞, 0]
+        # on it; then one per coordinate of a free block, K = ℝ
         live = ray & (ng > 0.0)
+        unit = np.zeros_like(ng)
         unit[live] = 1.0 / ng[live]
-        return GroupImage(group_of=self._group_of, ray=unit[self._group_of] * g,
-                          free=free[self._group_of])
+        r = int(live.sum())
+        column = np.where(live, np.cumsum(live) - 1, -1)[self._group_of]
+        direction = unit[self._group_of] * g
+        spread = np.flatnonzero(free[self._group_of])
+        column[spread] = r + np.arange(spread.size)
+        direction[spread] = 1.0
+        return BoxImage(c=np.zeros(self.n), column=column, direction=direction,
+                        lo=np.full(r + spread.size, -np.inf),
+                        hi=np.r_[np.zeros(r), np.full(spread.size, np.inf)])
 
 
 @dataclass(frozen=True)
@@ -505,4 +494,4 @@ class OrthantIndicator(Regularizer):
                 else f"coordinate {i}: -g_i > 0 not in cone (−∞, 0]")
         # a strictly interior normal-cone member pins the coordinate to 0
         pinned = ((s < 0) & (v > TAU_EQ)) | ((s > 0) & (v < -TAU_EQ))
-        return BoxImage(lo=np.where(pinned, 0.0, self.lo), hi=np.where(pinned, 0.0, self.hi))
+        return BoxImage.intervals(np.where(pinned, 0.0, self.lo), np.where(pinned, 0.0, self.hi))

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError, InvalidInputError, LineSearchError
+from .errors import (ConvergenceError, DomainError, InsufficientDataError, InvalidInputError,
+                     LineSearchError)
 from .problem import ProblemInstance
 from .space import inner, line_fit, norm
 
@@ -80,7 +81,9 @@ def proximal_gradient(
     tol: float = 1e-9,
     max_iter: int = 20000,
 ) -> SolveTrace:
-    """Iterate x⁺ = prox_{tP}(x − t∇f(x)) until ‖R(x)‖ ≤ tol.
+    """Iterate x⁺ = prox_{tP}(x − t∇f(x)) until ‖R(x)‖ ≤ tol.  Raises
+    ConvergenceError at the first iterate whose ‖R(x)‖ is not finite (a step
+    too long for ∇f diverges), naming that iteration.
 
     Backtracking halves t until the quadratic upper bound
     f(x⁺) ≤ f(x) + ⟨∇f(x), x⁺ − x⟩ + ‖x⁺ − x‖²/(2t) holds; steps that leave
@@ -114,6 +117,8 @@ def proximal_gradient(
         rows.append((k, point.value + P_x, r, t))
         if r <= tol:
             return SolveTrace(rows, x, CONVERGED)
+        if not math.isfinite(r):
+            raise ConvergenceError(f"‖R(xₖ)‖ is not finite at iteration {k}", r)
         if k == max_iter:
             break
 

@@ -1,5 +1,7 @@
 import inspect
 import json
+import re
+import time
 
 import numpy as np
 import pytest
@@ -365,6 +367,11 @@ class TestValidationBuildsTheInstance:
         ({"feasible_point": [0.0, 0.0, 0.0, 0.0]}, "problem.feasible_point"),
         ({"loss": {"least_squares": {"targets": [1.0, -1.0, 2.0]}}},
          "problem.loss.least_squares"),
+        # one output against three targets would broadcast
+        ({"loss": {"least_squares": {"targets": [1.0, -1.0, 2.0]}},
+          "linear_map": {"dense": [[1, 0, 0]]}}, "problem.loss.least_squares"),
+        ({"loss": {"least_squares": {"targets": [1.0, -1.0, 2.0]}},
+          "linear_map": {"coordinate_select": [0]}}, "problem.loss.least_squares"),
         ({"linear_map": {"dense": [[1, 0], [0, 1]]}}, "problem.linear_map.dense"),
         ({"linear_map": {"coordinate_select": [0, 7]}},
          "problem.linear_map.coordinate_select"),
@@ -502,6 +509,17 @@ class TestCli:
                      "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_divergent_fixed_step_exit_1(self, tmp_path, capsys):
+        # t = 5 > 1/L = 0.5 diverges: the solver stops at the first
+        # non-finite residual rather than iterating NaN to max_iter
+        config = write_config(tmp_path, {**MINIMAL_CUSTOM, "solver": {"step": {"fixed": 5.0}}})
+        start = time.perf_counter()
+        with np.errstate(all="ignore"):
+            code = main(["run", "custom", "--config", config, "--out", str(tmp_path / "o")])
+        assert code == 1 and time.perf_counter() - start < 2.0
+        assert re.fullmatch(r"error: ‖R\(xₖ\)‖ is not finite at iteration \d+ \(last gap (inf|nan)\)\n",
+                            capsys.readouterr().err)
 
     def test_ray_flags_rejected_elsewhere(self, tmp_path):
         assert main(["run", "lasso", "--out", str(tmp_path), "--y", "1.0"]) == 2

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,21 @@ class TestValues:
     def test_logistic_labels_checked(self):
         with pytest.raises(InvalidInputError):
             Logistic(np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("h", [
+        LeastSquares(np.array([1.0, 2.0, 3.0])), Logistic(np.array([1.0, -1.0, 1.0])),
+        Poisson(np.array([0.0, 1.0, 2.0])), GeneralQuadratic(np.eye(3), np.ones(3)),
+    ], ids=lambda h: type(h).__name__)
+    def test_input_must_have_the_data_shape(self, h):
+        # (1,) and (3, 1) would broadcast against the three data entries
+        for y in (np.array([0.5]), np.zeros((3, 1)), np.zeros(4)):
+            for evaluate in (h.value, h.gradient):
+                with pytest.raises(InvalidInputError, match=re.escape(f"input of shape {y.shape} ")):
+                    evaluate(y)
+
+    def test_shape_checked_before_domain(self):
+        with pytest.raises(InvalidInputError):
+            Poisson(np.array([1.0, 2.0])).value(np.array([800.0]))
 
 
 def _interior_points(kind, rng, count=100):

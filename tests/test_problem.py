@@ -10,6 +10,7 @@ from ebound.errors import (ConvergenceError, DomainError, InfeasibleTargetError,
 from ebound.experiments import (
     counterexample_curve_point,
     counterexample_instance,
+    lasso_instance,
     noncompact_instance,
     nuclear_regular_instance,
     ridge_instance,
@@ -100,6 +101,14 @@ class TestCertify:
         with pytest.raises(NotOptimalError) as err:
             certify(prob, np.zeros((2, 2)), tol=1e-10)
         assert abs(err.value.residual_norm - 1.5) <= 1e-12
+
+    @pytest.mark.parametrize("x", [np.full(8, np.nan), np.r_[np.inf, np.zeros(7)]],
+                             ids=["nan", "inf"])
+    def test_non_finite_residual_is_not_optimal(self, x):
+        # a NaN ‖R(x)‖ fails every comparison, `r > tol` included
+        with pytest.raises(NotOptimalError) as err, np.errstate(all="ignore"):
+            certify(lasso_instance(0), x)
+        assert np.isnan(err.value.residual_norm)
 
     def test_invariance_across_distinct_optima(self):
         prob, x_star = nuclear_regular_instance()

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ebound import regularizers
-from ebound.errors import DomainError, InsufficientDataError, InvalidInputError, LineSearchError
+from ebound.errors import (ConvergenceError, DomainError, InsufficientDataError, InvalidInputError,
+                           LineSearchError)
 from ebound.experiments import counterexample_instance, ridge_instance
 from ebound.losses import CompositeSmooth, LeastSquares, SmoothLoss
 from ebound.problem import ProblemInstance, certify
@@ -113,6 +114,20 @@ class TestProximalGradient:
             assert trace.status == CONVERGED
             terminals.append(trace.terminal)
         assert norm(terminals[0] - terminals[1]) <= 1e-5
+
+    def test_divergent_step_stops_at_first_non_finite_residual(self):
+        A = DenseMap(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]), (3,))
+        prob = ProblemInstance(CompositeSmooth(LeastSquares(np.array([1.0, -1.0])), A,
+                                               np.zeros(3)), L1(0.4), np.zeros(3))
+        step = Fixed(5.0)  # 1/L = 1/‖A‖² = 0.5
+        with np.errstate(all="ignore"):
+            with pytest.raises(ConvergenceError, match=r"not finite at iteration (\d+)") as err:
+                proximal_gradient(prob, np.zeros(3), step=step, max_iter=20000)
+            assert not np.isfinite(err.value.gap)
+            k = int(err.value.args[0].split("iteration ")[1].split()[0])
+            trace = proximal_gradient(prob, np.zeros(3), step=step, max_iter=k - 1)
+        assert trace.status == ITERATION_LIMIT
+        assert np.all(np.isfinite(trace.residuals)) and len(trace.residuals) == k
 
     def test_iteration_limit_status(self):
         prob = ridge_instance(2)
