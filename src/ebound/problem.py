@@ -11,8 +11,9 @@ K ∩ {B z = r}; Dykstra's alternating projections compute the latter unless
 A is the identity, which makes f strongly convex.  Everything is fixed by
 the certificate, which builds Γ_P(ḡ) and the reduced set on first use and
 keeps them.  An empty Γ_P(ḡ) raises InfeasibleTargetError on every use, and
-a reduced set whose least-squares point misses {A z = ȳ} by more than
-DYKSTRA_TOL raises ConvergenceError on every use.
+a reduced set whose gap ‖r − B B⁺r‖ / max(1, ‖B‖₂), measured in the range of
+A, exceeds DYKSTRA_TOL raises ConvergenceError on every use.  A itself is
+only ever applied, never factorized.
 """
 
 from __future__ import annotations
@@ -25,11 +26,12 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, InvalidInputError, NotOptimalError
 from .losses import CompositeSmooth
 from .regularizers import InverseImage, Regularizer
-from .space import LinearMap, affine_project, norm
+# affine_project is unused, but bench/layers.py wraps it in every module that binds it
+from .space import LinearMap, affine_project, norm  # noqa: F401
 
 CERT_TOL = 1e-9
 #: Dykstra stops when an iterate moves less than this, or fails after the
-#: budget; a reduced set whose gap exceeds it is reported as not meeting
+#: budget; a reduced set whose gap (see ReducedSet) exceeds it does not meet
 DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_SWEEPS = 10**4
 
@@ -77,17 +79,18 @@ class OptimalityCertificate:
             B[:, j] = self.A(image.T(e))
         r = self.y_bar - self.A(image.c)
         B_pinv = np.linalg.pinv(B, rcond=1e-12)
-        p = image.c + image.T(B_pinv @ r)
-        return ReducedSet(B=B, r=r, B_pinv=B_pinv,
-                          gap=norm(p - affine_project(p, self.A, self.y_bar)))
+        gap = norm(r - B @ (B_pinv @ r)) / max(1.0, float(np.linalg.norm(B, 2)))
+        return ReducedSet(B=B, r=r, B_pinv=B_pinv, gap=gap)
 
 
 @dataclass(frozen=True)
 class ReducedSet:
     """{c + T z : z ∈ K, B z = r} in the face of the certificate's Γ_P(ḡ),
-    with B⁺ for the projection onto {B z = r}.  gap is the distance from
-    c + T B⁺r, the least-squares point of the face, to {A z = ȳ}: above
-    rounding only when the face's affine hull misses the affine piece."""
+    with B⁺ for the projection onto {B z = r}.  gap = ‖r − B B⁺r‖ /
+    max(1, ‖B‖₂) is how far A maps the face's least-squares point c + T B⁺r
+    from ȳ, scaled by ‖B‖₂ (for a coordinate-select map, that point's
+    distance to {A z = ȳ}): above rounding only when the face's affine hull
+    misses the affine piece."""
 
     B: np.ndarray
     r: np.ndarray
@@ -133,11 +136,9 @@ def r_alt(prob: ProblemInstance, cert: OptimalityCertificate, x) -> float:
 
 
 def alt_residual(prob: ProblemInstance, cert: OptimalityCertificate, x, y) -> float:
-    """r_alt at x, given y = A(x)."""
+    """r_alt at x, given y = A(x); raises DomainError where ∂P(x) is empty."""
     if not prob.smooth.h.strongly_convex_on_compacts:
         return float("nan")
-    if not prob.reg.subdiff_nonempty(x):
-        raise DomainError("∂P(x) is empty at the probe point")
     return norm(y - cert.y_bar) + prob.reg.subdiff_distance(x, -cert.g_bar)
 
 
@@ -172,8 +173,8 @@ def distance_to_solution_set(prob: ProblemInstance, cert: OptimalityCertificate,
     projection onto {B z = r} with that onto K by Dykstra.  Where B is
     injective and its least-squares point lies in K, Dykstra stops after two
     sweeps and d is exact to rounding.  Raises ConvergenceError when the
-    face's least-squares point misses {A z = ȳ} by more than DYKSTRA_TOL
-    (the two pieces do not meet), or when Dykstra exhausts its budget.
+    reduced set's gap exceeds DYKSTRA_TOL (the two pieces do not meet), or
+    when Dykstra exhausts its budget.
     """
     if not prob.smooth.h.strongly_convex_on_compacts:
         raise InvalidInputError("the distance to the solution set needs a loss strongly "

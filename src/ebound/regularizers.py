@@ -224,9 +224,6 @@ class Regularizer:
         x, g = self._check_pair(x, g)
         return self.residual(x, g, self.prox(x - g))
 
-    def subdiff_nonempty(self, x) -> bool:
-        return True
-
     def subdiff_distance(self, x, s) -> float:
         raise NotImplementedError
 
@@ -465,9 +462,6 @@ class OrthantIndicator(Regularizer):
         # clip(x − g, lo, hi) − x == clip(−g, lo − x, hi − x), exactly;
         # the right-hand form keeps tiny gradients below the ulp of x alive
         return np.clip(-g, self.lo - x, self.hi - x)
-
-    def subdiff_nonempty(self, x):
-        return self.contains(x)
 
     def subdiff_distance(self, x, s):
         """Distance to the normal cone of C at x."""

@@ -74,6 +74,9 @@ def _evaluate(smooth, x):
         return None
 
 
+# a diverging step overflows before ‖R(xₖ)‖ turns non-finite; the loop
+# reports that iteration in its ConvergenceError, so numpy need not warn too
+@np.errstate(over="ignore", invalid="ignore")
 def proximal_gradient(
     prob: ProblemInstance,
     x0,

@@ -151,10 +151,6 @@ class DenseMap(LinearMap):
     def operator_norm(self):
         return float(np.linalg.norm(self.matrix, 2))
 
-    @cached_property
-    def _pinv(self) -> np.ndarray:
-        return np.linalg.pinv(self.matrix, rcond=1e-12)
-
 
 @dataclass(frozen=True)
 class CoordinateSelectMap(LinearMap):
@@ -281,7 +277,7 @@ def affine_project(x, A: LinearMap, y_bar):
         return out
     # dense: z = x − A⁺(A(x) − ȳ) via the SVD pseudoinverse
     residual = A(x) - y_bar
-    z = (x.reshape(-1) - A._pinv @ residual).reshape(x.shape)
+    z = (x.reshape(-1) - np.linalg.pinv(A.matrix, rcond=1e-12) @ residual).reshape(x.shape)
     if norm(A(z) - y_bar) > AFFINE_TOL * max(1.0, norm(y_bar)):
         raise InfeasibleTargetError(
             "target is not in the range of the linear map "

@@ -515,8 +515,7 @@ class TestCli:
         # non-finite residual rather than iterating NaN to max_iter
         config = write_config(tmp_path, {**MINIMAL_CUSTOM, "solver": {"step": {"fixed": 5.0}}})
         start = time.perf_counter()
-        with np.errstate(all="ignore"):
-            code = main(["run", "custom", "--config", config, "--out", str(tmp_path / "o")])
+        code = main(["run", "custom", "--config", config, "--out", str(tmp_path / "o")])
         assert code == 1 and time.perf_counter() - start < 2.0
         assert re.fullmatch(r"error: ‖R\(xₖ\)‖ is not finite at iteration \d+ \(last gap (inf|nan)\)\n",
                             capsys.readouterr().err)

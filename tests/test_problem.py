@@ -1,9 +1,10 @@
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 
-from ebound import diagnostics
+from ebound import diagnostics, problem, space
 from ebound.diagnostics import Curve, RandomDirections, probe
 from ebound.errors import (ConvergenceError, DomainError, InfeasibleTargetError,
                            InvalidInputError, NotOptimalError)
@@ -18,13 +19,14 @@ from ebound.experiments import (
 from ebound.losses import CompositeSmooth, LeastSquares
 from ebound.problem import (
     ProblemInstance,
+    alt_residual,
     certify,
     distance_to_solution_set,
     objective,
     r_alt,
     residual_map,
 )
-from ebound.regularizers import L1, GroupedLasso, NuclearNorm, Ridge
+from ebound.regularizers import L1, GroupedLasso, NuclearNorm, OrthantIndicator, Ridge
 from ebound.solver import Fixed, lipschitz_bound, proximal_gradient
 from ebound.space import CoordinateSelectMap, DenseMap, IdentityMap, norm
 
@@ -158,6 +160,20 @@ class TestAlternativeResidual:
             expected = affine + oracles.grouped_subdiff_distance_oracle(
                 x, -cert.g_bar, prob.reg.groups, prob.reg.weights)
             assert abs(got - expected) <= 1e-9
+
+    def test_infinite_outside_the_orthant(self):
+        # ∂P(x) is empty off C: alt_residual raises, and probe records inf
+        A = DenseMap(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]), (3,))
+        smooth = CompositeSmooth(LeastSquares(np.array([1.0, -1.0])), A, np.zeros(3))
+        prob = ProblemInstance(smooth, OrthantIndicator([1, 1, 0]), np.zeros(3))
+        cert = certify(prob, np.array([1.0, 0.0, -1.0]), tol=1e-12)
+        samples = probe(prob, cert, [1e-2, 1e-3], RandomDirections(6, seed=0))
+        inside = [prob.reg.contains(s.x) for s in samples]
+        assert 0 < sum(inside) < len(samples)
+        assert [s.r_alt == np.inf for s in samples] == [not i for i in inside]
+        x = samples[inside.index(False)].x
+        with pytest.raises(DomainError):
+            alt_residual(prob, cert, x, A(x))
 
 
 def grouped_toy():
@@ -373,6 +389,88 @@ class TestFaceDistance:
                 distance_to_solution_set(prob, cert, x)
             assert 4e-10 <= err.value.gap <= 6e-10
         assert time.perf_counter() - start < 0.1
+
+
+def _ridge_dense_instance():
+    """ridge on a dense 3×4 map: Γ_P(ḡ) is one point, so k = 0."""
+    M = np.array([[1.0, 0.0, 2.0, 0.0], [0.0, 1.0, 0.0, -1.0], [1.0, 1.0, 0.0, 1.0]])
+    smooth = CompositeSmooth(LeastSquares(np.array([1.0, -1.0, 0.5])), DenseMap(M, (4,)),
+                             np.zeros(4))
+    prob = ProblemInstance(smooth, Ridge(0.3), np.zeros(4))
+    trace = proximal_gradient(prob, np.zeros(4), step=Fixed(1.0 / lipschitz_bound(prob)),
+                              tol=1e-12, max_iter=10000)
+    return prob, certify(prob, trace.terminal, tol=1e-9)
+
+
+class TestReducedGap:
+    """The certificate's "do not meet" gap, ‖r − B B⁺r‖ / max(1, ‖B‖₂)."""
+
+    @pytest.mark.parametrize("build", [
+        _ridge_dense_instance,
+        lambda: _sparse_instance(0)[::2],
+        lambda: _sparse_instance(0, groups=5)[::2],
+        lambda: _completion_instance(0),
+    ], ids=["ridge-dense", "lasso", "grouped-lasso", "completion"])
+    def test_gap_is_the_scaled_least_squares_residual_of_B(self, build):
+        prob, cert = build()
+        red, image = cert.reduced, cert.image
+        assert red.B.shape == (cert.y_bar.size, image.k)
+        np.testing.assert_array_equal(red.r, cert.y_bar - prob.smooth.A(image.c))
+        B_pinv = np.linalg.pinv(red.B, rcond=1e-12)
+        expected = norm(red.r - red.B @ (B_pinv @ red.r)) / max(1.0, np.linalg.norm(red.B, 2))
+        assert red.gap == expected
+
+    def test_gap_with_no_face_coordinates_is_the_residual(self):
+        prob, cert = _ridge_dense_instance()
+        assert cert.image.k == 0
+        assert cert.reduced.gap == norm(cert.reduced.r)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_completion_gap_is_the_distance_to_the_affine_piece(self, seed):
+        # a coordinate-select map has ‖B‖ ≤ 1, so the gap is the distance from
+        # the face's least-squares point to {A z = ȳ}, up to rounding in ȳ
+        # (at most 0.2·eps·‖ȳ‖ apart on these seeds); seeds 2, 4 and 5 do not meet
+        prob, cert = _completion_instance(seed)
+        red, image = cert.reduced, cert.image
+        p = image.c + image.T(red.B_pinv @ red.r)
+        old = norm(p - space.affine_project(p, prob.smooth.A, cert.y_bar))
+        assert abs(red.gap - old) <= 4 * np.finfo(float).eps * norm(cert.y_bar)
+        assert (red.gap > problem.DYKSTRA_TOL) == (seed in (2, 4, 5))
+
+    def test_target_off_the_range_of_B_does_not_meet(self):
+        # move ȳ by δ along a unit vector orthogonal to the range of B
+        prob, _, cert = _sparse_instance(0)
+        B = cert.reduced.B
+        scale = max(1.0, float(np.linalg.norm(B, 2)))
+        assert scale > 1.0
+        v = np.random.default_rng(5).standard_normal(cert.y_bar.size)
+        e = v - B @ np.linalg.lstsq(B, v, rcond=None)[0]
+        delta = 1e-6
+        moved = dataclasses.replace(cert, y_bar=cert.y_bar + delta * e / norm(e))
+        with pytest.raises(ConvergenceError, match="do not meet") as err:
+            distance_to_solution_set(prob, moved, cert.x_star)
+        assert abs(err.value.gap - delta / scale) <= 1e-6 * delta / scale
+
+    def test_dense_certificate_stays_in_k_coordinates(self, monkeypatch):
+        # neither the ambient projection nor a pseudoinverse of the m×n map
+        prob, _, cert = _sparse_instance(0, m=200, n=500)
+        shapes = []
+        pinv = np.linalg.pinv
+
+        def recording_pinv(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return pinv(a, *args, **kwargs)
+
+        def no_affine_project(*args):
+            raise AssertionError("affine_project called")
+
+        monkeypatch.setattr(np.linalg, "pinv", recording_pinv)
+        monkeypatch.setattr(problem, "affine_project", no_affine_project)
+        monkeypatch.setattr(space, "affine_project", no_affine_project)
+        fresh = certify(prob, cert.x_star, tol=1e-9)
+        x = fresh.x_star + 1e-3 * _directions(fresh.x_star.shape, 1, 0)[0]
+        assert distance_to_solution_set(prob, fresh, x) > 0.0
+        assert shapes == [(200, fresh.image.k)]
 
 
 class TestResidualComparisons:

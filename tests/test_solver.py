@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,14 +121,22 @@ class TestProximalGradient:
         prob = ProblemInstance(CompositeSmooth(LeastSquares(np.array([1.0, -1.0])), A,
                                                np.zeros(3)), L1(0.4), np.zeros(3))
         step = Fixed(5.0)  # 1/L = 1/‖A‖² = 0.5
-        with np.errstate(all="ignore"):
-            with pytest.raises(ConvergenceError, match=r"not finite at iteration (\d+)") as err:
-                proximal_gradient(prob, np.zeros(3), step=step, max_iter=20000)
-            assert not np.isfinite(err.value.gap)
-            k = int(err.value.args[0].split("iteration ")[1].split()[0])
-            trace = proximal_gradient(prob, np.zeros(3), step=step, max_iter=k - 1)
+        with pytest.raises(ConvergenceError, match=r"not finite at iteration (\d+)") as err:
+            proximal_gradient(prob, np.zeros(3), step=step, max_iter=20000)
+        assert not np.isfinite(err.value.gap)
+        k = int(err.value.args[0].split("iteration ")[1].split()[0])
+        trace = proximal_gradient(prob, np.zeros(3), step=step, max_iter=k - 1)
         assert trace.status == ITERATION_LIMIT
         assert np.all(np.isfinite(trace.residuals)) and len(trace.residuals) == k
+
+    def test_divergent_step_raises_without_numpy_warnings(self):
+        A = DenseMap(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]), (3,))
+        prob = ProblemInstance(CompositeSmooth(LeastSquares(np.array([1.0, -1.0])), A,
+                                               np.zeros(3)), L1(0.4), np.zeros(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="not finite at iteration"):
+                proximal_gradient(prob, np.zeros(3), step=Fixed(5.0), max_iter=20000)
 
     def test_iteration_limit_status(self):
         prob = ridge_instance(2)
