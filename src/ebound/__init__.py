@@ -63,7 +63,6 @@ from .space import (
     CoordinateSelectMap,
     DenseMap,
     IdentityMap,
-    SvdFactorization,
     affine_project,
     inner,
     norm,

@@ -74,6 +74,8 @@ def probe(prob: ProblemInstance, cert: OptimalityCertificate, radii, directions)
     evaluation (one application of A and one of its adjoint) gives ‖R(x)‖,
     r_alt and F.  Points outside dom(f) are rejected; when the
     subdifferential of P is empty at a sample, r_alt is recorded as inf.
+    No points at all raises InvalidInputError, and every point rejected
+    raises EmptyProbeError.
     Samples are ordered by (radius, direction index) as generated, so
     reports are reproducible.
     """
@@ -84,6 +86,8 @@ def probe(prob: ProblemInstance, cert: OptimalityCertificate, radii, directions)
         units = _unit_directions(cert.x_star.shape, directions.count, directions.seed)
         pending = [(float(rho), j, cert.x_star + rho * u, None)
                    for rho in radii for j, u in enumerate(units)]
+    if not pending:
+        raise InvalidInputError("probe has no points: no radii, directions or curve points")
 
     samples = []
     for rho, j, x, d in pending:

@@ -405,15 +405,15 @@ class NuclearNorm(Regularizer):
         """Matrix shrinkage: each singular value σ ↦ σ' = max(σ − t, 0), so
         the nuclear norm of the result is Σ σ'.  A thin SVD suffices, and
         U diag(σ') Vᵀ does not depend on the signs of the singular vectors."""
-        fac = svd(self._check(z), full_matrices=False)
-        shrunk = np.maximum(fac.sigma - t, 0.0)
-        return (fac.U * shrunk) @ fac.V.T, float(shrunk.sum())
+        U, sigma, Vt = svd(self._check(z), full_matrices=False)
+        shrunk = np.maximum(sigma - t, 0.0)
+        return (U * shrunk) @ Vt, float(shrunk.sum())
 
     def subdiff_distance(self, x, s):
         x, s = self._check_pair(x, s)
-        fac = svd(x)
-        r = fac.rank
-        S = fac.U.T @ s @ fac.V
+        U, sigma, Vt = svd(x)
+        r = numerical_rank(sigma)
+        S = U.T @ s @ Vt.T
         dist_sq = float(np.sum((S[:r, :r] - np.eye(r)) ** 2))
         dist_sq += float(np.sum(S[:r, r:] ** 2)) + float(np.sum(S[r:, :r] ** 2))
         tail = S[r:, r:]
@@ -423,11 +423,11 @@ class NuclearNorm(Regularizer):
         return float(np.sqrt(dist_sq))
 
     def inverse_image(self, g):
-        fac = svd(-self._check(g))
-        if fac.sigma.size and fac.sigma[0] > 1.0 + TAU_EQ:
-            raise _empty(f"spectral norm of -g is {fac.sigma[0]:.6g} > 1")
-        s_bar = int(np.sum(fac.sigma >= 1.0 - TAU_EQ))
-        return NuclearImage(U=fac.U[:, :s_bar], V=fac.V[:, :s_bar])
+        U, sigma, Vt = svd(-self._check(g))
+        if sigma.size and sigma[0] > 1.0 + TAU_EQ:
+            raise _empty(f"spectral norm of -g is {sigma[0]:.6g} > 1")
+        s_bar = int(np.sum(sigma >= 1.0 - TAU_EQ))
+        return NuclearImage(U=U[:, :s_bar], V=Vt[:s_bar].T)
 
 
 class OrthantIndicator(Regularizer):

@@ -217,33 +217,20 @@ def numerical_rank(sigma) -> int:
     return int(np.sum(sigma > GROUP_TOL * scale))
 
 
-@dataclass(frozen=True)
-class SvdFactorization:
-    """SVD X = U Σ Vᵀ, sigma of length k = min(m, n) sorted non-increasing.
-    U is m×m and V n×n for the full SVD, m×k and n×k for the thin one."""
-
-    U: np.ndarray
-    sigma: np.ndarray
-    V: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return numerical_rank(self.sigma)
-
-
-def svd(X, full_matrices: bool = True) -> SvdFactorization:
-    """Full (or thin) singular value decomposition, as LAPACK returns it.
+def svd(X, full_matrices: bool = True) -> tuple:
+    """Full (or thin) singular value decomposition (U, σ, Vᵀ), exactly as
+    np.linalg.svd returns it, with σ sorted non-increasing; numpy would
+    return NaN singular values for a non-finite input, so that raises.
 
     The signs of the singular vectors are LAPACK's.  Every consumer is
-    invariant under flipping a column of U together with the paired column
-    of V: the Γ_P(ḡ) projection (D·psd(M)·D = psd(DMD)), the nuclear-norm
+    invariant under flipping a column of U together with the paired row
+    of Vᵀ: the Γ_P(ḡ) projection (D·psd(M)·D = psd(DMD)), the nuclear-norm
     subdifferential distance (squared entries), the complementarity margin
     (eigenvalues of DBD) and the nuclear-norm prox U diag(σ') Vᵀ.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     _require_finite(X, "svd input")
-    U, s, Vt = np.linalg.svd(X, full_matrices=full_matrices)
-    return SvdFactorization(U=U, sigma=s, V=Vt.T)
+    return np.linalg.svd(X, full_matrices=full_matrices)
 
 
 def psd_project(M):

@@ -6,6 +6,7 @@ Everything here is deliberately written against raw numpy/scipy primitives,
 not the library code paths it checks.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -250,6 +251,35 @@ def nuclear_image_project_oracle(x, G, tau_eq):
     M = U1.T @ x @ V1
     w, Q = np.linalg.eigh((M + M.T) / 2.0)
     return U1 @ ((Q * np.maximum(w, 0.0)) @ Q.T) @ V1.T
+
+
+def box_affine_project_oracle(w, B, r, lo, hi):
+    """Nearest point of {z : B z = r, lo ≤ z ≤ hi} to w, by enumeration, in
+    whatever coordinates w is given (the face's or the ambient ones).  The
+    nearest point holds some coordinates at a bound and is the projection of
+    w onto the affine set that leaves, so every pattern (each coordinate
+    free, at lo or at hi) is projected onto by least squares, and the
+    nearest feasible candidate is kept.  That is 3ⁿ patterns: meant for
+    n ≤ 6 coordinates."""
+    k = w.size
+    assert k <= 6, f"{k} coordinates would enumerate 3^{k} patterns"
+    best, best_dist = None, math.inf
+    for pattern in itertools.product((None, 0, 1), repeat=k):
+        fixed = np.array([p is not None for p in pattern])
+        z = np.where(np.array(pattern) == 1, hi, lo).astype(float)
+        if not np.all(np.isfinite(z[fixed])):
+            continue
+        rhs = r - B[:, fixed] @ z[fixed]
+        B_free, w_free = B[:, ~fixed], w[~fixed]
+        z[~fixed] = w_free - np.linalg.pinv(B_free) @ (B_free @ w_free - rhs)
+        if np.linalg.norm(B_free @ z[~fixed] - rhs) > 1e-10 * max(1.0, np.linalg.norm(r)):
+            continue  # this pattern's affine set is empty
+        if np.any(z < lo - 1e-12) or np.any(z > hi + 1e-12):
+            continue
+        dist = np.linalg.norm(w - z)
+        if dist < best_dist:
+            best, best_dist = z, dist
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import inspect
 import json
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -558,6 +559,33 @@ class TestRegistryBudget:
             elapsed = time.perf_counter() - start
             assert code == 0, name
             assert elapsed < 60.0, f"{name} took {elapsed:.1f}s"
+
+
+MATRIX = Path(__file__).resolve().parents[1] / "tools" / "registry_matrix"
+MATRIX_CONFIGS = sorted(MATRIX.glob("*.json"))
+#: configs that exit 1, with the error each prints: the 2×2 least-squares
+#: nuclear config's PSD slice meets its affine piece tangentially, so Dykstra
+#: spends its budget (open: exact reduced distances).  Drop an entry once its
+#: case is mended.
+MATRIX_FAILURES = {"nuclear-2x2-least-squares": "Dykstra did not reach the intersection"}
+
+
+class TestRegistryMatrix:
+    """Every config of tools/registry_matrix validates and runs at seed 0."""
+
+    def test_configs_are_found(self):
+        assert len(MATRIX_CONFIGS) >= 8
+
+    @pytest.mark.parametrize("path", MATRIX_CONFIGS, ids=lambda p: p.stem)
+    def test_validates_and_runs(self, path, tmp_path, capsys):
+        assert main(["validate", str(path)]) == 0
+        code = main(["run", "custom", "--config", str(path), "--seed", "0",
+                     "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        if path.stem in MATRIX_FAILURES:
+            assert code == 1 and MATRIX_FAILURES[path.stem] in err
+        else:
+            assert code == 0, err
 
 
 class TestAssertionFailureExit:

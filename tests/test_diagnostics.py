@@ -148,6 +148,15 @@ class TestProbe:
         with pytest.raises(EmptyProbeError):
             probe(prob, cert, None, curve)
 
+    @pytest.mark.parametrize("radii, directions", [([], RandomDirections(3, seed=0)),
+                                                   ([1e-2], RandomDirections(0, seed=0))],
+                             ids=["no-radii", "no-directions"])
+    def test_no_points_is_invalid_input(self, radii, directions):
+        # nothing was rejected, so this is not an EmptyProbeError
+        prob, cert = certified_ridge(0)
+        with pytest.raises(InvalidInputError, match="no points"):
+            probe(prob, cert, radii, directions)
+
 
 class TestFitExponent:
     def test_exact_proportional_data(self):

@@ -1,10 +1,13 @@
 import dataclasses
+import functools
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 from ebound import diagnostics, problem, space
+from ebound.config import load_config, validated_problem
 from ebound.diagnostics import Curve, RandomDirections, probe
 from ebound.errors import (ConvergenceError, DomainError, InfeasibleTargetError,
                            InvalidInputError, NotOptimalError)
@@ -26,11 +29,13 @@ from ebound.problem import (
     r_alt,
     residual_map,
 )
-from ebound.regularizers import L1, GroupedLasso, NuclearNorm, OrthantIndicator, Ridge
+from ebound.regularizers import (TAU_EQ, L1, BoxImage, GroupedLasso, NuclearNorm,
+                                 OrthantIndicator, Ridge)
 from ebound.solver import Fixed, lipschitz_bound, proximal_gradient
 from ebound.space import CoordinateSelectMap, DenseMap, IdentityMap, norm
 
 import oracles
+from test_config_cli import MATRIX
 from test_losses import COUNTER_B, COUNTER_D, quadratic_oracle
 
 
@@ -285,6 +290,78 @@ class TestDistanceToSolutionSet:
         x = cert.x_star + 0.01 * np.ones_like(cert.x_star)
         assert abs(distance_to_solution_set(prob, cert, x)
                    - norm(x - cert.x_star)) <= 1e-14
+
+
+@functools.cache
+def _certified(name):
+    """The lasso or ridge instance of seed 0 solved to 1e-11, or
+    nuclear-regular at its known optimum, certified at 1e-9."""
+    if name == "nuclear-regular":
+        prob, x = nuclear_regular_instance()
+    else:
+        prob = {"lasso": lasso_instance, "ridge": ridge_instance}[name](0)
+        x = proximal_gradient(prob, prob.feasible_point, step=Fixed(1.0 / lipschitz_bound(prob)),
+                              tol=1e-11, max_iter=100000).terminal
+    return prob, certify(prob, x, tol=1e-9)
+
+
+class TestNonFinitePoint:
+    """A NaN or inf anywhere in the point raises InvalidInputError at once and
+    warns nothing: in a face coordinate of the lasso it used to spend
+    Dykstra's whole budget, and off the face it returned d = nan or inf."""
+
+    @pytest.mark.parametrize("name, index", [
+        ("lasso", 0),     # in the face of Γ_P(ḡ)
+        ("lasso", 3),
+        ("lasso", 1),     # pinned at 0
+        ("nuclear-regular", (0, 1)),
+        ("ridge", 2),     # the identity map's shortcut
+    ], ids=["lasso-face-0", "lasso-face-3", "lasso-off-face", "nuclear-regular", "ridge"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_raises_at_once(self, name, index, value):
+        prob, cert = _certified(name)
+        x = cert.x_star.copy()
+        x[index] = value
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="point has non-finite entries"):
+                distance_to_solution_set(prob, cert, x)
+        assert time.perf_counter() - start < 0.05
+
+
+class TestDykstraAccuracy:
+    """Where B = A∘T has a null space, Dykstra iterates, and its stopping rule
+    bounds no error: the distance is checked against the projection onto
+    {M x = ȳ} ∩ Γ_P(ḡ) found by enumerating its active sets in the ambient
+    coordinates (n ≤ 5 here)."""
+
+    @pytest.mark.parametrize("name, k", [("orthant-dense", 3), ("orthant-wide", 5)])
+    def test_matches_the_enumerated_projection(self, monkeypatch, name, k):
+        prob, x0 = validated_problem(load_config(MATRIX / f"{name}.json"))
+        trace = proximal_gradient(prob, x0, step=Fixed(1.0 / lipschitz_bound(prob)),
+                                  tol=1e-11, max_iter=200000)
+        cert = certify(prob, trace.terminal, tol=1e-9)
+        assert cert.image.k == k
+        lo, hi = oracles.orthant_inverse_image_oracle(cert.g_bar, prob.reg.signs, TAU_EQ)
+        sweeps = []
+        project_K = BoxImage.project_K
+
+        def counted(self, z):
+            sweeps[-1] += 1
+            return project_K(self, z)
+
+        monkeypatch.setattr(BoxImage, "project_K", counted)
+        units = _directions(cert.x_star.shape, 6, seed=0)
+        for rho in np.logspace(-2, -4, 9):
+            for u in units:
+                x = cert.x_star + rho * u
+                sweeps.append(0)
+                d = distance_to_solution_set(prob, cert, x)
+                nearest = oracles.box_affine_project_oracle(
+                    x, prob.smooth.A.matrix, cert.y_bar, lo, hi)
+                assert abs(d - norm(x - nearest)) <= 1e-9
+        assert max(sweeps) > 2  # Dykstra iterated, not just the closed form
 
 
 def _sparse_instance(seed, groups=None, m=60, n=150):
