@@ -70,10 +70,12 @@ def probe(prob: ProblemInstance, cert: OptimalityCertificate, radii, directions)
     (d(x,𝒳), ‖R(x)‖, r_alt(x), F(x)) per sample.
 
     A curve brings its own distances; around x* they are measured by
-    distance_to_solution_set.  f is evaluated once per sample, and that one
-    evaluation (one application of A and one of its adjoint) gives ‖R(x)‖,
-    r_alt and F.  Points outside dom(f) are rejected; when the
-    subdifferential of P is empty at a sample, r_alt is recorded as inf.
+    distance_to_solution_set.  f and its gradient are evaluated at all the
+    points together (CompositeSmooth.at_each): one stacked application of A
+    and one of its adjoint per call, each a single matrix–matrix product on
+    a dense map, and each sample's evaluation gives ‖R(x)‖, r_alt and F.
+    Points outside dom(f) are rejected, and their ∇h is never formed; when
+    the subdifferential of P is empty at a sample, r_alt is recorded as inf.
     No points at all raises InvalidInputError, and every point rejected
     raises EmptyProbeError.
     Samples are ordered by (radius, direction index) as generated, so
@@ -90,10 +92,9 @@ def probe(prob: ProblemInstance, cert: OptimalityCertificate, radii, directions)
         raise InvalidInputError("probe has no points: no radii, directions or curve points")
 
     samples = []
-    for rho, j, x, d in pending:
-        try:
-            point = prob.smooth.at(x)
-        except DomainError:
+    points = prob.smooth.at_each([x for _, _, x, _ in pending])
+    for (rho, j, x, d), point in zip(pending, points):
+        if point is None:
             continue
         if d is None:
             d = distance_to_solution_set(prob, cert, x)

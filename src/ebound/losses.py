@@ -209,14 +209,18 @@ class NoncompactExample(SmoothLoss):
 @dataclass(frozen=True, eq=False)
 class SmoothPoint:
     """f evaluated at one point x: y = A(x) and f(x) = h(y) + ⟨c, x⟩.  The
-    gradient A*∇h(y) + c costs one adjoint and is formed on first use."""
+    gradient A*∇h(y) + c is `given_gradient` when the caller formed it, and
+    otherwise costs one adjoint and is formed on first use."""
 
     smooth: "CompositeSmooth"
     y: np.ndarray
     value: float
+    given_gradient: np.ndarray | None = field(default=None, repr=False)
 
     @cached_property
     def gradient(self) -> np.ndarray:
+        if self.given_gradient is not None:
+            return self.given_gradient
         return self.smooth.A.adjoint(self.smooth.h.gradient(self.y)) + self.smooth.c
 
 
@@ -242,6 +246,22 @@ class CompositeSmooth:
         if not self.h.in_domain(y):
             raise DomainError("composite: A(x) outside the loss domain")
         return SmoothPoint(self, y, self.h.value(y) + inner(self.c, x))
+
+    def at_each(self, xs) -> list:
+        """f at every x in xs, with its gradient, or None for a point whose
+        A(x) lies outside the loss domain: one stacked application of A for
+        all the points and one of its adjoint for those in the domain (see
+        LinearMap.apply_each), where `at` and a gradient cost one of each per
+        point."""
+        xs = [np.asarray(x, dtype=float) for x in xs]
+        ys = self.A.apply_each(xs)
+        inside = [i for i, y in enumerate(ys) if self.h.in_domain(y)]
+        grads = self.A.adjoint_each([self.h.gradient(ys[i]) for i in inside])
+        points = [None] * len(xs)
+        for i, g in zip(inside, grads):
+            points[i] = SmoothPoint(self, ys[i], self.h.value(ys[i]) + inner(self.c, xs[i]),
+                                    g + self.c)
+        return points
 
     def value(self, x) -> float:
         return self.at(x).value

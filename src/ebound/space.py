@@ -68,6 +68,14 @@ class LinearMap:
     def adjoint(self, y):
         raise NotImplementedError
 
+    def apply_each(self, xs) -> list:
+        """[A(x) for x in xs]; a subclass may apply A to all of them at once."""
+        return [self(x) for x in xs]
+
+    def adjoint_each(self, ys) -> list:
+        """[A*(y) for y in ys]; a subclass may apply A* to all of them at once."""
+        return [self.adjoint(y) for y in ys]
+
     def operator_norm(self) -> float:
         """Spectral norm ‖A‖₂."""
         raise NotImplementedError
@@ -116,6 +124,9 @@ class DenseMap(LinearMap):
     GATHER_RATIO·|supp x| ≤ n reads only the columns on its support,
     matrix[:, s] @ x[s]: the same product up to rounding.  NaN and ±inf are
     nonzero, so they stay in s and propagate as in the full product.
+    `apply_each` and `adjoint_each` take all their points in one
+    matrix–matrix product, X Mᵀ or Y M: the per-point products up to
+    rounding.
     """
 
     matrix: np.ndarray
@@ -147,6 +158,16 @@ class DenseMap(LinearMap):
     def adjoint(self, y):
         y = _sized(y, self.matrix.shape[0], "dense map adjoint")
         return (self.matrix.T @ y).reshape(self.in_shape)
+
+    def apply_each(self, xs):
+        n = self.matrix.shape[1]
+        X = np.array([_sized(x, n, "dense map") for x in xs]).reshape(-1, n)
+        return list(X @ self.matrix.T)
+
+    def adjoint_each(self, ys):
+        m = self.matrix.shape[0]
+        Y = np.array([_sized(y, m, "dense map adjoint") for y in ys]).reshape(-1, m)
+        return [row.reshape(self.in_shape) for row in Y @ self.matrix]
 
     def operator_norm(self):
         return float(np.linalg.norm(self.matrix, 2))

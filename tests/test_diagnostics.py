@@ -1,3 +1,5 @@
+from dataclasses import dataclass, field, replace
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,8 @@ from ebound.diagnostics import (
     regularity_summary,
     strict_complementarity,
 )
-from ebound.errors import (EmptyProbeError, InfeasibleTargetError, InsufficientDataError,
-                           InvalidInputError)
+from ebound.errors import (ConvergenceError, EmptyProbeError, InfeasibleTargetError,
+                           InsufficientDataError, InvalidInputError)
 from ebound.experiments import (
     counterexample_curve_point,
     counterexample_instance,
@@ -27,11 +29,14 @@ from ebound.experiments import (
     nuclear_regular_instance,
     ridge_instance,
 )
-from ebound.losses import CompositeSmooth, GeneralQuadratic, LeastSquares
-from ebound.problem import ProblemInstance, certify
+from ebound.losses import CompositeSmooth, GeneralQuadratic, LeastSquares, Poisson
+from ebound.problem import ProblemInstance, alt_residual, certify, distance_to_solution_set
 from ebound.regularizers import L1, GroupedLasso, NuclearNorm, OrthantIndicator, Ridge
 from ebound.solver import Fixed, lipschitz_bound, proximal_gradient
 from ebound.space import CoordinateSelectMap, DenseMap, norm
+
+from test_problem import _completion_instance
+from test_solver import CountingMap, lasso_toy
 
 
 def certified_counterexample():
@@ -156,6 +161,109 @@ class TestProbe:
         prob, cert = certified_ridge(0)
         with pytest.raises(InvalidInputError, match="no points"):
             probe(prob, cert, radii, directions)
+
+
+@dataclass(frozen=True)
+class RecordingPoisson(Poisson):
+    """Poisson loss that keeps every y its gradient is asked for."""
+
+    gradient_inputs: list = field(default_factory=list, compare=False)
+
+    def gradient(self, y):
+        self.gradient_inputs.append(np.array(y))
+        return super().gradient(y)
+
+
+def counted_lasso(seed=0):
+    """lasso_toy certified, its reduced set built, with the count reset."""
+    prob, *_ = lasso_toy(seed)
+    trace = proximal_gradient(prob, np.zeros(60), step=Fixed(1.0 / lipschitz_bound(prob)),
+                              tol=1e-12, max_iter=100000)
+    cert = certify(prob, trace.terminal, tol=1e-10)
+    assert cert.reduced.gap <= 1e-10
+    prob.smooth.A.calls.clear()
+    return prob, cert
+
+
+def certified_poisson():
+    """min Σ (e^{x_i} − b_i x_i) + 0.5‖x‖₁ on the dense identity with counts
+    (2, 3): x* = log(b − 0.5), where A x* is far below the exp cap."""
+    A = CountingMap(np.eye(2), (2,))
+    smooth = CompositeSmooth(RecordingPoisson(np.array([2.0, 3.0])), A, np.zeros(2))
+    prob = ProblemInstance(smooth, L1(0.5), np.zeros(2))
+    cert = certify(prob, np.log([1.5, 2.5]), tol=1e-12)
+    A.calls.clear()
+    smooth.h.gradient_inputs.clear()
+    return prob, cert
+
+
+class TestProbeEvaluation:
+    """probe evaluates f at all its points together: one stacked forward
+    and one stacked adjoint product per call, and per sample the figures a
+    per-point evaluation gives."""
+
+    @pytest.mark.parametrize("radii, count", [([1e-2], 1), ([1e-2], 2), ([1e-1, 1e-2, 1e-3], 5)])
+    def test_one_stacked_product_each_way_per_call(self, radii, count):
+        prob, cert = counted_lasso()
+        samples = probe(prob, cert, radii, RandomDirections(count, seed=3))
+        assert len(samples) == len(radii) * count
+        assert prob.smooth.A.calls == {"forward_each": 1, "adjoint_each": 1}
+
+    def test_samples_match_a_per_point_evaluation(self):
+        # d is computed the same way; y and ∇f differ from the per-point
+        # products by rounding: ‖Δy‖ ≤ 1e-13·‖M‖₂‖x‖ and ‖Δ∇f‖ ≤ 1e-13·‖M‖₂·
+        # (‖M‖₂‖x‖ + ‖y − b‖), which bound Δr_alt and Δr_prox (the prox is
+        # nonexpansive), and ΔF ≤ ‖y − b‖·‖Δy‖ to first order
+        prob, cert = counted_lasso(seed=1)
+        M2 = prob.smooth.A.operator_norm()
+        b = prob.smooth.h.targets
+        samples = probe(prob, cert, [1.0, 1e-2, 1e-4], RandomDirections(4, seed=5))
+        for s in samples:
+            point = prob.smooth.at(s.x)
+            dy = 1e-13 * M2 * norm(s.x)
+            assert s.d == distance_to_solution_set(prob, cert, s.x)
+            r_prox = norm(prob.reg.prox_diff(s.x, point.gradient))
+            assert abs(s.r_prox - r_prox) <= 1e-13 * M2 * (M2 * norm(s.x) + norm(point.y - b))
+            assert abs(s.r_alt - alt_residual(prob, cert, s.x, point.y)) <= dy
+            F = point.value + prob.reg.value(s.x)
+            assert abs(s.F_val - F) <= (1.0 + norm(point.y - b)) * dy
+
+    def test_points_past_the_exp_cap_are_skipped_before_their_gradient(self):
+        prob, cert = certified_poisson()
+        points = [cert.x_star + [0.1, 0.0], np.array([800.0, 0.0]),
+                  cert.x_star - [0.0, 0.2], np.array([0.0, 701.0])]
+        curve = Curve(params=(1.0, 2.0, 3.0, 4.0), points=tuple(points),
+                      distances=tuple(norm(x - cert.x_star) for x in points))
+        samples = probe(prob, cert, None, curve)
+        assert [s.radius for s in samples] == [1.0, 3.0]
+        seen = prob.smooth.h.gradient_inputs
+        assert len(seen) == 2 and all(np.max(y) <= 700.0 for y in seen)
+        assert prob.smooth.A.calls == {"forward_each": 1, "adjoint_each": 1}
+
+    def test_every_point_past_the_cap_is_an_empty_probe(self):
+        prob, cert = certified_poisson()
+        points = (np.array([800.0, 0.0]), np.array([0.0, 701.0]))
+        curve = Curve(params=(1.0, 2.0), points=points, distances=(1.0, 1.0))
+        with pytest.raises(EmptyProbeError):
+            probe(prob, cert, None, curve)
+        assert prob.smooth.h.gradient_inputs == []
+
+    def test_pieces_that_do_not_meet_still_raise(self):
+        # family seed 2 of the nuclear-completion workload: the probe stops
+        # at its first distance, as a per-point probe did
+        prob, cert = _completion_instance(2)
+        with pytest.raises(ConvergenceError, match="do not meet"):
+            probe(prob, cert, [1e-2, 1e-3], RandomDirections(2, seed=0))
+
+    def test_dense_pieces_that_do_not_meet_still_raise(self):
+        # ȳ moved off the range of B = A∘T, on the stacked dense path
+        prob, cert = counted_lasso()
+        B = cert.reduced.B
+        v = np.random.default_rng(5).standard_normal(cert.y_bar.size)
+        e = v - B @ np.linalg.lstsq(B, v, rcond=None)[0]
+        moved = replace(cert, y_bar=cert.y_bar + 1e-6 * e / norm(e))
+        with pytest.raises(ConvergenceError, match="do not meet"):
+            probe(prob, moved, [1e-2], RandomDirections(3, seed=0))
 
 
 class TestFitExponent:

@@ -1,4 +1,5 @@
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,9 +35,10 @@ from ebound.space import (
 
 @dataclass(frozen=True)
 class CountingMap(DenseMap):
-    """DenseMap that counts its forward and adjoint applications."""
+    """DenseMap that counts its forward and adjoint applications, per point
+    and stacked."""
 
-    calls: dict = field(default_factory=lambda: {"forward": 0, "adjoint": 0}, compare=False)
+    calls: Counter = field(default_factory=Counter, compare=False)
 
     def __call__(self, x):
         self.calls["forward"] += 1
@@ -46,6 +48,14 @@ class CountingMap(DenseMap):
         self.calls["adjoint"] += 1
         return super().adjoint(y)
 
+    def apply_each(self, xs):
+        self.calls["forward_each"] += 1
+        return super().apply_each(xs)
+
+    def adjoint_each(self, ys):
+        self.calls["adjoint_each"] += 1
+        return super().adjoint_each(ys)
+
 
 def lasso_toy(seed=0, m=30, n=60):
     rng = np.random.default_rng(seed)
@@ -54,7 +64,7 @@ def lasso_toy(seed=0, m=30, n=60):
     lam = 0.3 * float(np.max(np.abs(M.T @ b)))
     A = CountingMap(M, (n,))
     prob = ProblemInstance(CompositeSmooth(LeastSquares(b), A, np.zeros(n)), L1(lam), np.zeros(n))
-    A.calls.update(forward=0, adjoint=0)
+    A.calls.clear()
     return prob, M, b, lam
 
 
@@ -199,6 +209,9 @@ class TestWorkPerIteration:
         calls = prob.smooth.A.calls
         assert calls["forward"] <= K + 2
         assert calls["adjoint"] <= K + 1
+        # the solver applies A one point at a time, so a sparse iterate's
+        # forward can read only the columns on its support
+        assert calls["forward_each"] == calls["adjoint_each"] == 0
 
     def test_backtracking_one_adjoint_per_iteration(self):
         prob, *_ = lasso_toy(1)

@@ -8,6 +8,7 @@ from ebound.space import (
     CoordinateSelectMap,
     DenseMap,
     IdentityMap,
+    LinearMap,
     affine_project,
     inner,
     norm,
@@ -327,3 +328,87 @@ class TestDenseSupportGather:
         assert scans == ([1000] if gathers else [])
         if not gathers:
             assert np.array_equal(out, M @ x)
+
+
+class Reversal(LinearMap):
+    """A user-defined map that inherits the stacked products: x ↦ 2·x[::-1]."""
+
+    in_shape = out_shape = (5,)
+
+    def __call__(self, x):
+        return 2.0 * np.asarray(x, dtype=float)[::-1]
+
+    def adjoint(self, y):
+        return 2.0 * np.asarray(y, dtype=float)[::-1]
+
+
+class TestStackedProducts:
+    """apply_each and adjoint_each: a loop over the per-point products on
+    the base class, one matrix–matrix product each on a dense map."""
+
+    @pytest.mark.parametrize("A", [
+        IdentityMap((2, 3)),
+        CoordinateSelectMap(((3, 1), (0, 4), (2, 2)), (4, 5)),
+        CoordinateSelectMap((5, 0, 3), (6,)),
+        Reversal(),
+    ], ids=["identity", "select-matrix", "select-vector", "user-defined"])
+    def test_base_loop_is_the_per_point_products_bit_for_bit(self, A):
+        rng = np.random.default_rng(30)
+        xs = [rng.standard_normal(A.in_shape) for _ in range(4)]
+        ys = [rng.standard_normal(A.out_shape) for _ in range(4)]
+        for got, x in zip(A.apply_each(xs), xs, strict=True):
+            np.testing.assert_array_equal(got, A(x))
+        for got, y in zip(A.adjoint_each(ys), ys, strict=True):
+            np.testing.assert_array_equal(got, A.adjoint(y))
+
+    @pytest.mark.parametrize("rows, in_shape, k", [
+        (7, (9,), None), (5, (4, 6), None),
+        (GATHER_MIN_ENTRIES // 1000, (1000,), 3),   # each point alone would gather
+    ])
+    def test_dense_agrees_with_the_per_point_products(self, rows, in_shape, k):
+        # rounding differs between the matrix–matrix and matrix–vector
+        # products; each entry is off by a few ulps of ‖M‖₂·‖x‖
+        rng = np.random.default_rng(31)
+        n = int(np.prod(in_shape))
+        A = DenseMap(rng.standard_normal((rows, n)), in_shape)
+        M2 = A.operator_norm()
+        xs = [rng.standard_normal(in_shape) if k is None else sparse_input(rng, in_shape, k)
+              for _ in range(6)]
+        ys = [rng.standard_normal(rows) for _ in range(6)]
+        for got, x in zip(A.apply_each(xs), xs, strict=True):
+            assert got.shape == A.out_shape
+            assert norm(got - A(x)) <= 1e-13 * M2 * norm(x)
+        for got, y in zip(A.adjoint_each(ys), ys, strict=True):
+            assert got.shape == A.in_shape
+            assert norm(got - A.adjoint(y)) <= 1e-13 * M2 * norm(y)
+
+    def test_dense_takes_points_by_size(self):
+        A = DenseMap(np.arange(12.0).reshape(3, 4), (2, 2))
+        x = np.array([1.0, -2.0, 0.5, 3.0])
+        for got in A.apply_each([x, x.reshape(2, 2), x.reshape(4, 1)]):
+            np.testing.assert_array_equal(got, A.matrix @ x)
+
+    @pytest.mark.parametrize("A", [
+        DenseMap(np.ones((3, 4)), (2, 2)),
+        IdentityMap((4,)),
+        CoordinateSelectMap((0, 2), (4,)),
+    ], ids=["dense", "identity", "select"])
+    def test_wrong_size_raises_the_per_point_error(self, A):
+        good_x, good_y = np.ones(A.in_shape), np.ones(A.out_shape)
+        n, m = good_x.size, good_y.size
+        for bad_x, bad_y in ((np.ones(n + 1), np.ones(m + 1)), (np.ones(n - 1), np.ones(m - 1))):
+            with pytest.raises(InvalidInputError) as single:
+                A(bad_x)
+            with pytest.raises(InvalidInputError) as stacked:
+                A.apply_each([good_x, bad_x])
+            assert str(stacked.value) == str(single.value)
+            with pytest.raises(InvalidInputError) as single:
+                A.adjoint(bad_y)
+            with pytest.raises(InvalidInputError) as stacked:
+                A.adjoint_each([good_y, bad_y])
+            assert str(stacked.value) == str(single.value)
+
+    @pytest.mark.parametrize("A", [DenseMap(np.ones((3, 4)), (2, 2)), IdentityMap((4,))],
+                             ids=["dense", "identity"])
+    def test_no_points_gives_no_products(self, A):
+        assert A.apply_each([]) == [] and A.adjoint_each([]) == []

@@ -8,6 +8,10 @@
 #   tools/registry_matrix.sh /tmp/change
 #   tools/registry_matrix.sh /tmp/parent ../parent-checkout
 #   diff -r /tmp/parent /tmp/change
+#   tools/registry_matrix_diff.py /tmp/parent /tmp/change --rtol 1e-9
+#
+# The last one compares the trees number by number, so rounding differences
+# up to --rtol pass (see the script's docstring).
 #
 # CHECKOUT (default: the one holding this script) is the tree whose src/ is
 # run; the custom configs always come from tools/registry_matrix/ beside this
