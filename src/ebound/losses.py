@@ -24,6 +24,15 @@ class SmoothLoss:
     #: global Lipschitz constant of ∇h, or None when there is none
     grad_lipschitz: float | None = None
 
+    #: ∇h(y) = ∇h(0) + H y with a constant Hessian H, which hessian_product
+    #: applies; CompositeSmooth then forms a sparse point's gradient from
+    #: cached columns of A*HA
+    constant_hessian: bool = False
+
+    def hessian_product(self, v) -> np.ndarray:
+        """H v, for a loss with a constant Hessian H."""
+        raise NotImplementedError
+
     def in_domain(self, y) -> bool:
         return True
 
@@ -56,6 +65,7 @@ class LeastSquares(SmoothLoss):
 
     targets: np.ndarray
     grad_lipschitz = 1.0
+    constant_hessian = True
 
     def __post_init__(self):
         object.__setattr__(self, "targets", np.asarray(self.targets, dtype=float))
@@ -72,6 +82,9 @@ class LeastSquares(SmoothLoss):
         y = self._check(y)
         return y - self.targets
 
+    def hessian_product(self, v):
+        return np.asarray(v, dtype=float)
+
 
 @dataclass(frozen=True)
 class GeneralQuadratic(SmoothLoss):
@@ -81,6 +94,7 @@ class GeneralQuadratic(SmoothLoss):
     d: np.ndarray
     _constant: float = field(init=False, repr=False)
     grad_lipschitz: float = field(init=False, repr=False)  # ‖B‖₂
+    constant_hessian = True
 
     def __post_init__(self):
         B = np.asarray(self.B, dtype=float)
@@ -110,6 +124,9 @@ class GeneralQuadratic(SmoothLoss):
     def gradient(self, y):
         y = self._check(y)
         return self.B @ y - self.d
+
+    def hessian_product(self, v):
+        return self.B @ v
 
 
 @dataclass(frozen=True)
@@ -209,10 +226,14 @@ class NoncompactExample(SmoothLoss):
 @dataclass(frozen=True, eq=False)
 class SmoothPoint:
     """f evaluated at one point x: y = A(x) and f(x) = h(y) + ⟨c, x⟩.  The
-    gradient A*∇h(y) + c is `given_gradient` when the caller formed it, and
-    otherwise costs one adjoint and is formed on first use."""
+    gradient is `given_gradient` when the caller formed it, and otherwise is
+    formed on first use: from the cached columns of A*HA on x's support when
+    h has a constant Hessian H and A(x) gathered (see CompositeSmooth), which
+    costs O(n·|supp x|) plus one forward and one adjoint for each coordinate
+    new to the cache; otherwise as A*∇h(y) + c, with one adjoint."""
 
     smooth: "CompositeSmooth"
+    x: np.ndarray
     y: np.ndarray
     value: float
     given_gradient: np.ndarray | None = field(default=None, repr=False)
@@ -221,19 +242,81 @@ class SmoothPoint:
     def gradient(self) -> np.ndarray:
         if self.given_gradient is not None:
             return self.given_gradient
-        return self.smooth.A.adjoint(self.smooth.h.gradient(self.y)) + self.smooth.c
+        f = self.smooth
+        s = f.A.gather_support(self.x) if f.h.constant_hessian else None
+        Q = None if s is None else f.hessian_columns(s)
+        if Q is None:
+            return f.A.adjoint(f.h.gradient(self.y)) + f.c
+        return (self.x.reshape(-1)[s] @ Q).reshape(f.c.shape) + f.zero_gradient
+
+
+@dataclass
+class _HessianColumns:
+    """Q_j = A*(H(A e_j)) is rows[slot[j]], or not built when slot[j] < 0."""
+
+    slot: np.ndarray
+    rows: np.ndarray
 
 
 @dataclass(frozen=True)
 class CompositeSmooth:
-    """f(x) = h(A(x)) + ⟨c, x⟩ with gradient A*∇h(A(x)) + c."""
+    """f(x) = h(A(x)) + ⟨c, x⟩ with gradient A*∇h(A(x)) + c.
+
+    When h has a constant Hessian H, ∇f(x) = Σ_{j ∈ supp x} x_j Q_j + ∇f(0)
+    with Q_j = A*(H(A e_j)), column j of A*HA.  At a point whose forward
+    product gathers (LinearMap.gather_support), the gradient reads the
+    cached Q_j on its support in O(n·|supp x|).  Q_j costs one forward and
+    one adjoint the first time coordinate j enters a support, and ∇f(0)
+    one adjoint, once.  The cache holds at most as many columns as A has
+    outputs, so it is never larger than a dense A; a point that would need
+    more takes the adjoint.  c must have A's input shape, and a loss's data
+    A's output shape.
+    """
 
     h: SmoothLoss
     A: LinearMap
     c: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
+        c = np.asarray(self.c, dtype=float)
+        if c.shape != tuple(self.A.in_shape):
+            raise InvalidInputError(f"composite: c has shape {c.shape}, "
+                                    f"the linear map takes {tuple(self.A.in_shape)}")
+        data = self.h.data
+        if data is not None and data.shape != tuple(self.A.out_shape):
+            raise InvalidInputError(f"composite: {type(self.h).__name__} data of shape "
+                                    f"{data.shape} does not fit the linear map's outputs "
+                                    f"of shape {tuple(self.A.out_shape)}")
+        object.__setattr__(self, "c", c)
+
+    @cached_property
+    def zero_gradient(self) -> np.ndarray:
+        """∇f(0) = A*∇h(0) + c."""
+        return self.A.adjoint(self.h.gradient(np.zeros(self.A.out_shape))) + self.c
+
+    @cached_property
+    def _columns(self) -> _HessianColumns:
+        return _HessianColumns(np.full(self.c.size, -1, dtype=np.intp),
+                               np.empty((0, self.c.size)))
+
+    def hessian_columns(self, s) -> np.ndarray | None:
+        """The |s|×n array of Q_j for the flat indices j in s, building the
+        missing ones; None when the cache would then hold more columns than
+        A has outputs.  A*HA is symmetric, so Q_j is also its row j."""
+        cache = self._columns
+        new = s[cache.slot[s] < 0]
+        if new.size:
+            built = len(cache.rows)
+            if built + new.size > int(np.prod(self.A.out_shape)):
+                return None
+            cols = []
+            for j in new:
+                e = np.zeros(self.c.shape)
+                e.flat[j] = 1.0
+                cols.append(self.A.adjoint(self.h.hessian_product(self.A(e))).reshape(-1))
+            cache.rows = np.vstack([cache.rows, *cols])
+            cache.slot[new] = np.arange(built, built + new.size)
+        return cache.rows[cache.slot[s]]
 
     def in_domain(self, x) -> bool:
         return self.h.in_domain(self.A(np.asarray(x, dtype=float)))
@@ -245,7 +328,7 @@ class CompositeSmooth:
         y = self.A(x)
         if not self.h.in_domain(y):
             raise DomainError("composite: A(x) outside the loss domain")
-        return SmoothPoint(self, y, self.h.value(y) + inner(self.c, x))
+        return SmoothPoint(self, x, y, self.h.value(y) + inner(self.c, x))
 
     def at_each(self, xs) -> list:
         """f at every x in xs, with its gradient, or None for a point whose
@@ -259,8 +342,8 @@ class CompositeSmooth:
         grads = self.A.adjoint_each([self.h.gradient(ys[i]) for i in inside])
         points = [None] * len(xs)
         for i, g in zip(inside, grads):
-            points[i] = SmoothPoint(self, ys[i], self.h.value(ys[i]) + inner(self.c, xs[i]),
-                                    g + self.c)
+            points[i] = SmoothPoint(self, xs[i], ys[i],
+                                    self.h.value(ys[i]) + inner(self.c, xs[i]), g + self.c)
         return points
 
     def value(self, x) -> float:

@@ -97,7 +97,11 @@ def proximal_gradient(
     iteration costs one forward and one adjoint application of A with Fixed,
     one forward per trial step and one adjoint with Backtracking.  On a
     large dense map the forward reads only the columns on the point's
-    support, so it costs O(m·|supp x|) at a sparse point.  The
+    support, so it costs O(m·|supp x|) at a sparse point.  There, with a
+    constant-Hessian loss (least squares, general quadratic), the gradient
+    takes no adjoint: it reads cached columns of A*HA on the support, which
+    costs O(n·|supp x|) plus one forward and one adjoint for each coordinate
+    the first time it enters a support (see CompositeSmooth).  The
     residual's prox is the step's prox when t = 1, so an iteration takes one
     prox (one thin SVD for the nuclear norm) at the unit step, and one more
     per trial step otherwise.  P(xₖ) comes with the prox that formed xₖ

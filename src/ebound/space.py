@@ -76,6 +76,11 @@ class LinearMap:
         """[A*(y) for y in ys]; a subclass may apply A* to all of them at once."""
         return [self.adjoint(y) for y in ys]
 
+    def gather_support(self, x):
+        """Flat indices s of x's nonzero entries when A(x) is formed from
+        the columns on s alone, or None when A(x) reads the whole map."""
+        return None
+
     def operator_norm(self) -> float:
         """Spectral norm ‖A‖₂."""
         raise NotImplementedError
@@ -120,13 +125,13 @@ class DenseMap(LinearMap):
 
     Inputs are taken by size: any array with as many entries as the matrix
     has columns (rows for the adjoint).  On a matrix of at least
-    GATHER_MIN_ENTRIES entries, the forward product of an input with
-    GATHER_RATIO·|supp x| ≤ n reads only the columns on its support,
-    matrix[:, s] @ x[s]: the same product up to rounding.  NaN and ±inf are
-    nonzero, so they stay in s and propagate as in the full product.
-    `apply_each` and `adjoint_each` take all their points in one
-    matrix–matrix product, X Mᵀ or Y M: the per-point products up to
-    rounding.
+    GATHER_MIN_ENTRIES entries, an input with GATHER_RATIO·|supp x| ≤ n
+    gathers (`gather_support` gives its support s): the forward product
+    reads only the columns on s, matrix[:, s] @ x[s], the same product up
+    to rounding.  NaN and ±inf are nonzero, so they stay in s and propagate
+    as in the full product.  `apply_each` and `adjoint_each` take all their
+    points in one matrix–matrix product, X Mᵀ or Y M: the per-point
+    products up to rounding.
     """
 
     matrix: np.ndarray
@@ -147,13 +152,16 @@ class DenseMap(LinearMap):
     def out_shape(self):
         return (self.matrix.shape[0],)
 
+    def gather_support(self, x):
+        if self.matrix.size < GATHER_MIN_ENTRIES:
+            return None
+        x = _sized(x, self.matrix.shape[1], "dense map")
+        return np.flatnonzero(x) if GATHER_RATIO * np.count_nonzero(x) <= x.size else None
+
     def __call__(self, x):
         x = _sized(x, self.matrix.shape[1], "dense map")
-        if (self.matrix.size >= GATHER_MIN_ENTRIES
-                and GATHER_RATIO * np.count_nonzero(x) <= x.size):
-            s = np.flatnonzero(x)
-            return self.matrix[:, s] @ x[s]
-        return self.matrix @ x
+        s = self.gather_support(x)
+        return self.matrix @ x if s is None else self.matrix[:, s] @ x[s]
 
     def adjoint(self, y):
         y = _sized(y, self.matrix.shape[0], "dense map adjoint")

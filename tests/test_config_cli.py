@@ -393,6 +393,16 @@ class TestValidationBuildsTheInstance:
         err_lines = capsys.readouterr().err.splitlines()
         assert err_lines == [f"error: {m}" for m in err.value.messages] * 2
 
+    def test_loss_that_does_not_fit_the_map_is_named_at_validate(self, tmp_path, capsys):
+        # the config checks the loss against the map before CompositeSmooth,
+        # which would refuse it too, is built
+        config = _custom_with(loss={"least_squares": {"targets": [1.0, -1.0, 2.0]}},
+                              linear_map={"dense": [[1, 0, 0]]})
+        assert main(["validate", write_config(tmp_path, config)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: problem.loss.least_squares: does not fit the 1 outputs of the linear "
+            "map: LeastSquares: input of shape (1,) for data of shape (3,)"]
+
 
 class TestRunExperiment:
     def test_counterexample_artifacts(self, tmp_path):

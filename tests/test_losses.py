@@ -12,7 +12,8 @@ from ebound.losses import (
     NoncompactExample,
     Poisson,
 )
-from ebound.space import CoordinateSelectMap, DenseMap, IdentityMap
+from ebound.space import (GATHER_MIN_ENTRIES, GATHER_RATIO, CoordinateSelectMap, DenseMap,
+                          IdentityMap)
 
 COUNTER_B = np.array([[1.5, -2.0], [-2.0, 3.0]])
 COUNTER_D = np.array([2.5, -1.0])
@@ -198,3 +199,97 @@ class TestComposite:
         assert np.array_equal(point.gradient, M.T @ (M @ x - b) + c)
         assert point.value == f.value(x)
         assert np.array_equal(point.gradient, f.gradient(x))
+
+    def test_parts_of_other_shapes_are_refused(self):
+        A = DenseMap(np.arange(6.0).reshape(2, 3), (3,))
+        b = np.array([1.0, -1.0])
+        for c in (np.zeros((3, 1)), np.zeros(4), np.zeros((1, 3))):
+            with pytest.raises(InvalidInputError, match="c has shape"):
+                CompositeSmooth(LeastSquares(b), A, c)
+        for h in (LeastSquares(np.zeros(3)), GeneralQuadratic(np.eye(1), np.ones(1)),
+                  Logistic(np.ones((2, 1)))):
+            with pytest.raises(InvalidInputError, match="does not fit"):
+                CompositeSmooth(h, A, np.zeros(3))
+        # no data: the loss checks its own input shape
+        CompositeSmooth(NoncompactExample(), IdentityMap((2,)), np.zeros(2))
+
+
+def gathering_smooth(loss, in_shape, seed=0, m=None):
+    """f on a dense map just large enough to gather, with a nonzero c."""
+    rng = np.random.default_rng(seed)
+    n = int(np.prod(in_shape))
+    m = m or GATHER_MIN_ENTRIES // n
+    M = rng.standard_normal((m, n))
+    if loss == "least_squares":
+        h = LeastSquares(rng.standard_normal(m))
+    elif loss == "general_quadratic":
+        R = rng.standard_normal((m, m))
+        h = GeneralQuadratic(R @ R.T / m + np.eye(m), rng.standard_normal(m))
+    else:
+        h = Logistic(np.where(rng.random(m) < 0.5, -1.0, 1.0))
+    return CompositeSmooth(h, DenseMap(M, in_shape), rng.standard_normal(in_shape)), M
+
+
+def sparse_point(in_shape, support, seed=1):
+    rng = np.random.default_rng(seed)
+    x = np.zeros(in_shape)
+    x.flat[rng.choice(x.size, support, replace=False)] = rng.standard_normal(support)
+    return x
+
+
+class TestSparseGradient:
+    """With a constant-Hessian loss, a point whose forward product gathers
+    takes its gradient from cached columns of A*HA on its support."""
+
+    @pytest.mark.parametrize("loss", ["least_squares", "general_quadratic"])
+    @pytest.mark.parametrize("in_shape", [(400,), (16, 25)])
+    @pytest.mark.parametrize("support", [0, 1, 400 // GATHER_RATIO, 400 // GATHER_RATIO + 1])
+    def test_matches_adjoint_form(self, loss, in_shape, support):
+        f, M = gathering_smooth(loss, in_shape)
+        x = sparse_point(in_shape, support)
+        g = f.at(x).gradient
+        expected = (M.T @ f.h.gradient(M @ x.reshape(-1))).reshape(in_shape) + f.c
+        assert g.shape == in_shape
+        if GATHER_RATIO * support <= x.size:
+            assert len(f._columns.rows) == support
+            scale = max(1.0, float(np.max(np.abs(expected))))
+            assert np.max(np.abs(g - expected)) <= 1e-12 * scale
+        else:
+            assert "_columns" not in vars(f)
+            assert np.array_equal(g, f.A.adjoint(f.h.gradient(f.A(x))) + f.c)
+
+    def test_columns_are_built_once_and_capped_at_the_output_size(self):
+        # 50 outputs: the cache holds at most 50 columns, and a point whose
+        # support would take it past that takes the adjoint
+        f, M = gathering_smooth("least_squares", (2000,), m=50)
+        first, second = sparse_point((2000,), 40, seed=1), sparse_point((2000,), 40, seed=2)
+        f.at(first).gradient
+        rows = f._columns.rows
+        assert len(rows) == 40
+        f.at(2.0 * first).gradient
+        assert f._columns.rows is rows
+        new = np.setdiff1d(np.flatnonzero(second), np.flatnonzero(first))
+        assert 40 + new.size > 50
+        g = f.at(second).gradient
+        assert len(f._columns.rows) == 40
+        assert np.array_equal(g, f.A.adjoint(f.h.gradient(f.A(second))) + f.c)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entry_gives_non_finite_gradient(self, bad):
+        f, _ = gathering_smooth("least_squares", (400,))
+        x = sparse_point((400,), 3)
+        x[np.flatnonzero(x)[1]] = bad
+        assert not np.isfinite(f.at(x).gradient).all()
+
+    def test_other_losses_and_small_maps_keep_the_adjoint(self):
+        f, _ = gathering_smooth("logistic", (400,))
+        x = sparse_point((400,), 3)
+        assert np.array_equal(f.at(x).gradient, f.A.adjoint(f.h.gradient(f.A(x))) + f.c)
+        assert "_columns" not in vars(f)
+        rng = np.random.default_rng(2)
+        small = CompositeSmooth(LeastSquares(rng.standard_normal(30)),
+                                DenseMap(rng.standard_normal((30, 400)), (400,)),
+                                rng.standard_normal(400))
+        assert np.array_equal(small.at(x).gradient,
+                              small.A.adjoint(small.h.gradient(small.A(x))) + small.c)
+        assert "_columns" not in vars(small)

@@ -36,12 +36,14 @@ from ebound.space import (
 @dataclass(frozen=True)
 class CountingMap(DenseMap):
     """DenseMap that counts its forward and adjoint applications, per point
-    and stacked."""
+    and stacked, and keeps the union of its per-point inputs' supports."""
 
     calls: Counter = field(default_factory=Counter, compare=False)
+    supports: set = field(default_factory=set, compare=False)
 
     def __call__(self, x):
         self.calls["forward"] += 1
+        self.supports.update(np.flatnonzero(x).tolist())
         return super().__call__(x)
 
     def adjoint(self, y):
@@ -65,6 +67,7 @@ def lasso_toy(seed=0, m=30, n=60):
     A = CountingMap(M, (n,))
     prob = ProblemInstance(CompositeSmooth(LeastSquares(b), A, np.zeros(n)), L1(lam), np.zeros(n))
     A.calls.clear()
+    A.supports.clear()
     return prob, M, b, lam
 
 
@@ -331,6 +334,19 @@ class TestSparseForward:
         assert len(gathered.iterations) == len(full.iterations)
         assert norm(gathered.terminal - full.terminal) <= 1e-13 * norm(full.terminal)
         assert 0 < GATHER_RATIO * np.count_nonzero(gathered.terminal) <= n
+
+    def test_one_adjoint_per_new_support_coordinate(self):
+        # least squares has a constant Hessian, so a sparse iterate's gradient
+        # reads cached columns of MᵀM: one adjoint for ∇f(0) and one for each
+        # coordinate the first time it enters a support, not one per iteration
+        m, n = 200, GATHER_MIN_ENTRIES // 200
+        prob, *_ = lasso_toy(0, m, n)
+        trace = proximal_gradient(prob, np.zeros(n), step=Fixed(1.0 / lipschitz_bound(prob)),
+                                  tol=1e-11)
+        A = prob.smooth.A
+        assert trace.status == CONVERGED
+        assert A.calls["adjoint"] <= len(A.supports) + 1 < len(trace.iterations)
+        assert len(prob.smooth._columns.rows) <= m
 
 
 class TestRateEstimation:
