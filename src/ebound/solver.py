@@ -46,7 +46,9 @@ class Backtracking:
 
 def lipschitz_bound(prob: ProblemInstance):
     """Global Lipschitz constant of ∇f when the loss admits one
-    (L_h · ‖A‖²), else None.  1/L is a safe fixed step."""
+    (L_h · ‖A‖₂²), else None.  1/L is a safe fixed step.  A dense map's
+    ‖A‖₂ comes from the top eigenvalue of its smaller Gram matrix, with no
+    SVD: O(min(m, n)²·max(m, n)) flops, and relative accuracy O(ε)."""
     L_h = prob.smooth.h.grad_lipschitz
     if L_h is None:
         return None

@@ -21,6 +21,11 @@ GROUP_TOL = 1e-8
 #: support scan and the gather cost more than the full product
 GATHER_MIN_ENTRIES = 100_000
 GATHER_RATIO = 16
+#: a dense map whose largest entry has binary exponent e (np.frexp) with
+#: |e| ≤ this forms its Gram matrix unscaled: its entries stay below
+#: 2^(2·this) times the inner dimension, and λ_max ≥ 2^(−2·this − 2) is far
+#: above the underflow level
+GRAM_SAFE_EXPONENT = 256
 #: relative residual ‖A(z) − ȳ‖ above which ȳ is reported outside the range of A
 AFFINE_TOL = 1e-9
 
@@ -82,7 +87,8 @@ class LinearMap:
         return None
 
     def operator_norm(self) -> float:
-        """Spectral norm ‖A‖₂."""
+        """Spectral norm ‖A‖₂, the largest singular value; a dense map reads
+        it off its smaller Gram matrix, with no SVD."""
         raise NotImplementedError
 
     @property
@@ -131,7 +137,14 @@ class DenseMap(LinearMap):
     to rounding.  NaN and ±inf are nonzero, so they stay in s and propagate
     as in the full product.  `apply_each` and `adjoint_each` take all their
     points in one matrix–matrix product, X Mᵀ or Y M: the per-point
-    products up to rounding.
+    products up to rounding.  `operator_norm` is √λ_max of the smaller Gram
+    matrix, M Mᵀ or MᵀM, with no SVD: about p²q + (4/3)p³ flops for an
+    m×n matrix with p = min(m, n) and q = max(m, n), where an SVD of M
+    costs about 4p²q.  A matrix whose largest entry lies outside
+    2^±GRAM_SAFE_EXPONENT is first scaled exactly by the power of two that
+    brings that entry into [1/2, 1), so the Gram matrix can neither
+    overflow nor underflow to zero; rounding moves λ_max by O(ε·‖M‖₂²)
+    (Weyl), so ‖M‖₂ keeps relative accuracy O(ε).
     """
 
     matrix: np.ndarray
@@ -178,7 +191,17 @@ class DenseMap(LinearMap):
         return [row.reshape(self.in_shape) for row in Y @ self.matrix]
 
     def operator_norm(self):
-        return float(np.linalg.norm(self.matrix, 2))
+        M = self.matrix
+        top = max(float(np.max(M, initial=0.0)), -float(np.min(M, initial=0.0)))
+        if top == 0.0:
+            return 0.0
+        e = int(np.frexp(top)[1])
+        if abs(e) <= GRAM_SAFE_EXPONENT:
+            e = 0
+        S = np.ldexp(M, -e) if e else M
+        G = S @ S.T if S.shape[0] <= S.shape[1] else S.T @ S
+        top_eigenvalue = max(float(np.linalg.eigvalsh(G)[-1]), 0.0)
+        return float(np.ldexp(np.sqrt(top_eigenvalue), e))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from ebound.config import settings
 from ebound.errors import InfeasibleTargetError, InvalidInputError
+from ebound.experiments import _solver_settings
+from ebound.losses import CompositeSmooth, LeastSquares
+from ebound.problem import ProblemInstance
+from ebound.regularizers import L1
+from ebound.solver import Backtracking
 from ebound.space import (
     GATHER_MIN_ENTRIES,
     GATHER_RATIO,
+    GRAM_SAFE_EXPONENT,
     CoordinateSelectMap,
     DenseMap,
     IdentityMap,
@@ -412,3 +421,51 @@ class TestStackedProducts:
                              ids=["dense", "identity"])
     def test_no_points_gives_no_products(self, A):
         assert A.apply_each([]) == [] and A.adjoint_each([]) == []
+
+
+def _rank_deficient(rng):
+    """A 30×40 matrix of rank 5."""
+    return rng.standard_normal((30, 5)) @ rng.standard_normal((5, 40))
+
+
+class TestDenseOperatorNorm:
+    """‖A‖₂ of a dense map, read off the top eigenvalue of its smaller Gram
+    matrix: the SVD's value up to O(ε) relative, with no SVD."""
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: rng.standard_normal((1000, 400)),
+        lambda rng: rng.standard_normal((400, 1000)),
+        lambda rng: rng.standard_normal((60, 60)),
+        lambda rng: rng.standard_normal((1, 50)),
+        lambda rng: rng.standard_normal((50, 1)),
+        lambda rng: np.outer(rng.standard_normal(20), rng.standard_normal(35)),
+        _rank_deficient,
+    ], ids=["tall", "wide", "square", "1xn", "nx1", "rank-1", "rank-deficient"])
+    def test_agrees_with_the_svd(self, make):
+        M = make(np.random.default_rng(40))
+        got = DenseMap(M, (M.shape[1],)).operator_norm()
+        expected = float(np.linalg.norm(M, 2))
+        assert abs(got - expected) <= 1e-13 * expected
+
+    @pytest.mark.parametrize("shape", [(3, 4), (0, 5), (3, 0)], ids=["zero", "0xn", "mx0"])
+    def test_zero_and_empty_maps_give_exactly_zero(self, shape):
+        got = DenseMap(np.zeros(shape), (shape[1],)).operator_norm()
+        assert type(got) is float and got == 0.0
+
+    def test_zero_map_keeps_backtracking(self):
+        smooth = CompositeSmooth(LeastSquares(np.ones(3)), DenseMap(np.zeros((3, 4)), (4,)),
+                                 np.zeros(4))
+        prob = ProblemInstance(smooth, L1(0.1), np.zeros(4))
+        block = settings({}, "solver")
+        step, _, _ = _solver_settings({}, prob)
+        assert step == Backtracking(beta=block["beta"], t0=block["t0"])
+
+    @pytest.mark.parametrize("e", [600, -600, GRAM_SAFE_EXPONENT - 2, 2 - GRAM_SAFE_EXPONENT])
+    def test_scaled_by_a_power_of_two_neither_overflows_nor_underflows(self, e):
+        base = np.random.default_rng(41).standard_normal((40, 70))
+        M = np.ldexp(base, e)
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            got = DenseMap(M, (70,)).operator_norm()
+        expected = float(np.ldexp(np.linalg.norm(base, 2), e))
+        assert abs(got - expected) <= 1e-13 * expected
