@@ -76,7 +76,7 @@ class LeastSquares(SmoothLoss):
 
     def value(self, y):
         y = self._check(y)
-        return 0.5 * float(np.sum((y - self.targets) ** 2))
+        return 0.5 * float(((y - self.targets) ** 2).sum())
 
     def gradient(self, y):
         y = self._check(y)
@@ -223,39 +223,44 @@ class NoncompactExample(SmoothLoss):
         return np.array([e, (1.0 - u) * e])
 
 
-@dataclass(frozen=True, eq=False)
 class SmoothPoint:
     """f evaluated at one point x: y = A(x) and f(x) = h(y) + ⟨c, x⟩.  The
     gradient is `given_gradient` when the caller formed it, and otherwise is
     formed on first use: from the cached columns of A*HA on x's support when
-    h has a constant Hessian H and A(x) gathered (see CompositeSmooth), which
+    h has a constant Hessian H and A(x) gathered on `support` (the flat
+    indices LinearMap.apply_gathered returned, so x is scanned once), which
     costs O(n·|supp x|) plus one forward and one adjoint for each coordinate
     new to the cache; otherwise as A*∇h(y) + c, with one adjoint."""
 
-    smooth: "CompositeSmooth"
-    x: np.ndarray
-    y: np.ndarray
-    value: float
-    given_gradient: np.ndarray | None = field(default=None, repr=False)
+    __slots__ = ("smooth", "x", "y", "value", "support", "_gradient")
 
-    @cached_property
+    def __init__(self, smooth: "CompositeSmooth", x, y, value: float,
+                 given_gradient=None, support=None):
+        self.smooth, self.x, self.y, self.value = smooth, x, y, value
+        self.support = support
+        self._gradient = given_gradient
+
+    @property
     def gradient(self) -> np.ndarray:
-        if self.given_gradient is not None:
-            return self.given_gradient
-        f = self.smooth
-        s = f.A.gather_support(self.x) if f.h.constant_hessian else None
-        Q = None if s is None else f.hessian_columns(s)
-        if Q is None:
-            return f.A.adjoint(f.h.gradient(self.y)) + f.c
-        return (self.x.reshape(-1)[s] @ Q).reshape(f.c.shape) + f.zero_gradient
+        if self._gradient is None:
+            f, s = self.smooth, self.support
+            Q = f.hessian_columns(s) if s is not None and f.h.constant_hessian else None
+            if Q is None:
+                self._gradient = f.A.adjoint(f.h.gradient(self.y)) + f.c
+            else:
+                self._gradient = (self.x.reshape(-1)[s] @ Q).reshape(f.c.shape) + f.zero_gradient
+        return self._gradient
 
 
 @dataclass
 class _HessianColumns:
-    """Q_j = A*(H(A e_j)) is rows[slot[j]], or not built when slot[j] < 0."""
+    """Q_j = A*(H(A e_j)) is rows[slot[j]], or not built when slot[j] < 0;
+    block is rows[slot[support]] for the last support asked for."""
 
     slot: np.ndarray
     rows: np.ndarray
+    support: np.ndarray | None = None
+    block: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -264,18 +269,24 @@ class CompositeSmooth:
 
     When h has a constant Hessian H, ∇f(x) = Σ_{j ∈ supp x} x_j Q_j + ∇f(0)
     with Q_j = A*(H(A e_j)), column j of A*HA.  At a point whose forward
-    product gathers (LinearMap.gather_support), the gradient reads the
-    cached Q_j on its support in O(n·|supp x|).  Q_j costs one forward and
-    one adjoint the first time coordinate j enters a support, and ∇f(0)
-    one adjoint, once.  The cache holds at most as many columns as A has
-    outputs, so it is never larger than a dense A; a point that would need
-    more takes the adjoint.  c must have A's input shape, and a loss's data
-    A's output shape.
+    product gathers (LinearMap.apply_gathered), the gradient reads the
+    cached Q_j on its support in O(n·|supp x|), with the support that
+    the forward product gathered on: each point's support is scanned once.
+    Q_j costs one forward and one adjoint the first time coordinate j
+    enters a support, and ∇f(0) one adjoint, once.  The |s|×n block of Q_j
+    on a support s is kept while the support holds, so an iterate whose
+    support did not change pays an O(|s|) comparison for it, not a gather.
+    The cache holds at most as many columns as A has outputs, so it is
+    never larger than a dense A; a point that would need more takes the
+    adjoint.  ⟨c, x⟩ is formed only when c ≠ 0, which is decided once.  c
+    must have A's input shape, every point x too, and a loss's data A's
+    output shape.
     """
 
     h: SmoothLoss
     A: LinearMap
     c: np.ndarray
+    _linear: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
@@ -288,6 +299,7 @@ class CompositeSmooth:
                                     f"{data.shape} does not fit the linear map's outputs "
                                     f"of shape {tuple(self.A.out_shape)}")
         object.__setattr__(self, "c", c)
+        object.__setattr__(self, "_linear", bool(c.any()))
 
     @cached_property
     def zero_gradient(self) -> np.ndarray:
@@ -302,8 +314,13 @@ class CompositeSmooth:
     def hessian_columns(self, s) -> np.ndarray | None:
         """The |s|×n array of Q_j for the flat indices j in s, building the
         missing ones; None when the cache would then hold more columns than
-        A has outputs.  A*HA is symmetric, so Q_j is also its row j."""
+        A has outputs.  A*HA is symmetric, so Q_j is also its row j.  The
+        array for the last s is kept and returned again, read-only, while s
+        stays equal to it."""
         cache = self._columns
+        last = cache.support
+        if last is not None and last.size == s.size and (last == s).all():
+            return cache.block
         new = s[cache.slot[s] < 0]
         if new.size:
             built = len(cache.rows)
@@ -316,19 +333,33 @@ class CompositeSmooth:
                 cols.append(self.A.adjoint(self.h.hessian_product(self.A(e))).reshape(-1))
             cache.rows = np.vstack([cache.rows, *cols])
             cache.slot[new] = np.arange(built, built + new.size)
-        return cache.rows[cache.slot[s]]
+        cache.support, cache.block = s, cache.rows[cache.slot[s]]
+        cache.block.flags.writeable = False
+        return cache.block
 
     def in_domain(self, x) -> bool:
         return self.h.in_domain(self.A(np.asarray(x, dtype=float)))
 
-    def at(self, x) -> SmoothPoint:
-        """Evaluate f at x with one application of A; raises DomainError
-        when A(x) lies outside the loss domain."""
+    def _point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        y = self.A(x)
+        if x.shape != self.c.shape:
+            raise InvalidInputError(f"composite: point of shape {x.shape}, "
+                                    f"the linear map takes {self.c.shape}")
+        return x
+
+    def _value(self, x, y) -> float:
+        """h(y) + ⟨c, x⟩, the inner product only for c ≠ 0."""
+        return self.h.value(y) + inner(self.c, x) if self._linear else self.h.value(y)
+
+    def at(self, x) -> SmoothPoint:
+        """Evaluate f at x with one application of A, keeping the support it
+        gathered on; raises InvalidInputError when x does not have A's input
+        shape, and DomainError when A(x) lies outside the loss domain."""
+        x = self._point(x)
+        y, s = self.A.apply_gathered(x)
         if not self.h.in_domain(y):
             raise DomainError("composite: A(x) outside the loss domain")
-        return SmoothPoint(self, x, y, self.h.value(y) + inner(self.c, x))
+        return SmoothPoint(self, x, y, self._value(x, y), support=s)
 
     def at_each(self, xs) -> list:
         """f at every x in xs, with its gradient, or None for a point whose
@@ -336,14 +367,13 @@ class CompositeSmooth:
         all the points and one of its adjoint for those in the domain (see
         LinearMap.apply_each), where `at` and a gradient cost one of each per
         point."""
-        xs = [np.asarray(x, dtype=float) for x in xs]
+        xs = [self._point(x) for x in xs]
         ys = self.A.apply_each(xs)
         inside = [i for i, y in enumerate(ys) if self.h.in_domain(y)]
         grads = self.A.adjoint_each([self.h.gradient(ys[i]) for i in inside])
         points = [None] * len(xs)
         for i, g in zip(inside, grads):
-            points[i] = SmoothPoint(self, xs[i], ys[i],
-                                    self.h.value(ys[i]) + inner(self.c, xs[i]), g + self.c)
+            points[i] = SmoothPoint(self, xs[i], ys[i], self._value(xs[i], ys[i]), g + self.c)
         return points
 
     def value(self, x) -> float:

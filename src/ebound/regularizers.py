@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InfeasibleTargetError, InvalidInputError
-from .space import _require_finite, norm, numerical_rank, psd_project, svd
+from .space import norm, numerical_rank, psd_project, singular_values, svd
 
 TAU_EQ = 1e-8
 
@@ -170,7 +170,7 @@ class NuclearImage(InverseImage):
 
     def complementarity(self, x_star):
         """K = S₊ is not polyhedral: regularity needs strict complementarity."""
-        rank_x = numerical_rank(np.linalg.svd(x_star, compute_uv=False))
+        rank_x = numerical_rank(singular_values(x_star))
         margin = float("inf")
         if self.s_bar:
             block = self.U.T @ x_star @ self.V
@@ -246,12 +246,18 @@ class L1(Regularizer):
             raise InvalidInputError("L1 weight must be >= 0")
 
     def value(self, x):
-        return self.weight * float(np.sum(np.abs(self._check(x))))
+        return self.weight * float(np.abs(self._check(x)).sum())
 
     def prox(self, z, t=1.0):
+        return self.prox_value(z, t)[0]
+
+    def prox_value(self, z, t=1.0):
+        """Soft thresholding in one pass: m = max(|z| − tλ, 0) is formed once,
+        and (sign(z)·m, λ·Σm) returned.  |sign(z)·m| = m exactly, NaN and ±0
+        included, so λ·Σm is value(p) bit for bit."""
         z = self._check(z)
-        lam = t * self.weight
-        return np.sign(z) * np.maximum(np.abs(z) - lam, 0.0)
+        m = np.maximum(np.abs(z) - t * self.weight, 0.0)
+        return np.sign(z) * m, self.weight * float(m.sum())
 
     def subdiff_distance(self, x, s):
         x, s = self._check_pair(x, s)
@@ -347,6 +353,12 @@ class GroupedLasso(Regularizer):
         scale[live] = np.maximum(1.0 - t * self._weight[live] / nz[live], 0.0)
         return scale[self._group_of] * z
 
+    def prox_value(self, z, t=1.0):
+        """(p, P(p)), with P(p) read off the group norms of p, which prox
+        already shaped, so p is not checked a second time."""
+        p = self.prox(z, t)
+        return p, float(self._weight @ self._group_norms(p))
+
     def subdiff_distance(self, x, s):
         x, s = self._check_pair(x, s)
         # on a block with x_J ≠ 0, ∂ is the point ω_J x_J/‖x_J‖; on x_J = 0 it
@@ -394,9 +406,7 @@ class NuclearNorm(Regularizer):
     expects_matrix = True
 
     def value(self, x):
-        x = self._check(x)
-        _require_finite(x, "nuclear norm input")
-        return float(np.sum(np.linalg.svd(x, compute_uv=False)))
+        return float(singular_values(self._check(x)).sum())
 
     def prox(self, z, t=1.0):
         return self.prox_value(z, t)[0]
@@ -418,7 +428,7 @@ class NuclearNorm(Regularizer):
         dist_sq += float(np.sum(S[:r, r:] ** 2)) + float(np.sum(S[r:, :r] ** 2))
         tail = S[r:, r:]
         if min(tail.shape) > 0:
-            sv = np.linalg.svd(tail, compute_uv=False)
+            sv = singular_values(tail)
             dist_sq += float(np.sum(np.maximum(sv - 1.0, 0.0) ** 2))
         return float(np.sqrt(dist_sq))
 

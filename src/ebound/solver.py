@@ -99,11 +99,14 @@ def proximal_gradient(
     iteration costs one forward and one adjoint application of A with Fixed,
     one forward per trial step and one adjoint with Backtracking.  On a
     large dense map the forward reads only the columns on the point's
-    support, so it costs O(m·|supp x|) at a sparse point.  There, with a
-    constant-Hessian loss (least squares, general quadratic), the gradient
-    takes no adjoint: it reads cached columns of A*HA on the support, which
-    costs O(n·|supp x|) plus one forward and one adjoint for each coordinate
-    the first time it enters a support (see CompositeSmooth).  The
+    support, so it costs O(m·|supp x|) at a sparse point, and the point
+    keeps that support: each point, trial points included, is scanned for
+    its support once.  There, with a constant-Hessian loss (least squares,
+    general quadratic), the gradient takes no adjoint: it reads cached
+    columns of A*HA on the support, which costs O(n·|supp x|) plus one
+    forward and one adjoint for each coordinate the first time it enters a
+    support, and the gathered block of columns is kept while the support
+    holds (see CompositeSmooth).  f(x) forms ⟨c, x⟩ only when c ≠ 0.  The
     residual's prox is the step's prox when t = 1, so an iteration takes one
     prox (one thin SVD for the nuclear norm) at the unit step, and one more
     per trial step otherwise.  P(xₖ) comes with the prox that formed xₖ
@@ -144,7 +147,7 @@ def proximal_gradient(
                 trial = _evaluate(prob.smooth, cand)
                 if trial is not None:
                     fc = trial.value
-                    bound = fx + inner(g, dx) + float(np.sum(dx * dx)) / (2.0 * t)
+                    bound = fx + inner(g, dx) + float((dx * dx).sum()) / (2.0 * t)
                     slack = 4.0 * np.finfo(float).eps * max(1.0, abs(fx), abs(fc))
                     if fc <= bound + slack:
                         break

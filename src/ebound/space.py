@@ -8,6 +8,7 @@ the Frobenius norm for matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,13 +32,19 @@ AFFINE_TOL = 1e-9
 
 
 def inner(x, y) -> float:
-    """Euclidean / Frobenius inner product ⟨x, y⟩."""
-    return float(np.sum(np.asarray(x) * np.asarray(y)))
+    """Euclidean / Frobenius inner product ⟨x, y⟩ of two elements of one
+    shape: the pairwise sum of their entrywise products, as np.sum forms it."""
+    x, y = np.asarray(x), np.asarray(y)
+    if x.shape != y.shape:
+        raise InvalidInputError(f"inner product of shapes {x.shape} and {y.shape}")
+    return float((x * y).sum())
 
 
 def norm(x) -> float:
-    """Euclidean norm for vectors, Frobenius norm for matrices."""
-    return float(np.linalg.norm(np.asarray(x)))
+    """Euclidean norm for vectors, Frobenius norm for matrices: √(v·v) for v
+    the entries in memory order, which is what np.linalg.norm computes."""
+    v = np.asarray(x, dtype=float).ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 def _require_finite(x, what="input"):
@@ -81,10 +88,12 @@ class LinearMap:
         """[A*(y) for y in ys]; a subclass may apply A* to all of them at once."""
         return [self.adjoint(y) for y in ys]
 
-    def gather_support(self, x):
-        """Flat indices s of x's nonzero entries when A(x) is formed from
-        the columns on s alone, or None when A(x) reads the whole map."""
-        return None
+    def apply_gathered(self, x) -> tuple:
+        """(A(x), s): s holds the flat indices of x's nonzero entries when
+        A(x) was formed from the columns on s alone, and is None when A(x)
+        read the whole map.  A caller that needs x's support takes it from
+        here, so the input is scanned once."""
+        return self(x), None
 
     def operator_norm(self) -> float:
         """Spectral norm ‖A‖₂, the largest singular value; a dense map reads
@@ -132,7 +141,7 @@ class DenseMap(LinearMap):
     Inputs are taken by size: any array with as many entries as the matrix
     has columns (rows for the adjoint).  On a matrix of at least
     GATHER_MIN_ENTRIES entries, an input with GATHER_RATIO·|supp x| ≤ n
-    gathers (`gather_support` gives its support s): the forward product
+    gathers (`apply_gathered` returns its support s): the forward product
     reads only the columns on s, matrix[:, s] @ x[s], the same product up
     to rounding.  NaN and ±inf are nonzero, so they stay in s and propagate
     as in the full product.  `apply_each` and `adjoint_each` take all their
@@ -165,16 +174,15 @@ class DenseMap(LinearMap):
     def out_shape(self):
         return (self.matrix.shape[0],)
 
-    def gather_support(self, x):
-        if self.matrix.size < GATHER_MIN_ENTRIES:
-            return None
+    def apply_gathered(self, x):
         x = _sized(x, self.matrix.shape[1], "dense map")
-        return np.flatnonzero(x) if GATHER_RATIO * np.count_nonzero(x) <= x.size else None
+        if self.matrix.size >= GATHER_MIN_ENTRIES and GATHER_RATIO * np.count_nonzero(x) <= x.size:
+            s = np.flatnonzero(x)
+            return self.matrix[:, s] @ x[s], s
+        return self.matrix @ x, None
 
     def __call__(self, x):
-        x = _sized(x, self.matrix.shape[1], "dense map")
-        s = self.gather_support(x)
-        return self.matrix @ x if s is None else self.matrix[:, s] @ x[s]
+        return self.apply_gathered(x)[0]
 
     def adjoint(self, y):
         y = _sized(y, self.matrix.shape[0], "dense map adjoint")
@@ -283,6 +291,14 @@ def svd(X, full_matrices: bool = True) -> tuple:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     _require_finite(X, "svd input")
     return np.linalg.svd(X, full_matrices=full_matrices)
+
+
+def singular_values(X) -> np.ndarray:
+    """σ(X) sorted non-increasing, exactly as np.linalg.svd(X, compute_uv=False)
+    returns them; a non-finite input raises, as in `svd`."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    _require_finite(X, "singular values input")
+    return np.linalg.svd(X, compute_uv=False)
 
 
 def psd_project(M):

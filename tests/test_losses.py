@@ -11,6 +11,7 @@ from ebound.losses import (
     Logistic,
     NoncompactExample,
     Poisson,
+    SmoothPoint,
 )
 from ebound.space import (GATHER_MIN_ENTRIES, GATHER_RATIO, CoordinateSelectMap, DenseMap,
                           IdentityMap)
@@ -213,6 +214,42 @@ class TestComposite:
         # no data: the loss checks its own input shape
         CompositeSmooth(NoncompactExample(), IdentityMap((2,)), np.zeros(2))
 
+    def test_points_of_another_shape_are_refused(self):
+        # a dense map takes its input by size, so x = e₁ as a 3×1 column
+        # passed it, and ⟨c, x⟩ broadcast to a 3×3 sum: f read 10.5, not 5.5
+        A = DenseMap(np.arange(6.0).reshape(2, 3), (3,))
+        f = CompositeSmooth(LeastSquares(np.zeros(2)), A, np.array([1.0, 2.0, 3.0]))
+        x = np.array([1.0, 0.0, 0.0])
+        assert f.value(x) == 5.5
+        for bad in (x.reshape(3, 1), x.reshape(1, 3), np.zeros(4)):
+            with pytest.raises(InvalidInputError, match="point of shape"):
+                f.value(bad)
+            with pytest.raises(InvalidInputError, match="point of shape"):
+                f.at_each([x, bad])
+
+    def test_linear_term_only_when_c_is_nonzero(self):
+        rng = np.random.default_rng(5)
+        M, b, x = rng.standard_normal((3, 4)), rng.standard_normal(3), rng.standard_normal(4)
+        h = LeastSquares(b)
+        zero = CompositeSmooth(h, DenseMap(M, (4,)), np.zeros(4))
+        assert zero.at(x).value == h.value(M @ x)
+        assert zero.at_each([x])[0].value == h.value(M @ x)
+        c = np.zeros(4)
+        c[2] = -0.75
+        linear = CompositeSmooth(h, DenseMap(M, (4,)), c)
+        assert linear.at(x).value == h.value(M @ x) + float(np.sum(c * x)) != h.value(M @ x)
+        assert linear.at_each([x])[0].value == linear.at(x).value
+
+    def test_a_given_gradient_is_the_gradient(self):
+        f = counterexample_smooth()
+        x = np.array([[1.0, 0.0], [0.0, 2.0]])
+        g = np.ones((2, 2))
+        point = SmoothPoint(f, x, f.A(x), f.value(x), given_gradient=g)
+        assert point.gradient is g
+        formed = SmoothPoint(f, x, f.A(x), f.value(x))
+        assert np.array_equal(formed.gradient, f.gradient(x))
+        assert formed.gradient is formed.gradient
+
 
 def gathering_smooth(loss, in_shape, seed=0, m=None):
     """f on a dense map just large enough to gather, with a nonzero c."""
@@ -273,6 +310,27 @@ class TestSparseGradient:
         g = f.at(second).gradient
         assert len(f._columns.rows) == 40
         assert np.array_equal(g, f.A.adjoint(f.h.gradient(f.A(second))) + f.c)
+
+    def test_block_is_kept_while_the_support_holds(self):
+        f, M = gathering_smooth("least_squares", (400,))
+        x = sparse_point((400,), 5)
+        s = np.flatnonzero(x)
+        block = f.hessian_columns(s)
+        np.testing.assert_allclose(block, (M.T @ M)[s], rtol=1e-12, atol=1e-12)
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
+        # an equal support, as a new array or through a new point: the same block
+        assert f.hessian_columns(s.copy()) is block
+        assert np.array_equal(f.at(3.0 * x).gradient, f.at(3.0 * x).gradient)
+        assert f._columns.block is block
+        # a changed support, even one of the same size: a new block
+        moved = s.copy()
+        moved[-1] = np.setdiff1d(np.arange(400), s)[0]
+        other = f.hessian_columns(moved)
+        assert other is not block and np.array_equal(other[:-1], block[:-1])
+        np.testing.assert_allclose(other, (M.T @ M)[moved], rtol=1e-12, atol=1e-12)
+        assert f.hessian_columns(s[:-1]) is not other
+        assert np.array_equal(f.hessian_columns(s), block)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_entry_gives_non_finite_gradient(self, bad):

@@ -1,0 +1,58 @@
+"""Every output of the registry matrix is byte-identical to the checked-in
+digest: tools/registry_matrix_digest.json holds the sha256 of the exit code,
+stdout, stderr and every report file of each command that
+tools/registry_matrix.sh runs, and this test runs the same commands
+in-process.  A change that means to alter an output regenerates the digest
+with `PYTHONPATH=src python3 tools/registry_matrix.py digest`."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "registry_matrix.py"
+_spec = importlib.util.spec_from_file_location("registry_matrix", TOOL)
+registry_matrix = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(registry_matrix)
+
+
+def differences(recorded: dict, got: dict) -> list:
+    """'case/file' for every output that is missing, new or different."""
+    out = []
+    for case in sorted(recorded.keys() | got.keys()):
+        want, have = recorded.get(case, {}), got.get(case, {})
+        out.extend(f"{case}/{name}" for name in sorted(want.keys() | have.keys())
+                   if want.get(name) != have.get(name))
+    return out
+
+
+def test_registry_outputs_match_the_recorded_digest(tmp_path):
+    # output bytes depend on the numpy/BLAS build, so a digest made on
+    # another build fails, naming it, rather than skipping
+    recorded = json.loads(registry_matrix.DIGEST.read_text())
+    here = registry_matrix.environment()
+    build = (f"recorded with numpy {recorded['numpy']}, BLAS {recorded['blas']} "
+             f"({recorded['platform']}); this run has numpy {here['numpy']}, "
+             f"BLAS {here['blas']} ({here['platform']})")
+    differ = differences(recorded["cases"], registry_matrix.run_in_process(tmp_path))
+    assert not differ, (f"{len(differ)} registry outputs differ from "
+                        f"{registry_matrix.DIGEST.name}: {', '.join(differ)}; {build}")
+    assert (recorded["numpy"], recorded["blas"]) == (here["numpy"], here["blas"]), (
+        f"{registry_matrix.DIGEST.name} was {build}: regenerate it on this build")
+
+
+def test_differences_names_each_changed_missing_and_new_output():
+    recorded = {"lasso": {"exit": "a", "stdout": "b", "reports/fit.json": "c"}, "list": {"exit": "a"}}
+    got = {"lasso": {"exit": "a", "stdout": "B", "reports/new.csv": "d"}, "extra": {"exit": "a"}}
+    assert differences(recorded, got) == ["extra/exit", "lasso/reports/fit.json",
+                                          "lasso/reports/new.csv", "lasso/stdout", "list/exit"]
+    assert differences(recorded, recorded) == []
+
+
+def test_commands_cover_every_listed_experiment_and_config():
+    cases = dict(registry_matrix.commands(["lasso", "custom"]))
+    assert cases["lasso"] == ["run", "lasso"]
+    assert cases["lasso-seed2"] == ["run", "lasso", "--seed", "2"]
+    assert not any(case.startswith("custom-seed") or case == "custom" for case in cases)
+    configs = sorted(registry_matrix.CONFIGS.glob("*.json"))
+    assert len(cases) == 4 + 1 + 4 * len(configs)
+    assert cases[f"custom-{configs[0].stem}-seed1"][-2:] == ["--seed", "1"]

@@ -181,6 +181,28 @@ class TestProxValue:
         else:
             assert v == reg.value(p)
 
+    @pytest.mark.parametrize("t", [1.0, 0.3, 0.25])
+    @pytest.mark.parametrize("reg", [
+        L1(0.8), L1(0.0), GroupedLasso(SCATTERED_GROUPS, SCATTERED_WEIGHTS),
+    ], ids=["l1", "l1-zero-weight", "grouped"])
+    def test_one_pass_is_prox_then_value_bit_for_bit(self, reg, t):
+        # random inputs with ±0, coordinates exactly at the threshold
+        # |z_i| = tλ (0.2 = 0.25·0.8 is exact) and NaN
+        rng = np.random.default_rng(7)
+        edges = np.array([0.0, -0.0, 0.2, -0.2, 0.24, -0.8, 0.8 * t, -0.8 * t, 1e-300, -5e307])
+        for k in range(30):
+            z = rng.standard_normal(10) * rng.choice([1e-3, 1.0, 1e3])
+            pick = rng.random(10) < 0.4
+            z[pick] = rng.choice(edges, pick.sum())
+            if k % 5 == 0:
+                z[rng.integers(10)] = np.nan
+            with np.errstate(invalid="ignore", over="ignore"):
+                p, v = reg.prox_value(z, t)
+                expected = reg.prox(z, t)
+                np.testing.assert_array_equal(p, expected)
+                assert np.signbit(p).tolist() == np.signbit(expected).tolist()
+                assert float(v).hex() == float(reg.value(expected)).hex()
+
     @pytest.mark.parametrize("case", PROX_VALUE_CASES)
     def test_residual_from_the_unit_point_is_prox_diff(self, case):
         reg, z = PROX_VALUE_CASES[case]

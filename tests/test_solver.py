@@ -36,15 +36,16 @@ from ebound.space import (
 @dataclass(frozen=True)
 class CountingMap(DenseMap):
     """DenseMap that counts its forward and adjoint applications, per point
-    and stacked, and keeps the union of its per-point inputs' supports."""
+    and stacked, and keeps the union of its per-point inputs' supports.
+    Every per-point forward, A(x) included, goes through apply_gathered."""
 
     calls: Counter = field(default_factory=Counter, compare=False)
     supports: set = field(default_factory=set, compare=False)
 
-    def __call__(self, x):
+    def apply_gathered(self, x):
         self.calls["forward"] += 1
-        self.supports.update(np.flatnonzero(x).tolist())
-        return super().__call__(x)
+        self.supports.update(np.asarray(x).reshape(-1).nonzero()[0].tolist())
+        return super().apply_gathered(x)
 
     def adjoint(self, y):
         self.calls["adjoint"] += 1
@@ -222,6 +223,52 @@ class TestWorkPerIteration:
                                   tol=1e-14, max_iter=40)
         K = len(trace.iterations) - 1
         assert prob.smooth.A.calls["adjoint"] == K + 1
+
+    @pytest.mark.parametrize("step", ["fixed", "backtracking"])
+    def test_one_support_scan_per_point(self, monkeypatch, step):
+        # the forward product scans each point's support once and the point
+        # keeps it for its gradient: one scan per Fixed iterate and one per
+        # Backtracking trial point, once the columns of MᵀM are built
+        m, n = 200, GATHER_MIN_ENTRIES // 200
+        prob, *_ = lasso_toy(0, m, n)
+        rule = Fixed(1.0 / lipschitz_bound(prob)) if step == "fixed" else Backtracking()
+        proximal_gradient(prob, np.zeros(n), step=rule, tol=1e-11)
+        built = len(prob.smooth._columns.rows)
+        A = prob.smooth.A
+        A.calls.clear()
+        scans = []
+        flatnonzero = np.flatnonzero
+
+        def spy(v):
+            scans.append(v.size)
+            return flatnonzero(v)
+
+        monkeypatch.setattr(np, "flatnonzero", spy)
+        trace = proximal_gradient(prob, np.zeros(n), step=rule, tol=1e-11)
+        K = len(trace.iterations) - 1
+        assert trace.status == CONVERGED and len(prob.smooth._columns.rows) == built
+        if step == "fixed":
+            assert A.calls["forward"] == K + 1
+        else:
+            assert A.calls["forward"] > K + 1
+        assert scans == [n] * A.calls["forward"]
+
+    @pytest.mark.parametrize("step", ["fixed", "backtracking"])
+    def test_recorded_objective_keeps_the_linear_term(self, step):
+        # with c ≠ 0 every recorded F is h(Mx) + ⟨c, x⟩ + P(x) at its
+        # iterate, recomputed here from the iterate alone
+        rng = np.random.default_rng(8)
+        M, b, c = rng.standard_normal((20, 30)), rng.standard_normal(20), rng.standard_normal(30)
+        h, reg = LeastSquares(b), L1(0.5)
+        prob = ProblemInstance(CompositeSmooth(h, DenseMap(M, (30,)), 0.3 * c), reg, np.zeros(30))
+        rule = Fixed(1.0 / lipschitz_bound(prob)) if step == "fixed" else Backtracking()
+        trace = proximal_gradient(prob, np.zeros(30), step=rule, tol=1e-14, max_iter=25)
+        assert len(trace.iterations) == 26
+        for k, F, _, _ in trace.iterations:
+            x = proximal_gradient(prob, np.zeros(30), step=rule, tol=1e-14, max_iter=k).terminal
+            linear = float(np.sum(0.3 * c * x))
+            assert F == h.value(M @ x) + linear + reg.value(x)
+            assert k == 0 or linear != 0.0
 
     def test_fixed_step_matches_numpy_ista(self):
         prob, M, b, lam = lasso_toy(2)

@@ -23,6 +23,7 @@ from ebound.space import (
     norm,
     numerical_rank,
     psd_project,
+    singular_values,
     svd,
 )
 
@@ -94,6 +95,54 @@ class TestSvd:
     def test_groups_and_rank(self):
         _, sigma, _ = svd(np.diag([2.0, 2.0 + 1e-12, 1.0]))
         assert numerical_rank(sigma) == 3
+
+    def test_singular_values_are_numpys_values_only_svd(self):
+        rng = np.random.default_rng(4)
+        for shape in ((5, 3), (2, 7), (4, 4), (1, 6)):
+            X = rng.standard_normal(shape)
+            np.testing.assert_array_equal(singular_values(X),
+                                          np.linalg.svd(X, compute_uv=False))
+        with pytest.raises(InvalidInputError):
+            singular_values(np.array([[1.0, np.inf], [0.0, 1.0]]))
+
+
+def reduction_inputs():
+    """1-d, 2-d and non-contiguous (strided, transposed) float arrays, with
+    sizes past numpy's pairwise-summation block."""
+    rng = np.random.default_rng(5)
+    big = rng.standard_normal((60, 70)) * 1e3
+    return [rng.standard_normal(7), rng.standard_normal(1001), rng.standard_normal((9, 13)),
+            big, big.T, big[::3, 1::2], rng.standard_normal(3000)[::7], np.zeros(0)]
+
+
+class TestReductions:
+    """norm and inner skip numpy's Python wrappers, bit for bit."""
+
+    @pytest.mark.parametrize("i", range(len(reduction_inputs())))
+    def test_norm_is_numpys_norm(self, i):
+        x = reduction_inputs()[i]
+        assert norm(x).hex() == float(np.linalg.norm(x)).hex()
+
+    @pytest.mark.parametrize("i", range(len(reduction_inputs())))
+    def test_inner_is_numpys_sum_of_products(self, i):
+        x = reduction_inputs()[i]
+        y = np.random.default_rng(6).standard_normal(x.shape)
+        for a, b in ((x, y), (x, x), (y.T.copy().T, x)):
+            assert inner(a, b).hex() == float(np.sum(a * b)).hex()
+
+    def test_non_finite_entries(self):
+        for bad in (np.inf, -np.inf, np.nan):
+            x = np.array([1.0, bad, 2.0])
+            assert norm(x).hex() == float(np.linalg.norm(x)).hex()
+            with np.errstate(invalid="ignore"):
+                assert inner(x, x[::-1]).hex() == float(np.sum(x * x[::-1])).hex()
+
+    def test_inner_of_two_shapes_is_refused(self):
+        # numpy would broadcast these to 6.0 and 3.0
+        with pytest.raises(InvalidInputError, match="shapes"):
+            inner(np.ones(3), np.ones((2, 3)))
+        with pytest.raises(InvalidInputError, match="shapes"):
+            inner(np.ones(3), np.ones((3, 1)))
 
 
 class TestPsdProject:
@@ -333,10 +382,27 @@ class TestDenseSupportGather:
             return flatnonzero(v)
 
         monkeypatch.setattr(np, "flatnonzero", spy)
-        out = DenseMap(M, (1000,))(x)
+        A = DenseMap(M, (1000,))
+        out = A(x)
         assert scans == ([1000] if gathers else [])
         if not gathers:
             assert np.array_equal(out, M @ x)
+        # apply_gathered is the same product, and hands back the support it
+        # scanned, so a caller never scans again
+        scans.clear()
+        y, s = A.apply_gathered(x)
+        assert np.array_equal(y, out)
+        assert scans == ([1000] if gathers else [])
+        if gathers:
+            assert np.array_equal(s, np.flatnonzero(x))
+        else:
+            assert s is None
+
+    def test_other_maps_read_the_whole_input(self):
+        x = np.arange(6.0).reshape(2, 3)
+        for A in (IdentityMap((2, 3)), CoordinateSelectMap(((0, 1), (1, 2)), (2, 3))):
+            y, s = A.apply_gathered(x)
+            assert s is None and np.array_equal(y, A(x))
 
 
 class Reversal(LinearMap):

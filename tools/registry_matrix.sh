@@ -14,11 +14,11 @@
 # up to --rtol pass (see the script's docstring).
 #
 # CHECKOUT (default: the one holding this script) is the tree whose src/ is
-# run; the custom configs always come from tools/registry_matrix/ beside this
-# script.  The commands: `list`; every registry experiment but custom with
-# no seed and with --seed 0, 1 and 2; noncompact --x-range=-5..-40 --y 1; and
-# custom on each tools/registry_matrix/*.json with no seed and seeds 0, 1, 2.
-# The checkout's path is replaced by CHECKOUT in stderr (warnings, tracebacks).
+# run; the command list (`list`, then what `tools/registry_matrix.py
+# commands` prints for the names it lists) and the custom configs always come
+# from beside this script.  The checkout's path is replaced by CHECKOUT in
+# stderr (warnings, tracebacks).  tools/registry_matrix_digest.json holds the
+# sha256 of every file this writes for this checkout; tier-1 checks it.
 set -u
 [ $# -ge 1 ] || { echo "usage: $0 OUT [CHECKOUT]" >&2; exit 2; }
 here=$(cd "$(dirname "$0")" && pwd)
@@ -30,26 +30,14 @@ ebound() {  # ebound CASE ARGS...: one CLI command, recorded under OUT/CASE
     dir=$out/$1
     shift
     mkdir -p "$dir"
-    PYTHONPATH="$checkout/src" python3 -m ebound.cli "$@" >"$dir/stdout" 2>"$dir/stderr.raw"
+    PYTHONPATH="$checkout/src" python3 -m ebound.cli "$@" </dev/null >"$dir/stdout" 2>"$dir/stderr.raw"
     echo $? >"$dir/exit"
     sed "s#$checkout#CHECKOUT#g" "$dir/stderr.raw" >"$dir/stderr"
     rm "$dir/stderr.raw"
 }
 
 ebound list list
-for name in $(cat "$out/list/stdout"); do
-    [ "$name" = custom ] && continue
-    ebound "$name" run "$name" --out "$out/$name/reports"
-    for seed in 0 1 2; do
-        ebound "$name-seed$seed" run "$name" --seed $seed --out "$out/$name-seed$seed/reports"
-    done
-done
-ebound noncompact-ray run noncompact --x-range=-5..-40 --y 1 --out "$out/noncompact-ray/reports"
-for config in "$here"/registry_matrix/*.json; do
-    case=custom-$(basename "$config" .json)
-    ebound "$case" run custom --config "$config" --out "$out/$case/reports"
-    for seed in 0 1 2; do
-        ebound "$case-seed$seed" run custom --config "$config" --seed $seed \
-            --out "$out/$case-seed$seed/reports"
-    done
+python3 "$here/registry_matrix.py" commands <"$out/list/stdout" | while read -r case args; do
+    # shellcheck disable=SC2086  # args is one command line, split into words
+    ebound "$case" $args --out "$out/$case/reports"
 done
