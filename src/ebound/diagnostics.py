@@ -36,8 +36,22 @@ class ProbeSample:
 
 @dataclass(frozen=True)
 class RandomDirections:
+    """`count` unit directions drawn from one seeded normal generator; each
+    radius ρ samples x* + ρ·u along every direction u."""
+
     count: int
     seed: int
+
+    def pending(self, x_star, radii) -> list:
+        """(radius, direction index, point, None) for each radius, then each
+        direction, as probe samples them; the distance is left to probe."""
+        rng = np.random.default_rng(self.seed)
+        units = []
+        for _ in range(self.count):
+            u = rng.standard_normal(x_star.shape)
+            units.append(u / norm(u))
+        return [(float(rho), j, x_star + rho * u, None)
+                for rho in radii for j, u in enumerate(units)]
 
 
 @dataclass(frozen=True)
@@ -55,18 +69,16 @@ class Curve:
         points = tuple(point_fn(p) for p in params)
         return cls(params, points, tuple(float(distance_fn(x)) for x in points))
 
-
-def _unit_directions(shape, count, seed):
-    rng = np.random.default_rng(seed)
-    dirs = []
-    for _ in range(count):
-        u = rng.standard_normal(shape)
-        dirs.append(u / norm(u))
-    return dirs
+    def pending(self, x_star, radii) -> list:
+        """(parameter, 0, point, distance) for each curve point; the curve
+        ignores x* and the radii."""
+        return [(float(p), 0, np.asarray(pt, dtype=float), d)
+                for p, pt, d in zip(self.params, self.points, self.distances)]
 
 
 def probe(prob: ProblemInstance, cert: OptimalityCertificate, radii, directions) -> list:
-    """Sample x = x* + ρ·u (or explicit curve points) and record
+    """Sample the points that `directions` lays out (`pending`: x* + ρ·u for
+    RandomDirections, its own points for a Curve) and record
     (d(x,𝒳), ‖R(x)‖, r_alt(x), F(x)) per sample.
 
     A curve brings its own distances; around x* they are measured by
@@ -81,13 +93,7 @@ def probe(prob: ProblemInstance, cert: OptimalityCertificate, radii, directions)
     Samples are ordered by (radius, direction index) as generated, so
     reports are reproducible.
     """
-    if isinstance(directions, Curve):
-        pending = [(float(p), 0, np.asarray(pt, dtype=float), d) for p, pt, d in
-                   zip(directions.params, directions.points, directions.distances)]
-    else:
-        units = _unit_directions(cert.x_star.shape, directions.count, directions.seed)
-        pending = [(float(rho), j, cert.x_star + rho * u, None)
-                   for rho in radii for j, u in enumerate(units)]
+    pending = directions.pending(cert.x_star, radii)
     if not pending:
         raise InvalidInputError("probe has no points: no radii, directions or curve points")
 

@@ -8,7 +8,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .space import LinearMap, inner
+from .space import LinearMap, _require_finite, inner
 
 # exp(y) overflows in double precision just above this
 _POISSON_CAP = 700.0
@@ -68,7 +68,9 @@ class LeastSquares(SmoothLoss):
     constant_hessian = True
 
     def __post_init__(self):
-        object.__setattr__(self, "targets", np.asarray(self.targets, dtype=float))
+        b = np.asarray(self.targets, dtype=float)
+        _require_finite(b, "LeastSquares targets")
+        object.__setattr__(self, "targets", b)
 
     @property
     def data(self):
@@ -99,6 +101,8 @@ class GeneralQuadratic(SmoothLoss):
     def __post_init__(self):
         B = np.asarray(self.B, dtype=float)
         d = np.asarray(self.d, dtype=float)
+        _require_finite(B, "GeneralQuadratic B")
+        _require_finite(d, "GeneralQuadratic d")
         if B.ndim != 2 or B.shape[0] != B.shape[1] or d.ndim != 1 or d.size != B.shape[0]:
             raise InvalidInputError("GeneralQuadratic: B must be square and d conformable")
         if np.linalg.norm(B - B.T) > 1e-10 * max(1.0, np.linalg.norm(B)):
@@ -164,6 +168,7 @@ class Poisson(SmoothLoss):
 
     def __post_init__(self):
         b = np.asarray(self.counts, dtype=float)
+        _require_finite(b, "Poisson counts")
         if np.any(b < 0) or np.any(b != np.round(b)):
             raise InvalidInputError("Poisson counts must be nonnegative integers")
         object.__setattr__(self, "counts", b)

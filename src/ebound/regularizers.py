@@ -183,6 +183,11 @@ class NuclearImage(InverseImage):
 # regularizers
 # ---------------------------------------------------------------------------
 
+def _require_weight(what, w):
+    if not (np.isfinite(w) and w >= 0):
+        raise InvalidInputError(f"{what} must be finite and >= 0, got {w!r}")
+
+
 class Regularizer:
     expects_matrix: bool = False
 
@@ -242,8 +247,7 @@ class L1(Regularizer):
     weight: float = 1.0
 
     def __post_init__(self):
-        if self.weight < 0:
-            raise InvalidInputError("L1 weight must be >= 0")
+        _require_weight("L1 weight", self.weight)
 
     def value(self, x):
         return self.weight * float(np.abs(self._check(x)).sum())
@@ -290,8 +294,7 @@ class Ridge(Regularizer):
     weight: float = 1.0
 
     def __post_init__(self):
-        if self.weight < 0:
-            raise InvalidInputError("Ridge weight must be >= 0")
+        _require_weight("Ridge weight", self.weight)
 
     def value(self, x):
         return self.weight * float(np.sum(self._check(x) ** 2))
@@ -320,8 +323,7 @@ class GroupedLasso(Regularizer):
         if len(self.groups) != len(self.weights):
             raise InvalidInputError("one weight per group required")
         for i, w in enumerate(self.weights):
-            if w < 0:
-                raise InvalidInputError(f"weights[{i}] is {w:g}; group weights must be >= 0")
+            _require_weight(f"group weights[{i}]", w)
         covered = np.concatenate(self.groups) if self.groups else np.array([], dtype=int)
         self.n = covered.size
         if sorted(covered.tolist()) != list(range(self.n)):

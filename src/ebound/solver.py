@@ -87,6 +87,7 @@ def proximal_gradient(
     max_iter: int = 20000,
 ) -> SolveTrace:
     """Iterate x⁺ = prox_{tP}(x − t∇f(x)) until ‖R(x)‖ ≤ tol.  Raises
+    InvalidInputError unless tol is finite and > 0 and max_iter >= 0, and
     ConvergenceError at the first iterate whose ‖R(x)‖ is not finite (a step
     too long for ∇f diverges), naming that iteration.
 
@@ -97,22 +98,17 @@ def proximal_gradient(
 
     f is evaluated once per point and its gradient once per iterate, so an
     iteration costs one forward and one adjoint application of A with Fixed,
-    one forward per trial step and one adjoint with Backtracking.  On a
-    large dense map the forward reads only the columns on the point's
-    support, so it costs O(m·|supp x|) at a sparse point, and the point
-    keeps that support: each point, trial points included, is scanned for
-    its support once.  There, with a constant-Hessian loss (least squares,
-    general quadratic), the gradient takes no adjoint: it reads cached
-    columns of A*HA on the support, which costs O(n·|supp x|) plus one
-    forward and one adjoint for each coordinate the first time it enters a
-    support, and the gathered block of columns is kept while the support
-    holds (see CompositeSmooth).  f(x) forms ⟨c, x⟩ only when c ≠ 0.  The
+    one forward per trial step and one adjoint with Backtracking; what one
+    application costs on a dense map, and when a constant-Hessian loss's
+    gradient needs no adjoint, DenseMap and CompositeSmooth say.  The
     residual's prox is the step's prox when t = 1, so an iteration takes one
     prox (one thin SVD for the nuclear norm) at the unit step, and one more
     per trial step otherwise.  P(xₖ) comes with the prox that formed xₖ
-    (`prox_value`, which the nuclear norm reads off the shrunk singular
-    values), so the solver evaluates P on its own only at x0.
+    (`prox_value`), so the solver evaluates P on its own only at x0.
     """
+    _require_positive("tol", tol)
+    if max_iter < 0:
+        raise InvalidInputError(f"max_iter must be >= 0, got {max_iter!r}")
     x = np.asarray(x0, dtype=float)
     point = _evaluate(prob.smooth, x)
     if point is None or not np.isfinite(P_x := prob.reg.value(x)):

@@ -153,6 +153,32 @@ class TestProbe:
         with pytest.raises(EmptyProbeError):
             probe(prob, cert, None, curve)
 
+    def test_random_directions_lay_out_radius_then_direction(self):
+        # one seeded generator draws every unit direction before any point is
+        # formed, so the points (and every report) do not depend on the radii
+        x_star = np.arange(4.0)
+        pending = RandomDirections(3, seed=7).pending(x_star, [0.5, 0.25])
+        rng = np.random.default_rng(7)
+        units = [u / norm(u) for u in (rng.standard_normal(4) for _ in range(3))]
+        assert [(rho, j) for rho, j, _, _ in pending] == [(0.5, 0), (0.5, 1), (0.5, 2),
+                                                          (0.25, 0), (0.25, 1), (0.25, 2)]
+        for rho, j, x, d in pending:
+            assert np.array_equal(x, x_star + rho * units[j]) and d is None
+
+    def test_probe_samples_what_its_sampler_lays_out(self):
+        # probe asks the sampler for its points; it does not switch on its type
+        prob, cert = certified_ridge(0)
+        x = cert.x_star + 0.1
+
+        class TwoPoints:
+            def pending(self, x_star, radii):
+                return [(1.0, 4, x, 0.5), (2.0, 5, x, None)]
+
+        first, second = probe(prob, cert, None, TwoPoints())
+        assert (first.radius, first.direction_id, first.d) == (1.0, 4, 0.5)
+        assert (second.radius, second.direction_id) == (2.0, 5)
+        assert second.d == distance_to_solution_set(prob, cert, x)
+
     @pytest.mark.parametrize("radii, directions", [([], RandomDirections(3, seed=0)),
                                                    ([1e-2], RandomDirections(0, seed=0))],
                              ids=["no-radii", "no-directions"])

@@ -75,6 +75,20 @@ class TestValues:
         with pytest.raises(InvalidInputError):
             GeneralQuadratic(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
 
+    @pytest.mark.parametrize("make, what", [
+        (lambda bad: LeastSquares(np.array([bad, 1.0])), "LeastSquares targets"),
+        (lambda bad: Poisson(np.array([bad, 1.0])), "Poisson counts"),
+        (lambda bad: GeneralQuadratic(np.eye(2), np.array([bad, 0.0])), "GeneralQuadratic d"),
+        (lambda bad: GeneralQuadratic(np.array([[1.0, 0.0], [0.0, bad]]), np.zeros(2)),
+         "GeneralQuadratic B"),
+    ], ids=["least_squares", "poisson", "quadratic_d", "quadratic_B"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_data_must_be_finite(self, make, what, bad):
+        # checked before any other test of the data, so a NaN in B is not
+        # reported as a matrix that is not positive definite
+        with pytest.raises(InvalidInputError, match=f"^{what} has non-finite entries$"):
+            make(bad)
+
     def test_logistic_labels_checked(self):
         with pytest.raises(InvalidInputError):
             Logistic(np.array([1.0, 2.0]))

@@ -1,10 +1,11 @@
 """Every output of the registry matrix is byte-identical to the checked-in
 digest: tools/registry_matrix_digest.json holds the sha256 of the exit code,
 stdout, stderr and every report file of each command that
-tools/registry_matrix.sh runs, and this test runs the same commands
+`tools/registry_matrix.py tree` writes, and this test runs the same commands
 in-process.  A change that means to alter an output regenerates the digest
 with `PYTHONPATH=src python3 tools/registry_matrix.py digest`."""
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -46,6 +47,31 @@ def test_differences_names_each_changed_missing_and_new_output():
     assert differences(recorded, got) == ["extra/exit", "lasso/reports/fit.json",
                                           "lasso/reports/new.csv", "lasso/stdout", "list/exit"]
     assert differences(recorded, recorded) == []
+
+
+def test_tree_writes_the_files_whose_digests_run_in_process_reports(tmp_path, monkeypatch,
+                                                                      capsys):
+    # two commands keep this fast; the digest test above runs all of them
+    two = registry_matrix.commands(["lasso"])[:1] + registry_matrix.commands([])[:1]
+    monkeypatch.setattr(registry_matrix, "commands", lambda names: two)
+    assert registry_matrix.main(["tree", str(tmp_path / "tree")]) == 0
+    written = {case.name: {path.relative_to(case).as_posix():
+                           hashlib.sha256(path.read_bytes()).hexdigest()
+                           for path in case.rglob("*") if path.is_file()}
+               for case in (tmp_path / "tree").iterdir()}
+    assert written == registry_matrix.run_in_process(tmp_path / "again")
+    assert sorted(written) == ["lasso", "list", "noncompact-ray"]
+    assert any(name.startswith("reports/") for name in written["lasso"])
+    printed = capsys.readouterr().out
+    assert printed == (f"wrote {tmp_path / 'tree'} (3 commands, "
+                       f"ebound from {registry_matrix.checkout()})\n")
+    assert Path(registry_matrix.checkout(), "src", "ebound", "__init__.py").is_file()
+
+
+def test_usage_names_tree_and_digest(capsys):
+    assert registry_matrix.main(["commands"]) == 2
+    usage = capsys.readouterr().err
+    assert "registry_matrix.py tree OUT" in usage and "registry_matrix.py digest" in usage
 
 
 def test_commands_cover_every_listed_experiment_and_config():

@@ -69,6 +69,15 @@ class TestValues:
         with pytest.raises(InvalidInputError):
             GroupedLasso([[0, 1]], [-1.0])
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf"), -1.0],
+                             ids=["nan", "inf", "-inf", "-1"])
+    @pytest.mark.parametrize("make", [L1, Ridge, lambda w: GroupedLasso([[0], [1, 2]], [1.0, w])],
+                             ids=["L1", "Ridge", "GroupedLasso"])
+    def test_weight_must_be_finite_and_nonnegative(self, make, weight):
+        # nan < 0 is False, so a sign check alone let NaN through to value()
+        with pytest.raises(InvalidInputError, match="must be finite and >= 0"):
+            make(weight)
+
 
 class TestProx:
     def test_l1_soft_threshold(self):

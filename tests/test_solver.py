@@ -170,6 +170,23 @@ class TestProximalGradient:
         with pytest.raises(InvalidInputError):
             make()
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"tol": float("nan")}, "tol must be finite and > 0"),
+        ({"tol": float("inf")}, "tol must be finite and > 0"),
+        ({"tol": 0.0}, "tol must be finite and > 0"),
+        ({"tol": -1e-9}, "tol must be finite and > 0"),
+        ({"max_iter": -3}, "max_iter must be >= 0"),
+    ])
+    def test_rejects_bad_arguments(self, kwargs, message):
+        # a NaN tol would run to the iteration limit, and a negative
+        # max_iter would return a trace with no rows
+        with pytest.raises(InvalidInputError, match=message):
+            proximal_gradient(ridge_toy()[0], np.zeros(4), **kwargs)
+
+    def test_zero_iterations_records_x0(self):
+        trace = proximal_gradient(ridge_toy()[0], np.ones(4), step=Fixed(0.1), max_iter=0)
+        assert trace.status == ITERATION_LIMIT and len(trace.iterations) == 1
+
     def test_x0_outside_domain_rejected(self):
         from ebound.experiments import noncompact_instance
         prob = noncompact_instance()

@@ -1,24 +1,31 @@
 #!/usr/bin/env python3
-"""The registry matrix: the CLI commands that tools/registry_matrix.sh runs,
-and the sha256 digest of what they write.
+"""The registry matrix: every registry command run in-process through
+ebound.cli.main, the report tree it writes, and the sha256 digest of it.
 
-    python3 tools/registry_matrix.py commands <NAMES
+    PYTHONPATH=src python3 tools/registry_matrix.py tree OUT
     PYTHONPATH=src python3 tools/registry_matrix.py digest
 
-`commands` prints one line `CASE ARG...` per command for the experiment
-names on standard input, the output of `ebound list`.  `digest` runs `list`
-and those commands in-process through ebound.cli.main and rewrites
-tools/registry_matrix_digest.json: for each case, the sha256 of its exit
-code, stdout, stderr and every report file, exactly as registry_matrix.sh
-records them under OUT/<case>/, with the numpy, BLAS and platform it ran on.
-tests/test_registry_digest.py checks every tier-1 run against that file, so
-a change that means to alter any output regenerates it with `digest` and
-says which digests moved and why.
+`tree` runs `list` and the commands for the names it prints, and writes
+each command's exit code, stdout, stderr and report files under
+OUT/<case>/ (a `run` writes its reports to OUT/<case>/reports).  It runs
+the ebound on PYTHONPATH, so `PYTHONPATH=<other checkout>/src` writes the
+tree of another checkout, and prints that checkout and the number of
+commands.  The path of the checkout is replaced by CHECKOUT in stderr
+(warnings, tracebacks); the command list and the custom configs always
+come from beside this script.  Two trees compare with `diff -r`, or number
+by number with tools/registry_matrix_diff.py.  A command that raises
+stops the run with its traceback.
+
+`digest` runs the same commands into a temporary tree and rewrites
+tools/registry_matrix_digest.json: for each case, the sha256 of every file
+`tree` writes, with the numpy, BLAS and platform it ran on.
+tests/test_registry_digest.py checks every tier-1 run against that file,
+so a change that means to alter any output regenerates it with `digest`
+and says which digests moved and why.
 
 The commands: every registry experiment but custom with no seed and with
 --seed 0, 1 and 2; noncompact --x-range=-5..-40 --y 1; and custom on each
-tools/registry_matrix/*.json with no seed and seeds 0, 1, 2.  A `run`
-command writes its reports to OUT/<case>/reports.
+tools/registry_matrix/*.json with no seed and seeds 0, 1, 2.
 """
 
 from __future__ import annotations
@@ -65,11 +72,18 @@ def environment() -> dict:
                         f"Python {platform.python_version()}"}
 
 
+def checkout() -> str:
+    """The checkout whose src/ holds the imported ebound."""
+    import ebound
+
+    return str(Path(ebound.__file__).resolve().parents[2])
+
+
 def _record(case_dir: Path, argv, checkout: str) -> tuple:
     """Run one CLI command in-process and write its exit code, stdout and
-    stderr into case_dir as registry_matrix.sh does: each warning as the
-    interpreter would print it, and `checkout` replaced by CHECKOUT in
-    stderr.  Returns (stdout, {file: sha256} for every file in case_dir)."""
+    stderr into case_dir: each warning as the interpreter would print it,
+    and `checkout` replaced by CHECKOUT in stderr.  Returns (stdout,
+    {file: sha256} for every file in case_dir)."""
     from ebound import cli
 
     out, err = io.StringIO(), io.StringIO()
@@ -89,23 +103,21 @@ def _record(case_dir: Path, argv, checkout: str) -> tuple:
 
 
 def run_in_process(out: Path) -> dict:
-    """Run `list` and every command into the tree `out`, laid out as
-    registry_matrix.sh lays it out; returns {case: {file: sha256}}."""
-    import ebound
-
-    checkout = str(Path(ebound.__file__).resolve().parents[2])
-    listed, digest = _record(out / "list", ["list"], checkout)
+    """Run `list` and every command into the tree `out`, one directory per
+    case; returns {case: {file: sha256}}."""
+    where = checkout()
+    listed, digest = _record(out / "list", ["list"], where)
     cases = {"list": digest}
     for case, argv in commands(listed.split()):
         _, cases[case] = _record(out / case, argv + ["--out", str(out / case / "reports")],
-                                 checkout)
+                                 where)
     return cases
 
 
 def main(argv) -> int:
-    if argv == ["commands"]:
-        for case, args in commands(sys.stdin.read().split()):
-            print(case, *args)
+    if len(argv) == 2 and argv[0] == "tree":
+        cases = run_in_process(Path(argv[1]))
+        print(f"wrote {argv[1]} ({len(cases)} commands, ebound from {checkout()})")
         return 0
     if argv == ["digest"]:
         with tempfile.TemporaryDirectory() as tmp:

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare two trees written by tools/registry_matrix.sh:
+"""Compare two trees written by `tools/registry_matrix.py tree`:
 
     tools/registry_matrix_diff.py PARENT CHANGE [--rtol R]
 
