@@ -1,7 +1,6 @@
 """Command-line experiment runner.
 
     ebound run <experiment> [--config <path>] [--out <dir>] [--seed <n>]
-               [--x-range a..b] [--y <v>]
     ebound validate <path>
     ebound list
 
@@ -19,14 +18,6 @@ from .errors import ConfigError, EboundError
 from .experiments import run_experiment
 
 
-def _parse_range(text: str):
-    try:
-        a, b = text.split("..", 1)
-        return float(a), float(b)
-    except ValueError as exc:
-        raise ConfigError([f"--x-range: expected a..b, got {text!r}"]) from exc
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(prog="ebound",
                                      description="error-bound probing experiments")
@@ -37,9 +28,6 @@ def _build_parser():
     run.add_argument("--config", help="JSON configuration file")
     run.add_argument("--out", help="output directory")
     run.add_argument("--seed", type=int, help="override the experiment seed")
-    run.add_argument("--x-range", dest="x_range",
-                     help="noncompact only: ray endpoints as a..b")
-    run.add_argument("--y", type=float, help="noncompact only: ray height")
 
     val = sub.add_parser("validate", help="validate a configuration file")
     val.add_argument("path")
@@ -49,18 +37,8 @@ def _build_parser():
 
 
 def _cmd_run(args) -> int:
-    # run_experiment validates the config, with the flags applied
+    # run_experiment validates the config
     config = load_config(args.config) if args.config else {}
-    if args.x_range or args.y is not None:
-        if args.experiment != "noncompact":
-            raise ConfigError(["--x-range/--y apply only to the noncompact experiment"])
-        flags = {"y": args.y} if args.y is not None else {}
-        if args.x_range:
-            flags["x_start"], flags["x_stop"] = _parse_range(args.x_range)
-        block = config.get("noncompact", {}) if isinstance(config, dict) else None
-        if isinstance(block, dict):  # otherwise validation rejects the config
-            config = {**config, "noncompact": {**block, **flags}}
-
     exit_code, payload = run_experiment(args.experiment, config,
                                         out_dir=args.out, seed=args.seed)
     for a in payload["assertions"]:

@@ -120,6 +120,16 @@ def _integer(low, **field):
 _POSITIVE = _bound(lambda v: v > 0, "must be > 0")
 _INSIDE_DOM_F = _bound(lambda v: v < 1, "must be < 1, inside dom(f) = {x < 1}")
 _STEP = 'must be "backtracking" or {"fixed": t}'
+#: the most entries a custom problem's shape may have, so validation refuses
+#: a shape whose arrays would not fit in memory before any is allocated
+MAX_ENTRIES = 10**7
+
+
+def _at_most_max_entries(shape):
+    entries = math.prod(shape.get("matrix", [shape.get("vector")]))
+    return None if entries <= MAX_ENTRIES else (
+        f"must have at most {MAX_ENTRIES} entries, got {entries}")
+
 
 # Each part table maps a name to (constructor, schema).  A dict schema makes
 # the body an object with exactly those typed fields, passed to the
@@ -180,9 +190,11 @@ NONCOMPACT = {
     "count": _integer(2, default=46),
 }
 PROBLEM = {
-    "shape": _OneOf({"vector": _integer(1),
-                     "matrix": _ArrayOf(_integer(1), lambda v: len(v) == 2, "must be [m, n]")},
-                    'must be {"vector": n} or {"matrix": [m, n]}'),
+    "shape": Field(_OneOf({"vector": _integer(1),
+                           "matrix": _ArrayOf(_integer(1), lambda v: len(v) == 2,
+                                              "must be [m, n]")},
+                          'must be {"vector": n} or {"matrix": [m, n]}'),
+                   (_at_most_max_entries,)),
     **{part: _OneOf({kind: schema for kind, (_, schema) in table.items()},
                     f"must contain exactly one of {tuple(table)}")
        for part, table in _PARTS.items()},

@@ -20,7 +20,7 @@ from .problem import (
     distance_to_solution_set,
 )
 from .regularizers import ComplementarityReport
-from .space import line_fit, norm
+from .space import _require_integer, line_fit, norm
 
 
 @dataclass(frozen=True)
@@ -37,21 +37,33 @@ class ProbeSample:
 @dataclass(frozen=True)
 class RandomDirections:
     """`count` unit directions drawn from one seeded normal generator; each
-    radius ρ samples x* + ρ·u along every direction u."""
+    radius ρ samples x* + ρ·u along every direction u.  count and seed must
+    be integers >= 0 (numpy integers included), else InvalidInputError; a
+    count of 0 lays out no points, which probe rejects the same way."""
 
     count: int
     seed: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "count", _require_integer(self.count, "directions count", 0))
+        object.__setattr__(self, "seed", _require_integer(self.seed, "directions seed", 0))
+
     def pending(self, x_star, radii) -> list:
         """(radius, direction index, point, None) for each radius, then each
-        direction, as probe samples them; the distance is left to probe."""
+        direction, as probe samples them; the distance is left to probe.
+        radii must be a 1-d array of finite numbers >= 0 (numpy's included;
+        radius 0 samples x* itself), else InvalidInputError."""
+        rhos = np.asarray(radii, dtype=float)
+        if rhos.ndim != 1 or not np.all((rhos >= 0) & (rhos < np.inf)):
+            raise InvalidInputError(f"radii must be a 1-d array of finite numbers >= 0, "
+                                    f"got {radii!r}")
         rng = np.random.default_rng(self.seed)
         units = []
         for _ in range(self.count):
             u = rng.standard_normal(x_star.shape)
             units.append(u / norm(u))
         return [(float(rho), j, x_star + rho * u, None)
-                for rho in radii for j, u in enumerate(units)]
+                for rho in rhos for j, u in enumerate(units)]
 
 
 @dataclass(frozen=True)

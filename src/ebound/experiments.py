@@ -253,9 +253,10 @@ def _counterexample_curve(run):
 
 
 def _ray(config):
-    """Ray abscissae and height from the config's noncompact block."""
+    """Ray abscissae and height from the config's noncompact block; y is read
+    as a float, so an integer height reports as the same number."""
     block = settings(config, "noncompact")
-    return np.linspace(block["x_start"], block["x_stop"], block["count"]), block["y"]
+    return np.linspace(block["x_start"], block["x_stop"], block["count"]), float(block["y"])
 
 
 def _noncompact_ray(run):

@@ -27,7 +27,8 @@ from .errors import ConvergenceError, DomainError, InvalidInputError, NotOptimal
 from .losses import CompositeSmooth
 from .regularizers import InverseImage, Regularizer
 # affine_project is unused, but bench/tests/test_smoke.py reads problem.affine_project
-from .space import LinearMap, _require_finite, affine_project, norm  # noqa: F401
+from .space import (LinearMap, _require_finite, _require_positive, _shaped,  # noqa: F401
+                    affine_project, norm)
 
 CERT_TOL = 1e-9
 #: Dykstra stops when an iterate moves less than this, or fails after the
@@ -104,15 +105,19 @@ def objective(prob: ProblemInstance, x) -> float:
 
 
 def residual_map(prob: ProblemInstance, x) -> np.ndarray:
-    """R(x) = prox_P(x − ∇f(x)) − x, with the unit prox step."""
-    x = np.asarray(x, dtype=float)
+    """R(x) = prox_P(x − ∇f(x)) − x, with the unit prox step, at a point of
+    the instance's shape (a scalar or a point of another size does not
+    broadcast)."""
+    x = _shaped(x, prob.feasible_point.shape, "residual_map point")
     return prob.reg.prox_diff(x, prob.smooth.gradient(x))
 
 
 def certify(prob: ProblemInstance, x, tol: float = CERT_TOL) -> OptimalityCertificate:
     """Verify ‖R(x)‖ ≤ tol and freeze the invariants (ȳ, ḡ); a NaN or
-    infinite ‖R(x)‖ is not optimal."""
-    x = np.asarray(x, dtype=float)
+    infinite ‖R(x)‖ is not optimal.  Raises InvalidInputError unless x is a
+    point of the instance's shape and tol is finite and > 0."""
+    x = _shaped(x, prob.feasible_point.shape, "certify point")
+    _require_positive(tol, "tol")
     point = prob.smooth.at(x)
     r = norm(prob.reg.prox_diff(x, point.gradient))
     if not r <= tol:
@@ -177,7 +182,8 @@ def distance_to_solution_set(prob: ProblemInstance, cert: OptimalityCertificate,
     measured against an exact active-set enumeration on the
     orthant-dense and orthant-wide configs (null B of dimension 1 and 3),
     it is at most 1.5e-10 absolute.  Raises
-    InvalidInputError for a point with a non-finite entry, and
+    InvalidInputError for a point with a non-finite entry or of a shape
+    other than x*'s (a scalar does not broadcast), and
     ConvergenceError when the reduced set's gap exceeds DYKSTRA_TOL (the two
     pieces do not meet) or when Dykstra exhausts its budget.
     """
@@ -185,7 +191,7 @@ def distance_to_solution_set(prob: ProblemInstance, cert: OptimalityCertificate,
         raise InvalidInputError("the distance to the solution set needs a loss strongly "
                                 "convex on compact sets: for any other loss "
                                 "{A z = ȳ} ∩ Γ_P(ḡ) need not be the solution set")
-    x = np.asarray(x, dtype=float)
+    x = _shaped(x, cert.x_star.shape, "distance_to_solution_set point")
     _require_finite(x, "distance_to_solution_set point")
     if prob.smooth.A.is_identity:
         return norm(x - cert.x_star)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InfeasibleTargetError, InvalidInputError
-from .space import norm, numerical_rank, psd_project, singular_values, svd
+from .space import _require_positive, norm, numerical_rank, psd_project, singular_values, svd
 
 TAU_EQ = 1e-8
 
@@ -210,11 +210,14 @@ class Regularizer:
         raise NotImplementedError
 
     def prox(self, z, t: float = 1.0) -> np.ndarray:
-        """prox_{tP}(z); the unit step t = 1 matches the residual map."""
+        """prox_{tP}(z); the unit step t = 1 matches the residual map.  The
+        step t must be finite and >= 0 (t = 0 is the identity), else
+        InvalidInputError.  A non-finite entry of z gives a non-finite
+        entry of the result, except where an SVD refuses it."""
         raise NotImplementedError
 
     def prox_value(self, z, t: float = 1.0):
-        """(p, P(p)) with p = prox_{tP}(z)."""
+        """(p, P(p)) with p = prox_{tP}(z), for a finite step t >= 0."""
         p = self.prox(z, t)
         return p, self.value(p)
 
@@ -260,6 +263,7 @@ class L1(Regularizer):
         and (sign(z)·m, λ·Σm) returned.  |sign(z)·m| = m exactly, NaN and ±0
         included, so λ·Σm is value(p) bit for bit."""
         z = self._check(z)
+        _require_positive(t, "prox step t", zero=True)
         m = np.maximum(np.abs(z) - t * self.weight, 0.0)
         return np.sign(z) * m, self.weight * float(m.sum())
 
@@ -300,6 +304,7 @@ class Ridge(Regularizer):
         return self.weight * float(np.sum(self._check(x) ** 2))
 
     def prox(self, z, t=1.0):
+        _require_positive(t, "prox step t", zero=True)
         return self._check(z) / (1.0 + 2.0 * t * self.weight)
 
     def subdiff_distance(self, x, s):
@@ -349,6 +354,7 @@ class GroupedLasso(Regularizer):
 
     def prox(self, z, t=1.0):
         z = self._check(z)
+        _require_positive(t, "prox step t", zero=True)
         nz = self._group_norms(z)
         scale = np.zeros_like(nz)
         live = nz > 0.0
@@ -417,6 +423,7 @@ class NuclearNorm(Regularizer):
         """Matrix shrinkage: each singular value σ ↦ σ' = max(σ − t, 0), so
         the nuclear norm of the result is Σ σ'.  A thin SVD suffices, and
         U diag(σ') Vᵀ does not depend on the signs of the singular vectors."""
+        _require_positive(t, "prox step t", zero=True)
         U, sigma, Vt = svd(self._check(z), full_matrices=False)
         shrunk = np.maximum(sigma - t, 0.0)
         return (U * shrunk) @ Vt, float(shrunk.sum())
@@ -468,6 +475,8 @@ class OrthantIndicator(Regularizer):
         return 0.0 if self.contains(x) else float("inf")
 
     def prox(self, z, t=1.0):
+        """The projection onto C, whatever the step t >= 0."""
+        _require_positive(t, "prox step t", zero=True)
         return np.clip(self._check(z), self.lo, self.hi)
 
     def residual(self, x, g, p):

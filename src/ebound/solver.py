@@ -10,7 +10,7 @@ import numpy as np
 from .errors import (ConvergenceError, DomainError, InsufficientDataError, InvalidInputError,
                      LineSearchError)
 from .problem import ProblemInstance
-from .space import inner, line_fit, norm
+from .space import _require_integer, _require_positive, _shaped, inner, line_fit, norm
 
 _MIN_STEP = 1e-14
 #: estimate_linear_rate rejects a tail fit that explains less of the variance
@@ -20,17 +20,12 @@ CONVERGED = "converged"
 ITERATION_LIMIT = "iteration_limit"
 
 
-def _require_positive(name, v):
-    if not (math.isfinite(v) and v > 0):
-        raise InvalidInputError(f"{name} must be finite and > 0, got {v!r}")
-
-
 @dataclass(frozen=True)
 class Fixed:
     t: float
 
     def __post_init__(self):
-        _require_positive("t", self.t)
+        _require_positive(self.t, "t")
 
 
 @dataclass(frozen=True)
@@ -39,8 +34,8 @@ class Backtracking:
     t0: float = 1.0
 
     def __post_init__(self):
-        _require_positive("t0", self.t0)
-        if not 0 < self.beta < 1:
+        _require_positive(self.t0, "t0")
+        if not _require_positive(self.beta, "beta") < 1:
             raise InvalidInputError(f"beta must be in (0, 1), got {self.beta!r}")
 
 
@@ -87,7 +82,8 @@ def proximal_gradient(
     max_iter: int = 20000,
 ) -> SolveTrace:
     """Iterate x⁺ = prox_{tP}(x − t∇f(x)) until ‖R(x)‖ ≤ tol.  Raises
-    InvalidInputError unless tol is finite and > 0 and max_iter >= 0, and
+    InvalidInputError unless x0 is a point of the instance's shape, tol is
+    finite and > 0 and max_iter is an integer >= 0, and
     ConvergenceError at the first iterate whose ‖R(x)‖ is not finite (a step
     too long for ∇f diverges), naming that iteration.
 
@@ -106,10 +102,9 @@ def proximal_gradient(
     per trial step otherwise.  P(xₖ) comes with the prox that formed xₖ
     (`prox_value`), so the solver evaluates P on its own only at x0.
     """
-    _require_positive("tol", tol)
-    if max_iter < 0:
-        raise InvalidInputError(f"max_iter must be >= 0, got {max_iter!r}")
-    x = np.asarray(x0, dtype=float)
+    _require_positive(tol, "tol")
+    max_iter = _require_integer(max_iter, "max_iter", 0)
+    x = _shaped(x0, prob.feasible_point.shape, "x0")
     point = _evaluate(prob.smooth, x)
     if point is None or not np.isfinite(P_x := prob.reg.value(x)):
         raise DomainError("x0 lies outside dom(f) ∩ dom(P)")

@@ -9,6 +9,7 @@ the Frobenius norm for matrices.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -50,6 +51,29 @@ def norm(x) -> float:
 def _require_finite(x, what="input"):
     if not np.isfinite(x).all():
         raise InvalidInputError(f"{what} has non-finite entries")
+
+
+def _require_positive(v, what, zero=False):
+    """v, which must be a finite number > 0, or >= 0 with zero=True: one
+    chained comparison, which NaN fails, so a check made once per solver
+    iteration costs about as much as the comparison.  An array of more than
+    one entry is not a number; None or a str raises Python's TypeError."""
+    try:
+        if 0 < v < math.inf or zero and v == 0:
+            return v
+    except ValueError:  # an array's truth value is ambiguous
+        pass
+    raise InvalidInputError(f"{what} must be finite and {'>=' if zero else '>'} 0, got {v!r}")
+
+
+def _require_integer(v, what, low):
+    """v as an int, which must be an integer (a numpy one too, but not a
+    bool) >= low."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise InvalidInputError(f"{what} must be an integer, got {v!r}")
+    if v < low:
+        raise InvalidInputError(f"{what} must be >= {low}, got {v!r}")
+    return int(v)
 
 
 def _shaped(v, shape, what):

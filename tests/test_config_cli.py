@@ -248,7 +248,15 @@ OUT_OF_RANGE = [
      "problem.shape.vector: must be >= 1"),
     ("problem.shape.matrix[]", _custom_with(shape={"matrix": [2, 0]}),
      "problem.shape.matrix[1]: must be >= 1"),
+    ("problem.shape", _custom_with(shape={"vector": 10**9}),
+     "problem.shape: must have at most 10000000 entries, got 1000000000"),
+    ("problem.shape", _custom_with(shape={"matrix": [4000, 2501]}),
+     "problem.shape: must have at most 10000000 entries, got 10004000"),
 ]
+
+
+def _never_built(problem):
+    raise AssertionError("instance_from_config ran: a table bound let the problem through")
 
 
 class TestFieldTable:
@@ -259,7 +267,11 @@ class TestFieldTable:
 
     @pytest.mark.parametrize("path, config, message", OUT_OF_RANGE,
                              ids=[path for path, _, _ in OUT_OF_RANGE])
-    def test_out_of_range_value_gets_one_message(self, path, config, message):
+    def test_out_of_range_value_gets_one_message(self, path, config, message, monkeypatch):
+        # a table bound refuses before anything is built: a shape past the
+        # bound that reached the build would allocate its arrays
+        if path != "problem":
+            monkeypatch.setattr(config_module, "instance_from_config", _never_built)
         with pytest.raises(ConfigError) as err:
             validate_config_data(config)
         assert err.value.messages == [message]
@@ -477,25 +489,38 @@ class TestCli:
     def test_run_unknown_experiment_exit_2(self, capsys):
         assert main(["run", "nonsense"]) == 2
 
-    def test_run_noncompact_with_ray_flags(self, tmp_path, capsys):
-        assert main(["run", "noncompact", "--out", str(tmp_path),
-                     "--x-range=-5..-40", "--y", "1.0"]) == 0
+    def test_run_noncompact_with_ray_config(self, tmp_path, capsys):
+        assert main(["run", "noncompact", "--config", str(RAY_CONFIG),
+                     "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "overall: PASS" in out
 
-    @pytest.mark.parametrize("x_range", ["0..2", "-5..2"])
-    def test_ray_flags_outside_loss_domain_exit_2(self, tmp_path, capsys, x_range):
-        assert main(["run", "noncompact", "--out", str(tmp_path / "o"),
-                     f"--x-range={x_range}"]) == 2
-        assert capsys.readouterr().err == (
-            "error: noncompact.x_stop: must be < 1, inside dom(f) = {x < 1}\n")
+    def test_integer_ray_height_reports_as_a_float(self, tmp_path):
+        # "y": 1 and "y": 1.0 are one ray, so they write the same bytes
+        for y in (1, 1.0):
+            path = write_config(tmp_path, {"experiment": "noncompact", "noncompact": {"y": y}})
+            assert main(["run", "noncompact", "--config", path,
+                         "--out", str(tmp_path / repr(y))]) == 0
+        for report in REPORTS:
+            assert ((tmp_path / "1" / report).read_bytes()
+                    == (tmp_path / "1.0" / report).read_bytes()), report
+
+    @pytest.mark.parametrize("flag", ["--y=1", "--x-range=-5..-40"])
+    @pytest.mark.parametrize("name", ["noncompact", "lasso"])
+    def test_run_takes_no_ray_flags(self, tmp_path, capsys, name, flag):
+        # the noncompact block of a config is the one way to set the ray
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", name, "--out", str(tmp_path / "o"), flag])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("y", ["0", "-1"])
-    def test_ray_height_flag_off_the_domain_exit_2(self, tmp_path, capsys, y):
-        assert main(["run", "noncompact", "--out", str(tmp_path / "o"), f"--y={y}"]) == 2
-        assert capsys.readouterr().err == f"error: {RAY_HEIGHT_MESSAGE}\n"
-        assert not (tmp_path / "o").exists()
+    def test_run_help_lists_no_experiment_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--help"])
+        assert exit_.value.code == 0
+        options = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert options == {"--help", "--config", "--out", "--seed"}
 
     def test_custom_loss_not_strongly_convex_exit_1(self, tmp_path, capsys):
         # the Dykstra distance would measure against {x*}, not the solution ray
@@ -510,16 +535,29 @@ class TestCli:
         ("[1, 2]", "top level: must be a JSON object"),
         ('{"experiment": "noncompact", "noncompact": 5}', "noncompact: must be an object"),
         ('{\n  "experiment": \n}', ":3:1: Expecting value"),
-    ])
-    def test_run_rejects_a_config_the_flags_cannot_merge_into(self, tmp_path, capsys,
-                                                             text, message):
-        # run only loads the file, so the flags meet the raw JSON
+        ('{"noncompact": {"x_start": 0, "x_stop": 2}}',
+         "noncompact.x_stop: must be < 1, inside dom(f) = {x < 1}"),
+        ('{"noncompact": {"x_start": -5, "x_stop": 2}}',
+         "noncompact.x_stop: must be < 1, inside dom(f) = {x < 1}"),
+        ('{"noncompact": {"y": 0}}', RAY_HEIGHT_MESSAGE),
+        ('{"noncompact": {"y": -1}}', RAY_HEIGHT_MESSAGE),
+    ], ids=["top-level-array", "block-not-an-object", "syntax-error", "ray-0..2",
+            "ray--5..2", "ray-height-0", "ray-height--1"])
+    def test_run_rejects_a_bad_config_before_writing(self, tmp_path, capsys, text, message):
         path = tmp_path / "config.json"
         path.write_text(text)
-        assert main(["run", "noncompact", "--config", str(path), "--y", "1",
+        assert main(["run", "noncompact", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_validate_refuses_a_huge_shape_before_building(self, tmp_path, capsys,
+                                                           monkeypatch):
+        monkeypatch.setattr(config_module, "instance_from_config", _never_built)
+        path = write_config(tmp_path, _custom_with(shape={"vector": 10**9}))
+        assert main(["validate", path]) == 2
+        assert capsys.readouterr().err == (
+            "error: problem.shape: must have at most 10000000 entries, got 1000000000\n")
 
     def test_divergent_fixed_step_exit_1(self, tmp_path, capsys):
         # t = 5 > 1/L = 0.5 diverges: the solver stops at the first
@@ -530,9 +568,6 @@ class TestCli:
         assert code == 1 and time.perf_counter() - start < 2.0
         assert re.fullmatch(r"error: ‖R\(xₖ\)‖ is not finite at iteration \d+ \(last gap (inf|nan)\)\n",
                             capsys.readouterr().err)
-
-    def test_ray_flags_rejected_elsewhere(self, tmp_path):
-        assert main(["run", "lasso", "--out", str(tmp_path), "--y", "1.0"]) == 2
 
     def test_run_with_config_and_seed(self, tmp_path, capsys):
         path = write_config(tmp_path, {"experiment": "strongly-convex",
@@ -572,6 +607,8 @@ class TestRegistryBudget:
 
 
 MATRIX = Path(__file__).resolve().parents[1] / "tools" / "registry_matrix"
+#: the noncompact ray that the registry matrix runs
+RAY_CONFIG = MATRIX.parent / "noncompact-ray.json"
 MATRIX_CONFIGS = sorted(MATRIX.glob("*.json"))
 #: configs that exit 1, with the error each prints: the 2×2 least-squares
 #: nuclear config's PSD slice meets its affine piece tangentially, so Dykstra
@@ -601,8 +638,9 @@ class TestRegistryMatrix:
 class TestAssertionFailureExit:
     def test_short_noncompact_ray_fails_with_exit_1(self, tmp_path, capsys):
         # a ray stopping at x = -6 cannot reach the 1e10 ratio threshold
-        code = main(["run", "noncompact", "--out", str(tmp_path),
-                     "--x-range=-5..-6", "--y", "1.0"])
+        path = write_config(tmp_path, {"experiment": "noncompact",
+                                       "noncompact": {"x_start": -5.0, "x_stop": -6.0}})
+        code = main(["run", "noncompact", "--config", path, "--out", str(tmp_path / "o")])
         assert code == 1
         out = capsys.readouterr().out
         assert "FAIL ratio_unbounded" in out

@@ -24,8 +24,9 @@ so a change that means to alter any output regenerates it with `digest`
 and says which digests moved and why.
 
 The commands: every registry experiment but custom with no seed and with
---seed 0, 1 and 2; noncompact --x-range=-5..-40 --y 1; and custom on each
-tools/registry_matrix/*.json with no seed and seeds 0, 1, 2.
+--seed 0, 1 and 2; noncompact on tools/noncompact-ray.json (the ray from
+x = -5 to -40 at y = 1); and custom on each tools/registry_matrix/*.json
+with no seed and seeds 0, 1, 2.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ import numpy as np
 
 HERE = Path(__file__).resolve().parent
 CONFIGS = HERE / "registry_matrix"
+#: the noncompact ray's config; outside CONFIGS, whose files run as custom
+RAY_CONFIG = HERE / "noncompact-ray.json"
 DIGEST = HERE / "registry_matrix_digest.json"
 SEEDS = (0, 1, 2)
 
@@ -56,7 +59,7 @@ def commands(names) -> list:
             continue
         out.append((name, ["run", name]))
         out.extend((f"{name}-seed{s}", ["run", name, "--seed", str(s)]) for s in SEEDS)
-    out.append(("noncompact-ray", ["run", "noncompact", "--x-range=-5..-40", "--y", "1"]))
+    out.append(("noncompact-ray", ["run", "noncompact", "--config", str(RAY_CONFIG)]))
     for config in sorted(CONFIGS.glob("*.json")):
         case, argv = f"custom-{config.stem}", ["run", "custom", "--config", str(config)]
         out.append((case, argv))
