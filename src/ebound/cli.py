@@ -5,7 +5,7 @@
     ebound list
 
 Exit codes: 0 all assertions pass, 1 assertion failure, 2 usage/config error.
-The EBOUND_OUT environment variable overrides the default output directory.
+Reports go to --out, or else to ebound-out/<experiment> in the working directory.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ problem).  One walker checks a config against them, aggregating every
 failure under its JSON path (problem.regularizer.grouped_lasso.weights);
 syntax errors carry the parser's line and column.  settings(config, block)
 reads a block with its defaults.  A default of None is derived by the run:
-the scenario's radii, the probe seed, the step and the output directory.
+the scenario's radii, the probe seed and the step.
 A custom problem that passes the tables is then built by instance_from_config
 with the constructors a run uses, and f and P are evaluated once at x0, so a
 value that a run would reject is rejected here, under its part's path;
@@ -74,7 +74,6 @@ _TYPES = {
     "index_groups": (_array_of(_array_of(_is_int)), "must be an array of index arrays"),
     "indices": (_array_of(lambda i: _is_int(i) or _array_of(_is_int)(i)),
                 "must be an array of indices"),
-    "path": (lambda v: isinstance(v, str), "must be a string path"),
     "any": (lambda v: True, ""),
 }
 
@@ -133,7 +132,7 @@ def _at_most_max_entries(shape):
 
 # Each part table maps a name to (constructor, schema).  A dict schema makes
 # the body an object with exactly those typed fields, passed to the
-# constructor as keyword arguments; a string schema types the body itself,
+# constructor as keyword arguments; any other schema types the body itself,
 # and the constructor takes (body, shape).  Value checks (B positive
 # definite, labels ±1, groups a partition, ...) are the constructors' own.
 _LOSSES = {
@@ -144,7 +143,8 @@ _LOSSES = {
     "noncompact": (NoncompactExample, {}),
 }
 _MAPS = {
-    "identity": (lambda body, shape: IdentityMap(shape), "any"),
+    "identity": (lambda body, shape: IdentityMap(shape),
+                 Field("any", (_bound(lambda v: v is True, "must be true"),))),
     "dense": (DenseMap, "matrix"),
     "coordinate_select": (CoordinateSelectMap, "indices"),
 }
@@ -161,11 +161,8 @@ _PARTS = {"loss": _LOSSES, "linear_map": _MAPS, "regularizer": _REGULARIZERS}
 PROBE = {
     "radii": Field(_Either({
         list: _ArrayOf(Field("number", (_POSITIVE,)), bool, "must not be empty"),
-        dict: {"start": Field("number", (_POSITIVE,), required=True),
-               "stop": Field("number", (_POSITIVE,), required=True),
-               "count": _integer(2, required=True)},
         type(None): "any",  # null: the default
-    }, "must be an array or a start/stop/count object")),
+    }, "must be an array of numbers > 0, or null")),
     "directions": _integer(1, default=6),
     "seed": _integer(0),
 }
@@ -198,7 +195,7 @@ PROBLEM = {
     **{part: _OneOf({kind: schema for kind, (_, schema) in table.items()},
                     f"must contain exactly one of {tuple(table)}")
        for part, table in _PARTS.items()},
-    **dict.fromkeys(("c", "x0", "feasible_point"), Field("array")),
+    **dict.fromkeys(("c", "x0"), Field("array")),
 }
 
 
@@ -209,7 +206,6 @@ CONFIG = {
     "seed": _integer(0, default=0),
     "probe": Field(PROBE),
     "solver": Field(SOLVER),
-    "output": Field("path"),
     "noncompact": Field(NONCOMPACT, experiment="noncompact"),
     "problem": Field(PROBLEM, required=True, experiment="custom"),
 }
@@ -294,7 +290,8 @@ class _Check:
 def instance_from_config(problem: dict) -> tuple:
     """Build (ProblemInstance, x0) from a custom-problem block whose JSON
     types are valid.  Each part is built by its constructor, then P and h∘A
-    are evaluated once at x0, so parts of clashing sizes are caught here.
+    are evaluated once at x0, so parts of clashing sizes are caught here;
+    x0, zeros when absent, is also the instance's feasible point.
     Raises ConfigError with each failure under its part's JSON path."""
     chk = _Check()
     dims = problem["shape"]
@@ -313,8 +310,7 @@ def instance_from_config(problem: dict) -> tuple:
             problem.get(key, default), dtype=float).reshape(shape))
 
     c = element("c", np.zeros(shape))
-    feasible = element("feasible_point", np.zeros(shape))
-    x0 = element("x0", np.zeros(shape) if feasible is None else feasible)
+    x0 = element("x0", np.zeros(shape))
     if chk.errors:
         raise ConfigError(chk.errors)
 
@@ -327,11 +323,10 @@ def instance_from_config(problem: dict) -> tuple:
     except ValueError as exc:
         chk.fail(paths["loss"], f"does not fit the {A.out_shape[0]} outputs of the "
                                 f"linear map: {exc}")
+    if not chk.errors and not np.isfinite(f0 + p0):
+        chk.fail("problem.x0", "lies outside dom(f) ∩ dom(P)")
     if not chk.errors:
-        prob = chk.attempt("problem.feasible_point", ProblemInstance,
-                           CompositeSmooth(h, A, c), reg, feasible)
-        if not np.isfinite(f0 + p0):
-            chk.fail("problem.x0", "lies outside dom(f) ∩ dom(P)")
+        prob = chk.attempt("problem.x0", ProblemInstance, CompositeSmooth(h, A, c), reg, x0)
     if chk.errors:
         raise ConfigError(chk.errors)
     return prob, x0

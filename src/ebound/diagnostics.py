@@ -20,7 +20,7 @@ from .problem import (
     distance_to_solution_set,
 )
 from .regularizers import ComplementarityReport
-from .space import _require_integer, line_fit, norm
+from .space import _require_finite, _require_integer, line_fit, norm
 
 
 @dataclass(frozen=True)
@@ -69,11 +69,30 @@ class RandomDirections:
 @dataclass(frozen=True)
 class Curve:
     """Explicit probe points with their curve parameters (used as radii) and
-    the exact distance of each point to the solution set."""
+    the exact distance of each point to the solution set.  There must be as
+    many of each, the parameters and points finite (a parameter may be
+    negative, and probe rejects a point outside dom(f)) and the distances
+    finite and >= 0, else InvalidInputError."""
 
     params: tuple
     points: tuple
     distances: tuple
+
+    def __post_init__(self):
+        sizes = {len(self.params), len(self.points), len(self.distances)}
+        if len(sizes) != 1:
+            raise InvalidInputError(
+                f"a curve takes as many params, points and distances, got {len(self.params)}, "
+                f"{len(self.points)} and {len(self.distances)}")
+        params = np.asarray(self.params, dtype=float)
+        if params.ndim != 1:
+            raise InvalidInputError(f"curve params must be numbers, got {self.params!r}")
+        _require_finite(params, "curve params")
+        for point in self.points:
+            _require_finite(np.asarray(point, dtype=float), "curve point")
+        d = np.asarray(self.distances, dtype=float)
+        if not np.all((d >= 0) & (d < np.inf)):
+            raise InvalidInputError(f"curve distances must be finite and >= 0, got {d!r}")
 
     @classmethod
     def from_map(cls, params, point_fn, distance_fn):

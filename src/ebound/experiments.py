@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -220,12 +219,7 @@ class Run:
     @property
     def radii(self) -> np.ndarray:
         spec = settings(self.config, "probe")["radii"]
-        if spec is None:
-            return self.scenario.radii
-        if isinstance(spec, dict):
-            return np.logspace(np.log10(spec["start"]), np.log10(spec["stop"]),
-                               spec["count"])
-        return np.asarray(spec, dtype=float)
+        return self.scenario.radii if spec is None else np.asarray(spec, dtype=float)
 
     @cached_property
     def decades(self) -> dict:
@@ -484,10 +478,7 @@ def run_experiment(name: str, config: dict | None = None,
     if config["experiment"] != name:
         raise ConfigError([f"config is for {config['experiment']!r}, not {name!r}"])
 
-    output = settings(config)["output"]
-    if output is None:
-        output = Path(os.environ.get("EBOUND_OUT", "ebound-out")) / name
-    out = Path(out_dir or output)
+    out = Path(out_dir or Path("ebound-out", name))
     out.mkdir(parents=True, exist_ok=True)
 
     scenario = SCENARIOS[name]

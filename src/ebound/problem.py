@@ -105,10 +105,11 @@ def objective(prob: ProblemInstance, x) -> float:
 
 
 def residual_map(prob: ProblemInstance, x) -> np.ndarray:
-    """R(x) = prox_P(x − ∇f(x)) − x, with the unit prox step, at a point of
-    the instance's shape (a scalar or a point of another size does not
-    broadcast)."""
+    """R(x) = prox_P(x − ∇f(x)) − x, with the unit prox step, at a finite
+    point of the instance's shape (a scalar or a point of another size does
+    not broadcast), else InvalidInputError."""
     x = _shaped(x, prob.feasible_point.shape, "residual_map point")
+    _require_finite(x, "residual_map point")
     return prob.reg.prox_diff(x, prob.smooth.gradient(x))
 
 

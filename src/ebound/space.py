@@ -76,6 +76,11 @@ def _require_integer(v, what, low):
     return int(v)
 
 
+def _shape(v, what):
+    """v as a tuple of integers >= 0 (numpy ones too), the shape of an element."""
+    return tuple(_require_integer(k, what, 0) for k in v)
+
+
 def _shaped(v, shape, what):
     """v as a float array, which must have the given shape."""
     v = np.asarray(v, dtype=float)
@@ -134,7 +139,7 @@ class IdentityMap(LinearMap):
     shape: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "shape", tuple(self.shape))
+        object.__setattr__(self, "shape", _shape(self.shape, "identity map shape"))
 
     @property
     def in_shape(self):
@@ -187,7 +192,7 @@ class DenseMap(LinearMap):
         m = np.atleast_2d(np.asarray(self.matrix, dtype=float))
         _require_finite(m, "dense map matrix")
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "in_shape", tuple(self.in_shape))
+        object.__setattr__(self, "in_shape", _shape(self.in_shape, "dense map input shape"))
         if m.shape[1] != int(np.prod(self.in_shape)):
             raise InvalidInputError(
                 f"dense map has {m.shape[1]} columns but input shape "
@@ -240,7 +245,8 @@ class DenseMap(LinearMap):
 class CoordinateSelectMap(LinearMap):
     """Selects a list of entries of the input element, in order.
 
-    Indices are (i, j) pairs for matrix inputs or bare ints for vectors.
+    Indices are (i, j) pairs for matrix inputs or bare ints for vectors;
+    each entry must be an integer (a numpy one too), else InvalidInputError.
     Covers operators such as X ↦ (X₁₁, X₂₂).
     """
 
@@ -248,15 +254,16 @@ class CoordinateSelectMap(LinearMap):
     in_shape: tuple
 
     def __post_init__(self):
-        idx = tuple(tuple(np.atleast_1d(i)) if np.ndim(i) else (int(i),) for i in self.indices)
-        idx = tuple(tuple(int(k) for k in i) for i in idx)
+        idx = tuple(tuple(_require_integer(k, "coordinate-select index", 0)
+                          for k in (i if np.ndim(i) else (i,))) for i in self.indices)
         object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "in_shape", tuple(self.in_shape))
+        object.__setattr__(self, "in_shape",
+                           _shape(self.in_shape, "coordinate-select input shape"))
         ndim = len(self.in_shape)
         for i in idx:
             if len(i) != ndim:
                 raise InvalidInputError(f"index {i} does not match input shape {self.in_shape}")
-            if not all(0 <= k < size for k, size in zip(i, self.in_shape)):
+            if not all(k < size for k, size in zip(i, self.in_shape)):
                 raise InvalidInputError(f"index {i} is out of range for shape {self.in_shape}")
         if len(set(idx)) != len(idx):
             raise InvalidInputError("coordinate-select indices must be distinct")

@@ -99,9 +99,9 @@ class TestValidation:
                                   "problem": MINIMAL_CUSTOM["problem"]})
 
     @pytest.mark.parametrize("radii, path", [
-        ({"start": -1, "stop": 1e-4, "count": 5}, "probe.radii.start"),
-        ({"start": 0, "stop": 1e-4, "count": 5}, "probe.radii.start"),
-        ({"start": 1e-2, "stop": 0.0, "count": 5}, "probe.radii.stop"),
+        ([-1, 1e-4], "probe.radii[0]"),
+        ([0, 1e-4], "probe.radii[0]"),
+        ([1e-2, 0.0], "probe.radii[1]"),
         ([1e-2, -1e-3, 1e-4], "probe.radii[1]"),
         ([1e-2, 0, 1e-4], "probe.radii[1]"),
     ])
@@ -112,20 +112,30 @@ class TestValidation:
 
     @pytest.mark.parametrize("radii, message", [
         ([], "probe.radii: must not be empty"),
-        ({"start": 1e-2, "stop": 1e-4}, "probe.radii.count: missing"),
-        ({"stop": 1e-4, "count": 3}, "probe.radii.start: missing"),
     ])
     def test_empty_or_incomplete_radii_rejected(self, radii, message):
         with pytest.raises(ConfigError) as err:
             validate_config_data({"experiment": "lasso", "probe": {"radii": radii}})
         assert err.value.messages == [message]
 
+    @pytest.mark.parametrize("config, message", [
+        ({"experiment": "lasso", "output": "out"}, "output: unknown key"),
+        ({**MINIMAL_CUSTOM, "problem": {**MINIMAL_CUSTOM["problem"],
+                                        "feasible_point": [0.0, 0.0, 0.0]}},
+         "problem.feasible_point: unknown key"),
+        ({"experiment": "lasso", "probe": {"radii": {"start": 1e-2, "stop": 1e-4, "count": 9}}},
+         "probe.radii: must be an array of numbers > 0, or null"),
+    ], ids=["output", "problem.feasible_point", "probe.radii-object"])
+    def test_a_setting_has_one_way_in(self, tmp_path, capsys, config, message):
+        # the output directory is --out, the start point x0, the radii an array
+        assert main(["validate", write_config(tmp_path, config)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
     @pytest.mark.parametrize("config, path", [
         ({"experiment": "lasso", "probe": {"radii": [float("nan"), 1e-3]}},
          "probe.radii[0]"),
         ({"experiment": "lasso", "solver": {"tol": float("nan")}}, "solver.tol"),
-        ({"experiment": "lasso", "probe": {"radii": {"start": float("inf"), "stop": 1e-3,
-                                                     "count": 3}}}, "probe.radii.start"),
+        ({"experiment": "lasso", "probe": {"radii": [1e-2, float("inf")]}}, "probe.radii[1]"),
         ({"experiment": "noncompact", "noncompact": {"y": float("-inf")}}, "noncompact.y"),
         ({"experiment": "lasso", "solver": {"step": {"fixed": float("inf")}}},
          "solver.step.fixed"),
@@ -205,11 +215,6 @@ def _bounded(kind, path=""):
         yield from _bounded(kind.item, f"{path}[]")
 
 
-def _radii(**range_):
-    return {"experiment": "lasso",
-            "probe": {"radii": {"start": 1e-2, "stop": 1e-4, "count": 5, **range_}}}
-
-
 #: (table path, a config breaking that field's bound, the one message it gets)
 OUT_OF_RANGE = [
     ("experiment", {"experiment": "bogus"},
@@ -217,9 +222,6 @@ OUT_OF_RANGE = [
     ("seed", {"experiment": "lasso", "seed": -1}, "seed: must be >= 0"),
     ("probe.radii[]", {"experiment": "lasso", "probe": {"radii": [1e-2, 0]}},
      "probe.radii[1]: must be > 0"),
-    ("probe.radii.start", _radii(start=0), "probe.radii.start: must be > 0"),
-    ("probe.radii.stop", _radii(stop=-1e-4), "probe.radii.stop: must be > 0"),
-    ("probe.radii.count", _radii(count=1), "probe.radii.count: must be >= 2"),
     ("probe.directions", {"experiment": "lasso", "probe": {"directions": 0}},
      "probe.directions: must be >= 1"),
     ("probe.seed", {"experiment": "lasso", "probe": {"seed": -1}}, "probe.seed: must be >= 0"),
@@ -244,6 +246,8 @@ OUT_OF_RANGE = [
     ("problem", _custom_with(regularizer={"orthant": {"signs": [1, 1, 1]}},
                              x0=[-1.0, 0.0, 0.0]),
      "problem.x0: lies outside dom(f) ∩ dom(P)"),
+    ("problem.linear_map.identity", _custom_with(linear_map={"identity": False}),
+     "problem.linear_map.identity: must be true"),
     ("problem.shape.vector", _custom_with(shape={"vector": 0}),
      "problem.shape.vector: must be >= 1"),
     ("problem.shape.matrix[]", _custom_with(shape={"matrix": [2, 0]}),
@@ -377,7 +381,7 @@ class TestValidationBuildsTheInstance:
     @pytest.mark.parametrize("problem, path", [
         ({"x0": "abc"}, "problem.x0"),
         ({"c": [1.0, 2.0]}, "problem.c"),
-        ({"feasible_point": [0.0, 0.0, 0.0, 0.0]}, "problem.feasible_point"),
+        ({"x0": [0.0, 0.0]}, "problem.x0"),
         ({"loss": {"least_squares": {"targets": [1.0, -1.0, 2.0]}}},
          "problem.loss.least_squares"),
         # one output against three targets would broadcast
@@ -453,12 +457,14 @@ class TestRunExperiment:
         assert code == 0
         assert payload["fit"] is not None
 
-    def test_env_var_default_dir(self, tmp_path, monkeypatch):
+    def test_default_dir_is_under_the_working_directory(self, tmp_path, monkeypatch):
+        # an environment variable named like the old override is not read
         monkeypatch.setenv("EBOUND_OUT", str(tmp_path / "envdir"))
         monkeypatch.chdir(tmp_path)
         code, _ = run_experiment("noncompact")
         assert code == 0
-        assert (tmp_path / "envdir" / "noncompact" / "fit.json").exists()
+        assert (tmp_path / "ebound-out" / "noncompact" / "fit.json").exists()
+        assert not (tmp_path / "envdir").exists()
 
 
 class TestCli:

@@ -1,12 +1,14 @@
 """Every public entry point checks its numbers.
 
-One table of calls: each numeric argument of certify,
-distance_to_solution_set, probe, RandomDirections, proximal_gradient,
-Fixed, Backtracking and every regularizer's prox and prox_value takes NaN,
-±inf, 0, −1 and 2.5 in turn, and a value of the wrong shape.  A point
-argument takes each value filling the point, each value as a bare scalar
-(which must not broadcast), and a point of the wrong size.  Each call
-returns its documented result or raises InvalidInputError.
+One table of calls: each numeric argument of certify, residual_map,
+distance_to_solution_set, probe, RandomDirections, Curve,
+proximal_gradient, Fixed, Backtracking and every regularizer's prox and
+prox_value takes NaN, ±inf, 0, −1 and 2.5 in turn, and a value of the wrong
+shape.  A point argument takes each value filling the point, each value as
+a bare scalar (which must not broadcast), and a point of the wrong size.
+Each data argument of the loss and linear-map constructors takes each value
+in its first entry.  Each call returns its documented result or raises
+InvalidInputError.
 
 None or a str where a number belongs may instead raise Python's TypeError,
 or numpy's ValueError for a str it cannot read as a number; the last test
@@ -19,9 +21,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ebound import (L1, Backtracking, Fixed, GroupedLasso, NuclearNorm, OrthantIndicator,
-                    RandomDirections, Ridge, certify, distance_to_solution_set, probe,
-                    proximal_gradient)
+from ebound import (L1, Backtracking, CoordinateSelectMap, Curve, DenseMap, Fixed,
+                    GeneralQuadratic, GroupedLasso, IdentityMap, LeastSquares, Logistic,
+                    NuclearNorm, OrthantIndicator, Poisson, RandomDirections, Ridge, certify,
+                    distance_to_solution_set, probe, proximal_gradient, residual_map)
 from ebound.errors import DomainError, InvalidInputError, NotOptimalError
 from ebound.experiments import lasso_instance
 from ebound.problem import OptimalityCertificate
@@ -130,6 +133,10 @@ def _scalar_cases():
 POINTS = {
     # a NaN or infinite ‖R(x)‖ is not optimal; no filled point is optimal here
     "certify.x": (lambda x, f: certify(f.prob, x), dict.fromkeys(VALUES, NotOptimalError)),
+    "residual_map.x": (
+        lambda x, f: residual_map(f.prob, x),
+        {**dict.fromkeys(VALUES, lambda r: r.shape == (8,) and np.isfinite(r).all()),
+         **dict.fromkeys(NON_FINITE, InvalidInputError)}),
     "distance_to_solution_set.x": (
         lambda x, f: distance_to_solution_set(f.prob, f.cert, x),
         {**dict.fromkeys(VALUES, _distance), **dict.fromkeys(NON_FINITE, InvalidInputError)}),
@@ -163,6 +170,56 @@ def _radii_cases():
     yield pytest.param(call, None, InvalidInputError, id="probe.radii=None")
 
 
+def _curve_cases():
+    # a parameter may be negative (the noncompact ray's abscissae are), and
+    # a point outside dom(f) is probe's to reject; the distance is d >= 0
+    point = np.zeros(8)
+    calls = {
+        "params": lambda v: Curve((v, 1.0), (point, point), (1.0, 1.0)),
+        "points": lambda v: Curve((1.0, 2.0), (np.full(8, v), point), (1.0, 1.0)),
+        "distances": lambda v: Curve((1.0, 2.0), (point, point), (v, 1.0)),
+        "from_map.params": lambda v: Curve.from_map([v, -1.0], lambda p: np.full(8, p),
+                                                    lambda x: 1.0),
+        "from_map.distances": lambda v: Curve.from_map([1.0, 2.0], lambda p: np.full(8, p),
+                                                       lambda x: v),
+    }
+    for arg, build in calls.items():
+        valid = ("0", "2.5") if "distances" in arg else ("0", "-1", "2.5")
+        for name, v in VALUES.items():
+            yield pytest.param(lambda v, f, build=build: build(v), v,
+                               _is(Curve) if name in valid else InvalidInputError,
+                               id=f"Curve.{arg}={name}")
+
+
+#: constructors: (build with the value in the first entry of one data
+#: argument, the value names it builds with); every other value raises
+#: InvalidInputError.  A shape or an index takes integers only, 0.0 included.
+CONSTRUCTORS = {
+    "LeastSquares.targets": (lambda v: LeastSquares([v, 1.0]), ("0", "-1", "2.5")),
+    "GeneralQuadratic.B": (lambda v: GeneralQuadratic(np.diag([v, 1.0]), [0.0, 0.0]),
+                           ("2.5",)),
+    "GeneralQuadratic.d": (lambda v: GeneralQuadratic(np.eye(2), [v, 1.0]), ("0", "-1", "2.5")),
+    "Logistic.labels": (lambda v: Logistic([v, 1.0]), ("-1",)),
+    "Poisson.counts": (lambda v: Poisson([v, 1.0]), ("0",)),
+    "DenseMap.matrix": (lambda v: DenseMap([[v, 1.0]], (2,)), ("0", "-1", "2.5")),
+    "DenseMap.in_shape": (lambda v: DenseMap(np.ones((1, 2)), (v,)), ()),
+    "CoordinateSelectMap.indices": (lambda v: CoordinateSelectMap((v, 1), (3,)), ()),
+    "CoordinateSelectMap.indices-pair": (
+        lambda v: CoordinateSelectMap(((0, v), (1, 1)), (2, 3)), ()),
+    "CoordinateSelectMap.in_shape": (lambda v: CoordinateSelectMap((0,), (v,)), ()),
+    "IdentityMap.shape": (lambda v: IdentityMap((v,)), ()),
+}
+
+
+def _constructor_cases():
+    for arg, (build, valid) in CONSTRUCTORS.items():
+        kind = globals()[arg.split(".")[0]]
+        for name, v in VALUES.items():
+            yield pytest.param(lambda v, f, build=build: build(v), v,
+                               _is(kind) if name in valid else InvalidInputError,
+                               id=f"{arg}={name}")
+
+
 def _prox_z_cases():
     # z is an element: the entrywise families pass a non-finite entry
     # through, and the nuclear norm's SVD refuses it
@@ -184,7 +241,8 @@ def _prox_z_cases():
 
 
 @pytest.mark.parametrize("call, value, expect", [*_scalar_cases(), *_point_cases(),
-                                                 *_radii_cases(), *_prox_z_cases()])
+                                                 *_radii_cases(), *_prox_z_cases(),
+                                                 *_curve_cases(), *_constructor_cases()])
 def test_entry_point_checks_its_argument(lasso, call, value, expect):
     if isinstance(expect, type):
         with pytest.raises(expect), np.errstate(all="ignore"):
@@ -205,6 +263,25 @@ def test_numpy_numbers_are_numbers(lasso):
     assert isinstance(certify(lasso.prob, lasso.cert.x_star, tol=np.float32(1e-6)),
                       OptimalityCertificate)
     assert np.array_equal(L1(1.0).prox(np.array([0.5, -2.0]), np.float64(0.5)), [0.0, -1.5])
+
+
+def test_a_curve_takes_one_numeric_param_per_point_and_distance():
+    # zip would have made one sample of three params
+    with pytest.raises(InvalidInputError, match="as many params, points and distances"):
+        Curve(params=(1.0, 2.0, 3.0), points=(np.zeros(8),), distances=(1.0,))
+    with pytest.raises(InvalidInputError, match="curve params must be numbers"):
+        Curve(params=((1.0, 2.0),), points=(np.zeros(8),), distances=(1.0,))
+
+
+def test_a_coordinate_select_map_takes_integer_indices():
+    # a float index was truncated: (0, 2.5) selected (0, 2), and 1.7 selected 1
+    with pytest.raises(InvalidInputError, match="index must be an integer, got 2.5"):
+        CoordinateSelectMap(((0, 2.5),), (2, 3))
+    with pytest.raises(InvalidInputError, match="index must be an integer, got 1.7"):
+        CoordinateSelectMap((1.7,), (3,))
+    select = CoordinateSelectMap(np.array([[0, 2], [1, 1]]), (np.int64(2), 3))
+    assert select.indices == ((0, 2), (1, 1)) and select.in_shape == (2, 3)
+    assert np.array_equal(select(np.arange(6.0).reshape(2, 3)), [2.0, 4.0])
 
 
 @pytest.mark.parametrize("value", [True, 2.0])

@@ -4,6 +4,7 @@ ebound.cli.main, the report tree it writes, and the sha256 digest of it.
 
     PYTHONPATH=src python3 tools/registry_matrix.py tree OUT
     PYTHONPATH=src python3 tools/registry_matrix.py digest
+    PYTHONPATH=src python3 tools/registry_matrix.py census
 
 `tree` runs `list` and the commands for the names it prints, and writes
 each command's exit code, stdout, stderr and report files under
@@ -27,6 +28,15 @@ The commands: every registry experiment but custom with no seed and with
 --seed 0, 1 and 2; noncompact on tools/noncompact-ray.json (the ray from
 x = -5 to -40 at y = 1); and custom on each tools/registry_matrix/*.json
 with no seed and seeds 0, 1, 2.
+
+`census` runs lasso, grouped-lasso and strongly-convex at seeds 0-49, and
+lasso, grouped-lasso and custom on tools/registry_matrix/minimal.json with
+{"solver": {"tol": 1e-6}}, and rewrites tools/verdict_census.json: for each
+run, the exit code the CLI gives, each assertion's pass or fail, and the
+error class of a run that raises (no detail strings, so digits that move
+do not churn it).  tests/test_verdict_census.py names each (run,
+assertion) whose verdict moved; a change that mends a failure regenerates
+the file and says which rows moved and why.
 """
 
 from __future__ import annotations
@@ -48,7 +58,11 @@ CONFIGS = HERE / "registry_matrix"
 #: the noncompact ray's config; outside CONFIGS, whose files run as custom
 RAY_CONFIG = HERE / "noncompact-ray.json"
 DIGEST = HERE / "registry_matrix_digest.json"
+CENSUS = HERE / "verdict_census.json"
 SEEDS = (0, 1, 2)
+CENSUS_SUITES, CENSUS_SEEDS = ("lasso", "grouped-lasso", "strongly-convex"), range(50)
+#: a solver tolerance loose enough to leave these runs' inverse images empty
+LOOSE = {"solver": {"tol": 1e-6}}
 
 
 def commands(names) -> list:
@@ -117,6 +131,36 @@ def run_in_process(out: Path) -> dict:
     return cases
 
 
+def census_runs() -> list:
+    """(case, experiment, config, seed) for every census run."""
+    runs = [(f"{name}-seed{seed}", name, None, seed)
+            for name in CENSUS_SUITES for seed in CENSUS_SEEDS]
+    runs += [(f"{name}-tol1e-6", name, LOOSE, None) for name in ("lasso", "grouped-lasso")]
+    minimal = json.loads((CONFIGS / "minimal.json").read_text())
+    return runs + [("custom-minimal-tol1e-6", "custom", {**minimal, **LOOSE}, None)]
+
+
+def census() -> dict:
+    """{case: verdicts} for every census run, in-process: the exit code the
+    CLI gives and each assertion's pass or fail, or the exit code and the
+    class of the error a run raises."""
+    from ebound.errors import ConfigError, EboundError
+    from ebound.experiments import run_experiment
+
+    verdicts = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for case, name, config, seed in census_runs():
+            try:
+                code, payload = run_experiment(name, config, out_dir=Path(tmp, case), seed=seed)
+            except EboundError as exc:
+                verdicts[case] = {"exit": 2 if isinstance(exc, ConfigError) else 1,
+                                  "error": type(exc).__name__}
+                continue
+            verdicts[case] = {"exit": code, "assertions": {
+                a["name"]: a["passed"] for a in payload["assertions"]}}
+    return verdicts
+
+
 def main(argv) -> int:
     if len(argv) == 2 and argv[0] == "tree":
         cases = run_in_process(Path(argv[1]))
@@ -128,7 +172,12 @@ def main(argv) -> int:
         DIGEST.write_text(json.dumps({**environment(), "cases": cases}, indent=1) + "\n")
         print(f"wrote {DIGEST} ({len(cases)} commands)")
         return 0
-    print("usage:", *__doc__.splitlines()[3:5], sep="\n", file=sys.stderr)
+    if argv == ["census"]:
+        verdicts = census()
+        CENSUS.write_text(json.dumps(verdicts, indent=1) + "\n")
+        print(f"wrote {CENSUS} ({len(verdicts)} runs)")
+        return 0
+    print("usage:", *__doc__.splitlines()[3:6], sep="\n", file=sys.stderr)
     return 2
 
 
