@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptyProbeError, InsufficientDataError, InvalidInputError
+from .errors import EmptyProbeError, InsufficientDataError, InvalidInputError
 from .problem import (
     OptimalityCertificate,
     ProblemInstance,
@@ -20,7 +20,7 @@ from .problem import (
     distance_to_solution_set,
 )
 from .regularizers import ComplementarityReport
-from .space import _require_finite, _require_integer, line_fit, norm
+from .space import _require_finite, _require_integer, line_fit, norms
 
 
 @dataclass(frozen=True)
@@ -52,18 +52,19 @@ class RandomDirections:
         """(radius, direction index, point, None) for each radius, then each
         direction, as probe samples them; the distance is left to probe.
         radii must be a 1-d array of finite numbers >= 0 (numpy's included;
-        radius 0 samples x* itself), else InvalidInputError."""
+        radius 0 samples x* itself), else InvalidInputError.  One draw of
+        shape (count, *x*.shape) gives every direction, the numbers that
+        `count` draws of x*'s shape would give."""
         rhos = np.asarray(radii, dtype=float)
         if rhos.ndim != 1 or not np.all((rhos >= 0) & (rhos < np.inf)):
             raise InvalidInputError(f"radii must be a 1-d array of finite numbers >= 0, "
                                     f"got {radii!r}")
-        rng = np.random.default_rng(self.seed)
-        units = []
-        for _ in range(self.count):
-            u = rng.standard_normal(x_star.shape)
-            units.append(u / norm(u))
-        return [(float(rho), j, x_star + rho * u, None)
-                for rho in rhos for j, u in enumerate(units)]
+        u = np.random.default_rng(self.seed).standard_normal((self.count, *x_star.shape))
+        axes = (1,) * x_star.ndim
+        units = u / norms(u, x_star.ndim).reshape((-1, *axes))
+        points = x_star + rhos.reshape((-1, 1, *axes)) * units
+        return [(float(rho), j, x, None)
+                for rho, row in zip(rhos, points) for j, x in enumerate(row)]
 
 
 @dataclass(frozen=True)
@@ -112,41 +113,42 @@ def probe(prob: ProblemInstance, cert: OptimalityCertificate, radii, directions)
     RandomDirections, its own points for a Curve) and record
     (d(x,𝒳), ‖R(x)‖, r_alt(x), F(x)) per sample.
 
-    A curve brings its own distances; around x* they are measured by
-    distance_to_solution_set.  f and its gradient are evaluated at all the
-    points together (CompositeSmooth.at_each): one stacked application of A
-    and one of its adjoint per call, each a single matrix–matrix product on
-    a dense map, and each sample's evaluation gives ‖R(x)‖, r_alt and F.
-    Points outside dom(f) are rejected, and their ∇h is never formed; when
-    the subdifferential of P is empty at a sample, r_alt is recorded as inf.
-    No points at all raises InvalidInputError, and every point rejected
-    raises EmptyProbeError.
+    A call evaluates its points as one stack.  f and its gradient come from
+    CompositeSmooth.at_each: one stacked application of A and one of its
+    adjoint, each a single matrix–matrix product on a dense map.  Points
+    outside dom(f) are rejected there, and their ∇h is never formed.  The
+    kept points then go through one stacked call each of prox_diff,
+    subdiff_distance (inside alt_residual) and value, and those without a
+    distance of their own (a curve brings its distances) through one
+    distance_to_solution_set call, which runs one Dykstra on all of them.
+    Each sample's figures are bit for bit those of the one-point functions.
+    When the subdifferential of P is empty at a sample, r_alt is recorded
+    as inf.  No points at all raises InvalidInputError, and every point
+    rejected raises EmptyProbeError; a distance that fails raises the
+    error of the first sample, in order, whose distance fails.
     Samples are ordered by (radius, direction index) as generated, so
     reports are reproducible.
     """
     pending = directions.pending(cert.x_star, radii)
     if not pending:
         raise InvalidInputError("probe has no points: no radii, directions or curve points")
-
-    samples = []
-    points = prob.smooth.at_each([x for _, _, x, _ in pending])
-    for (rho, j, x, d), point in zip(pending, points):
-        if point is None:
-            continue
-        if d is None:
-            d = distance_to_solution_set(prob, cert, x)
-        rp = norm(prob.reg.prox_diff(x, point.gradient))
-        try:
-            ra = alt_residual(prob, cert, x, point.y)
-        except DomainError:
-            ra = float("inf")
-        samples.append(ProbeSample(
-            x=x, radius=rho, direction_id=j, d=d, r_prox=rp, r_alt=ra,
-            F_val=point.value + prob.reg.value(x),
-        ))
-    if not samples:
+    evaluated = prob.smooth.at_each([x for _, _, x, _ in pending])
+    kept = [(p, point) for p, point in zip(pending, evaluated) if point is not None]
+    if not kept:
         raise EmptyProbeError("all probe points were rejected")
-    return samples
+
+    x = np.array([point.x for _, point in kept])
+    measure = np.array([p[3] is None for p, _ in kept])
+    d = np.array([0.0 if p[3] is None else p[3] for p, _ in kept], dtype=float)
+    if measure.any():
+        d[measure] = distance_to_solution_set(prob, cert, x[measure])
+    r_prox = norms(prob.reg.prox_diff(x, np.array([point.gradient for _, point in kept]),
+                                      stack=True), cert.x_star.ndim)
+    r_alt = alt_residual(prob, cert, x, np.array([point.y for _, point in kept]))
+    F = np.array([point.value for _, point in kept]) + prob.reg.value(x, stack=True)
+    return [ProbeSample(x=point.x, radius=rho, direction_id=j, d=float(d[i]),
+                        r_prox=float(r_prox[i]), r_alt=float(r_alt[i]), F_val=float(F[i]))
+            for i, ((rho, j, _, _), point) in enumerate(kept)]
 
 
 @dataclass(frozen=True)

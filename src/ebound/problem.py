@@ -28,11 +28,12 @@ from .losses import CompositeSmooth
 from .regularizers import InverseImage, Regularizer
 # affine_project is unused, but bench/tests/test_smoke.py reads problem.affine_project
 from .space import (LinearMap, _require_finite, _require_positive, _shaped,  # noqa: F401
-                    affine_project, norm)
+                    affine_project, norm, norms)
 
 CERT_TOL = 1e-9
-#: Dykstra stops when an iterate moves less than this, or fails after the
-#: budget; a reduced set whose gap (see ReducedSet) exceeds it does not meet
+#: Dykstra stops a point when its iterate moves less than this, or fails
+#: after the budget; a reduced set whose gap (see ReducedSet) exceeds it does
+#: not meet
 DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_SWEEPS = 10**4
 
@@ -141,32 +142,64 @@ def r_alt(prob: ProblemInstance, cert: OptimalityCertificate, x) -> float:
     return alt_residual(prob, cert, x, prob.smooth.A(x))
 
 
-def alt_residual(prob: ProblemInstance, cert: OptimalityCertificate, x, y) -> float:
-    """r_alt at x, given y = A(x); raises DomainError where ∂P(x) is empty."""
+def alt_residual(prob: ProblemInstance, cert: OptimalityCertificate, x, y):
+    """r_alt at x, given y = A(x): a float, which raises DomainError where
+    ∂P(x) is empty.  For a stack of points x (a leading axis) and their
+    images y, an array with each point's r_alt, inf where ∂P(x) is empty."""
+    stack = np.ndim(x) > cert.x_star.ndim
     if not prob.smooth.h.strongly_convex_on_compacts:
-        return float("nan")
-    return norm(y - cert.y_bar) + prob.reg.subdiff_distance(x, -cert.g_bar)
+        return np.full(len(x), np.nan) if stack else float("nan")
+    r = norms(y - cert.y_bar, cert.y_bar.ndim) + prob.reg.subdiff_distance(x, -cert.g_bar,
+                                                                            stack=stack)
+    return r if stack else float(r)
+
+
+def _products(M, U):
+    """M u for every row u of U, each as `M @ u` forms it: through a
+    stacked matmul, where one product U Mᵀ would round differently."""
+    return np.matmul(M, U[..., None])[..., 0]
 
 
 def _dykstra(x0, project_a, project_b):
-    """Projection of x0 onto the intersection of two closed convex sets."""
-    x = np.asarray(x0, dtype=float).copy()
+    """Projection of each row of the s×k block x0 onto the intersection of
+    two closed convex sets; project_a and project_b project a block of rows
+    row by row.  A row leaves the block at its own DYKSTRA_TOL stop while
+    the others sweep on, so its sweeps and result are those of a call on
+    that row alone.  When the budget runs out, ConvergenceError carries the
+    last gap of the first row still in the block."""
+    x = np.array(x0, dtype=float)
     p = np.zeros_like(x)
     q = np.zeros_like(x)
+    out = np.empty_like(x)
+    rows = np.arange(len(x))
     for _ in range(DYKSTRA_MAX_SWEEPS):
-        y = project_a(x + p)
-        p = x + p - y
-        x_new = project_b(y + q)
-        q = y + q - x_new
-        gap = max(norm(y - x_new), norm(x_new - x))
+        xp = x + p
+        y = project_a(xp)
+        p = xp - y
+        yq = y + q
+        x_new = project_b(yq)
+        q = yq - x_new
+        # the larger step as Python's max(a, b) picks it: b only when b > a
+        a, b = norms(np.array((y - x_new, x_new - x)))
+        gap = np.where(b > a, b, a)
         x = x_new
-        if gap <= DYKSTRA_TOL:
-            return x
-    raise ConvergenceError("Dykstra did not reach the intersection", gap)
+        done = gap <= DYKSTRA_TOL
+        if done.all():
+            out[rows] = x
+            return out
+        if done.any():
+            out[rows[done]] = x[done]
+            still = ~done
+            rows, x, p, q, gap = rows[still], x[still], p[still], q[still], gap[still]
+    raise ConvergenceError("Dykstra did not reach the intersection", float(gap[0]))
 
 
-def distance_to_solution_set(prob: ProblemInstance, cert: OptimalityCertificate, x) -> float:
-    """d(x, 𝒳) with 𝒳 = {z : A(z) = ȳ} ∩ Γ_P(ḡ).
+def distance_to_solution_set(prob: ProblemInstance, cert: OptimalityCertificate, x):
+    """d(x, 𝒳) with 𝒳 = {z : A(z) = ȳ} ∩ Γ_P(ḡ), as a float for one point
+    of x*'s shape, and as an array for a stack of them along a leading
+    axis: a single point is a stack of one, and a stack runs one Dykstra on
+    the s×k block of its reduced coordinates, which gives each point the
+    distance of its own call.
 
     That set is 𝒳 only for a loss strongly convex on compacts; any other
     loss raises InvalidInputError.  With the identity map f = h is strongly
@@ -186,21 +219,32 @@ def distance_to_solution_set(prob: ProblemInstance, cert: OptimalityCertificate,
     InvalidInputError for a point with a non-finite entry or of a shape
     other than x*'s (a scalar does not broadcast), and
     ConvergenceError when the reduced set's gap exceeds DYKSTRA_TOL (the two
-    pieces do not meet) or when Dykstra exhausts its budget.
+    pieces do not meet) or when Dykstra exhausts its budget, with the gap
+    of the first point that does.
     """
     if not prob.smooth.h.strongly_convex_on_compacts:
         raise InvalidInputError("the distance to the solution set needs a loss strongly "
                                 "convex on compact sets: for any other loss "
                                 "{A z = ȳ} ∩ Γ_P(ḡ) need not be the solution set")
-    x = _shaped(x, cert.x_star.shape, "distance_to_solution_set point")
-    _require_finite(x, "distance_to_solution_set point")
+    shape = cert.x_star.shape
+    xs = np.asarray(x, dtype=float)
+    single = xs.shape == shape
+    if single:
+        xs = xs[None]
+    elif xs.shape[1:] != shape or xs.ndim != len(shape) + 1:
+        raise InvalidInputError(f"distance_to_solution_set point takes shape {shape}, or a "
+                                f"stack of points of that shape, got {xs.shape}")
+    _require_finite(xs, "distance_to_solution_set point")
     if prob.smooth.A.is_identity:
-        return norm(x - cert.x_star)
-    red = cert.reduced
-    if red.gap > DYKSTRA_TOL:
-        raise ConvergenceError("{A z = ȳ} and Γ_P(ḡ) do not meet", red.gap)
-    image = cert.image
-    v = x - image.c
-    w = image.T_adj(v)
-    z = _dykstra(w, lambda u: u - red.B_pinv @ (red.B @ u - red.r), image.project_K)
-    return float(np.hypot(norm(v - image.T(w)), norm(w - z)))
+        d = norms(xs - cert.x_star, len(shape))
+    else:
+        red = cert.reduced
+        if red.gap > DYKSTRA_TOL:
+            raise ConvergenceError("{A z = ȳ} and Γ_P(ḡ) do not meet", red.gap)
+        image = cert.image
+        v = xs - image.c
+        w = image.T_adj(v)
+        z = _dykstra(w, lambda u: u - _products(red.B_pinv, _products(red.B, u) - red.r),
+                     image.project_K)
+        d = np.hypot(norms(v - image.T(w), len(shape)), norms(w - z))
+    return float(d[0]) if single else d

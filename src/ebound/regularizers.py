@@ -16,16 +16,25 @@ Equalities such as |g_i| = λ, ‖g_J‖ = ω_J or σ₁(−g) = 1 hold within T
 scaled by max(1, λ) or max(1, ω_J) for a weighted penalty.  An empty Γ_P(g)
 is not a set but a wrong target: inverse_image raises InfeasibleTargetError
 naming the first coordinate, group or singular value that empties it.
+
+value, prox_diff and subdiff_distance take a stack of points (stack=True:
+a leading axis indexes them), and so do T, T_adj and project_K of both
+inverse images (any leading axes).  Each point's figures are those of its
+own call, bit for bit: the stacked forms keep every sum's order (row sums
+along the last axis, one bincount over row·width + index, products through
+a stacked matmul) and decompose the matrices of a stack in one LAPACK call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InfeasibleTargetError, InvalidInputError
-from .space import _require_positive, norm, numerical_rank, psd_project, singular_values, svd
+from .space import (_require_positive, _transposed, norm, norms, numerical_rank, psd_project,
+                    singular_values, svd)
 
 TAU_EQ = 1e-8
 
@@ -36,6 +45,46 @@ TAU_EQ = 1e-8
 
 def _empty(reason: str) -> InfeasibleTargetError:
     return InfeasibleTargetError(f"inverse image is empty: {reason}")
+
+
+def _per_point(values, stack):
+    """A stack's array of figures as it is, one point's as a float."""
+    return values if stack else float(values)
+
+
+def _stacked_bincount(index, weights, width):
+    """np.bincount(index, weights=w, minlength=width) for w each row of
+    weights along its last axis (one point, or a stack of them); a stack
+    takes one bincount over row·width + index, which adds each row's
+    entries in its own call's order."""
+    if weights.ndim == 1:
+        return np.bincount(index, weights=weights, minlength=width)
+    rows = weights.reshape(math.prod(weights.shape[:-1]), weights.shape[-1])
+    index = (width * np.arange(len(rows))[:, None] + index).ravel()
+    sums = np.bincount(index, weights=rows.ravel(), minlength=len(rows) * width)
+    return sums.reshape(weights.shape[:-1] + (width,))
+
+
+def _split_sums(on, off, mask):
+    """np.sum(on[mask]) + np.sum(off[~mask]) along the last axis, for one
+    point or each point of a stack (on and off broadcast against mask).
+    Where every point has all or none of its entries in mask, one sum of
+    each is a row sum and the other adds 0.0.  Otherwise each point's
+    selected entries follow a 0.0 in one flat array, and np.add.reduceat
+    adds a run to its first entry: 0.0 plus the pairwise sum of the rest,
+    which is how np.sum adds the point's own entries."""
+    full, empty = mask.all(axis=-1), ~mask.any(axis=-1)
+    if (full | empty).all():
+        return np.where(full, on.sum(axis=-1), off.sum(axis=-1))
+    n = mask.shape[-1]
+    lead = np.ones((math.prod(mask.shape[:-1]), 1), dtype=bool)
+
+    def sums(v, keep):
+        rows, keep = np.broadcast_to(v, mask.shape).reshape(-1, n), keep.reshape(-1, n)
+        picked = np.hstack([np.zeros(lead.shape), rows])[np.hstack([lead, keep])]
+        runs = keep.sum(axis=1) + 1
+        return np.add.reduceat(picked, np.cumsum(runs) - runs).reshape(mask.shape[:-1])
+    return sums(on, mask) + sums(off, ~mask)
 
 
 @dataclass(frozen=True)
@@ -54,7 +103,8 @@ class InverseImage:
     """A nonempty closed convex set as its face Γ = {c + T z : z ∈ K}: T is an
     isometry (T*T = I) from ℝᵏ onto a subspace holding Γ − c, T_adj is its
     adjoint, and project_K is the nearest-point map of the closed convex
-    K ⊂ ℝᵏ.  Each subclass sets c and k when built and defines the maps."""
+    K ⊂ ℝᵏ.  Each subclass sets c and k when built and defines the maps,
+    which also map a stack of points (leading axes) point by point."""
 
     c: np.ndarray
     k: int
@@ -112,13 +162,12 @@ class BoxImage(InverseImage):
                    direction=np.ones(lo.shape), lo=lo[free], hi=hi[free])
 
     def T(self, z):
-        out = np.zeros_like(self.c)
-        out[self._on] = z[self._column] * self._direction
+        out = np.zeros(z.shape[:-1] + self.c.shape)
+        out[..., self._on] = z[..., self._column] * self._direction
         return out
 
     def T_adj(self, x):
-        return np.bincount(self._column, weights=x[self._on] * self._direction,
-                           minlength=self.k)
+        return _stacked_bincount(self._column, x[..., self._on] * self._direction, self.k)
 
     def project_K(self, z):
         return np.clip(z, self.lo, self.hi)
@@ -152,12 +201,12 @@ class NuclearImage(InverseImage):
         self.k = self._upper[0].size
 
     def _smat(self, z):
-        Z = np.zeros((self.s_bar, self.s_bar))
-        Z[self._upper] = z / self._scale
-        return Z + np.triu(Z, 1).T
+        Z = np.zeros(z.shape[:-1] + (self.s_bar, self.s_bar))
+        Z[(..., *self._upper)] = z / self._scale
+        return Z + _transposed(np.triu(Z, 1))
 
     def _svec(self, M):
-        return ((M + M.T) / 2.0)[self._upper] * self._scale
+        return ((M + _transposed(M)) / 2.0)[(..., *self._upper)] * self._scale
 
     def T(self, z):
         return self.U @ self._smat(z) @ self.V.T
@@ -189,24 +238,31 @@ def _require_weight(what, w):
 
 
 class Regularizer:
+    """P on vector (or, with expects_matrix, matrix) elements.  value,
+    prox_diff and subdiff_distance take one element, or with stack=True a
+    stack of them along a leading axis and give each point's figure."""
+
     expects_matrix: bool = False
 
-    def _check(self, x):
+    def _check(self, x, stack=False):
         x = np.asarray(x, dtype=float)
-        want = 2 if self.expects_matrix else 1
+        want = (2 if self.expects_matrix else 1) + stack
         if x.ndim != want:
             kind = "matrix" if self.expects_matrix else "vector"
-            raise InvalidInputError(f"{type(self).__name__} applies to {kind} elements")
+            raise InvalidInputError(f"{type(self).__name__} applies to {kind} elements"
+                                    + (", stacked along a leading axis" if stack else ""))
         return x
 
-    def _check_pair(self, x, s):
-        """x and a gradient or subgradient candidate s of the same shape."""
-        x, s = self._check(x), np.asarray(s, dtype=float)
-        if s.shape != x.shape:
+    def _check_pair(self, x, s, stack=False):
+        """x and a gradient or subgradient candidate s of the same shape; for
+        a stack, s may also be one point's, shared by every point."""
+        x, s = self._check(x, stack), np.asarray(s, dtype=float)
+        if s.shape != x.shape and not (stack and s.shape == x.shape[1:]):
             raise InvalidInputError(f"element of shape {s.shape} paired with {x.shape}")
         return x, s
 
-    def value(self, x) -> float:
+    def value(self, x, *, stack=False):
+        """P(x): a float, or each point's P with stack=True."""
         raise NotImplementedError
 
     def prox(self, z, t: float = 1.0) -> np.ndarray:
@@ -214,6 +270,12 @@ class Regularizer:
         step t must be finite and >= 0 (t = 0 is the identity), else
         InvalidInputError.  A non-finite entry of z gives a non-finite
         entry of the result, except where an SVD refuses it."""
+        z = self._check(z)
+        _require_positive(t, "prox step t", zero=True)
+        return self._prox(z, t)
+
+    def _prox(self, z, t) -> np.ndarray:
+        """prox_{tP} of a checked point, or of each point of a stack."""
         raise NotImplementedError
 
     def prox_value(self, z, t: float = 1.0):
@@ -227,12 +289,14 @@ class Regularizer:
         ‖g‖ is far below the ulp of x)."""
         return p - x
 
-    def prox_diff(self, x, g) -> np.ndarray:
-        """prox_P(x − g) − x."""
-        x, g = self._check_pair(x, g)
-        return self.residual(x, g, self.prox(x - g))
+    def prox_diff(self, x, g, *, stack=False) -> np.ndarray:
+        """prox_P(x − g) − x, of each point with stack=True."""
+        x, g = self._check_pair(x, g, stack)
+        return self.residual(x, g, self._prox(x - g, 1.0))
 
-    def subdiff_distance(self, x, s) -> float:
+    def subdiff_distance(self, x, s, *, stack=False):
+        """d(s, ∂P(x)): a float, or each point's with stack=True, where s is
+        each point's own or one shared by all."""
         raise NotImplementedError
 
     def inverse_image(self, g) -> InverseImage:
@@ -252,11 +316,16 @@ class L1(Regularizer):
     def __post_init__(self):
         _require_weight("L1 weight", self.weight)
 
-    def value(self, x):
-        return self.weight * float(np.abs(self._check(x)).sum())
+    def value(self, x, *, stack=False):
+        return _per_point(self.weight * np.abs(self._check(x, stack)).sum(axis=-1), stack)
 
-    def prox(self, z, t=1.0):
-        return self.prox_value(z, t)[0]
+    def _shrink(self, z, t):
+        """(sign(z)·m, m) with m = max(|z| − tλ, 0)."""
+        m = np.maximum(np.abs(z) - t * self.weight, 0.0)
+        return np.sign(z) * m, m
+
+    def _prox(self, z, t):
+        return self._shrink(z, t)[0]
 
     def prox_value(self, z, t=1.0):
         """Soft thresholding in one pass: m = max(|z| − tλ, 0) is formed once,
@@ -264,16 +333,17 @@ class L1(Regularizer):
         included, so λ·Σm is value(p) bit for bit."""
         z = self._check(z)
         _require_positive(t, "prox step t", zero=True)
-        m = np.maximum(np.abs(z) - t * self.weight, 0.0)
-        return np.sign(z) * m, self.weight * float(m.sum())
+        p, m = self._shrink(z, t)
+        return p, self.weight * float(m.sum())
 
-    def subdiff_distance(self, x, s):
-        x, s = self._check_pair(x, s)
+    def subdiff_distance(self, x, s, *, stack=False):
+        # the active and the inactive coordinates are summed apart, each in
+        # its own order
+        x, s = self._check_pair(x, s, stack)
         lam = self.weight
-        active = x != 0
-        dist_sq = np.sum((s[active] - lam * np.sign(x[active])) ** 2)
-        dist_sq += np.sum(np.maximum(np.abs(s[~active]) - lam, 0.0) ** 2)
-        return float(np.sqrt(dist_sq))
+        dist_sq = _split_sums((s - lam * np.sign(x)) ** 2,
+                              np.maximum(np.abs(s) - lam, 0.0) ** 2, x != 0)
+        return _per_point(np.sqrt(dist_sq), stack)
 
     def inverse_image(self, g):
         g = self._check(g)
@@ -300,16 +370,15 @@ class Ridge(Regularizer):
     def __post_init__(self):
         _require_weight("Ridge weight", self.weight)
 
-    def value(self, x):
-        return self.weight * float(np.sum(self._check(x) ** 2))
+    def value(self, x, *, stack=False):
+        return _per_point(self.weight * np.sum(self._check(x, stack) ** 2, axis=-1), stack)
 
-    def prox(self, z, t=1.0):
-        _require_positive(t, "prox step t", zero=True)
-        return self._check(z) / (1.0 + 2.0 * t * self.weight)
+    def _prox(self, z, t):
+        return z / (1.0 + 2.0 * t * self.weight)
 
-    def subdiff_distance(self, x, s):
-        x, s = self._check_pair(x, s)
-        return norm(s - 2.0 * self.weight * x)
+    def subdiff_distance(self, x, s, *, stack=False):
+        x, s = self._check_pair(x, s, stack)
+        return _per_point(norms(s - 2.0 * self.weight * x), stack)
 
     def inverse_image(self, g):
         g = self._check(g)
@@ -319,11 +388,21 @@ class Ridge(Regularizer):
         return BoxImage.intervals(p, p)
 
 
+def _group_indices(J) -> np.ndarray:
+    """One group's coordinate indices, which must be integers (numpy's
+    too, but not bools), else InvalidInputError: a cast would truncate 1.5
+    to 1."""
+    J = np.asarray(J)
+    if J.size and (J.dtype == bool or not np.issubdtype(J.dtype, np.integer)):
+        raise InvalidInputError(f"group indices must be integers, got {J.tolist()!r}")
+    return J.astype(int)
+
+
 class GroupedLasso(Regularizer):
     """P(x) = Σ_J ω_J ‖x_J‖₂ over a partition of the coordinates."""
 
     def __init__(self, groups, weights):
-        self.groups = tuple(np.asarray(J, dtype=int) for J in groups)
+        self.groups = tuple(_group_indices(J) for J in groups)
         self.weights = tuple(float(w) for w in weights)
         if len(self.groups) != len(self.weights):
             raise InvalidInputError("one weight per group required")
@@ -339,27 +418,25 @@ class GroupedLasso(Regularizer):
             self._group_of[J] = gid
         self._weight = np.array(self.weights)
 
-    def _check(self, x):
-        x = super()._check(x)
-        if x.size != self.n:
-            raise InvalidInputError(f"expected {self.n} coordinates, got {x.size}")
+    def _check(self, x, stack=False):
+        x = super()._check(x, stack)
+        if x.shape[-1] != self.n:
+            raise InvalidInputError(f"expected {self.n} coordinates, got {x.shape[-1]}")
         return x
 
     def _group_norms(self, x):
-        sq = np.bincount(self._group_of, weights=x * x, minlength=len(self.groups))
-        return np.sqrt(sq)
+        return np.sqrt(_stacked_bincount(self._group_of, x * x, len(self.groups)))
 
-    def value(self, x):
-        return float(self._weight @ self._group_norms(self._check(x)))
+    def value(self, x, *, stack=False):
+        # ω·‖x_J‖ per point through a stacked matmul, as `ω @ norms` forms it
+        nx = self._group_norms(self._check(x, stack))
+        return _per_point(np.matmul(nx[..., None, :], self._weight[:, None])[..., 0, 0], stack)
 
-    def prox(self, z, t=1.0):
-        z = self._check(z)
-        _require_positive(t, "prox step t", zero=True)
+    def _prox(self, z, t):
         nz = self._group_norms(z)
-        scale = np.zeros_like(nz)
         live = nz > 0.0
-        scale[live] = np.maximum(1.0 - t * self._weight[live] / nz[live], 0.0)
-        return scale[self._group_of] * z
+        shrink = np.maximum(1.0 - t * self._weight / np.where(live, nz, 1.0), 0.0)
+        return np.where(live, shrink, 0.0)[..., self._group_of] * z
 
     def prox_value(self, z, t=1.0):
         """(p, P(p)), with P(p) read off the group norms of p, which prox
@@ -367,18 +444,17 @@ class GroupedLasso(Regularizer):
         p = self.prox(z, t)
         return p, float(self._weight @ self._group_norms(p))
 
-    def subdiff_distance(self, x, s):
-        x, s = self._check_pair(x, s)
+    def subdiff_distance(self, x, s, *, stack=False):
+        x, s = self._check_pair(x, s, stack)
         # on a block with x_J ≠ 0, ∂ is the point ω_J x_J/‖x_J‖; on x_J = 0 it
         # is the ω_J-ball, which s_J overshoots by max(‖s_J‖ − ω_J, 0)
         nx = self._group_norms(x)
         live = nx > 0.0
-        scale = np.zeros_like(nx)
-        scale[live] = self._weight[live] / nx[live]
-        r = s - scale[self._group_of] * x
-        r_sq = np.bincount(self._group_of, weights=r * r, minlength=nx.size)
+        scale = np.where(live, self._weight / np.where(live, nx, 1.0), 0.0)
+        r = s - scale[..., self._group_of] * x
+        r_sq = _stacked_bincount(self._group_of, r * r, nx.shape[-1])
         over = np.maximum(np.sqrt(r_sq) - self._weight, 0.0)
-        return float(np.sqrt(np.sum(np.where(live, r_sq, over * over))))
+        return _per_point(np.sqrt(np.sum(np.where(live, r_sq, over * over), axis=-1)), stack)
 
     def inverse_image(self, g):
         g = self._check(g)
@@ -407,39 +483,60 @@ class GroupedLasso(Regularizer):
                         hi=np.r_[np.zeros(r), np.full(spread.size, np.inf)])
 
 
+def _block_sums(blocks):
+    """np.sum of each block of a stack, as a flat sum in C order."""
+    return blocks.reshape(len(blocks), -1).sum(axis=-1)
+
+
 @dataclass(frozen=True)
 class NuclearNorm(Regularizer):
     """P(X) = ‖X‖_* (sum of singular values)."""
 
     expects_matrix = True
 
-    def value(self, x):
-        return float(singular_values(self._check(x)).sum())
+    def value(self, x, *, stack=False):
+        # the values-only SVD: its σ differ in the last bits from a full SVD's
+        return _per_point(singular_values(self._check(x, stack)).sum(axis=-1), stack)
 
-    def prox(self, z, t=1.0):
-        return self.prox_value(z, t)[0]
+    def _shrink(self, z, t):
+        """(U diag(σ') Vᵀ, σ') from a thin SVD, for a matrix or a stack."""
+        U, sigma, Vt = svd(z, full_matrices=False)
+        shrunk = np.maximum(sigma - t, 0.0)
+        return (U * shrunk[..., None, :]) @ Vt, shrunk
+
+    def _prox(self, z, t):
+        return self._shrink(z, t)[0]
 
     def prox_value(self, z, t=1.0):
         """Matrix shrinkage: each singular value σ ↦ σ' = max(σ − t, 0), so
         the nuclear norm of the result is Σ σ'.  A thin SVD suffices, and
         U diag(σ') Vᵀ does not depend on the signs of the singular vectors."""
         _require_positive(t, "prox step t", zero=True)
-        U, sigma, Vt = svd(self._check(z), full_matrices=False)
-        shrunk = np.maximum(sigma - t, 0.0)
-        return (U * shrunk) @ Vt, float(shrunk.sum())
+        p, shrunk = self._shrink(self._check(z), t)
+        return p, float(shrunk.sum())
 
-    def subdiff_distance(self, x, s):
-        x, s = self._check_pair(x, s)
+    def subdiff_distance(self, x, s, *, stack=False):
+        # in the singular bases of x, S = Uᵀ s V splits at the numerical rank
+        # r: the r×r block against I, the off-diagonal blocks against 0, and
+        # the tail's singular values against the unit ball.  Points of one
+        # rank have blocks of one shape, so each rank's blocks are summed as
+        # a stack, every block in its own order.
+        x, s = self._check_pair(x, s, stack)
         U, sigma, Vt = svd(x)
-        r = numerical_rank(sigma)
-        S = U.T @ s @ Vt.T
-        dist_sq = float(np.sum((S[:r, :r] - np.eye(r)) ** 2))
-        dist_sq += float(np.sum(S[:r, r:] ** 2)) + float(np.sum(S[r:, :r] ** 2))
-        tail = S[r:, r:]
-        if min(tail.shape) > 0:
-            sv = singular_values(tail)
-            dist_sq += float(np.sum(np.maximum(sv - 1.0, 0.0) ** 2))
-        return float(np.sqrt(dist_sq))
+        S = _transposed(U) @ s @ _transposed(Vt)
+        S = S.reshape((-1,) + S.shape[-2:])
+        ranks = np.reshape(numerical_rank(sigma), -1)
+        dist_sq = np.empty(len(S))
+        for r in np.unique(ranks):
+            on = ranks == r
+            B = S[on]
+            d = _block_sums((B[:, :r, :r] - np.eye(r)) ** 2)
+            d += _block_sums(B[:, :r, r:] ** 2) + _block_sums(B[:, r:, :r] ** 2)
+            tail = B[:, r:, r:]
+            if min(tail.shape[1:]) > 0:
+                d += _block_sums(np.maximum(singular_values(tail) - 1.0, 0.0) ** 2)
+            dist_sq[on] = d
+        return _per_point(np.sqrt(dist_sq).reshape(x.shape[:-2]), stack)
 
     def inverse_image(self, g):
         U, sigma, Vt = svd(-self._check(g))
@@ -461,40 +558,44 @@ class OrthantIndicator(Regularizer):
         self.lo = np.where(signs > 0, 0.0, -np.inf)
         self.hi = np.where(signs < 0, 0.0, np.inf)
 
-    def _check(self, x):
-        x = super()._check(x)
-        if x.size != self.signs.size:
-            raise InvalidInputError(f"expected {self.signs.size} coordinates, got {x.size}")
+    def _check(self, x, stack=False):
+        x = super()._check(x, stack)
+        if x.shape[-1] != self.signs.size:
+            raise InvalidInputError(f"expected {self.signs.size} coordinates, got {x.shape[-1]}")
         return x
 
+    def _inside(self, x):
+        return np.all((x >= self.lo) & (x <= self.hi), axis=-1)
+
     def contains(self, x) -> bool:
-        x = self._check(x)
-        return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
+        return bool(self._inside(self._check(x)))
 
-    def value(self, x):
-        return 0.0 if self.contains(x) else float("inf")
+    def value(self, x, *, stack=False):
+        return _per_point(np.where(self._inside(self._check(x, stack)), 0.0, np.inf), stack)
 
-    def prox(self, z, t=1.0):
+    def _prox(self, z, t):
         """The projection onto C, whatever the step t >= 0."""
-        _require_positive(t, "prox step t", zero=True)
-        return np.clip(self._check(z), self.lo, self.hi)
+        return np.clip(z, self.lo, self.hi)
 
     def residual(self, x, g, p):
         # clip(x − g, lo, hi) − x == clip(−g, lo − x, hi − x), exactly;
         # the right-hand form keeps tiny gradients below the ulp of x alive
         return np.clip(-g, self.lo - x, self.hi - x)
 
-    def subdiff_distance(self, x, s):
-        """Distance to the normal cone of C at x."""
-        x, s = self._check_pair(x, s)
-        if not self.contains(x):
+    def subdiff_distance(self, x, s, *, stack=False):
+        """Distance to the normal cone of C at x.  A point outside C raises
+        DomainError; in a stack it gets inf, the distance to the empty
+        subdifferential."""
+        x, s = self._check_pair(x, s, stack)
+        inside = self._inside(x)
+        if not (stack or inside):
             raise DomainError("point outside the constraint set")
         # the cone is {0} off the faces, [0, ∞) on a face of a −1 sign and
         # (−∞, 0] on a face of a +1 sign
         face = x == 0.0
         r = s - np.clip(s, np.where(face & (self.signs > 0), -np.inf, 0.0),
                         np.where(face & (self.signs < 0), np.inf, 0.0))
-        return float(np.sqrt(np.sum(r * r)))
+        return _per_point(np.where(inside, np.sqrt(np.sum(r * r, axis=-1)), np.inf), stack)
 
     def inverse_image(self, g):
         g = self._check(g)

@@ -48,6 +48,19 @@ def norm(x) -> float:
     return math.sqrt(v.dot(v))
 
 
+def norms(xs, ndim=1) -> np.ndarray:
+    """`norm` of every element of xs, whose elements have `ndim` axes and
+    whose leading axes index them: an array of the leading shape, 0-d for
+    a single element.  Each is √(v·v), its v·v from one stacked matmul,
+    which forms each element's product as `norm`'s v.dot(v) does, bit for
+    bit (np.einsum does not); xs is read in C order, as arithmetic
+    results are laid out."""
+    xs = np.asarray(xs, dtype=float)
+    if ndim != 1:
+        xs = xs.reshape(xs.shape[:xs.ndim - ndim] + (math.prod(xs.shape[xs.ndim - ndim:]),))
+    return np.sqrt(np.matmul(xs[..., None, :], xs[..., None])[..., 0, 0])
+
+
 def _require_finite(x, what="input"):
     if not np.isfinite(x).all():
         raise InvalidInputError(f"{what} has non-finite entries")
@@ -190,6 +203,8 @@ class DenseMap(LinearMap):
 
     def __post_init__(self):
         m = np.atleast_2d(np.asarray(self.matrix, dtype=float))
+        if m.ndim != 2:
+            raise InvalidInputError(f"a dense map takes a matrix, got an array of shape {m.shape}")
         _require_finite(m, "dense map matrix")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "in_shape", _shape(self.in_shape, "dense map input shape"))
@@ -301,17 +316,21 @@ def line_fit(x, y) -> tuple:
     return float(slope), float(intercept), r_squared
 
 
-def numerical_rank(sigma) -> int:
+def numerical_rank(sigma):
     """Number of singular values above GROUP_TOL · max(1, σ₁), for sigma
-    sorted non-increasing."""
-    scale = max(1.0, float(sigma[0])) if sigma.size else 1.0
-    return int(np.sum(sigma > GROUP_TOL * scale))
+    sorted non-increasing along its last axis: an int for one set of
+    singular values, an array of ints for a stack of them."""
+    scale = np.maximum(1.0, sigma[..., :1]) if sigma.shape[-1] else 1.0
+    ranks = np.sum(sigma > GROUP_TOL * scale, axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
 def svd(X, full_matrices: bool = True) -> tuple:
     """Full (or thin) singular value decomposition (U, σ, Vᵀ), exactly as
     np.linalg.svd returns it, with σ sorted non-increasing; numpy would
-    return NaN singular values for a non-finite input, so that raises.
+    return NaN singular values for a non-finite input, so that raises.  A
+    stack of matrices (leading axes) is decomposed in one stacked call,
+    each matrix's factors equal to those of its own call.
 
     The signs of the singular vectors are LAPACK's.  Every consumer is
     invariant under flipping a column of U together with the paired row
@@ -326,26 +345,37 @@ def svd(X, full_matrices: bool = True) -> tuple:
 
 def singular_values(X) -> np.ndarray:
     """σ(X) sorted non-increasing, exactly as np.linalg.svd(X, compute_uv=False)
-    returns them; a non-finite input raises, as in `svd`."""
+    returns them, also for a stack of matrices; a non-finite input raises,
+    as in `svd`."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     _require_finite(X, "singular values input")
     return np.linalg.svd(X, compute_uv=False)
 
 
 def psd_project(M):
-    """Nearest (Frobenius) positive semidefinite matrix.
+    """Nearest (Frobenius) positive semidefinite matrix, of each matrix of
+    a stack (leading axes), with one stacked eigh: each result equals that
+    of the matrix's own call.
 
     Symmetrizes, eigendecomposes, clips negative eigenvalues.  The squared
     distance to the input decomposes as ‖skew part‖² + Σ min(λᵢ, 0)².
     """
     M = np.asarray(M, dtype=float)
     _require_finite(M, "psd_project input")
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise InvalidInputError("psd_project requires a square matrix")
-    H = (M + M.T) / 2.0
+    H = (M + _transposed(M)) / 2.0
     w, Q = np.linalg.eigh(H)
-    S = Q @ np.diag(np.maximum(w, 0.0)) @ Q.T
-    return (S + S.T) / 2.0
+    D = np.zeros(M.shape)
+    diagonal = np.arange(M.shape[-1])
+    D[..., diagonal, diagonal] = np.maximum(w, 0.0)
+    S = Q @ D @ _transposed(Q)
+    return (S + _transposed(S)) / 2.0
+
+
+def _transposed(M):
+    """The transpose of a matrix, or of each matrix of a stack."""
+    return np.swapaxes(M, -1, -2)
 
 
 def affine_project(x, A: LinearMap, y_bar):

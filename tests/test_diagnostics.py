@@ -3,7 +3,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import pytest
 
-from ebound import regularizers, space
+from ebound import problem, regularizers, space
 from ebound.diagnostics import (
     NUCLEAR_WITH_SC,
     POLYHEDRAL,
@@ -18,8 +18,8 @@ from ebound.diagnostics import (
     regularity_summary,
     strict_complementarity,
 )
-from ebound.errors import (ConvergenceError, EmptyProbeError, InfeasibleTargetError,
-                           InsufficientDataError, InvalidInputError)
+from ebound.errors import (ConvergenceError, DomainError, EmptyProbeError,
+                           InfeasibleTargetError, InsufficientDataError, InvalidInputError)
 from ebound.experiments import (
     counterexample_curve_point,
     counterexample_instance,
@@ -223,10 +223,151 @@ def certified_poisson():
     return prob, cert
 
 
+def one_point_figures(prob, cert, x, point):
+    """(r_prox, r_alt, F) at x from the one-point functions, given the
+    evaluation of f there; r_alt is inf where ∂P(x) is empty."""
+    try:
+        ra = alt_residual(prob, cert, x, point.y)
+    except DomainError:
+        ra = float("inf")
+    return (norm(prob.reg.prox_diff(x, point.gradient)), ra,
+            point.value + prob.reg.value(x))
+
+
+def assert_samples_are_one_point_figures(prob, cert, samples, distances=None):
+    """Every sample's d, r_prox, r_alt and F, bit for bit, as the one-point
+    functions give them at the same at_each point (distances: the curve's)."""
+    points = prob.smooth.at_each([s.x for s in samples])
+    for i, (s, point) in enumerate(zip(samples, points, strict=True)):
+        d = distance_to_solution_set(prob, cert, s.x) if distances is None else distances[i]
+        figures = (d, *one_point_figures(prob, cert, s.x, point))
+        assert (s.d, s.r_prox, s.r_alt, s.F_val) == figures
+
+
+def certified_grouped():
+    prob = grouped_lasso_instance(0)
+    trace = proximal_gradient(prob, prob.feasible_point,
+                              step=Fixed(1.0 / lipschitz_bound(prob)), tol=1e-12, max_iter=100000)
+    return prob, certify(prob, trace.terminal, tol=1e-9)
+
+
+def certified_nuclear_regular():
+    prob, x_star = nuclear_regular_instance()
+    return prob, certify(prob, x_star, tol=1e-10)
+
+
+#: one certified instance of each family, probed around x* (radius 0 too,
+#: where coordinates sit at zero and the nuclear rank drops)
+FAMILIES = {
+    "l1-dense": lambda: certified_dense("l1"),
+    "l1-lasso": lambda: counted_lasso(seed=1),
+    "ridge-dense": lambda: certified_dense("ridge"),
+    "ridge-identity": lambda: certified_ridge(0),
+    "orthant": lambda: certified_dense("orthant"),
+    "grouped-dense": lambda: certified_dense("grouped-lasso"),
+    "grouped": certified_grouped,
+    "nuclear-completion": lambda: _completion_instance(0),
+    "nuclear-regular": certified_nuclear_regular,
+}
+
+
+
+def counting_dykstra(monkeypatch):
+    """Patch problem._dykstra to count its calls and the rows of each."""
+    rows = []
+    real = problem._dykstra
+
+    def counted(x0, project_a, project_b):
+        rows.append(len(x0))
+        return real(x0, project_a, project_b)
+    monkeypatch.setattr(problem, "_dykstra", counted)
+    return rows
+
+
+class OnePointThenOthers:
+    """A sampler of explicit points, none with a distance of its own."""
+
+    def __init__(self, *points):
+        self.points = points
+
+    def pending(self, x_star, radii):
+        return [(float(i), i, x, None) for i, x in enumerate(self.points)]
+
+
 class TestProbeEvaluation:
     """probe evaluates f at all its points together: one stacked forward
     and one stacked adjoint product per call, and per sample the figures a
     per-point evaluation gives."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_sample_is_bit_identical_to_the_one_point_functions(self, family):
+        prob, cert = FAMILIES[family]()
+        samples = probe(prob, cert, [1.0, 1e-2, 1e-4, 0.0], RandomDirections(5, seed=2))
+        assert len(samples) == 20
+        assert_samples_are_one_point_figures(prob, cert, samples)
+
+    def test_points_with_some_zero_coordinates(self):
+        # half the coordinates moved off x*: each point's nonzero coordinates
+        # and its zero ones are summed apart, in the point's own order
+        prob, cert = counted_lasso(seed=2)
+        rng = np.random.default_rng(7)
+        moves = rng.standard_normal((6, cert.x_star.size)) * (rng.random((6, 60)) < 0.5)
+        samples = probe(prob, cert, None, OnePointThenOthers(*(cert.x_star + 0.1 * moves)))
+        assert all(0 < np.count_nonzero(s.x) < s.x.size for s in samples)
+        assert_samples_are_one_point_figures(prob, cert, samples)
+
+    def test_the_orthant_records_inf_where_its_subdifferential_is_empty(self):
+        # some points leave the orthant: r_alt is inf there, as the one-point
+        # DomainError records it, and finite elsewhere
+        prob, cert = certified_dense("orthant")
+        samples = probe(prob, cert, [1.0], RandomDirections(8, seed=0))
+        inside = [prob.reg.contains(s.x) for s in samples]
+        assert any(inside) and not all(inside)
+        assert [s.r_alt == np.inf for s in samples] == [not i for i in inside]
+
+    def test_one_dykstra_per_call(self, monkeypatch):
+        prob, cert = counted_lasso()
+        rows = counting_dykstra(monkeypatch)
+        probe(prob, cert, [1e-1, 1e-2, 1e-3], RandomDirections(4, seed=1))
+        assert rows == [12]
+
+    def test_a_rejected_point_is_left_out_of_every_stack(self, monkeypatch):
+        # Poisson past the exp cap: the kept points alone reach Dykstra,
+        # each with its one-point figures
+        prob, cert = certified_poisson()
+        rows = counting_dykstra(monkeypatch)
+        sampler = OnePointThenOthers(cert.x_star + [0.1, 0.0], np.array([800.0, 0.0]),
+                                     cert.x_star - [0.0, 0.2])
+        samples = probe(prob, cert, None, sampler)
+        assert [s.direction_id for s in samples] == [0, 2]
+        assert rows == [2]
+        assert_samples_are_one_point_figures(prob, cert, samples)
+
+    def test_a_curve_brings_its_distances_and_runs_no_dykstra(self, monkeypatch):
+        prob, cert = counted_lasso()
+        rows = counting_dykstra(monkeypatch)
+        u = np.random.default_rng(4).standard_normal(cert.x_star.size)
+        points = tuple(cert.x_star + t * u for t in (1e-1, 1e-2, 1e-3))
+        distances = (0.5, 0.25, 0.125)
+        samples = probe(prob, cert, None, Curve((1.0, 2.0, 3.0), points, distances))
+        assert rows == []
+        assert [s.radius for s in samples] == [1.0, 2.0, 3.0]
+        assert_samples_are_one_point_figures(prob, cert, samples, distances)
+
+    def test_a_failing_sample_after_a_good_one_raises_its_own_gap(self, monkeypatch):
+        # with one sweep, x* stops (its step is rounding) and the moved
+        # points do not: the error is the first moved point's own
+        prob, cert = counted_lasso()
+        monkeypatch.setattr(problem, "DYKSTRA_MAX_SWEEPS", 1)
+        u = np.random.default_rng(6).standard_normal((2, cert.x_star.size))
+        first, second = cert.x_star + 0.1 * u[0], cert.x_star + 0.3 * u[1]
+        assert distance_to_solution_set(prob, cert, cert.x_star) <= 1e-12
+        with pytest.raises(ConvergenceError) as alone:
+            distance_to_solution_set(prob, cert, first)
+        with pytest.raises(ConvergenceError) as stacked:
+            probe(prob, cert, None, OnePointThenOthers(cert.x_star, first, second))
+        assert stacked.value.gap == alone.value.gap
+        assert str(stacked.value) == str(alone.value)
 
     @pytest.mark.parametrize("radii, count", [([1e-2], 1), ([1e-2], 2), ([1e-1, 1e-2, 1e-3], 5)])
     def test_one_stacked_product_each_way_per_call(self, radii, count):

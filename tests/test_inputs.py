@@ -207,6 +207,7 @@ CONSTRUCTORS = {
     "CoordinateSelectMap.indices-pair": (
         lambda v: CoordinateSelectMap(((0, v), (1, 1)), (2, 3)), ()),
     "CoordinateSelectMap.in_shape": (lambda v: CoordinateSelectMap((0,), (v,)), ()),
+    "GroupedLasso.groups": (lambda v: GroupedLasso([[0, v], [2]], [1.0, 1.0]), ()),
     "IdentityMap.shape": (lambda v: IdentityMap((v,)), ()),
 }
 
@@ -282,6 +283,28 @@ def test_a_coordinate_select_map_takes_integer_indices():
     select = CoordinateSelectMap(np.array([[0, 2], [1, 1]]), (np.int64(2), 3))
     assert select.indices == ((0, 2), (1, 1)) and select.in_shape == (2, 3)
     assert np.array_equal(select(np.arange(6.0).reshape(2, 3)), [2.0, 4.0])
+
+
+def test_grouped_lasso_takes_integer_group_indices():
+    # a float index was truncated: [[0, 1.5], [2]] built the groups {0, 1}
+    # and {2}, and gave P(3, 4, 1) = 6.0
+    with pytest.raises(InvalidInputError,
+                       match=r"group indices must be integers, got \[0.0, 1.5\]"):
+        GroupedLasso([[0, 1.5], [2]], [1.0, 1.0])
+    with pytest.raises(InvalidInputError, match="group indices must be integers"):
+        GroupedLasso([[True, False]], [1.0])
+    reg = GroupedLasso([np.array([0, 1]), [np.int64(2)]], [1.0, 1.0])
+    assert reg.value(np.array([3.0, 4.0, 1.0])) == 6.0
+    assert [J.tolist() for J in reg.groups] == [[0, 1], [2]]
+
+
+def test_a_dense_map_takes_a_matrix():
+    # a 3-d array built a map with out_shape (2,) that sent ones(2) to a 2×2 array
+    with pytest.raises(InvalidInputError,
+                       match=r"takes a matrix, got an array of shape \(2, 2, 2\)"):
+        DenseMap(np.ones((2, 2, 2)), (2,))
+    # a vector is still the one-row matrix
+    assert DenseMap(np.array([1.0, 2.0]), (2,)).out_shape == (1,)
 
 
 @pytest.mark.parametrize("value", [True, 2.0])

@@ -616,3 +616,43 @@ class TestDykstraBudget:
         with pytest.raises(ConvergenceError) as err:
             distance_to_solution_set(prob, cert, counterexample_curve_point(0.1))
         assert err.value.gap > 0.0
+
+
+class TestStackedDistance:
+    """A stack of points (a leading axis) gets each point's own distance;
+    a single point is a stack of one."""
+
+    @pytest.mark.parametrize("name", ["lasso", "ridge", "nuclear-regular"])
+    def test_each_point_as_its_own_call(self, name):
+        prob, cert = _certified(name)
+        u = np.random.default_rng(8).standard_normal((5, *cert.x_star.shape))
+        scales = np.array([1.0, 1e-2, 0.0, 1e-4, 3.0]).reshape((5,) + (1,) * cert.x_star.ndim)
+        xs = cert.x_star + scales * u
+        stacked = distance_to_solution_set(prob, cert, xs)
+        assert stacked.shape == (5,)
+        assert list(stacked) == [distance_to_solution_set(prob, cert, x) for x in xs]
+        assert isinstance(distance_to_solution_set(prob, cert, xs[0]), float)
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3, 8), (1, 9)], ids=str)
+    def test_a_stack_of_other_points_is_refused(self, shape):
+        prob, cert = _certified("lasso")
+        with pytest.raises(InvalidInputError, match="or a stack of points of that shape"):
+            distance_to_solution_set(prob, cert, np.zeros(shape))
+
+    def test_an_empty_stack_has_no_distances(self):
+        prob, cert = _certified("lasso")
+        assert distance_to_solution_set(prob, cert, np.zeros((0, 8))).shape == (0,)
+
+    def test_a_non_finite_point_in_a_stack_raises_at_once(self):
+        prob, cert = _certified("lasso")
+        xs = np.repeat(cert.x_star[None], 3, axis=0)
+        xs[2, 0] = np.nan
+        with pytest.raises(InvalidInputError, match="point has non-finite entries"):
+            distance_to_solution_set(prob, cert, xs)
+
+    def test_alt_residual_of_a_stack(self):
+        prob, cert = _certified("lasso")
+        xs = cert.x_star + 1e-2 * np.random.default_rng(9).standard_normal((4, 8))
+        ys = np.array([prob.smooth.A(x) for x in xs])
+        assert list(alt_residual(prob, cert, xs, ys)) == [
+            alt_residual(prob, cert, x, y) for x, y in zip(xs, ys)]

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from ebound.errors import InfeasibleTargetError, InvalidInputError
+from ebound.errors import DomainError, InfeasibleTargetError, InvalidInputError
 from ebound.regularizers import (
     L1,
     GroupedLasso,
@@ -802,3 +802,129 @@ class TestMoreauAndNonexpansive:
             z1 = rng.standard_normal(shape)
             z2 = rng.standard_normal(shape)
             assert norm(reg.prox(z1) - reg.prox(z2)) <= norm(z1 - z2) + 1e-10
+
+
+def _stack_points(reg, rng):
+    """Six points of reg's kind: generic ones, and ones with zero
+    coordinates, blocks and rank, so every branch runs in one stack."""
+    if isinstance(reg, NuclearNorm):
+        U = rng.standard_normal((6, 4, 2))
+        low = U @ rng.standard_normal((6, 2, 3))
+        return np.concatenate([rng.standard_normal((3, 4, 3)), low[:2], np.zeros((1, 4, 3))])
+    x = rng.standard_normal((6, 5))
+    x[2, [0, 3]] = 0.0
+    x[3, :2] = 0.0
+    x[4] = 0.0
+    if isinstance(reg, OrthantIndicator):
+        x[:3] = np.abs(x[:3]) * np.where(reg.signs < 0, -1.0, 1.0)  # inside C
+    return x
+
+
+def _reference_value(reg, x):
+    """P(x) as a one-point loop of plain numpy forms it."""
+    if isinstance(reg, L1):
+        return reg.weight * float(np.abs(x).sum())
+    if isinstance(reg, Ridge):
+        return reg.weight * float(np.sum(x ** 2))
+    if isinstance(reg, GroupedLasso):
+        group_of = np.zeros(x.size, dtype=int)
+        for j, J in enumerate(reg.groups):
+            group_of[J] = j
+        return float(np.array(reg.weights) @ np.sqrt(np.bincount(group_of, weights=x * x)))
+    if isinstance(reg, NuclearNorm):
+        return float(np.linalg.svd(x, compute_uv=False).sum())
+    return 0.0 if np.all(x * reg.signs >= 0) else np.inf
+
+
+def _reference_subdiff_distance(reg, x, s):
+    """d(s, ∂P(x)) with each sum over its own entries, in their order."""
+    if isinstance(reg, L1):
+        a = x != 0
+        return float(np.sqrt(np.sum((s[a] - reg.weight * np.sign(x[a])) ** 2)
+                             + np.sum(np.maximum(np.abs(s[~a]) - reg.weight, 0.0) ** 2)))
+    if isinstance(reg, Ridge):
+        return norm(s - 2.0 * reg.weight * x)
+    if isinstance(reg, GroupedLasso):
+        out = np.zeros(len(reg.groups))
+        for j, (J, w) in enumerate(zip(reg.groups, reg.weights)):
+            nx = np.sqrt(np.bincount(np.zeros(J.size, dtype=int), weights=x[J] * x[J])[0])
+            r = s[J] - (w / nx if nx > 0 else 0.0) * x[J]
+            r_sq = np.bincount(np.zeros(J.size, dtype=int), weights=r * r)[0]
+            out[j] = r_sq if nx > 0 else max(np.sqrt(r_sq) - w, 0.0) ** 2
+        return float(np.sqrt(np.sum(out)))
+    if isinstance(reg, NuclearNorm):
+        U, sigma, Vt = np.linalg.svd(x)
+        r = int(np.sum(sigma > 1e-8 * max(1.0, sigma[0])))
+        S = U.T @ s @ Vt.T
+        d = float(np.sum((S[:r, :r] - np.eye(r)) ** 2))
+        d += float(np.sum(S[:r, r:] ** 2)) + float(np.sum(S[r:, :r] ** 2))
+        if min(S[r:, r:].shape) > 0:
+            sv = np.linalg.svd(S[r:, r:], compute_uv=False)
+            d += float(np.sum(np.maximum(sv - 1.0, 0.0) ** 2))
+        return float(np.sqrt(d))
+    if not np.all(x * reg.signs >= 0):
+        return np.inf
+    face = x == 0.0
+    r = s - np.clip(s, np.where(face & (reg.signs > 0), -np.inf, 0.0),
+                    np.where(face & (reg.signs < 0), np.inf, 0.0))
+    return float(np.sqrt(np.sum(r * r)))
+
+
+class TestStacks:
+    """value, prox_diff and subdiff_distance with stack=True give each
+    point's figure bit for bit, and the images map stacks point by point."""
+
+    @pytest.mark.parametrize("reg", ALL_REGS, ids=lambda r: type(r).__name__)
+    def test_each_point_as_its_own_call(self, reg):
+        rng = np.random.default_rng(3)
+        x = _stack_points(reg, rng)
+        g, s = rng.standard_normal(x.shape), rng.standard_normal(x.shape)
+        assert list(reg.value(x, stack=True)) == [_reference_value(reg, xi) for xi in x]
+        stacked = reg.prox_diff(x, g, stack=True)
+        for xi, gi, ri in zip(x, g, stacked):
+            assert np.array_equal(ri, reg.prox_diff(xi, gi))
+
+        def one(xi, si):
+            try:
+                d = reg.subdiff_distance(xi, si)
+            except DomainError:
+                d = np.inf
+            assert d == _reference_subdiff_distance(reg, xi, si)
+            return d
+        assert list(reg.subdiff_distance(x, s, stack=True)) == [
+            one(xi, si) for xi, si in zip(x, s)]
+        # one s shared by every point
+        assert list(reg.subdiff_distance(x, s[0], stack=True)) == [one(xi, s[0]) for xi in x]
+
+    def test_l1_sums_each_points_own_coordinates(self):
+        # rows of 300 coordinates, some zero: the nonzero and the zero
+        # coordinates of each row are summed apart, in the row's own order
+        reg, rng = L1(0.3), np.random.default_rng(6)
+        x = rng.standard_normal((5, 300)) * (rng.random((5, 300)) < [[0.0], [0.3], [0.7], [1.0],
+                                                                     [0.5]])
+        s = rng.standard_normal(x.shape)
+        assert list(reg.subdiff_distance(x, s, stack=True)) == [
+            _reference_subdiff_distance(reg, xi, si) for xi, si in zip(x, s)]
+
+    @pytest.mark.parametrize("reg", ALL_REGS, ids=lambda r: type(r).__name__)
+    def test_a_stack_is_asked_for(self, reg):
+        # a bare point is one point; a stack of the wrong kind is refused
+        x = _stack_points(reg, np.random.default_rng(4))
+        assert isinstance(reg.value(x[0]), float)
+        with pytest.raises(InvalidInputError, match="stacked along a leading axis"):
+            reg.value(x[0], stack=True)
+        with pytest.raises(InvalidInputError):
+            reg.subdiff_distance(x, x[:2], stack=True)
+
+    @pytest.mark.parametrize("case", FACE_CASES)
+    def test_images_map_stacks_point_by_point(self, case):
+        reg, g, k = FACE_CASES[case]
+        image = reg.inverse_image(g)
+        rng = np.random.default_rng(5)
+        z, x = rng.standard_normal((4, k)), rng.standard_normal((4, *g.shape))
+        for stacked, one, points in ((image.T, image.T, z), (image.T_adj, image.T_adj, x),
+                                     (image.project_K, image.project_K, z)):
+            got = stacked(points)
+            assert got.shape[0] == 4
+            for row, point in zip(got, points):
+                assert np.array_equal(row, one(point))

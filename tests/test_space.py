@@ -21,6 +21,7 @@ from ebound.space import (
     affine_project,
     inner,
     norm,
+    norms,
     numerical_rank,
     psd_project,
     singular_values,
@@ -535,3 +536,43 @@ class TestDenseOperatorNorm:
             got = DenseMap(M, (70,)).operator_norm()
         expected = float(np.ldexp(np.linalg.norm(base, 2), e))
         assert abs(got - expected) <= 1e-13 * expected
+
+
+class TestStackedKernels:
+    """norms, svd, singular_values, numerical_rank and psd_project on a
+    stack (leading axes) give each element's own result, bit for bit."""
+
+    @pytest.mark.parametrize("shape, ndim", [((6, 1000), 1), ((3, 4, 5), 2), ((2, 3, 7), 1),
+                                             ((0, 4), 1), ((4, 0), 1)], ids=str)
+    def test_norms_are_norm(self, shape, ndim):
+        xs = np.random.default_rng(1).standard_normal(shape) * 1e3
+        lead, element = shape[:len(shape) - ndim], shape[len(shape) - ndim:]
+        got = norms(xs, ndim)
+        assert got.shape == lead
+        flat = xs.reshape(int(np.prod(lead)), *element)
+        assert list(got.reshape(-1)) == [norm(x) for x in flat]
+        if flat.size:
+            assert norms(flat[0], ndim).shape == ()
+
+    def test_svd_and_singular_values_of_a_stack(self):
+        X = np.random.default_rng(2).standard_normal((5, 4, 6))
+        X[3] = np.outer(X[3, :, 0], X[3, 0])  # rank one
+        for full in (True, False):
+            U, s, Vt = svd(X, full_matrices=full)
+            for i, x in enumerate(X):
+                u, si, vt = svd(x, full_matrices=full)
+                assert np.array_equal(U[i], u) and np.array_equal(s[i], si)
+                assert np.array_equal(Vt[i], vt)
+        sv = singular_values(X)
+        assert all(np.array_equal(sv[i], singular_values(x)) for i, x in enumerate(X))
+        assert list(numerical_rank(sv)) == [numerical_rank(si) for si in sv]
+        assert numerical_rank(sv)[3] == 1
+        with pytest.raises(InvalidInputError):
+            singular_values(np.where(np.arange(6) == 5, np.inf, X))
+
+    def test_psd_project_of_a_stack(self):
+        M = np.random.default_rng(3).standard_normal((4, 3, 3))
+        got = psd_project(M)
+        assert all(np.array_equal(got[i], psd_project(m)) for i, m in enumerate(M))
+        with pytest.raises(InvalidInputError, match="square matrix"):
+            psd_project(np.zeros((2, 3, 4)))
