@@ -8,7 +8,9 @@ problem).  One walker checks a config against them, aggregating every
 failure under its JSON path (problem.regularizer.grouped_lasso.weights);
 syntax errors carry the parser's line and column.  settings(config, block)
 reads a block with its defaults.  A default of None is derived by the run:
-the scenario's radii, the probe seed and the step.
+the scenario's radii and the probe seed.  The solver block holds only its
+tolerance: the run derives the step policy from the instance and sets the
+iteration budget itself (experiments._solver_settings).
 A custom problem that passes the tables is then built by instance_from_config
 with the constructors a run uses, and f and P are evaluated once at x0, so a
 value that a run would reject is rejected here, under its part's path;
@@ -28,7 +30,6 @@ from .losses import (CompositeSmooth, GeneralQuadratic, LeastSquares, Logistic,
                      NoncompactExample, Poisson)
 from .problem import ProblemInstance
 from .regularizers import L1, GroupedLasso, NuclearNorm, OrthantIndicator, Ridge
-from .solver import Backtracking
 from .space import CoordinateSelectMap, DenseMap, IdentityMap
 
 EXPERIMENTS = (
@@ -95,12 +96,6 @@ class _OneOf(NamedTuple):
     message: str
 
 
-class _Either(NamedTuple):
-    """A value whose JSON kind (the Python type json gives it) selects its type."""
-    kinds: dict
-    message: str
-
-
 class _ArrayOf(NamedTuple):
     """An array whose length passes sized and whose items have type item."""
     item: object
@@ -118,7 +113,6 @@ def _integer(low, **field):
 
 _POSITIVE = _bound(lambda v: v > 0, "must be > 0")
 _INSIDE_DOM_F = _bound(lambda v: v < 1, "must be < 1, inside dom(f) = {x < 1}")
-_STEP = 'must be "backtracking" or {"fixed": t}'
 #: the most entries a custom problem's shape may have, so validation refuses
 #: a shape whose arrays would not fit in memory before any is allocated
 MAX_ENTRIES = 10**7
@@ -159,24 +153,13 @@ _PARTS = {"loss": _LOSSES, "linear_map": _MAPS, "regularizer": _REGULARIZERS}
 
 # In a table, a bare type (not a Field) is a required field with no bound.
 PROBE = {
-    "radii": Field(_Either({
-        list: _ArrayOf(Field("number", (_POSITIVE,)), bool, "must not be empty"),
-        type(None): "any",  # null: the default
-    }, "must be an array of numbers > 0, or null")),
+    "radii": Field(_ArrayOf(Field("number", (_POSITIVE,)), bool,
+                           "must be a non-empty array of numbers > 0")),
     "directions": _integer(1, default=6),
     "seed": _integer(0),
 }
 SOLVER = {
-    "step": Field(_Either({
-        str: Field("any", (_bound(lambda v: v == "backtracking", _STEP),)),
-        dict: _OneOf({"fixed": Field("number", (_POSITIVE,))}, _STEP),
-        type(None): "any",  # null: the default
-    }, _STEP)),
-    "beta": Field("number", (_POSITIVE, _bound(lambda v: v < 1, "must be < 1")),
-                  default=Backtracking.beta),
-    "t0": Field("number", (_POSITIVE,), default=Backtracking.t0),
     "tol": Field("number", (_POSITIVE,), default=1e-11),
-    "max_iter": _integer(1, default=200000),
 }
 NONCOMPACT = {
     "y": Field("number", (_bound(lambda v: v > 0, "must be > 0: at y = 0 the ray is the "
@@ -236,9 +219,9 @@ class _Check:
             return None
 
     def walk(self, value, kind, path) -> bool:
-        """Check value against kind (a Field, a table, a _OneOf, _Either or
-        _ArrayOf, or a _TYPES name), recording each failure under its JSON
-        path; True when it passes."""
+        """Check value against kind (a Field, a table, a _OneOf or _ArrayOf,
+        or a _TYPES name), recording each failure under its JSON path; True
+        when it passes."""
         before = len(self.errors)
         if isinstance(kind, Field):
             if self.walk(value, kind.type, path):
@@ -251,12 +234,10 @@ class _Check:
               and next(iter(value)) in kind.table):
             (key, body), = value.items()
             self.walk(body, kind.table[key], f"{path}.{key}")
-        elif isinstance(kind, _Either) and type(value) in kind.kinds:
-            self.walk(value, kind.kinds[type(value)], path)
         elif isinstance(kind, _ArrayOf) and isinstance(value, list) and kind.sized(value):
             for i, item in enumerate(value):
                 self.walk(item, kind.item, f"{path}[{i}]")
-        elif isinstance(kind, (_OneOf, _Either, _ArrayOf)):
+        elif isinstance(kind, (_OneOf, _ArrayOf)):
             self.fail(path, kind.message)
         elif not _TYPES[kind][0](value):
             self.fail(path, _TYPES[kind][1])

@@ -45,6 +45,8 @@ DEFAULT_RADII = np.logspace(-2, -4, 9)
 PROBE_SEED_OFFSET = 1000
 #: certification tolerance at an optimum known in closed form
 KNOWN_OPTIMUM_TOL = 1e-10
+#: iteration budget of a run's solve
+SOLVER_MAX_ITER = 200000
 #: sizes of the random suites: the lasso matrix, grouped-lasso rows, ridge dimension
 LASSO_SHAPE, GROUPED_LASSO_ROWS, RIDGE_DIM = (6, 8), 7, 8
 
@@ -178,18 +180,12 @@ def _envelope_payload(samples):
 
 
 def _solver_settings(config, prob):
-    """Step policy from the config; defaults to a fixed 1/L step when the
-    loss has a global Lipschitz gradient (exact convergence, no f-value
-    comparisons), else backtracking with the block's beta and t0."""
-    block = settings(config, "solver")
-    L = lipschitz_bound(prob) if block["step"] is None else None
-    if L:
-        step = Fixed(1.0 / L)
-    elif block["step"] in (None, "backtracking"):
-        step = Backtracking(beta=block["beta"], t0=block["t0"])
-    else:
-        step = Fixed(block["step"]["fixed"])
-    return step, block["tol"], block["max_iter"]
+    """(step, tol, SOLVER_MAX_ITER): a fixed 1/L step when ∇f has a global
+    Lipschitz constant L > 0 (exact convergence, no f-value comparisons),
+    else backtracking with its defaults; tol is the config's."""
+    L = lipschitz_bound(prob)
+    step = Fixed(1.0 / L) if L else Backtracking()
+    return step, settings(config, "solver")["tol"], SOLVER_MAX_ITER
 
 
 # ---------------------------------------------------------------------------

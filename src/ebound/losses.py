@@ -15,7 +15,11 @@ _POISSON_CAP = 700.0
 
 
 class SmoothLoss:
-    """Convex loss on the target space, C¹ on its (open) domain."""
+    """Convex loss on the target space, C¹ on its (open) domain.  value and
+    gradient check their input (its shape against the data, then
+    in_domain) and call the unchecked _value and _gradient, which a loss
+    defines with in_domain; CompositeSmooth checks the domain once per
+    point and then calls the unchecked forms."""
 
     #: strongly convex with Lipschitz gradient on every compact convex
     #: subset of the domain; the regularity classification relies on it
@@ -37,9 +41,15 @@ class SmoothLoss:
         return True
 
     def value(self, y) -> float:
-        raise NotImplementedError
+        return self._value(self._check(y))
 
     def gradient(self, y) -> np.ndarray:
+        return self._gradient(self._check(y))
+
+    def _value(self, y) -> float:
+        raise NotImplementedError
+
+    def _gradient(self, y) -> np.ndarray:
         raise NotImplementedError
 
     @property
@@ -76,12 +86,10 @@ class LeastSquares(SmoothLoss):
     def data(self):
         return self.targets
 
-    def value(self, y):
-        y = self._check(y)
+    def _value(self, y):
         return 0.5 * float(((y - self.targets) ** 2).sum())
 
-    def gradient(self, y):
-        y = self._check(y)
+    def _gradient(self, y):
         return y - self.targets
 
     def hessian_product(self, v):
@@ -121,12 +129,10 @@ class GeneralQuadratic(SmoothLoss):
     def data(self):
         return self.d
 
-    def value(self, y):
-        y = self._check(y)
+    def _value(self, y):
         return 0.5 * float(y @ self.B @ y) - float(self.d @ y) + self._constant
 
-    def gradient(self, y):
-        y = self._check(y)
+    def _gradient(self, y):
         return self.B @ y - self.d
 
     def hessian_product(self, v):
@@ -150,12 +156,10 @@ class Logistic(SmoothLoss):
     def data(self):
         return self.labels
 
-    def value(self, y):
-        y = self._check(y)
+    def _value(self, y):
         return float(np.sum(np.logaddexp(0.0, -y * self.labels)))
 
-    def gradient(self, y):
-        y = self._check(y)
+    def _gradient(self, y):
         # −b·sigmoid(−yb), written via tanh for stability at large |y|
         return -self.labels * 0.5 * (1.0 - np.tanh(0.5 * y * self.labels))
 
@@ -181,12 +185,10 @@ class Poisson(SmoothLoss):
         # exp overflow guard; the mathematical domain is all of T
         return bool(np.all(np.asarray(y) <= _POISSON_CAP))
 
-    def value(self, y):
-        y = self._check(y)
+    def _value(self, y):
         return float(np.sum(-y * self.counts + np.exp(y)))
 
-    def gradient(self, y):
-        y = self._check(y)
+    def _gradient(self, y):
         return -self.counts + np.exp(y)
 
 
@@ -206,8 +208,7 @@ class NoncompactExample(SmoothLoss):
         y = np.asarray(y)
         return y.shape == (2,) and y[0] < 1.0
 
-    def value(self, y):
-        y = self._check(y)
+    def _value(self, y):
         a, b = y
         if b <= 0.0:
             return 0.0
@@ -216,8 +217,7 @@ class NoncompactExample(SmoothLoss):
             return 0.0
         return float(b * np.exp(u))
 
-    def gradient(self, y):
-        y = self._check(y)
+    def _gradient(self, y):
         a, b = y
         if b <= 0.0:
             return np.zeros(2)
@@ -251,7 +251,7 @@ class SmoothPoint:
             f, s = self.smooth, self.support
             Q = f.hessian_columns(s) if s is not None and f.h.constant_hessian else None
             if Q is None:
-                self._gradient = f.A.adjoint(f.h.gradient(self.y)) + f.c
+                self._gradient = f.A.adjoint(f.h._gradient(self.y)) + f.c
             else:
                 self._gradient = (self.x.reshape(-1)[s] @ Q).reshape(f.c.shape) + f.zero_gradient
         return self._gradient
@@ -354,7 +354,7 @@ class CompositeSmooth:
 
     def _value(self, x, y) -> float:
         """h(y) + ⟨c, x⟩, the inner product only for c ≠ 0."""
-        return self.h.value(y) + inner(self.c, x) if self._linear else self.h.value(y)
+        return self.h._value(y) + inner(self.c, x) if self._linear else self.h._value(y)
 
     def at(self, x) -> SmoothPoint:
         """Evaluate f at x with one application of A, keeping the support it
@@ -375,7 +375,7 @@ class CompositeSmooth:
         xs = [self._point(x) for x in xs]
         ys = self.A.apply_each(xs)
         inside = [i for i, y in enumerate(ys) if self.h.in_domain(y)]
-        grads = self.A.adjoint_each([self.h.gradient(ys[i]) for i in inside])
+        grads = self.A.adjoint_each([self.h._gradient(ys[i]) for i in inside])
         points = [None] * len(xs)
         for i, g in zip(inside, grads):
             points[i] = SmoothPoint(self, xs[i], ys[i], self._value(xs[i], ys[i]), g + self.c)

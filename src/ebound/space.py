@@ -102,14 +102,6 @@ def _shaped(v, shape, what):
     return v
 
 
-def _sized(v, size, what):
-    """v as a flat float array, which must have `size` entries."""
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.size != size:
-        raise InvalidInputError(f"{what} takes {size} entries, got {v.size}")
-    return v
-
-
 class LinearMap:
     """A linear operator between element spaces, with an adjoint."""
 
@@ -180,13 +172,13 @@ class IdentityMap(LinearMap):
 class DenseMap(LinearMap):
     """Matrix acting on the vectorized input; output is a vector.
 
-    Inputs are taken by size: any array with as many entries as the matrix
-    has columns (rows for the adjoint).  On a matrix of at least
-    GATHER_MIN_ENTRIES entries, an input with GATHER_RATIO·|supp x| ≤ n
-    gathers (`apply_gathered` returns its support s): the forward product
-    reads only the columns on s, matrix[:, s] @ x[s], the same product up
-    to rounding.  NaN and ±inf are nonzero, so they stay in s and propagate
-    as in the full product.  `apply_each` and `adjoint_each` take all their
+    Inputs must have in_shape (out_shape for the adjoint), as for every
+    linear map; the matrix acts on their row-major vectorization.  On a
+    matrix of at least GATHER_MIN_ENTRIES entries, an input with
+    GATHER_RATIO·|supp x| ≤ n gathers (`apply_gathered` returns its
+    support s): the forward product reads only the columns on s,
+    matrix[:, s] @ x[s], the same product up to rounding.  NaN and ±inf
+    are nonzero, so they stay in s and propagate as in the full product.  `apply_each` and `adjoint_each` take all their
     points in one matrix–matrix product, X Mᵀ or Y M: the per-point
     products up to rounding.  `operator_norm` is √λ_max of the smaller Gram
     matrix, M Mᵀ or MᵀM, with no SVD: about p²q + (4/3)p³ flops for an
@@ -219,7 +211,7 @@ class DenseMap(LinearMap):
         return (self.matrix.shape[0],)
 
     def apply_gathered(self, x):
-        x = _sized(x, self.matrix.shape[1], "dense map")
+        x = _shaped(x, self.in_shape, "dense map").reshape(-1)
         if self.matrix.size >= GATHER_MIN_ENTRIES and GATHER_RATIO * np.count_nonzero(x) <= x.size:
             s = np.flatnonzero(x)
             return self.matrix[:, s] @ x[s], s
@@ -229,17 +221,17 @@ class DenseMap(LinearMap):
         return self.apply_gathered(x)[0]
 
     def adjoint(self, y):
-        y = _sized(y, self.matrix.shape[0], "dense map adjoint")
+        y = _shaped(y, self.out_shape, "dense map adjoint")
         return (self.matrix.T @ y).reshape(self.in_shape)
 
     def apply_each(self, xs):
         n = self.matrix.shape[1]
-        X = np.array([_sized(x, n, "dense map") for x in xs]).reshape(-1, n)
+        X = np.array([_shaped(x, self.in_shape, "dense map") for x in xs]).reshape(-1, n)
         return list(X @ self.matrix.T)
 
     def adjoint_each(self, ys):
         m = self.matrix.shape[0]
-        Y = np.array([_sized(y, m, "dense map adjoint") for y in ys]).reshape(-1, m)
+        Y = np.array([_shaped(y, self.out_shape, "dense map adjoint") for y in ys]).reshape(-1, m)
         return [row.reshape(self.in_shape) for row in Y @ self.matrix]
 
     def operator_norm(self):

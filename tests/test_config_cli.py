@@ -11,11 +11,13 @@ from ebound import config as config_module
 from ebound import experiments as experiments_module
 from ebound.cli import main
 from ebound.config import (_LOSSES, _REGULARIZERS, CONFIG, EXPERIMENTS, Field, _ArrayOf,
-                           _Either, _OneOf, validate_config, validate_config_data)
+                           _OneOf, validate_config, validate_config_data, validated_problem)
 from ebound.errors import ConfigError
-from ebound.experiments import (PROBE_SEED_OFFSET, SCENARIOS, Run, _noncompact_ray,
-                                _ratio_unbounded, noncompact_instance, run_experiment)
+from ebound.experiments import (PROBE_SEED_OFFSET, SCENARIOS, SOLVER_MAX_ITER, Run,
+                                _noncompact_ray, _ratio_unbounded, _solver_settings,
+                                noncompact_instance, run_experiment)
 from ebound.problem import certify
+from ebound.solver import Backtracking, Fixed, lipschitz_bound
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -33,6 +35,8 @@ MINIMAL_CUSTOM = {
         "regularizer": {"l1": {"weight": 0.4}},
     },
 }
+
+RADII_MESSAGE = "probe.radii: must be a non-empty array of numbers > 0"
 
 
 class TestValidation:
@@ -111,7 +115,7 @@ class TestValidation:
         assert err.value.messages == [f"{path}: must be > 0"]
 
     @pytest.mark.parametrize("radii, message", [
-        ([], "probe.radii: must not be empty"),
+        ([], RADII_MESSAGE),
     ])
     def test_empty_or_incomplete_radii_rejected(self, radii, message):
         with pytest.raises(ConfigError) as err:
@@ -124,10 +128,17 @@ class TestValidation:
                                         "feasible_point": [0.0, 0.0, 0.0]}},
          "problem.feasible_point: unknown key"),
         ({"experiment": "lasso", "probe": {"radii": {"start": 1e-2, "stop": 1e-4, "count": 9}}},
-         "probe.radii: must be an array of numbers > 0, or null"),
-    ], ids=["output", "problem.feasible_point", "probe.radii-object"])
+         RADII_MESSAGE),
+        ({"experiment": "lasso", "probe": {"radii": None}}, RADII_MESSAGE),
+        *(({"experiment": "lasso", "solver": {key: value}}, f"solver.{key}: unknown key")
+          for key, value in (("step", "backtracking"), ("beta", 0.5), ("t0", 1.0),
+                             ("max_iter", 200000))),
+    ], ids=["output", "problem.feasible_point", "probe.radii-object", "probe.radii-null",
+            "solver.step", "solver.beta", "solver.t0", "solver.max_iter"])
     def test_a_setting_has_one_way_in(self, tmp_path, capsys, config, message):
-        # the output directory is --out, the start point x0, the radii an array
+        # the output directory is --out, the start point x0, the radii an
+        # array (absent: the scenario's), and the run derives its step policy
+        # and iteration budget
         assert main(["validate", write_config(tmp_path, config)]) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
@@ -137,8 +148,6 @@ class TestValidation:
         ({"experiment": "lasso", "solver": {"tol": float("nan")}}, "solver.tol"),
         ({"experiment": "lasso", "probe": {"radii": [1e-2, float("inf")]}}, "probe.radii[1]"),
         ({"experiment": "noncompact", "noncompact": {"y": float("-inf")}}, "noncompact.y"),
-        ({"experiment": "lasso", "solver": {"step": {"fixed": float("inf")}}},
-         "solver.step.fixed"),
     ])
     def test_non_finite_numbers_rejected(self, tmp_path, capsys, config, path):
         # Python's json reads NaN and Infinity; json.dumps writes them back
@@ -208,9 +217,6 @@ def _bounded(kind, path=""):
     elif isinstance(kind, _OneOf):
         for key, sub in kind.table.items():
             yield from _bounded(sub, f"{path}.{key}")
-    elif isinstance(kind, _Either):
-        for sub in kind.kinds.values():
-            yield from _bounded(sub, path)
     elif isinstance(kind, _ArrayOf):
         yield from _bounded(kind.item, f"{path}[]")
 
@@ -225,16 +231,7 @@ OUT_OF_RANGE = [
     ("probe.directions", {"experiment": "lasso", "probe": {"directions": 0}},
      "probe.directions: must be >= 1"),
     ("probe.seed", {"experiment": "lasso", "probe": {"seed": -1}}, "probe.seed: must be >= 0"),
-    ("solver.step", {"experiment": "lasso", "solver": {"step": "newton"}},
-     'solver.step: must be "backtracking" or {"fixed": t}'),
-    ("solver.step.fixed", {"experiment": "lasso", "solver": {"step": {"fixed": 0}}},
-     "solver.step.fixed: must be > 0"),
-    ("solver.beta", {"experiment": "lasso", "solver": {"beta": 0}}, "solver.beta: must be > 0"),
-    ("solver.beta", {"experiment": "lasso", "solver": {"beta": 1}}, "solver.beta: must be < 1"),
-    ("solver.t0", {"experiment": "lasso", "solver": {"t0": 0.0}}, "solver.t0: must be > 0"),
     ("solver.tol", {"experiment": "lasso", "solver": {"tol": -1e-3}}, "solver.tol: must be > 0"),
-    ("solver.max_iter", {"experiment": "lasso", "solver": {"max_iter": 0}},
-     "solver.max_iter: must be >= 1"),
     ("noncompact.y", {"experiment": "noncompact", "noncompact": {"y": 0}},
      RAY_HEIGHT_MESSAGE),
     ("noncompact.x_start", {"experiment": "noncompact", "noncompact": {"x_start": 1}},
@@ -297,8 +294,7 @@ class TestFieldTable:
 
 
 #: every settings default the table declares, written out
-WRITTEN_DEFAULTS = {"seed": 0, "probe": {"directions": 6},
-                    "solver": {"tol": 1e-11, "max_iter": 200000}}
+WRITTEN_DEFAULTS = {"seed": 0, "probe": {"directions": 6}, "solver": {"tol": 1e-11}}
 RAY_DEFAULTS = {"x_start": -5.0, "x_stop": -50.0, "count": 46, "y": 1.0}
 REPORTS = ("samples.csv", "loglog.csv", "fit.json", "summary.txt")
 
@@ -324,12 +320,6 @@ class TestDefaults:
             written["noncompact"] = RAY_DEFAULTS
         _same_reports(tmp_path, name, config, written)
 
-    @pytest.mark.parametrize("name", ["counterexample", "lasso"])
-    def test_written_backtracking_defaults_give_the_same_reports(self, tmp_path, name):
-        config = {"solver": {"step": "backtracking"}}
-        written = {"solver": {"step": "backtracking", "beta": 0.5, "t0": 1.0}}
-        _same_reports(tmp_path, name, config, written)
-
 
 #: a loss with no global Lipschitz gradient, so the run backtracks
 POISSON_CUSTOM = {
@@ -342,20 +332,42 @@ POISSON_CUSTOM = {
 }
 
 
-def test_derived_backtracking_reads_beta_and_t0(tmp_path):
-    solver = {"beta": 0.9, "t0": 0.01}
-    details = {}
-    for label, block in (("default", None), ("derived", solver),
-                         ("written", {"step": "backtracking", **solver})):
-        config = {**POISSON_CUSTOM, **({"solver": block} if block else {})}
-        _, payload = run_experiment("custom", config, out_dir=tmp_path / label)
-        details[label] = next(a["detail"] for a in payload["assertions"]
-                              if a["name"] == "certified")
-    # the detail names the iteration count: 4073 with beta 0.9 and t0 0.01, 69 without
-    assert details["derived"] == details["written"] != details["default"]
-    for report in REPORTS:
-        assert ((tmp_path / "derived" / report).read_bytes()
-                == (tmp_path / "written" / report).read_bytes()), report
+@pytest.mark.parametrize("name, config, backtracks", [
+    ("counterexample", {}, False), ("lasso", {}, False), ("grouped-lasso", {}, False),
+    ("strongly-convex", {}, False), ("custom", MINIMAL_CUSTOM, False),
+    ("custom", POISSON_CUSTOM, True),
+], ids=["counterexample", "lasso", "grouped-lasso", "strongly-convex", "custom-least-squares",
+        "custom-poisson"])
+def test_the_run_derives_its_step_policy(name, config, backtracks):
+    # the fixed step 1/L when ∇f has a global Lipschitz constant L > 0;
+    # a Poisson loss has none, so its run backtracks
+    config = {**config, "experiment": name, "solver": {"tol": 1e-6}}
+    prob, _ = validated_problem(config) or SCENARIOS[name].build(config)
+    L = lipschitz_bound(prob)
+    assert (L is None) == backtracks
+    step = Backtracking() if backtracks else Fixed(1.0 / L)
+    assert _solver_settings(config, prob) == (step, 1e-6, SOLVER_MAX_ITER)
+
+
+def test_a_backtracking_run_certifies(tmp_path):
+    code, payload = run_experiment("custom", POISSON_CUSTOM, out_dir=tmp_path)
+    assert code == 0
+    certified, = (a["detail"] for a in payload["assertions"] if a["name"] == "certified")
+    assert certified.endswith("after 69 iterations")
+
+
+def test_settable_values():
+    # the fields a config may set beside the experiment and its problem
+    def leaves(table, prefix=""):
+        for key, field in table.items():
+            sub = field.type if isinstance(field, Field) else field
+            if isinstance(sub, dict) and key != "problem":
+                yield from leaves(sub, f"{prefix}{key}.")
+            elif key not in ("experiment", "problem"):
+                yield prefix + key
+    assert list(leaves(CONFIG)) == [
+        "seed", "probe.radii", "probe.directions", "probe.seed", "solver.tol",
+        "noncompact.y", "noncompact.x_start", "noncompact.x_stop", "noncompact.count"]
 
 
 def test_run_with_config_validates_once(tmp_path, monkeypatch):
@@ -565,10 +577,13 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: problem.shape: must have at most 10000000 entries, got 1000000000\n")
 
-    def test_divergent_fixed_step_exit_1(self, tmp_path, capsys):
+    def test_divergent_fixed_step_exit_1(self, tmp_path, capsys, monkeypatch):
         # t = 5 > 1/L = 0.5 diverges: the solver stops at the first
-        # non-finite residual rather than iterating NaN to max_iter
-        config = write_config(tmp_path, {**MINIMAL_CUSTOM, "solver": {"step": {"fixed": 5.0}}})
+        # non-finite residual rather than iterating NaN to the budget, and
+        # the CLI reports that solver fault with exit 1
+        monkeypatch.setattr(experiments_module, "_solver_settings",
+                            lambda config, prob: (Fixed(5.0), 1e-11, SOLVER_MAX_ITER))
+        config = write_config(tmp_path, MINIMAL_CUSTOM)
         start = time.perf_counter()
         code = main(["run", "custom", "--config", config, "--out", str(tmp_path / "o")])
         assert code == 1 and time.perf_counter() - start < 2.0

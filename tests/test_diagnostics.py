@@ -195,9 +195,9 @@ class RecordingPoisson(Poisson):
 
     gradient_inputs: list = field(default_factory=list, compare=False)
 
-    def gradient(self, y):
+    def _gradient(self, y):
         self.gradient_inputs.append(np.array(y))
-        return super().gradient(y)
+        return super()._gradient(y)
 
 
 def counted_lasso(seed=0):

@@ -229,7 +229,7 @@ class TestComposite:
         CompositeSmooth(NoncompactExample(), IdentityMap((2,)), np.zeros(2))
 
     def test_points_of_another_shape_are_refused(self):
-        # a dense map takes its input by size, so x = e₁ as a 3×1 column
+        # when a dense map took its input by size, x = e₁ as a 3×1 column
         # passed it, and ⟨c, x⟩ broadcast to a 3×3 sum: f read 10.5, not 5.5
         A = DenseMap(np.arange(6.0).reshape(2, 3), (3,))
         f = CompositeSmooth(LeastSquares(np.zeros(2)), A, np.array([1.0, 2.0, 3.0]))
@@ -263,6 +263,34 @@ class TestComposite:
         formed = SmoothPoint(f, x, f.A(x), f.value(x))
         assert np.array_equal(formed.gradient, f.gradient(x))
         assert formed.gradient is formed.gradient
+
+    def test_each_point_meets_the_domain_check_once(self):
+        # at and at_each check A(x) against the loss domain once per point;
+        # its value and gradient then take the unchecked _value and _gradient
+        seen = []
+
+        class CountingPoisson(Poisson):
+            def in_domain(self, y):
+                seen.append(np.array(y))
+                return super().in_domain(y)
+
+        rng = np.random.default_rng(6)
+        f = CompositeSmooth(CountingPoisson(np.array([1.0, 0.0, 2.0])),
+                            DenseMap(rng.standard_normal((3, 4)), (4,)), np.zeros(4))
+        xs = [rng.standard_normal(4) for _ in range(5)]
+        point = f.at(xs[0])
+        point.gradient
+        assert len(seen) == 1
+        seen.clear()
+        points = f.at_each(xs)
+        assert len(seen) == len(xs)
+        # the checked forms give the same figures; at_each's stacked adjoint
+        # rounds differently from the per-point one
+        assert point.value == f.h.value(point.y)
+        assert np.array_equal(point.gradient, f.A.adjoint(f.h.gradient(point.y)))
+        for p in points:
+            assert p.value == f.h.value(p.y)
+            np.testing.assert_allclose(p.gradient, f.A.adjoint(f.h.gradient(p.y)), rtol=1e-13)
 
 
 def gathering_smooth(loss, in_shape, seed=0, m=None):

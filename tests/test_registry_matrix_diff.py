@@ -95,3 +95,15 @@ def test_a_missing_tree_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         registry_matrix_diff.main([str(tmp_path / "none"), str(tmp_path)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("rtol", ["nan", "inf", "-1"])
+def test_an_rtol_that_is_not_a_finite_number_at_least_zero_is_a_usage_error(
+        tmp_path, capsys, rtol):
+    # nan and inf let 1.0 against 2.0 pass; -1 failed equal numbers too
+    parent = write_tree(tmp_path / "parent", {"fit.json": "1.0\n"})
+    change = write_tree(tmp_path / "change", {"fit.json": "2.0\n"})
+    with pytest.raises(SystemExit) as exc:
+        registry_matrix_diff.main([str(parent), str(change), "--rtol", rtol])
+    assert exc.value.code == 2
+    assert "--rtol must be a finite number >= 0" in capsys.readouterr().err

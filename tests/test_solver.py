@@ -200,11 +200,11 @@ class TestProximalGradient:
             def in_domain(self, y):
                 return bool(np.allclose(y, 0.0))
 
-            def value(self, y):
-                return float(np.sum(self._check(y) ** 2))
+            def _value(self, y):
+                return float(np.sum(y ** 2))
 
-            def gradient(self, y):
-                return 2.0 * self._check(y)
+            def _gradient(self, y):
+                return 2.0 * y
 
         smooth = CompositeSmooth(PointDomain(), IdentityMap((3,)), np.ones(3))
         prob = ProblemInstance(smooth, Ridge(0.0), np.zeros(3))

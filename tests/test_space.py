@@ -3,7 +3,6 @@ import warnings
 import numpy as np
 import pytest
 
-from ebound.config import settings
 from ebound.errors import InfeasibleTargetError, InvalidInputError
 from ebound.experiments import _solver_settings
 from ebound.losses import CompositeSmooth, LeastSquares
@@ -279,20 +278,20 @@ class TestLinearMaps:
             assert np.array_equal(affine_project(X, A, y), placed)
 
     def test_dense_forward_rejects_wrong_size(self):
-        # inputs are taken by size; a short sparse input on a map that
-        # gathers would otherwise read the wrong columns silently
+        # inputs must have the declared shape; a short sparse input on a map
+        # that gathers would otherwise read the wrong columns silently
         A = DenseMap(np.ones((GATHER_MIN_ENTRIES // 400, 400)), (20, 20))
-        assert A(np.ones(400)).shape == A(np.ones((20, 20))).shape == (A.matrix.shape[0],)
-        for x in (np.ones(399), np.eye(1, 399).ravel(), np.eye(1, 401).ravel(),
+        assert A(np.ones((20, 20))).shape == (A.matrix.shape[0],)
+        for x in (np.ones(400), np.ones(399), np.eye(1, 399).ravel(), np.eye(1, 401).ravel(),
                   np.ones((20, 21))):
-            with pytest.raises(InvalidInputError):
+            with pytest.raises(InvalidInputError, match=r"dense map takes shape \(20, 20\)"):
                 A(x)
 
     def test_dense_adjoint_rejects_wrong_size(self):
         A = DenseMap(np.ones((3, 4)), (2, 2))
-        assert A.adjoint(np.ones((3, 1))).shape == (2, 2)
-        for y in (np.ones(2), np.ones(4), np.ones((2, 2))):
-            with pytest.raises(InvalidInputError):
+        assert A.adjoint(np.ones(3)).shape == (2, 2)
+        for y in (np.ones((3, 1)), np.ones(2), np.ones(4), np.ones((2, 2))):
+            with pytest.raises(InvalidInputError, match=r"dense map adjoint takes shape \(3,\)"):
                 A.adjoint(y)
 
     def test_coordinate_select_forward_rejects_wrong_shape(self):
@@ -458,11 +457,20 @@ class TestStackedProducts:
             assert got.shape == A.in_shape
             assert norm(got - A.adjoint(y)) <= 1e-13 * M2 * norm(y)
 
-    def test_dense_takes_points_by_size(self):
-        A = DenseMap(np.arange(12.0).reshape(3, 4), (2, 2))
-        x = np.array([1.0, -2.0, 0.5, 3.0])
-        for got in A.apply_each([x, x.reshape(2, 2), x.reshape(4, 1)]):
-            np.testing.assert_array_equal(got, A.matrix @ x)
+    def test_dense_takes_points_of_its_shape_only(self):
+        # one input rule for every map: a (2, 3) map refuses a (3, 2) point
+        # of the same size, where a row-major flattening would multiply it
+        A = DenseMap(np.arange(24.0).reshape(4, 6), (2, 3))
+        x = np.arange(6.0).reshape(2, 3)
+        np.testing.assert_array_equal(A(x), A.matrix @ x.ravel())
+        for call in (A, A.apply_gathered, lambda v: A.apply_each([x, v])):
+            for bad in (x.reshape(3, 2), x.ravel(), x.reshape(6, 1)):
+                with pytest.raises(InvalidInputError, match=r"takes shape \(2, 3\)"):
+                    call(bad)
+        for call in (A.adjoint, lambda v: A.adjoint_each([np.ones(4), v])):
+            for bad in (np.ones((4, 1)), np.ones((2, 2))):
+                with pytest.raises(InvalidInputError, match=r"takes shape \(4,\)"):
+                    call(bad)
 
     @pytest.mark.parametrize("A", [
         DenseMap(np.ones((3, 4)), (2, 2)),
@@ -523,9 +531,8 @@ class TestDenseOperatorNorm:
         smooth = CompositeSmooth(LeastSquares(np.ones(3)), DenseMap(np.zeros((3, 4)), (4,)),
                                  np.zeros(4))
         prob = ProblemInstance(smooth, L1(0.1), np.zeros(4))
-        block = settings({}, "solver")
         step, _, _ = _solver_settings({}, prob)
-        assert step == Backtracking(beta=block["beta"], t0=block["t0"])
+        assert step == Backtracking()
 
     @pytest.mark.parametrize("e", [600, -600, GRAM_SAFE_EXPONENT - 2, 2 - GRAM_SAFE_EXPONENT])
     def test_scaled_by_a_power_of_two_neither_overflows_nor_underflows(self, e):

@@ -7,7 +7,8 @@ Both trees must hold the same files, and every `exit` file must be the
 same.  Every other file is split into numbers and the text between them:
 that text must be the same (PASS/FAIL, `overall:`, regularity classes,
 error messages), and each pair of numbers may differ by at most R relative
-to the larger magnitude (default 0: equal as floats; NaN equals NaN).
+to the larger magnitude (default 0: equal as floats; NaN equals NaN).  R
+must be a finite number >= 0.
 
 Prints one line per file with the largest relative difference among its
 numbers (and, for a CSV file, per column), then one line per mismatch.
@@ -88,6 +89,8 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--rtol", type=float, default=0.0)
     args = parser.parse_args(argv)
+    if not 0.0 <= args.rtol < math.inf:  # NaN fails both comparisons
+        parser.error(f"--rtol must be a finite number >= 0, got {args.rtol}")
     for root in (args.parent, args.change):
         if not root.is_dir():
             parser.error(f"{root} is not a directory")
