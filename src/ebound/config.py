@@ -4,16 +4,16 @@ any computation runs.  Matrices are nested row-major arrays; linear maps are
 
 Each field's JSON type, bound and default is declared once, in the tables
 CONFIG (the top level), PROBE, SOLVER, NONCOMPACT and PROBLEM (the custom
-problem).  One walker checks a config against them, aggregating every
-failure under its JSON path (problem.regularizer.grouped_lasso.weights);
-syntax errors carry the parser's line and column.  settings(config, block)
-reads a block with its defaults.  A default of None is derived by the run:
-the scenario's radii and the probe seed.  The solver block holds only its
-tolerance: the run derives the step policy from the instance and sets the
-iteration budget itself (experiments._solver_settings).
-A custom problem that passes the tables is then built by instance_from_config
-with the constructors a run uses, and f and P are evaluated once at x0, so a
-value that a run would reject is rejected here, under its part's path;
+problem), and EXPERIMENTS names the fields each experiment reads.  One
+walker checks a config against them, aggregating every failure under its
+JSON path (problem.regularizer.grouped_lasso.weights), a given field the
+experiment does not read among them; syntax errors carry the parser's line
+and column.  settings(config, block) reads a block with its defaults; the
+radii's, None, is the scenario's own, and the run derives the solver's step
+policy and budget (experiments._solver_settings).  A custom problem that
+passes the tables is then built by instance_from_config with the
+constructors a run uses, and f and P are evaluated once at x0, so a value
+that a run would reject is rejected here, under its part's path;
 validated_problem returns that instance, which the run then uses.
 """
 
@@ -32,15 +32,17 @@ from .problem import ProblemInstance
 from .regularizers import L1, GroupedLasso, NuclearNorm, OrthantIndicator, Ridge
 from .space import CoordinateSelectMap, DenseMap, IdentityMap
 
-EXPERIMENTS = (
-    "counterexample",
-    "noncompact",
-    "grouped-lasso",
-    "lasso",
-    "strongly-convex",
-    "nuclear-regular",
-    "custom",
-)
+_SUITE = ("seed", "probe.radii", "probe.directions", "solver.tol")
+#: each experiment, in `ebound list` order, and the config fields it reads beside its name
+EXPERIMENTS = {
+    "counterexample": ("probe.radii", "solver.tol"),
+    "noncompact": ("noncompact",),
+    "grouped-lasso": _SUITE,
+    "lasso": _SUITE,
+    "strongly-convex": _SUITE,
+    "nuclear-regular": ("seed", "probe.radii", "probe.directions"),
+    "custom": (*_SUITE, "problem"),
+}
 
 
 def _is_number(v):
@@ -81,13 +83,12 @@ _TYPES = {
 
 class Field(NamedTuple):
     """One config field: its type, the checks on its value (each returns the
-    message of the bound the value breaks, or None), its default, whether it
-    must be given, and the one experiment that accepts it (None: all)."""
+    message of the bound the value breaks, or None), its default, and
+    whether an experiment that reads it needs it given."""
     type: object
     checks: tuple = ()
     default: object = None
     required: bool = False
-    experiment: str | None = None
 
 
 class _OneOf(NamedTuple):
@@ -156,7 +157,6 @@ PROBE = {
     "radii": Field(_ArrayOf(Field("number", (_POSITIVE,)), bool,
                            "must be a non-empty array of numbers > 0")),
     "directions": _integer(1, default=6),
-    "seed": _integer(0),
 }
 SOLVER = {
     "tol": Field("number", (_POSITIVE,), default=1e-11),
@@ -183,14 +183,14 @@ PROBLEM = {
 
 
 CONFIG = {
-    "experiment": Field("any", (lambda v: None if v in EXPERIMENTS else
-                                f"unknown experiment {v!r}; choose from {EXPERIMENTS}",),
+    "experiment": Field("any", (lambda v: None if v in tuple(EXPERIMENTS) else
+                                f"unknown experiment {v!r}; choose from {tuple(EXPERIMENTS)}",),
                         required=True),
     "seed": _integer(0, default=0),
     "probe": Field(PROBE),
     "solver": Field(SOLVER),
-    "noncompact": Field(NONCOMPACT, experiment="noncompact"),
-    "problem": Field(PROBLEM, required=True, experiment="custom"),
+    "noncompact": Field(NONCOMPACT),
+    "problem": Field(PROBLEM, required=True),
 }
 
 
@@ -205,6 +205,13 @@ class _Check:
     def __init__(self, experiment=None):
         self.errors = []
         self.experiment = experiment
+        #: the fields the experiment reads; None (unknown) refuses no field
+        self.reads = EXPERIMENTS.get(experiment) if isinstance(experiment, str) else None
+
+    def read(self, path) -> bool:
+        """Whether path is read: named in the table, inside a block named there, or holding one."""
+        return any(f"{path}.".startswith(f"{r}.") or f"{r}.".startswith(f"{path}.")
+                   for r in ("experiment", *(self.reads or ())))
 
     def fail(self, path, message):
         self.errors.append(f"{path}: {message}")
@@ -256,23 +263,20 @@ class _Check:
             if not isinstance(field, Field):
                 field = Field(field, required=True)
             sub = f"{path}.{key}" if path else key
-            owned = field.experiment in (None, self.experiment)
-            if key in obj and not owned:
-                self.fail(sub, f"only valid for the {field.experiment} experiment")
-            elif key in obj:
-                if self.walk(obj[key], field, sub):
-                    passed.add(key)
-            elif field.required and owned:
-                self.fail(sub, "missing" if field.experiment is None else
-                          f"missing (required for the {field.experiment} experiment)")
+            if key in obj and self.reads and not self.read(sub):
+                self.fail(sub, f"not read by {self.experiment}")
+            elif key in obj and self.walk(obj[key], field, sub):
+                passed.add(key)
+            elif key not in obj and field.required and self.read(sub):
+                self.fail(sub, "missing")
         return passed
 
 
-def instance_from_config(problem: dict) -> tuple:
-    """Build (ProblemInstance, x0) from a custom-problem block whose JSON
-    types are valid.  Each part is built by its constructor, then P and h∘A
-    are evaluated once at x0, so parts of clashing sizes are caught here;
-    x0, zeros when absent, is also the instance's feasible point.
+def instance_from_config(problem: dict) -> ProblemInstance:
+    """Build the ProblemInstance of a custom-problem block whose JSON types
+    are valid.  Each part is built by its constructor, then P and h∘A are
+    evaluated once at x0, so parts of clashing sizes are caught here; x0,
+    zeros when absent, is the instance's feasible point.
     Raises ConfigError with each failure under its part's JSON path."""
     chk = _Check()
     dims = problem["shape"]
@@ -310,19 +314,19 @@ def instance_from_config(problem: dict) -> tuple:
         prob = chk.attempt("problem.x0", ProblemInstance, CompositeSmooth(h, A, c), reg, x0)
     if chk.errors:
         raise ConfigError(chk.errors)
-    return prob, x0
+    return prob
 
 
-def validated_problem(data) -> tuple | None:
+def validated_problem(data) -> ProblemInstance | None:
     """Validate a parsed configuration object; returns the custom problem's
-    (ProblemInstance, x0), built once by instance_from_config, or None for
-    any other experiment.  A problem block that passes the tables is built
+    ProblemInstance, built once by instance_from_config, or None for any
+    other experiment.  A problem block that passes the tables is built
     even when other fields fail, and its errors follow theirs."""
     if not isinstance(data, dict):
         raise ConfigError(["top level: must be a JSON object"])
     chk = _Check(data.get("experiment"))
     built = None
-    if "problem" in chk._object(data, CONFIG, ""):  # walked for custom alone
+    if "problem" in chk._object(data, CONFIG, "") and chk.read("problem"):
         try:
             built = instance_from_config(data["problem"])
         except ConfigError as exc:  # under the parts' own paths

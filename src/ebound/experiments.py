@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import settings, validated_problem
+from .config import EXPERIMENTS, settings, validated_problem
 from .diagnostics import (
     Curve,
     ExponentFit,
@@ -229,9 +229,8 @@ def _assertion(name, passed, detail):
 # samplers ------------------------------------------------------------------
 
 def _random_directions(run):
-    block = settings(run.config, "probe")
-    seed = run.seed + PROBE_SEED_OFFSET if block["seed"] is None else block["seed"]
-    directions = RandomDirections(count=block["directions"], seed=seed)
+    directions = RandomDirections(count=settings(run.config, "probe")["directions"],
+                                  seed=run.seed + PROBE_SEED_OFFSET)
     return probe(run.prob, run.cert, run.radii, directions)
 
 
@@ -401,29 +400,24 @@ def _ratio_unbounded(run):
 
 @dataclass(frozen=True)
 class Scenario:
-    """One named experiment as data.  build(config) returns (instance, x):
-    with solve set, x is where the solver starts; otherwise x is the optimum
-    known in closed form and is certified as given.  build is None for the
-    custom problem, whose instance validation builds."""
+    """One named experiment as data.  build(config) returns the instance:
+    with solve set, its feasible point is where the solver starts; otherwise
+    it is the optimum known in closed form and is certified as given.  build
+    is None for the custom problem, whose instance validation builds."""
 
     build: Callable | None
     solve: bool
     checks: tuple
     radii: np.ndarray | None  # default probe radii (curve parameters for a curve)
     sample: Callable = _random_directions
-    prints_seed: bool = False
     #: False when the samples are not radii around x* (the noncompact ray):
     #: no exponent fit, kappa table or regularity class is reported
     fitted: bool = True
 
 
-def _from_feasible_point(family):
-    """Builder for an instance family indexed by the seed, started (or, for
-    noncompact, certified) at the instance's feasible point."""
-    def build(config):
-        prob = family(settings(config)["seed"])
-        return prob, prob.feasible_point
-    return build
+def _seeded(family):
+    """Builder for an instance family indexed by the seed."""
+    return lambda config: family(settings(config)["seed"])
 
 
 _SUITE_CHECKS = (_certified, _slope_is_lipschitz, _kappa_stable_across_decades,
@@ -431,29 +425,28 @@ _SUITE_CHECKS = (_certified, _slope_is_lipschitz, _kappa_stable_across_decades,
 
 SCENARIOS = {
     "counterexample": Scenario(
-        build=lambda config: counterexample_instance(), solve=False,
+        build=lambda config: counterexample_instance()[0], solve=False,
         sample=_counterexample_curve, radii=np.logspace(-1, -4, 13),
         checks=(_residual_matches_closed_form, _optimal_point_residual,
                 _solver_reaches_unique_optimum, _curve_slope_is_two, _kappa_diverges,
                 _complementarity(False, s_bar=2, rank_x=1))),
     "noncompact": Scenario(
-        build=_from_feasible_point(lambda seed: noncompact_instance()), solve=False,
+        build=lambda config: noncompact_instance(), solve=False,
         sample=_noncompact_ray, radii=None, fitted=False,
         checks=(_distance_stays_constant, _residual_decreases_monotonically,
                 _ratio_unbounded)),
-    "grouped-lasso": Scenario(build=_from_feasible_point(grouped_lasso_instance),
-                              solve=True, radii=DEFAULT_RADII, prints_seed=True,
-                              checks=_SUITE_CHECKS),
-    "lasso": Scenario(build=_from_feasible_point(lasso_instance), solve=True,
-                      radii=DEFAULT_RADII, prints_seed=True, checks=_SUITE_CHECKS),
-    "strongly-convex": Scenario(build=_from_feasible_point(ridge_instance), solve=True,
-                                radii=DEFAULT_RADII, prints_seed=True,
+    "grouped-lasso": Scenario(build=_seeded(grouped_lasso_instance),
+                              solve=True, radii=DEFAULT_RADII, checks=_SUITE_CHECKS),
+    "lasso": Scenario(build=_seeded(lasso_instance), solve=True,
+                      radii=DEFAULT_RADII, checks=_SUITE_CHECKS),
+    "strongly-convex": Scenario(build=_seeded(ridge_instance), solve=True,
+                                radii=DEFAULT_RADII,
                                 checks=_SUITE_CHECKS + (_linear_convergence,)),
     "nuclear-regular": Scenario(
-        build=lambda config: nuclear_regular_instance(), solve=False,
+        build=lambda config: nuclear_regular_instance()[0], solve=False,
         radii=np.logspace(-1.5, -3.5, 9),
         checks=(_certified, _complementarity(True, s_bar=2, rank_x=2), _slope_is_lipschitz)),
-    "custom": Scenario(build=None, solve=True, radii=DEFAULT_RADII, prints_seed=True,
+    "custom": Scenario(build=None, solve=True, radii=DEFAULT_RADII,
                        checks=(_certified, _probe_completed)),
 }
 
@@ -478,7 +471,8 @@ def run_experiment(name: str, config: dict | None = None,
     out.mkdir(parents=True, exist_ok=True)
 
     scenario = SCENARIOS[name]
-    prob, x = custom or scenario.build(config)
+    prob = custom or scenario.build(config)
+    x = prob.feasible_point
     run = Run(scenario, config, prob)
     tol = KNOWN_OPTIMUM_TOL
     if scenario.solve:
@@ -491,8 +485,9 @@ def run_experiment(name: str, config: dict | None = None,
         run.fit = fit_exponent(run.samples)
     assertions = [check(run) for check in scenario.checks]
 
-    lines = [f"seed: {run.seed}"] if scenario.prints_seed else []
-    payload = {"experiment": name, "seed": run.seed, "fit": None, "fit_envelope": None,
+    seeded = {"seed": run.seed} if "seed" in EXPERIMENTS[name] else {}
+    lines = [f"seed: {run.seed}"] if seeded else []
+    payload = {"experiment": name, **seeded, "fit": None, "fit_envelope": None,
                "assertions": assertions}
     if scenario.fitted:
         summary = regularity_summary(prob, run.cert)

@@ -16,7 +16,7 @@ _POISSON_CAP = 700.0
 
 class SmoothLoss:
     """Convex loss on the target space, C¹ on its (open) domain.  value and
-    gradient check their input (its shape against the data, then
+    gradient check their input (its shape against the loss's shape, then
     in_domain) and call the unchecked _value and _gradient, which a loss
     defines with in_domain; CompositeSmooth checks the domain once per
     point and then calls the unchecked forms."""
@@ -52,18 +52,14 @@ class SmoothLoss:
     def _gradient(self, y) -> np.ndarray:
         raise NotImplementedError
 
-    @property
-    def data(self) -> np.ndarray | None:
-        """The data vector whose shape every input y must have; None for a
-        loss with no data."""
-        return None
+    #: the shape every input y must have (its data's); None: any shape
+    shape: tuple | None = None
 
     def _check(self, y):
         y = np.asarray(y, dtype=float)
-        data = self.data
-        if data is not None and y.shape != data.shape:
+        if self.shape is not None and y.shape != self.shape:
             raise InvalidInputError(f"{type(self).__name__}: input of shape {y.shape} "
-                                    f"for data of shape {data.shape}")
+                                    f"where the loss takes {self.shape}")
         if not self.in_domain(y):
             raise DomainError(f"{type(self).__name__}: point outside the loss domain")
         return y
@@ -83,8 +79,8 @@ class LeastSquares(SmoothLoss):
         object.__setattr__(self, "targets", b)
 
     @property
-    def data(self):
-        return self.targets
+    def shape(self):
+        return self.targets.shape
 
     def _value(self, y):
         return 0.5 * float(((y - self.targets) ** 2).sum())
@@ -126,8 +122,8 @@ class GeneralQuadratic(SmoothLoss):
         object.__setattr__(self, "grad_lipschitz", float(np.linalg.norm(B, 2)))
 
     @property
-    def data(self):
-        return self.d
+    def shape(self):
+        return self.d.shape
 
     def _value(self, y):
         return 0.5 * float(y @ self.B @ y) - float(self.d @ y) + self._constant
@@ -153,8 +149,8 @@ class Logistic(SmoothLoss):
         object.__setattr__(self, "labels", b)
 
     @property
-    def data(self):
-        return self.labels
+    def shape(self):
+        return self.labels.shape
 
     def _value(self, y):
         return float(np.sum(np.logaddexp(0.0, -y * self.labels)))
@@ -178,8 +174,8 @@ class Poisson(SmoothLoss):
         object.__setattr__(self, "counts", b)
 
     @property
-    def data(self):
-        return self.counts
+    def shape(self):
+        return self.counts.shape
 
     def in_domain(self, y):
         # exp overflow guard; the mathematical domain is all of T
@@ -203,10 +199,10 @@ class NoncompactExample(SmoothLoss):
     """
 
     strongly_convex_on_compacts = False
+    shape = (2,)
 
     def in_domain(self, y):
-        y = np.asarray(y)
-        return y.shape == (2,) and y[0] < 1.0
+        return y[0] < 1.0
 
     def _value(self, y):
         a, b = y
@@ -298,11 +294,11 @@ class CompositeSmooth:
         if c.shape != tuple(self.A.in_shape):
             raise InvalidInputError(f"composite: c has shape {c.shape}, "
                                     f"the linear map takes {tuple(self.A.in_shape)}")
-        data = self.h.data
-        if data is not None and data.shape != tuple(self.A.out_shape):
-            raise InvalidInputError(f"composite: {type(self.h).__name__} data of shape "
-                                    f"{data.shape} does not fit the linear map's outputs "
-                                    f"of shape {tuple(self.A.out_shape)}")
+        shape = self.h.shape
+        if shape is not None and shape != tuple(self.A.out_shape):
+            raise InvalidInputError(f"composite: {type(self.h).__name__} takes inputs of "
+                                    f"shape {shape}, which does not fit the linear map's "
+                                    f"outputs of shape {tuple(self.A.out_shape)}")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "_linear", bool(c.any()))
 

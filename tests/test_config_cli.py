@@ -13,9 +13,9 @@ from ebound.cli import main
 from ebound.config import (_LOSSES, _REGULARIZERS, CONFIG, EXPERIMENTS, Field, _ArrayOf,
                            _OneOf, validate_config, validate_config_data, validated_problem)
 from ebound.errors import ConfigError
-from ebound.experiments import (PROBE_SEED_OFFSET, SCENARIOS, SOLVER_MAX_ITER, Run,
-                                _noncompact_ray, _ratio_unbounded, _solver_settings,
-                                noncompact_instance, run_experiment)
+from ebound.experiments import (SCENARIOS, SOLVER_MAX_ITER, Run, _noncompact_ray,
+                                _ratio_unbounded, _solver_settings, noncompact_instance,
+                                run_experiment)
 from ebound.problem import certify
 from ebound.solver import Backtracking, Fixed, lipschitz_bound
 
@@ -133,12 +133,13 @@ class TestValidation:
         *(({"experiment": "lasso", "solver": {key: value}}, f"solver.{key}: unknown key")
           for key, value in (("step", "backtracking"), ("beta", 0.5), ("t0", 1.0),
                              ("max_iter", 200000))),
+        ({"experiment": "lasso", "probe": {"seed": 11}}, "probe.seed: unknown key"),
     ], ids=["output", "problem.feasible_point", "probe.radii-object", "probe.radii-null",
-            "solver.step", "solver.beta", "solver.t0", "solver.max_iter"])
+            "solver.step", "solver.beta", "solver.t0", "solver.max_iter", "probe.seed"])
     def test_a_setting_has_one_way_in(self, tmp_path, capsys, config, message):
         # the output directory is --out, the start point x0, the radii an
-        # array (absent: the scenario's), and the run derives its step policy
-        # and iteration budget
+        # array (absent: the scenario's), the run derives its step policy
+        # and iteration budget, and the directions' draw follows seed
         assert main(["validate", write_config(tmp_path, config)]) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
@@ -224,13 +225,12 @@ def _bounded(kind, path=""):
 #: (table path, a config breaking that field's bound, the one message it gets)
 OUT_OF_RANGE = [
     ("experiment", {"experiment": "bogus"},
-     f"experiment: unknown experiment 'bogus'; choose from {EXPERIMENTS}"),
+     f"experiment: unknown experiment 'bogus'; choose from {tuple(EXPERIMENTS)}"),
     ("seed", {"experiment": "lasso", "seed": -1}, "seed: must be >= 0"),
     ("probe.radii[]", {"experiment": "lasso", "probe": {"radii": [1e-2, 0]}},
      "probe.radii[1]: must be > 0"),
     ("probe.directions", {"experiment": "lasso", "probe": {"directions": 0}},
      "probe.directions: must be >= 1"),
-    ("probe.seed", {"experiment": "lasso", "probe": {"seed": -1}}, "probe.seed: must be >= 0"),
     ("solver.tol", {"experiment": "lasso", "solver": {"tol": -1e-3}}, "solver.tol: must be > 0"),
     ("noncompact.y", {"experiment": "noncompact", "noncompact": {"y": 0}},
      RAY_HEIGHT_MESSAGE),
@@ -285,18 +285,33 @@ class TestFieldTable:
         block, _, key = path.rpartition(".")
         if "problem" in (block, key):
             config = _custom_with(**{key: True}) if block else {**MINIMAL_CUSTOM, key: True}
-        else:
-            config = {"experiment": "noncompact",
+        else:  # an experiment that reads the field, so its type is what is refused
+            config = {"experiment": "noncompact" if "noncompact" in path else "lasso",
                       **({block: {key: True}} if block else {key: True})}
         with pytest.raises(ConfigError) as err:
             validate_config_data(config)
         assert [m.split(": ")[0] for m in err.value.messages] == [path]
 
 
-#: every settings default the table declares, written out
-WRITTEN_DEFAULTS = {"seed": 0, "probe": {"directions": 6}, "solver": {"tol": 1e-11}}
 RAY_DEFAULTS = {"x_start": -5.0, "x_stop": -50.0, "count": 46, "y": 1.0}
+#: every settings default the table declares, written out, by the path
+#: EXPERIMENTS names
+WRITTEN_DEFAULTS = {"seed": 0, "probe.directions": 6, "solver.tol": 1e-11,
+                    "noncompact": RAY_DEFAULTS}
 REPORTS = ("samples.csv", "loglog.csv", "fit.json", "summary.txt")
+
+
+def _base(name):
+    """The config of a run with no settings: the custom run needs its problem."""
+    return json.loads(json.dumps(MINIMAL_CUSTOM)) if name == "custom" else {}
+
+
+def _set(config, path, value):
+    """Set the field of config at the dotted path to value."""
+    *blocks, key = path.split(".")
+    for block in blocks:
+        config = config.setdefault(block, {})
+    config[key] = value
 
 
 def _same_reports(tmp_path, name, config, written):
@@ -310,15 +325,15 @@ def _same_reports(tmp_path, name, config, written):
 class TestDefaults:
     @pytest.mark.parametrize("name", EXPERIMENTS)
     def test_written_defaults_give_the_same_reports(self, tmp_path, name):
-        config = json.loads(json.dumps(MINIMAL_CUSTOM)) if name == "custom" else {}
-        written = json.loads(json.dumps({**config, **WRITTEN_DEFAULTS}))
-        # the defaults the run derives: the probe seed and the scenario's radii
-        written["probe"]["seed"] = PROBE_SEED_OFFSET
-        if SCENARIOS[name].radii is not None:
-            written["probe"]["radii"] = SCENARIOS[name].radii.tolist()
-        if name == "noncompact":
-            written["noncompact"] = RAY_DEFAULTS
-        _same_reports(tmp_path, name, config, written)
+        # each field the experiment reads, written out; the radii default is
+        # the scenario's own
+        written = _base(name)
+        for path in EXPERIMENTS[name]:
+            if path == "probe.radii":
+                _set(written, path, SCENARIOS[name].radii.tolist())
+            elif path != "problem":
+                _set(written, path, WRITTEN_DEFAULTS[path])
+        _same_reports(tmp_path, name, _base(name), written)
 
 
 #: a loss with no global Lipschitz gradient, so the run backtracks
@@ -342,7 +357,7 @@ def test_the_run_derives_its_step_policy(name, config, backtracks):
     # the fixed step 1/L when ∇f has a global Lipschitz constant L > 0;
     # a Poisson loss has none, so its run backtracks
     config = {**config, "experiment": name, "solver": {"tol": 1e-6}}
-    prob, _ = validated_problem(config) or SCENARIOS[name].build(config)
+    prob = validated_problem(config) or SCENARIOS[name].build(config)
     L = lipschitz_bound(prob)
     assert (L is None) == backtracks
     step = Backtracking() if backtracks else Fixed(1.0 / L)
@@ -356,18 +371,80 @@ def test_a_backtracking_run_certifies(tmp_path):
     assert certified.endswith("after 69 iterations")
 
 
+def _leaves(table, prefix=""):
+    for key, field in table.items():
+        sub = field.type if isinstance(field, Field) else field
+        if isinstance(sub, dict) and key != "problem":
+            yield from _leaves(sub, f"{prefix}{key}.")
+        elif key not in ("experiment", "problem"):
+            yield prefix + key
+
+
+#: the fields a config may set beside the experiment and its problem
+SETTABLE = list(_leaves(CONFIG))
+
+
 def test_settable_values():
-    # the fields a config may set beside the experiment and its problem
-    def leaves(table, prefix=""):
-        for key, field in table.items():
-            sub = field.type if isinstance(field, Field) else field
-            if isinstance(sub, dict) and key != "problem":
-                yield from leaves(sub, f"{prefix}{key}.")
-            elif key not in ("experiment", "problem"):
-                yield prefix + key
-    assert list(leaves(CONFIG)) == [
-        "seed", "probe.radii", "probe.directions", "probe.seed", "solver.tol",
-        "noncompact.y", "noncompact.x_start", "noncompact.x_stop", "noncompact.count"]
+    assert SETTABLE == ["seed", "probe.radii", "probe.directions", "solver.tol",
+                        "noncompact.y", "noncompact.x_start", "noncompact.x_stop",
+                        "noncompact.count"]
+
+
+#: a value other than the default for every settable field; the
+#: counterexample reads min(tol, 1e-8), so a tol moves it only below 1e-8
+CHANGED = {"seed": 1, "probe.radii": [3e-2, 1e-2, 3e-3, 1e-3], "probe.directions": 3,
+           "solver.tol": 1e-9, "noncompact.y": 2.0, "noncompact.x_start": -6.0,
+           "noncompact.x_stop": -40.0, "noncompact.count": 30}
+
+
+def _reads(name, path):
+    """Whether EXPERIMENTS says name reads path: named there, or inside a
+    block named there."""
+    return any(path == r or path.startswith(r + ".") for r in EXPERIMENTS[name])
+
+
+def _reports(out):
+    return [(out / report).read_bytes() for report in REPORTS]
+
+
+@pytest.mark.parametrize("path", SETTABLE)
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_a_field_moves_the_reports_or_is_refused(tmp_path, capsys, name, path):
+    config = _base(name)
+    _set(config, path, CHANGED[path])
+    if _reads(name, path):
+        run_experiment(name, _base(name), out_dir=tmp_path / "default")
+        run_experiment(name, config, out_dir=tmp_path / "changed")
+        assert _reports(tmp_path / "default") != _reports(tmp_path / "changed")
+        return
+    # a block the experiment reads nothing of is named whole
+    block = path.split(".")[0]
+    unread = path if any(r.split(".")[0] == block for r in EXPERIMENTS[name]) else block
+    cfg = write_config(tmp_path, {"experiment": name, **config})
+    assert main(["validate", cfg]) == 2
+    assert main(["run", name, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {unread}: not read by {name}\n" * 2
+    assert not (tmp_path / "o").exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_field_table_follows_the_config_tables():
+    # a field added or removed, or read by other experiments, fails here
+    # until its README row follows
+    lines = README.read_text().splitlines()
+    start = lines.index("| field | type | bound | default | read by |")
+    rows = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        rows[cells[0].strip("`")] = cells[-1]
+    assert list(rows) == ["experiment", *SETTABLE, "problem"]
+    for path, read_by in rows.items():
+        assert read_by == ("every experiment" if path == "experiment" else ", ".join(
+            f"`{name}`" for name in EXPERIMENTS if _reads(name, path))), path
 
 
 def test_run_with_config_validates_once(tmp_path, monkeypatch):
@@ -423,13 +500,18 @@ class TestValidationBuildsTheInstance:
 
     def test_loss_that_does_not_fit_the_map_is_named_at_validate(self, tmp_path, capsys):
         # the config checks the loss against the map before CompositeSmooth,
-        # which would refuse it too, is built
-        config = _custom_with(loss={"least_squares": {"targets": [1.0, -1.0, 2.0]}},
-                              linear_map={"dense": [[1, 0, 0]]})
-        assert main(["validate", write_config(tmp_path, config)]) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "error: problem.loss.least_squares: does not fit the 1 outputs of the linear "
-            "map: LeastSquares: input of shape (1,) for data of shape (3,)"]
+        # which would refuse it too, is built; the noncompact loss takes (2,)
+        # inputs, so on three outputs the sizes clash, not x0 and dom(f)
+        for problem, message in (
+                ({"loss": {"least_squares": {"targets": [1.0, -1.0, 2.0]}},
+                  "linear_map": {"dense": [[1, 0, 0]]}},
+                 "problem.loss.least_squares: does not fit the 1 outputs of the linear map: "
+                 "LeastSquares: input of shape (1,) where the loss takes (3,)"),
+                ({"loss": {"noncompact": {}}, "linear_map": {"identity": True}},
+                 "problem.loss.noncompact: does not fit the 3 outputs of the linear map: "
+                 "NoncompactExample: input of shape (3,) where the loss takes (2,)")):
+            assert main(["validate", write_config(tmp_path, _custom_with(**problem))]) == 2
+            assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 class TestRunExperiment:
@@ -447,8 +529,9 @@ class TestRunExperiment:
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_byte_identical_reruns(self, tmp_path, experiment):
         config = MINIMAL_CUSTOM if experiment == "custom" else None
-        run_experiment(experiment, config, out_dir=tmp_path / "a", seed=7)
-        run_experiment(experiment, config, out_dir=tmp_path / "b", seed=7)
+        seed = 7 if "seed" in EXPERIMENTS[experiment] else None
+        run_experiment(experiment, config, out_dir=tmp_path / "a", seed=seed)
+        run_experiment(experiment, config, out_dir=tmp_path / "b", seed=seed)
         for name in ("samples.csv", "loglog.csv", "fit.json", "summary.txt"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -502,6 +585,13 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["run", name, "--seed", seed, "--out", str(out)]) == 2
         assert "error: seed: must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["counterexample", "noncompact"])
+    def test_run_refuses_a_seed_it_does_not_read(self, tmp_path, capsys, name):
+        out = tmp_path / "out"
+        assert main(["run", name, "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: seed: not read by {name}\n"
         assert not out.exists()
 
     def test_run_unknown_experiment_exit_2(self, capsys):

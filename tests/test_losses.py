@@ -96,8 +96,11 @@ class TestValues:
     @pytest.mark.parametrize("h", [
         LeastSquares(np.array([1.0, 2.0, 3.0])), Logistic(np.array([1.0, -1.0, 1.0])),
         Poisson(np.array([0.0, 1.0, 2.0])), GeneralQuadratic(np.eye(3), np.ones(3)),
+        NoncompactExample(),
     ], ids=lambda h: type(h).__name__)
     def test_input_must_have_the_data_shape(self, h):
+        # NoncompactExample has no data and takes (2,) inputs: a wrong shape
+        # is a wrong input, not a point outside its domain
         # (1,) and (3, 1) would broadcast against the three data entries
         for y in (np.array([0.5]), np.zeros((3, 1)), np.zeros(4)):
             for evaluate in (h.value, h.gradient):
@@ -225,8 +228,10 @@ class TestComposite:
                   Logistic(np.ones((2, 1)))):
             with pytest.raises(InvalidInputError, match="does not fit"):
                 CompositeSmooth(h, A, np.zeros(3))
-        # no data: the loss checks its own input shape
+        # no data: the loss declares its (2,) input
         CompositeSmooth(NoncompactExample(), IdentityMap((2,)), np.zeros(2))
+        with pytest.raises(InvalidInputError, match="does not fit"):
+            CompositeSmooth(NoncompactExample(), IdentityMap((3,)), np.zeros(3))
 
     def test_points_of_another_shape_are_refused(self):
         # when a dense map took its input by size, x = e₁ as a 3×1 column

@@ -338,8 +338,8 @@ class TestDykstraAccuracy:
 
     @pytest.mark.parametrize("name, k", [("orthant-dense", 3), ("orthant-wide", 5)])
     def test_matches_the_enumerated_projection(self, monkeypatch, name, k):
-        prob, x0 = validated_problem(load_config(MATRIX / f"{name}.json"))
-        trace = proximal_gradient(prob, x0, step=Fixed(1.0 / lipschitz_bound(prob)),
+        prob = validated_problem(load_config(MATRIX / f"{name}.json"))
+        trace = proximal_gradient(prob, prob.feasible_point, step=Fixed(1.0 / lipschitz_bound(prob)),
                                   tol=1e-11, max_iter=200000)
         cert = certify(prob, trace.terminal, tol=1e-9)
         assert cert.image.k == k

@@ -25,9 +25,10 @@ so a change that means to alter any output regenerates it with `digest`
 and says which digests moved and why.
 
 The commands: every registry experiment but custom with no seed and with
---seed 0, 1 and 2; noncompact on tools/noncompact-ray.json (the ray from
-x = -5 to -40 at y = 1); and custom on each tools/registry_matrix/*.json
-with no seed and seeds 0, 1, 2.
+--seed 0, 1 and 2 (counterexample and noncompact read no seed, so their
+seeded commands exit 2 and write no reports); noncompact on
+tools/noncompact-ray.json (the ray from x = -5 to -40 at y = 1); and custom
+on each tools/registry_matrix/*.json with no seed and seeds 0, 1, 2.
 
 `census` runs lasso, grouped-lasso and strongly-convex at seeds 0-49, and
 lasso, grouped-lasso and custom on tools/registry_matrix/minimal.json with
