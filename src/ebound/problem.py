@@ -156,7 +156,9 @@ def alt_residual(prob: ProblemInstance, cert: OptimalityCertificate, x, y):
 
 def _products(M, U):
     """M u for every row u of U, each as `M @ u` forms it: through a
-    stacked matmul, where one product U Mᵀ would round differently."""
+    stacked matmul, where one product U Mᵀ would round differently and
+    move d in the lasso, grouped-lasso, grouped-free and orthant-wide
+    reports."""
     return np.matmul(M, U[..., None])[..., 0]
 
 
@@ -179,14 +181,13 @@ def _dykstra(x0, project_a, project_b):
         yq = y + q
         x_new = project_b(yq)
         q = yq - x_new
-        # the larger step as Python's max(a, b) picks it: b only when b > a
-        a, b = norms(np.array((y - x_new, x_new - x)))
-        gap = np.where(b > a, b, a)
+        gap = np.maximum(norms(y - x_new), norms(x_new - x))
         x = x_new
         done = gap <= DYKSTRA_TOL
         if done.all():
             out[rows] = x
             return out
+        # sweeping a stopped row on moves d in the orthant-dense and -wide reports
         if done.any():
             out[rows[done]] = x[done]
             still = ~done

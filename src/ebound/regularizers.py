@@ -20,9 +20,10 @@ naming the first coordinate, group or singular value that empties it.
 value, prox_diff and subdiff_distance take a stack of points (stack=True:
 a leading axis indexes them), and so do T, T_adj and project_K of both
 inverse images (any leading axes).  Each point's figures are those of its
-own call, bit for bit: the stacked forms keep every sum's order (row sums
-along the last axis, one bincount over row·width + index, products through
-a stacked matmul) and decompose the matrices of a stack in one LAPACK call.
+own call, bit for bit, as a point and a stack run one expression: sums
+along the last axes, group sums as one bincount over row·width + index,
+GroupedLasso's weighted sum through a stacked matmul, and one LAPACK call
+for the matrices of a stack.
 """
 
 from __future__ import annotations
@@ -63,28 +64,6 @@ def _stacked_bincount(index, weights, width):
     index = (width * np.arange(len(rows))[:, None] + index).ravel()
     sums = np.bincount(index, weights=rows.ravel(), minlength=len(rows) * width)
     return sums.reshape(weights.shape[:-1] + (width,))
-
-
-def _split_sums(on, off, mask):
-    """np.sum(on[mask]) + np.sum(off[~mask]) along the last axis, for one
-    point or each point of a stack (on and off broadcast against mask).
-    Where every point has all or none of its entries in mask, one sum of
-    each is a row sum and the other adds 0.0.  Otherwise each point's
-    selected entries follow a 0.0 in one flat array, and np.add.reduceat
-    adds a run to its first entry: 0.0 plus the pairwise sum of the rest,
-    which is how np.sum adds the point's own entries."""
-    full, empty = mask.all(axis=-1), ~mask.any(axis=-1)
-    if (full | empty).all():
-        return np.where(full, on.sum(axis=-1), off.sum(axis=-1))
-    n = mask.shape[-1]
-    lead = np.ones((math.prod(mask.shape[:-1]), 1), dtype=bool)
-
-    def sums(v, keep):
-        rows, keep = np.broadcast_to(v, mask.shape).reshape(-1, n), keep.reshape(-1, n)
-        picked = np.hstack([np.zeros(lead.shape), rows])[np.hstack([lead, keep])]
-        runs = keep.sum(axis=1) + 1
-        return np.add.reduceat(picked, np.cumsum(runs) - runs).reshape(mask.shape[:-1])
-    return sums(on, mask) + sums(off, ~mask)
 
 
 @dataclass(frozen=True)
@@ -232,11 +211,6 @@ class NuclearImage(InverseImage):
 # regularizers
 # ---------------------------------------------------------------------------
 
-def _require_weight(what, w):
-    if not (np.isfinite(w) and w >= 0):
-        raise InvalidInputError(f"{what} must be finite and >= 0, got {w!r}")
-
-
 class Regularizer:
     """P on vector (or, with expects_matrix, matrix) elements.  value,
     prox_diff and subdiff_distance take one element, or with stack=True a
@@ -314,7 +288,7 @@ class L1(Regularizer):
     weight: float = 1.0
 
     def __post_init__(self):
-        _require_weight("L1 weight", self.weight)
+        _require_positive(self.weight, "L1 weight", zero=True)
 
     def value(self, x, *, stack=False):
         return _per_point(self.weight * np.abs(self._check(x, stack)).sum(axis=-1), stack)
@@ -337,12 +311,11 @@ class L1(Regularizer):
         return p, self.weight * float(m.sum())
 
     def subdiff_distance(self, x, s, *, stack=False):
-        # the active and the inactive coordinates are summed apart, each in
-        # its own order
+        # ∂(λ|x_i|) is the point λ·sign(x_i) where x_i ≠ 0, else [−λ, λ]
         x, s = self._check_pair(x, s, stack)
         lam = self.weight
-        dist_sq = _split_sums((s - lam * np.sign(x)) ** 2,
-                              np.maximum(np.abs(s) - lam, 0.0) ** 2, x != 0)
+        dist_sq = np.sum(np.where(x != 0, (s - lam * np.sign(x)) ** 2,
+                                  np.maximum(np.abs(s) - lam, 0.0) ** 2), axis=-1)
         return _per_point(np.sqrt(dist_sq), stack)
 
     def inverse_image(self, g):
@@ -368,7 +341,7 @@ class Ridge(Regularizer):
     weight: float = 1.0
 
     def __post_init__(self):
-        _require_weight("Ridge weight", self.weight)
+        _require_positive(self.weight, "Ridge weight", zero=True)
 
     def value(self, x, *, stack=False):
         return _per_point(self.weight * np.sum(self._check(x, stack) ** 2, axis=-1), stack)
@@ -403,11 +376,10 @@ class GroupedLasso(Regularizer):
 
     def __init__(self, groups, weights):
         self.groups = tuple(_group_indices(J) for J in groups)
-        self.weights = tuple(float(w) for w in weights)
+        self.weights = tuple(float(_require_positive(w, f"group weights[{i}]", zero=True))
+                             for i, w in enumerate(weights))
         if len(self.groups) != len(self.weights):
             raise InvalidInputError("one weight per group required")
-        for i, w in enumerate(self.weights):
-            _require_weight(f"group weights[{i}]", w)
         covered = np.concatenate(self.groups) if self.groups else np.array([], dtype=int)
         self.n = covered.size
         if sorted(covered.tolist()) != list(range(self.n)):
@@ -428,7 +400,8 @@ class GroupedLasso(Regularizer):
         return np.sqrt(_stacked_bincount(self._group_of, x * x, len(self.groups)))
 
     def value(self, x, *, stack=False):
-        # ω·‖x_J‖ per point through a stacked matmul, as `ω @ norms` forms it
+        # ω·‖x_J‖ per point through a stacked matmul, as `ω @ norms` forms it;
+        # a row sum of ω·‖x_J‖ moves F_val in the grouped-lasso reports
         nx = self._group_norms(self._check(x, stack))
         return _per_point(np.matmul(nx[..., None, :], self._weight[:, None])[..., 0, 0], stack)
 
@@ -483,11 +456,6 @@ class GroupedLasso(Regularizer):
                         hi=np.r_[np.zeros(r), np.full(spread.size, np.inf)])
 
 
-def _block_sums(blocks):
-    """np.sum of each block of a stack, as a flat sum in C order."""
-    return blocks.reshape(len(blocks), -1).sum(axis=-1)
-
-
 @dataclass(frozen=True)
 class NuclearNorm(Regularizer):
     """P(X) = ‖X‖_* (sum of singular values)."""
@@ -519,8 +487,7 @@ class NuclearNorm(Regularizer):
         # in the singular bases of x, S = Uᵀ s V splits at the numerical rank
         # r: the r×r block against I, the off-diagonal blocks against 0, and
         # the tail's singular values against the unit ball.  Points of one
-        # rank have blocks of one shape, so each rank's blocks are summed as
-        # a stack, every block in its own order.
+        # rank have blocks of one shape, so each rank's points form a stack.
         x, s = self._check_pair(x, s, stack)
         U, sigma, Vt = svd(x)
         S = _transposed(U) @ s @ _transposed(Vt)
@@ -530,11 +497,11 @@ class NuclearNorm(Regularizer):
         for r in np.unique(ranks):
             on = ranks == r
             B = S[on]
-            d = _block_sums((B[:, :r, :r] - np.eye(r)) ** 2)
-            d += _block_sums(B[:, :r, r:] ** 2) + _block_sums(B[:, r:, :r] ** 2)
+            d = np.sum((B[:, :r, :r] - np.eye(r)) ** 2, axis=(1, 2))
+            d += np.sum(B[:, :r, r:] ** 2, axis=(1, 2)) + np.sum(B[:, r:, :r] ** 2, axis=(1, 2))
             tail = B[:, r:, r:]
             if min(tail.shape[1:]) > 0:
-                d += _block_sums(np.maximum(singular_values(tail) - 1.0, 0.0) ** 2)
+                d += np.sum(np.maximum(singular_values(tail) - 1.0, 0.0) ** 2, axis=-1)
             dist_sq[on] = d
         return _per_point(np.sqrt(dist_sq).reshape(x.shape[:-2]), stack)
 
@@ -552,8 +519,8 @@ class OrthantIndicator(Regularizer):
 
     def __init__(self, signs):
         signs = np.asarray(signs)
-        if not np.all(np.isin(signs, (-1, 0, 1))):
-            raise InvalidInputError("signs must be -1, 0, or +1")
+        if signs.ndim != 1 or not np.all(np.isin(signs, (-1, 0, 1))):
+            raise InvalidInputError("signs must be a 1-d array of -1, 0, or +1")
         self.signs = signs.astype(int)
         self.lo = np.where(signs > 0, 0.0, -np.inf)
         self.hi = np.where(signs < 0, 0.0, np.inf)

@@ -82,10 +82,10 @@ def proximal_gradient(
     max_iter: int = 20000,
 ) -> SolveTrace:
     """Iterate x⁺ = prox_{tP}(x − t∇f(x)) until ‖R(x)‖ ≤ tol.  Raises
-    InvalidInputError unless x0 is a point of the instance's shape, tol is
-    finite and > 0 and max_iter is an integer >= 0, and
-    ConvergenceError at the first iterate whose ‖R(x)‖ is not finite (a step
-    too long for ∇f diverges), naming that iteration.
+    InvalidInputError unless x0 is a point of the instance's shape, step is
+    a Fixed or Backtracking policy, tol is finite and > 0 and max_iter is an
+    integer >= 0, and ConvergenceError at the first iterate whose ‖R(x)‖ is
+    not finite (a step too long for ∇f diverges), naming that iteration.
 
     Backtracking halves t until the quadratic upper bound
     f(x⁺) ≤ f(x) + ⟨∇f(x), x⁺ − x⟩ + ‖x⁺ − x‖²/(2t) holds; steps that leave
@@ -104,6 +104,8 @@ def proximal_gradient(
     """
     _require_positive(tol, "tol")
     max_iter = _require_integer(max_iter, "max_iter", 0)
+    if not isinstance(step, (Fixed, Backtracking)):
+        raise InvalidInputError(f"step must be Fixed or Backtracking, got {step!r}")
     x = _shaped(x0, prob.feasible_point.shape, "x0")
     point = _evaluate(prob.smooth, x)
     if point is None or not np.isfinite(P_x := prob.reg.value(x)):

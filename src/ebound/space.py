@@ -53,8 +53,8 @@ def norms(xs, ndim=1) -> np.ndarray:
     whose leading axes index them: an array of the leading shape, 0-d for
     a single element.  Each is √(v·v), its v·v from one stacked matmul,
     which forms each element's product as `norm`'s v.dot(v) does, bit for
-    bit (np.einsum does not); xs is read in C order, as arithmetic
-    results are laid out."""
+    bit (np.einsum does not, and would move nearly every report of the
+    registry); xs is read in C order, as arithmetic results are laid out."""
     xs = np.asarray(xs, dtype=float)
     if ndim != 1:
         xs = xs.reshape(xs.shape[:xs.ndim - ndim] + (math.prod(xs.shape[xs.ndim - ndim:]),))

@@ -4,8 +4,9 @@ One table of calls: each numeric argument of certify, residual_map,
 distance_to_solution_set, probe, RandomDirections, Curve,
 proximal_gradient, Fixed, Backtracking and every regularizer's prox and
 prox_value takes NaN, ±inf, 0, −1 and 2.5 in turn, and a value of the wrong
-shape.  A point argument takes each value filling the point, each value as
-a bare scalar (which must not broadcast), and a point of the wrong size.
+shape; so does proximal_gradient's step, which takes no number at all.  A
+point argument takes each value filling the point, each value as a bare
+scalar (which must not broadcast), and a point of the wrong size.
 Each data argument of the loss and linear-map constructors takes each value
 in its first entry.  Each call returns its documented result or raises
 InvalidInputError.
@@ -70,6 +71,9 @@ SCALARS = {
     # an integer argument takes no float, 0.0 included
     "proximal_gradient.max_iter": (lambda v, f: proximal_gradient(f.prob, f.x0, max_iter=v),
                                    {}),
+    # a step is a Fixed or Backtracking policy, never a bare number
+    "proximal_gradient.step": (lambda v, f: proximal_gradient(f.prob, f.x0, step=v, max_iter=3),
+                               {}),
     "Fixed.t": (lambda v, f: Fixed(v), {"2.5": _is(Fixed)}),
     "Backtracking.t0": (lambda v, f: Backtracking(t0=v), {"2.5": _is(Backtracking)}),
     # beta must lie in (0, 1), so 2.5 is out of range too
@@ -311,6 +315,20 @@ def test_a_dense_map_takes_a_matrix():
 def test_an_integer_argument_takes_no_bool_or_float(lasso, value):
     with pytest.raises(InvalidInputError, match="max_iter must be an integer"):
         proximal_gradient(lasso.prob, lasso.x0, max_iter=value)
+
+
+def test_a_step_is_a_policy(lasso):
+    # step=0.5 raised AttributeError: 'float' object has no attribute 't'
+    with pytest.raises(InvalidInputError, match="step must be Fixed or Backtracking, got 0.5"):
+        proximal_gradient(lasso.prob, lasso.x0, step=0.5)
+
+
+@pytest.mark.parametrize("signs", [[[1, -1]], 1], ids=["2-d", "0-d"])
+def test_orthant_signs_are_a_vector(signs):
+    # [[1, -1]] built an indicator whose value raised numpy's TypeError, and
+    # 1 built a 0-d sign
+    with pytest.raises(InvalidInputError, match="signs must be a 1-d array"):
+        OrthantIndicator(signs)
 
 
 @pytest.mark.parametrize("call", [call for call, _ in SCALARS.values()]

@@ -69,8 +69,9 @@ class TestValues:
         with pytest.raises(InvalidInputError):
             GroupedLasso([[0, 1]], [-1.0])
 
-    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf"), -1.0],
-                             ids=["nan", "inf", "-inf", "-1"])
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf"), -1.0,
+                                        np.array([1.0, 2.0])],
+                             ids=["nan", "inf", "-inf", "-1", "array"])
     @pytest.mark.parametrize("make", [L1, Ridge, lambda w: GroupedLasso([[0], [1, 2]], [1.0, w])],
                              ids=["L1", "Ridge", "GroupedLasso"])
     def test_weight_must_be_finite_and_nonnegative(self, make, weight):
@@ -897,14 +898,16 @@ class TestStacks:
         assert list(reg.subdiff_distance(x, s[0], stack=True)) == [one(xi, s[0]) for xi in x]
 
     def test_l1_sums_each_points_own_coordinates(self):
-        # rows of 300 coordinates, some zero: the nonzero and the zero
-        # coordinates of each row are summed apart, in the row's own order
+        # rows of 300 coordinates, some zero: each row is its own call, bit
+        # for bit, and that call sums the nonzero and the zero coordinates in
+        # one pass, so it meets the oracle, which sums them apart, to rounding
         reg, rng = L1(0.3), np.random.default_rng(6)
         x = rng.standard_normal((5, 300)) * (rng.random((5, 300)) < [[0.0], [0.3], [0.7], [1.0],
                                                                      [0.5]])
         s = rng.standard_normal(x.shape)
-        assert list(reg.subdiff_distance(x, s, stack=True)) == [
-            _reference_subdiff_distance(reg, xi, si) for xi, si in zip(x, s)]
+        for xi, si, d in zip(x, s, reg.subdiff_distance(x, s, stack=True)):
+            assert d == reg.subdiff_distance(xi, si)
+            np.testing.assert_allclose(d, _reference_subdiff_distance(reg, xi, si), rtol=1e-14)
 
     @pytest.mark.parametrize("reg", ALL_REGS, ids=lambda r: type(r).__name__)
     def test_a_stack_is_asked_for(self, reg):
