@@ -11,6 +11,7 @@ Reports go to --out, or else to ebound-out/<experiment> in the working directory
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .config import EXPERIMENTS, load_config, validate_config
@@ -18,7 +19,9 @@ from .errors import ConfigError, EboundError
 from .experiments import run_experiment
 
 
+@functools.cache
 def _build_parser():
+    """The parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="ebound",
                                      description="error-bound probing experiments")
     sub = parser.add_subparsers(dest="command", required=True)

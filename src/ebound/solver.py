@@ -96,11 +96,13 @@ def proximal_gradient(
     iteration costs one forward and one adjoint application of A with Fixed,
     one forward per trial step and one adjoint with Backtracking; what one
     application costs on a dense map, and when a constant-Hessian loss's
-    gradient needs no adjoint, DenseMap and CompositeSmooth say.  The
-    residual's prox is the step's prox when t = 1, so an iteration takes one
-    prox (one thin SVD for the nuclear norm) at the unit step, and one more
-    per trial step otherwise.  P(xₖ) comes with the prox that formed xₖ
-    (`prox_value`), so the solver evaluates P on its own only at x0.
+    gradient needs no adjoint, DenseMap and CompositeSmooth say.  An
+    iteration makes one `prox_step` request, which forms the residual and
+    the step's point at the current t together: one prox at t = 1, two
+    otherwise, and one stacked thin SVD for the nuclear norm either way.
+    That point is the Fixed iterate and Backtracking's first trial; each
+    halving takes one more prox.  P(xₖ) comes with the prox that formed xₖ,
+    so the solver evaluates P on its own only at x0.
     """
     _require_positive(tol, "tol")
     max_iter = _require_integer(max_iter, "max_iter", 0)
@@ -115,10 +117,8 @@ def proximal_gradient(
     t = step.t0 if isinstance(step, Backtracking) else step.t
     for k in range(max_iter + 1):
         g = point.gradient
-        # at t = 1 the step's prox is the residual's: form it once, with P there
-        unit = prob.reg.prox_value(x - g) if t == 1.0 else None
-        r = norm(prob.reg.prox_diff(x, g) if unit is None
-                 else prob.reg.residual(x, g, unit[0]))
+        R, cand, P_c = prob.reg.prox_step(x, g, t)
+        r = norm(R)
         rows.append((k, point.value + P_x, r, t))
         if r <= tol:
             return SolveTrace(rows, x, CONVERGED)
@@ -128,14 +128,13 @@ def proximal_gradient(
             break
 
         if isinstance(step, Fixed):
-            x, P_x = unit or prob.reg.prox_value(x - t * g, t)
+            x, P_x = cand, P_c
             point = prob.smooth.at(x)
         else:
             # warm-started: keep the last accepted t, halve until the
             # quadratic upper bound holds (up to a few ulps of f)
             fx = point.value
             while True:
-                cand, P_c = unit or prob.reg.prox_value(x - t * g, t)
                 dx = cand - x
                 trial = _evaluate(prob.smooth, cand)
                 if trial is not None:
@@ -144,10 +143,10 @@ def proximal_gradient(
                     slack = 4.0 * np.finfo(float).eps * max(1.0, abs(fx), abs(fc))
                     if fc <= bound + slack:
                         break
-                unit = None
                 t *= step.beta
                 if t < _MIN_STEP:
                     raise LineSearchError(f"step collapsed below {_MIN_STEP:g} at iteration {k}")
+                cand, P_c = prob.reg._prox_value(x - t * g, t)
             x, point, P_x = cand, trial, P_c
 
     return SolveTrace(rows, x, ITERATION_LIMIT)

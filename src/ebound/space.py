@@ -68,14 +68,12 @@ def _require_finite(x, what="input"):
 
 def _require_positive(v, what, zero=False):
     """v, which must be a finite number > 0, or >= 0 with zero=True: one
-    chained comparison, which NaN fails, so a check made once per solver
-    iteration costs about as much as the comparison.  An array of more than
-    one entry is not a number; None or a str raises Python's TypeError."""
-    try:
-        if 0 < v < math.inf or zero and v == 0:
-            return v
-    except ValueError:  # an array's truth value is ambiguous
-        pass
+    chained comparison, which NaN fails.  A bool (numpy's too) is not a
+    number, nor is any array but a 0-d one; None or a str raises Python's
+    TypeError."""
+    if not isinstance(v, (bool, np.bool_)) and np.ndim(v) == 0 \
+            and (0 < v < math.inf or zero and v == 0):
+        return v
     raise InvalidInputError(f"{what} must be finite and {'>=' if zero else '>'} 0, got {v!r}")
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ebound import cli as cli_module
 from ebound import config as config_module
 from ebound import experiments as experiments_module
 from ebound.cli import main
@@ -568,6 +569,24 @@ class TestCli:
         out = capsys.readouterr().out
         for name in ("counterexample", "noncompact", "lasso", "custom"):
             assert name in out
+
+    def test_commands_in_one_process_run_as_in_fresh_ones(self, tmp_path, capsys):
+        # the parser is built once per process; no command's arguments or
+        # outcome carry over into the next
+        first, second = tmp_path / "first", tmp_path / "second"
+        codes = [main(["run", "strongly-convex", "--seed", "3", "--out", str(first)]),
+                 main(["run", "strongly-convex", "--out", str(second)])]
+        assert set(codes) <= {0, 1}
+        assert json.loads((first / "fit.json").read_text())["seed"] == 3
+        assert json.loads((second / "fit.json").read_text())["seed"] == 0
+        capsys.readouterr()
+        assert main(["list"]) == 0
+        assert capsys.readouterr().out.split() == list(EXPERIMENTS)
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "strongly-convex", "--seed", "x"])
+        assert exit_.value.code == 2
+        assert "invalid int value: 'x'" in capsys.readouterr().err
+        assert cli_module._build_parser() is cli_module._build_parser()
 
     def test_validate_ok(self, tmp_path, capsys):
         path = write_config(tmp_path, {"experiment": "lasso", "seed": 3})

@@ -4,7 +4,8 @@ One table of calls: each numeric argument of certify, residual_map,
 distance_to_solution_set, probe, RandomDirections, Curve,
 proximal_gradient, Fixed, Backtracking and every regularizer's prox and
 prox_value takes NaN, ±inf, 0, −1 and 2.5 in turn, and a value of the wrong
-shape; so does proximal_gradient's step, which takes no number at all.  A
+shape, a one-entry array and True, which are not numbers; so does
+proximal_gradient's step, which takes no number at all.  A
 point argument takes each value filling the point, each value as a bare
 scalar (which must not broadcast), and a point of the wrong size.
 Each data argument of the loss and linear-map constructors takes each value
@@ -35,8 +36,9 @@ NAN, INF = float("nan"), float("inf")
 #: the values every numeric argument takes, by case name
 VALUES = {"nan": NAN, "inf": INF, "-inf": -INF, "0": 0.0, "-1": -1.0, "2.5": 2.5}
 NON_FINITE = ("nan", "inf", "-inf")
-#: a scalar argument's value of the wrong shape
-PAIR = np.ones(2)
+#: a scalar argument's values that are not numbers: one of the wrong shape,
+#: and two that a comparison with a number would let through
+NOT_NUMBERS = {"wrong-shape": np.ones(2), "one-entry": np.array([0.5]), "bool": True}
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +64,7 @@ def _trace(trace):
 
 #: scalar arguments: (call of the value and the lasso fixture, {value name:
 #: expected result} for the values that are valid); every other value, and
-#: the wrong shape, raises InvalidInputError
+#: each of NOT_NUMBERS, raises InvalidInputError
 SCALARS = {
     "certify.tol": (lambda v, f: certify(f.prob, f.cert.x_star, tol=v),
                     {"2.5": _is(OptimalityCertificate)}),
@@ -126,7 +128,7 @@ for _name in REGULARIZERS:
 
 def _scalar_cases():
     for arg, (call, valid) in SCALARS.items():
-        for name, v in [*VALUES.items(), ("wrong-shape", PAIR)]:
+        for name, v in [*VALUES.items(), *NOT_NUMBERS.items()]:
             yield pytest.param(call, v, valid.get(name, InvalidInputError),
                                id=f"{arg}={name}")
 

@@ -70,8 +70,9 @@ class TestValues:
             GroupedLasso([[0, 1]], [-1.0])
 
     @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf"), -1.0,
-                                        np.array([1.0, 2.0])],
-                             ids=["nan", "inf", "-inf", "-1", "array"])
+                                        np.array([1.0, 2.0]), np.array([0.5]), True, np.True_],
+                             ids=["nan", "inf", "-inf", "-1", "array", "one-entry", "true",
+                                  "numpy-true"])
     @pytest.mark.parametrize("make", [L1, Ridge, lambda w: GroupedLasso([[0], [1, 2]], [1.0, w])],
                              ids=["L1", "Ridge", "GroupedLasso"])
     def test_weight_must_be_finite_and_nonnegative(self, make, weight):
@@ -220,6 +221,23 @@ class TestProxValue:
         g = 0.5 * np.ones_like(z)
         p, _ = reg.prox_value(x - g)
         assert np.array_equal(reg.residual(x, g, p), reg.prox_diff(x, g))
+
+
+class TestProxStep:
+    """prox_step(x, g, t) is (prox_diff(x, g), *prox_value(x − t·g, t)), bit
+    for bit: the nuclear norm's one stacked SVD included."""
+
+    @pytest.mark.parametrize("t", [1.0, 0.37])
+    @pytest.mark.parametrize("case", PROX_VALUE_CASES)
+    def test_residual_and_step_point(self, case, t):
+        reg, z = PROX_VALUE_CASES[case]
+        x = reg.prox(z)
+        g = np.random.default_rng(11).standard_normal(z.shape)
+        R, p, P = reg.prox_step(x, g, t)
+        p_expected, P_expected = reg.prox_value(x - t * g, t)
+        assert np.array_equal(R, reg.prox_diff(x, g))
+        assert np.array_equal(p, p_expected)
+        assert P == P_expected
 
 
 class TestSubdiffDistance:

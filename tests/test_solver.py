@@ -334,16 +334,58 @@ class TestWorkPerIteration:
                 x = svt(x - t * g, t)
         assert np.array_equal(trace.terminal, x)
 
-    @pytest.mark.parametrize("t, svds_per_iter", [(1.0, 1), (0.5, 2)])
+    def test_backtracking_matches_numpy_svt_with_halving(self):
+        # Backtracking from t0 = 3 on L = 1 halves to 0.75 in the first
+        # iteration: the first trial is the stacked step's point, and each
+        # halving's trial a prox of its own; the iterates, residuals and
+        # steps agree bit for bit with a plain numpy loop
+        prob, rows, cols, b = completion_toy(2)
+        K = 20
+        trace = proximal_gradient(prob, np.zeros((6, 8)), step=Backtracking(t0=3.0),
+                                  tol=1e-14, max_iter=K)
+        assert len(trace.iterations) == K + 1
+
+        def svt(z, level):
+            U, sigma, Vt = np.linalg.svd(z, full_matrices=False)
+            return (U * np.maximum(sigma - level, 0.0)) @ Vt
+
+        def f(x):
+            return 0.5 * float(np.sum((x[rows, cols] - b) ** 2))
+
+        x, t, halvings = np.zeros((6, 8)), 3.0, 0
+        for k, _, r, step in trace.iterations:
+            g = np.zeros((6, 8))
+            g[rows, cols] = x[rows, cols] - b
+            assert r == np.linalg.norm(svt(x - g, 1.0) - x)
+            assert step == t
+            if k == K:
+                break
+            while True:
+                cand = svt(x - t * g, t)
+                dx = cand - x
+                fx, fc = f(x), f(cand)
+                slack = 4.0 * np.finfo(float).eps * max(1.0, abs(fx), abs(fc))
+                if fc <= fx + float(np.sum(g * dx)) + float(np.sum(dx * dx)) / (2.0 * t) + slack:
+                    break
+                t *= 0.5
+                halvings += 1
+            x = cand
+        assert halvings >= 1 and t == 0.75
+        assert np.array_equal(trace.terminal, x)
+
+    @pytest.mark.parametrize("t, svds_per_iter", [(1.0, 1), (0.5, 1)])
     def test_nuclear_svds_per_iteration(self, monkeypatch, t, svds_per_iter):
-        # the unit step is the residual's prox; any other step takes its own,
-        # and P(xₖ) comes from the prox, so the nuclear norm is evaluated at x0 only
+        # the unit step is the residual's prox; any other step stacks its own
+        # point under the residual's in one SVD call, and P(xₖ) comes from the
+        # prox, so the nuclear norm is evaluated at x0 only
         prob, *_ = completion_toy(1)
         calls = {"svd": 0, "value": 0}
+        shapes = set()
         svd, value = regularizers.svd, NuclearNorm.value
 
         def counted_svd(X, *args, **kwargs):
             calls["svd"] += 1
+            shapes.add(np.shape(X))
             return svd(X, *args, **kwargs)
 
         def counted_value(self, x):
@@ -357,6 +399,7 @@ class TestWorkPerIteration:
         assert trace.status == ITERATION_LIMIT
         # K iterations, then the residual at the last point
         assert calls == {"svd": svds_per_iter * K + 1, "value": 1}
+        assert shapes == {(6, 8) if t == 1.0 else (2, 6, 8)}
 
 
 @dataclass(frozen=True)
