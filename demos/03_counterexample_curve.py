@@ -22,7 +22,8 @@ from ebound import (
 )
 from ebound.experiments import counterexample_curve_point, counterexample_instance
 
-prob, x_bar = counterexample_instance()
+prob = counterexample_instance()
+x_bar = prob.feasible_point
 cert = certify(prob, x_bar, tol=1e-10)
 
 # .. the residual along the curve has the exact closed form diag(-d^2, d^2) ..

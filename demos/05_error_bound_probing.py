@@ -47,8 +47,8 @@ for label, build in (("ridge (strongly convex)", ridge_instance),
     print(f"   slope = {fit.slope:.4f}, kappa by decade = {kappas}")
 
 # .. the nuclear-norm instance with strict complementarity behaves the same ..
-prob, x_star = nuclear_regular_instance()
-cert = certify(prob, x_star, tol=1e-10)
+prob = nuclear_regular_instance()
+cert = certify(prob, prob.feasible_point, tol=1e-10)
 samples = probe(prob, cert, np.logspace(-1.5, -3.5, 9), RandomDirections(6, seed=1000))
 fit = fit_exponent(samples)
 print(f"nuclear norm with strict complementarity: slope = {fit.slope:.4f}")

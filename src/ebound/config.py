@@ -30,7 +30,7 @@ from .losses import (CompositeSmooth, GeneralQuadratic, LeastSquares, Logistic,
                      NoncompactExample, Poisson)
 from .problem import ProblemInstance
 from .regularizers import L1, GroupedLasso, NuclearNorm, OrthantIndicator, Ridge
-from .space import CoordinateSelectMap, DenseMap, IdentityMap
+from .space import MAX_ENTRIES, CoordinateSelectMap, DenseMap, IdentityMap
 
 _SUITE = ("seed", "probe.radii", "probe.directions", "solver.tol")
 #: each experiment, in `ebound list` order, and the config fields it reads beside its name
@@ -108,15 +108,13 @@ def _bound(test, message):
     return lambda v: None if test(v) else message
 
 
-def _integer(low, **field):
-    return Field("integer", (_bound(lambda v: v >= low, f"must be >= {low}"),), **field)
+def _integer(low, *checks, **field):
+    return Field("integer", (_bound(lambda v: v >= low, f"must be >= {low}"), *checks), **field)
 
 
 _POSITIVE = _bound(lambda v: v > 0, "must be > 0")
 _INSIDE_DOM_F = _bound(lambda v: v < 1, "must be < 1, inside dom(f) = {x < 1}")
-#: the most entries a custom problem's shape may have, so validation refuses
-#: a shape whose arrays would not fit in memory before any is allocated
-MAX_ENTRIES = 10**7
+_AT_MOST_MAX_ENTRIES = _bound(lambda v: v <= MAX_ENTRIES, f"must be at most {MAX_ENTRIES}")
 
 
 def _at_most_max_entries(shape):
@@ -156,7 +154,7 @@ _PARTS = {"loss": _LOSSES, "linear_map": _MAPS, "regularizer": _REGULARIZERS}
 PROBE = {
     "radii": Field(_ArrayOf(Field("number", (_POSITIVE,)), bool,
                            "must be a non-empty array of numbers > 0")),
-    "directions": _integer(1, default=6),
+    "directions": _integer(1, _AT_MOST_MAX_ENTRIES, default=6),
 }
 SOLVER = {
     "tol": Field("number", (_POSITIVE,), default=1e-11),
@@ -167,7 +165,7 @@ NONCOMPACT = {
                default=1.0),
     "x_start": Field("number", (_INSIDE_DOM_F,), default=-5.0),
     "x_stop": Field("number", (_INSIDE_DOM_F,), default=-50.0),
-    "count": _integer(2, default=46),
+    "count": _integer(2, _AT_MOST_MAX_ENTRIES, default=46),
 }
 PROBLEM = {
     "shape": Field(_OneOf({"vector": _integer(1),

@@ -20,7 +20,7 @@ from .problem import (
     distance_to_solution_set,
 )
 from .regularizers import ComplementarityReport
-from .space import _require_finite, _require_integer, line_fit, norms
+from .space import MAX_ENTRIES, _require_finite, _require_integer, line_fit, norms
 
 
 @dataclass(frozen=True)
@@ -52,13 +52,20 @@ class RandomDirections:
         """(radius, direction index, point, None) for each radius, then each
         direction, as probe samples them; the distance is left to probe.
         radii must be a 1-d array of finite numbers >= 0 (numpy's included;
-        radius 0 samples x* itself), else InvalidInputError.  One draw of
-        shape (count, *x*.shape) gives every direction, the numbers that
-        `count` draws of x*'s shape would give."""
+        radius 0 samples x* itself), else InvalidInputError, which a layout
+        of more than MAX_ENTRIES entries (count × radii × x*'s entries) also
+        raises, before any is drawn.  One draw of shape (count, *x*.shape)
+        gives every direction, the numbers that `count` draws of x*'s shape
+        would give."""
         rhos = np.asarray(radii, dtype=float)
         if rhos.ndim != 1 or not np.all((rhos >= 0) & (rhos < np.inf)):
             raise InvalidInputError(f"radii must be a 1-d array of finite numbers >= 0, "
                                     f"got {radii!r}")
+        entries = self.count * rhos.size * x_star.size
+        if entries > MAX_ENTRIES:
+            raise InvalidInputError(f"{self.count} directions × {rhos.size} radii × "
+                                    f"{x_star.size} entries lay out {entries} entries, "
+                                    f"more than {MAX_ENTRIES}")
         u = np.random.default_rng(self.seed).standard_normal((self.count, *x_star.shape))
         axes = (1,) * x_star.ndim
         units = u / norms(u, x_star.ndim).reshape((-1, *axes))
@@ -217,7 +224,6 @@ UNVERIFIED = "unverified"
 class RegularitySummary:
     condition: str
     eb_expected: bool
-    detail: str
 
 
 def regularity_summary(prob: ProblemInstance, cert: OptimalityCertificate) -> RegularitySummary:
@@ -229,26 +235,12 @@ def regularity_summary(prob: ProblemInstance, cert: OptimalityCertificate) -> Re
     certificate's Γ_P(ḡ), which must not be empty, says what the bound needs.
     """
     if not prob.smooth.h.strongly_convex_on_compacts:
-        return RegularitySummary(
-            UNVERIFIED, False,
-            "loss is not strongly convex on compact sets; no sufficient condition applies",
-        )
+        return RegularitySummary(UNVERIFIED, False)
     if prob.smooth.A.is_identity:
-        return RegularitySummary(
-            STRONGLY_CONVEX, True, "identity operator makes f strongly convex on compacts",
-        )
+        return RegularitySummary(STRONGLY_CONVEX, True)
     report = cert.image.complementarity(cert.x_star)
     if report is None:
-        return RegularitySummary(
-            POLYHEDRAL, True,
-            "the inverse image of the subdifferential at the certificate is polyhedral",
-        )
+        return RegularitySummary(POLYHEDRAL, True)
     if report.holds:
-        return RegularitySummary(
-            NUCLEAR_WITH_SC, True,
-            f"strict complementarity holds (s_bar = rank = {report.s_bar})",
-        )
-    return RegularitySummary(
-        UNVERIFIED, False,
-        f"strict complementarity fails (s_bar = {report.s_bar}, rank = {report.rank_x})",
-    )
+        return RegularitySummary(NUCLEAR_WITH_SC, True)
+    return RegularitySummary(UNVERIFIED, False)

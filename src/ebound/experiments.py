@@ -56,16 +56,15 @@ LASSO_SHAPE, GROUPED_LASSO_ROWS, RIDGE_DIM = (6, 8), 7, 8
 # ---------------------------------------------------------------------------
 
 def counterexample_instance():
-    """2×2 nuclear-norm problem whose unique optimum diag(1, 0) fails the
-    strict-complementarity condition; the residual vanishes quadratically
-    along the curve below while the distance shrinks only linearly."""
+    """2×2 nuclear-norm problem whose feasible point is its unique optimum
+    diag(1, 0), where strict complementarity fails; the residual vanishes
+    quadratically along the curve below while the distance shrinks only
+    linearly."""
     B = np.array([[1.5, -2.0], [-2.0, 3.0]])
     d = np.array([2.5, -1.0])
     A = CoordinateSelectMap(((0, 0), (1, 1)), (2, 2))
     smooth = CompositeSmooth(GeneralQuadratic(B, d), A, np.zeros((2, 2)))
-    x_bar = np.diag([1.0, 0.0])
-    prob = ProblemInstance(smooth, NuclearNorm(), x_bar)
-    return prob, x_bar
+    return ProblemInstance(smooth, NuclearNorm(), np.diag([1.0, 0.0]))
 
 
 def counterexample_curve_point(delta: float) -> np.ndarray:
@@ -88,15 +87,13 @@ def noncompact_ray_distance(point) -> float:
 
 
 def nuclear_regular_instance():
-    """Nuclear-norm instance with optimum the identity, where strict
-    complementarity holds; the solution set is {[[1, t], [t, 1]] : |t| ≤ 1}."""
+    """Nuclear-norm instance whose feasible point is the optimum I, where
+    strict complementarity holds; the solution set is {[[1, t], [t, 1]] : |t| ≤ 1}."""
     B = 2.0 * np.eye(2)
     d = np.array([3.0, 3.0])
     A = CoordinateSelectMap(((0, 0), (1, 1)), (2, 2))
     smooth = CompositeSmooth(GeneralQuadratic(B, d), A, np.zeros((2, 2)))
-    x_star = np.eye(2)
-    prob = ProblemInstance(smooth, NuclearNorm(), x_star)
-    return prob, x_star
+    return ProblemInstance(smooth, NuclearNorm(), np.eye(2))
 
 
 def ridge_instance(seed: int):
@@ -425,7 +422,7 @@ _SUITE_CHECKS = (_certified, _slope_is_lipschitz, _kappa_stable_across_decades,
 
 SCENARIOS = {
     "counterexample": Scenario(
-        build=lambda config: counterexample_instance()[0], solve=False,
+        build=lambda config: counterexample_instance(), solve=False,
         sample=_counterexample_curve, radii=np.logspace(-1, -4, 13),
         checks=(_residual_matches_closed_form, _optimal_point_residual,
                 _solver_reaches_unique_optimum, _curve_slope_is_two, _kappa_diverges,
@@ -443,7 +440,7 @@ SCENARIOS = {
                                 radii=DEFAULT_RADII,
                                 checks=_SUITE_CHECKS + (_linear_convergence,)),
     "nuclear-regular": Scenario(
-        build=lambda config: nuclear_regular_instance()[0], solve=False,
+        build=lambda config: nuclear_regular_instance(), solve=False,
         radii=np.logspace(-1.5, -3.5, 9),
         checks=(_certified, _complementarity(True, s_bar=2, rank_x=2), _slope_is_lipschitz)),
     "custom": Scenario(build=None, solve=True, radii=DEFAULT_RADII,

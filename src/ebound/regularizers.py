@@ -252,25 +252,14 @@ class Regularizer:
         """prox_{tP} of a checked point, or of each point of a stack."""
         raise NotImplementedError
 
-    def prox_value(self, z, t: float = 1.0):
-        """(p, P(p)) with p = prox_{tP}(z), for a finite step t >= 0."""
-        z = self._check(z)
-        _require_positive(t, "prox step t", zero=True)
-        return self._prox_value(z, t)
-
-    def _prox_value(self, z, t):
-        """(p, P(p)) for a checked point z."""
-        p = self._prox(z, t)
-        return p, self.value(p)
-
     def prox_step(self, x, g, t):
-        """(R, p, P(p)) for a point x, its gradient g and a step t: the
-        unit-step residual R = prox_P(x − g) − x, and the step's point
-        p = prox_{tP}(x − t·g) with its value; one proximal gradient
-        iteration's prox work.  At t = 1 the two proxes are one.  Nothing is
-        checked: the solver checked x's shape and t once."""
-        p, P_p = self._prox_value(x - t * g, t)
-        return self.residual(x, g, p if t == 1.0 else self._prox(x - g, 1.0)), p, P_p
+        """(R, p) for a point x, its gradient g and a step t: the unit-step
+        residual R = prox_P(x − g) − x and the step's point
+        p = prox_{tP}(x − t·g); one proximal gradient iteration's prox work.
+        At t = 1 the two proxes are one.  Nothing is checked: the solver
+        checked x's shape and t once."""
+        p = self._prox(x - t * g, t)
+        return self.residual(x, g, p if t == 1.0 else self._prox(x - g, 1.0)), p
 
     def residual(self, x, g, p) -> np.ndarray:
         """R = p − x for the unit-step prox point p = prox_P(x − g).
@@ -308,20 +297,8 @@ class L1(Regularizer):
     def value(self, x, *, stack=False):
         return _per_point(self.weight * np.abs(self._check(x, stack)).sum(axis=-1), stack)
 
-    def _shrink(self, z, t):
-        """(sign(z)·m, m) with m = max(|z| − tλ, 0)."""
-        m = np.maximum(np.abs(z) - t * self.weight, 0.0)
-        return np.sign(z) * m, m
-
     def _prox(self, z, t):
-        return self._shrink(z, t)[0]
-
-    def _prox_value(self, z, t):
-        """Soft thresholding in one pass: m = max(|z| − tλ, 0) is formed once,
-        and (sign(z)·m, λ·Σm) returned.  |sign(z)·m| = m exactly, NaN and ±0
-        included, so λ·Σm is value(p) bit for bit."""
-        p, m = self._shrink(z, t)
-        return p, self.weight * float(m.sum())
+        return np.sign(z) * np.maximum(np.abs(z) - t * self.weight, 0.0)
 
     def subdiff_distance(self, x, s, *, stack=False):
         # ∂(λ|x_i|) is the point λ·sign(x_i) where x_i ≠ 0, else [−λ, λ]
@@ -424,12 +401,6 @@ class GroupedLasso(Regularizer):
         shrink = np.maximum(1.0 - t * self._weight / np.where(live, nz, 1.0), 0.0)
         return np.where(live, shrink, 0.0)[..., self._group_of] * z
 
-    def _prox_value(self, z, t):
-        """(p, P(p)), with P(p) read off the group norms of p, which is not
-        checked."""
-        p = self._prox(z, t)
-        return p, float(self._weight @ self._group_norms(p))
-
     def subdiff_distance(self, x, s, *, stack=False):
         x, s = self._check_pair(x, s, stack)
         # on a block with x_J ≠ 0, ∂ is the point ω_J x_J/‖x_J‖; on x_J = 0 it
@@ -479,32 +450,21 @@ class NuclearNorm(Regularizer):
         # the values-only SVD: its σ differ in the last bits from a full SVD's
         return _per_point(singular_values(self._check(x, stack)).sum(axis=-1), stack)
 
-    def _shrink(self, z, t):
-        """(U diag(σ') Vᵀ, σ') from a thin SVD, for a matrix or a stack; t
-        may hold one step per matrix of the stack, shaped to broadcast
-        against σ."""
-        U, sigma, Vt = svd(z, full_matrices=False)
-        shrunk = np.maximum(sigma - t, 0.0)
-        return (U * shrunk[..., None, :]) @ Vt, shrunk
-
     def _prox(self, z, t):
-        return self._shrink(z, t)[0]
-
-    def _prox_value(self, z, t):
-        """Matrix shrinkage: each singular value σ ↦ σ' = max(σ − t, 0), so
-        the nuclear norm of the result is Σ σ'.  A thin SVD suffices, and
-        U diag(σ') Vᵀ does not depend on the signs of the singular vectors."""
-        p, shrunk = self._shrink(z, t)
-        return p, float(shrunk.sum())
+        """Matrix shrinkage U diag(max(σ − t, 0)) Vᵀ from a thin SVD, which
+        does not depend on the signs of the singular vectors; for a stack, t
+        may hold one step per matrix, shaped to broadcast against σ."""
+        U, sigma, Vt = svd(z, full_matrices=False)
+        return (U * np.maximum(sigma - t, 0.0)[..., None, :]) @ Vt
 
     def prox_step(self, x, g, t):
         """At t ≠ 1, both proxes from one stacked thin SVD of [x − g, x − t·g]
-        with thresholds [1, t]; each factor of a stack is its own call's, bit
-        for bit, so R and p are those of two separate calls."""
+        with steps [1, t]; each factor of a stack is its own call's, bit for
+        bit, so R and p are those of two separate calls."""
         if t == 1.0:
             return super().prox_step(x, g, t)
-        p, shrunk = self._shrink(np.stack([x - g, x - t * g]), np.array([[1.0], [t]]))
-        return self.residual(x, g, p[0]), p[1], float(shrunk[1].sum())
+        p = self._prox(np.stack([x - g, x - t * g]), np.array([[1.0], [t]]))
+        return self.residual(x, g, p[0]), p[1]
 
     def subdiff_distance(self, x, s, *, stack=False):
         # in the singular bases of x, S = Uᵀ s V splits at the numerical rank

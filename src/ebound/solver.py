@@ -52,7 +52,7 @@ def lipschitz_bound(prob: ProblemInstance):
 
 @dataclass
 class SolveTrace:
-    """Per-iteration record (k, F(xₖ), ‖R(xₖ)‖, step) plus the terminal point."""
+    """Per-iteration record (k, ‖R(xₖ)‖, step tₖ) plus the terminal point."""
 
     iterations: list
     terminal: np.ndarray
@@ -60,7 +60,7 @@ class SolveTrace:
 
     @property
     def residuals(self) -> np.ndarray:
-        return np.array([row[2] for row in self.iterations])
+        return np.array([row[1] for row in self.iterations])
 
 
 def _evaluate(smooth, x):
@@ -101,8 +101,8 @@ def proximal_gradient(
     the step's point at the current t together: one prox at t = 1, two
     otherwise, and one stacked thin SVD for the nuclear norm either way.
     That point is the Fixed iterate and Backtracking's first trial; each
-    halving takes one more prox.  P(xₖ) comes with the prox that formed xₖ,
-    so the solver evaluates P on its own only at x0.
+    halving takes one more prox.  P is evaluated only at x0, to check that
+    x0 lies in dom(P); a prox point lies in dom(P) by construction.
     """
     _require_positive(tol, "tol")
     max_iter = _require_integer(max_iter, "max_iter", 0)
@@ -110,16 +110,16 @@ def proximal_gradient(
         raise InvalidInputError(f"step must be Fixed or Backtracking, got {step!r}")
     x = _shaped(x0, prob.feasible_point.shape, "x0")
     point = _evaluate(prob.smooth, x)
-    if point is None or not np.isfinite(P_x := prob.reg.value(x)):
+    if point is None or not np.isfinite(prob.reg.value(x)):
         raise DomainError("x0 lies outside dom(f) ∩ dom(P)")
 
     rows = []
     t = step.t0 if isinstance(step, Backtracking) else step.t
     for k in range(max_iter + 1):
         g = point.gradient
-        R, cand, P_c = prob.reg.prox_step(x, g, t)
+        R, cand = prob.reg.prox_step(x, g, t)
         r = norm(R)
-        rows.append((k, point.value + P_x, r, t))
+        rows.append((k, r, t))
         if r <= tol:
             return SolveTrace(rows, x, CONVERGED)
         if not math.isfinite(r):
@@ -128,8 +128,7 @@ def proximal_gradient(
             break
 
         if isinstance(step, Fixed):
-            x, P_x = cand, P_c
-            point = prob.smooth.at(x)
+            x, point = cand, prob.smooth.at(cand)
         else:
             # warm-started: keep the last accepted t, halve until the
             # quadratic upper bound holds (up to a few ulps of f)
@@ -146,8 +145,8 @@ def proximal_gradient(
                 t *= step.beta
                 if t < _MIN_STEP:
                     raise LineSearchError(f"step collapsed below {_MIN_STEP:g} at iteration {k}")
-                cand, P_c = prob.reg._prox_value(x - t * g, t)
-            x, point, P_x = cand, trial, P_c
+                cand = prob.reg._prox(x - t * g, t)
+            x, point = cand, trial
 
     return SolveTrace(rows, x, ITERATION_LIMIT)
 

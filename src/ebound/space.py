@@ -30,6 +30,10 @@ GATHER_RATIO = 16
 GRAM_SAFE_EXPONENT = 256
 #: relative residual ‖A(z) − ȳ‖ above which ȳ is reported outside the range of A
 AFFINE_TOL = 1e-9
+#: the most entries a custom problem's shape, a probe's layout or a ray may
+#: have, so a request whose arrays would not fit in memory is refused before
+#: any is allocated
+MAX_ENTRIES = 10**7
 
 
 def inner(x, y) -> float:

@@ -60,7 +60,7 @@ def _certified_suite_member(build, seed, tol=1e-11):
 
 def test_criterion_1_counterexample_exact_residual():
     budget = _Budget(1.0)
-    prob, _ = counterexample_instance()
+    prob = counterexample_instance()
     worst = 0.0
     for delta in (1e-1, 1e-2, 1e-3):
         R = residual_map(prob, counterexample_curve_point(delta))
@@ -72,7 +72,8 @@ def test_criterion_1_counterexample_exact_residual():
 
 def test_criterion_2_counterexample_optimality_and_convergence():
     budget = _Budget(5.0)
-    prob, x_bar = counterexample_instance()
+    prob = counterexample_instance()
+    x_bar = prob.feasible_point
     r_opt = norm(residual_map(prob, x_bar))
     assert r_opt <= 1e-10
     trace = proximal_gradient(prob, np.diag([2.0, 1.0]), step=Fixed(0.2),
@@ -85,7 +86,8 @@ def test_criterion_2_counterexample_optimality_and_convergence():
 
 def test_criterion_3_counterexample_error_bound_failure():
     budget = _Budget(5.0)
-    prob, x_bar = counterexample_instance()
+    prob = counterexample_instance()
+    x_bar = prob.feasible_point
     cert = certify(prob, x_bar, tol=1e-10)
     deltas = np.logspace(-1, -4, 13)
     curve = Curve.from_map(deltas, counterexample_curve_point, lambda x: norm(x - x_bar))
@@ -104,11 +106,13 @@ def test_criterion_3_counterexample_error_bound_failure():
 
 def test_criterion_4_strict_complementarity_certificates():
     budget = _Budget(10.0)
-    prob, x_bar = counterexample_instance()
+    prob = counterexample_instance()
+    x_bar = prob.feasible_point
     report = strict_complementarity(prob, certify(prob, x_bar, tol=1e-10))
     assert not report.holds and report.s_bar == 2 and report.rank_x == 1
 
-    reg_prob, x_star = nuclear_regular_instance()
+    reg_prob = nuclear_regular_instance()
+    x_star = reg_prob.feasible_point
     cert = certify(reg_prob, x_star, tol=1e-10)
     reg_report = strict_complementarity(reg_prob, cert)
     assert reg_report.holds and reg_report.s_bar == reg_report.rank_x == 2

@@ -686,6 +686,24 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: problem.shape: must have at most 10000000 entries, got 1000000000\n")
 
+    @pytest.mark.parametrize("experiment, block, key", [("lasso", "probe", "directions"),
+                                                        ("noncompact", "noncompact", "count")])
+    def test_validate_refuses_a_layout_too_large_to_allocate(self, tmp_path, capsys,
+                                                             experiment, block, key):
+        # 10¹² directions or ray points would ask numpy for about 10¹³ floats
+        path = write_config(tmp_path, {"experiment": experiment, block: {key: 10**12}})
+        assert main(["validate", path]) == 2
+        assert capsys.readouterr().err == f"error: {block}.{key}: must be at most 10000000\n"
+
+    def test_run_refuses_a_probe_past_max_entries_before_drawing(self, tmp_path, capsys):
+        # 10⁷ directions pass the table, but 9 radii around lasso's 8 entries
+        # would lay out 7.2·10⁸
+        path = write_config(tmp_path, {"experiment": "lasso", "probe": {"directions": 10**7}})
+        assert main(["run", "lasso", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "error: 10000000 directions × 9 radii × 8 entries lay out 720000000 entries, "
+            "more than 10000000\n")
+
     def test_divergent_fixed_step_exit_1(self, tmp_path, capsys, monkeypatch):
         # t = 5 > 1/L = 0.5 diverges: the solver stops at the first
         # non-finite residual rather than iterating NaN to the budget, and

@@ -3,7 +3,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import pytest
 
-from ebound import problem, regularizers, space
+from ebound import diagnostics, problem, regularizers, space
 from ebound.diagnostics import (
     NUCLEAR_WITH_SC,
     POLYHEDRAL,
@@ -40,7 +40,8 @@ from test_solver import CountingMap, lasso_toy
 
 
 def certified_counterexample():
-    prob, x_bar = counterexample_instance()
+    prob = counterexample_instance()
+    x_bar = prob.feasible_point
     return prob, certify(prob, x_bar, tol=1e-10)
 
 
@@ -165,6 +166,17 @@ class TestProbe:
         for rho, j, x, d in pending:
             assert np.array_equal(x, x_star + rho * units[j]) and d is None
 
+    def test_random_directions_refuse_a_layout_past_max_entries(self, monkeypatch):
+        # count × radii × x*'s entries is checked before the draw: 10¹²
+        # directions would ask numpy for about 10¹³ floats
+        with pytest.raises(InvalidInputError, match="lay out 20000000000000 entries, more than "
+                                                    "10000000"):
+            RandomDirections(10**12, seed=0).pending(np.zeros(4), [0.5, 0.25, 0.1, 0.05, 0.01])
+        monkeypatch.setattr(diagnostics, "MAX_ENTRIES", 24)
+        assert len(RandomDirections(3, seed=0).pending(np.zeros(4), [0.5, 0.25])) == 6
+        with pytest.raises(InvalidInputError, match="3 directions × 3 radii × 4 entries"):
+            RandomDirections(3, seed=0).pending(np.zeros(4), [0.5, 0.25, 0.1])
+
     def test_probe_samples_what_its_sampler_lays_out(self):
         # probe asks the sampler for its points; it does not switch on its type
         prob, cert = certified_ridge(0)
@@ -252,7 +264,8 @@ def certified_grouped():
 
 
 def certified_nuclear_regular():
-    prob, x_star = nuclear_regular_instance()
+    prob = nuclear_regular_instance()
+    x_star = prob.feasible_point
     return prob, certify(prob, x_star, tol=1e-10)
 
 
@@ -511,7 +524,8 @@ class TestStrictComplementarity:
         assert abs(report.margin) <= 1e-12
 
     def test_holds_on_regular_instance(self):
-        prob, x_star = nuclear_regular_instance()
+        prob = nuclear_regular_instance()
+        x_star = prob.feasible_point
         report = strict_complementarity(prob, certify(prob, x_star, tol=1e-10))
         assert report.holds and report.s_bar == report.rank_x == 2
         assert report.margin >= 1.0 - 1e-12
@@ -535,7 +549,7 @@ class TestStrictComplementarity:
     def test_invariant_under_orthogonal_conjugation(self):
         # rotate the counterexample variables by fixed (Q₁, Q₂); the
         # regularity verdict must not change
-        prob, _ = counterexample_instance()
+        prob = counterexample_instance()
         rng = np.random.default_rng(5)
         Q1, _ = np.linalg.qr(rng.standard_normal((2, 2)))
         Q2, _ = np.linalg.qr(rng.standard_normal((2, 2)))
@@ -560,7 +574,8 @@ class TestStrictComplementarity:
         if case == "counterexample":
             prob, cert = certified_counterexample()
         elif case == "nuclear-regular":
-            prob, x_star = nuclear_regular_instance()
+            prob = nuclear_regular_instance()
+            x_star = prob.feasible_point
             cert = certify(prob, x_star, tol=1e-10)
         else:
             prob, cert = certified_completion(3, *((7, 5) if case.endswith("tall") else (5, 7)))
@@ -590,7 +605,7 @@ class TestStrictComplementarity:
     def test_empty_image_raises(self):
         # a non-optimal point passes a loose certificate, but ‖ḡ‖₂ = 1.3 > 1
         # leaves Γ_P(ḡ) empty, so s̄ has no meaning
-        prob, _ = counterexample_instance()
+        prob = counterexample_instance()
         cert = certify(prob, np.diag([1.0, -0.1]), tol=1.0)
         with pytest.raises(InfeasibleTargetError, match="spectral norm of -g is 1.3 > 1"):
             strict_complementarity(prob, cert)
@@ -641,7 +656,8 @@ class TestRegularitySummary:
         assert summary.condition == UNVERIFIED and not summary.eb_expected
 
     def test_nuclear_with_sc(self):
-        prob, x_star = nuclear_regular_instance()
+        prob = nuclear_regular_instance()
+        x_star = prob.feasible_point
         summary = regularity_summary(prob, certify(prob, x_star, tol=1e-10))
         assert summary.condition == NUCLEAR_WITH_SC and summary.eb_expected
 

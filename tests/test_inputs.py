@@ -2,8 +2,8 @@
 
 One table of calls: each numeric argument of certify, residual_map,
 distance_to_solution_set, probe, RandomDirections, Curve,
-proximal_gradient, Fixed, Backtracking and every regularizer's prox and
-prox_value takes NaN, ±inf, 0, −1 and 2.5 in turn, and a value of the wrong
+proximal_gradient, Fixed, Backtracking and every regularizer's prox takes
+NaN, ±inf, 0, −1 and 2.5 in turn, and a value of the wrong
 shape, a one-entry array and True, which are not numbers; so does
 proximal_gradient's step, which takes no number at all.  A
 point argument takes each value filling the point, each value as a bare
@@ -99,31 +99,26 @@ REGULARIZERS = {
 }
 
 
-def _prox(name, method):
+def _prox(name):
     reg, z, _ = REGULARIZERS[name]
-    return lambda t, f: getattr(reg, method)(z, t)
+    return lambda t, f: reg.prox(z, t)
 
 
-def _prox_point(name, method, check):
-    """The result's prox point p, which `check` must accept given z."""
+def _prox_point(name, check):
+    """Accepts a prox point p that `check` accepts given z."""
     reg, z, _ = REGULARIZERS[name]
-
-    def accept(result):
-        p = result[0] if method == "prox_value" else result
-        return p.shape == z.shape and check(reg, z, p)
-    return accept
+    return lambda p: p.shape == z.shape and check(reg, z, p)
 
 
 for _name in REGULARIZERS:
-    for _method in ("prox", "prox_value"):
-        # t = 0 is the identity (to rounding through an SVD), except for the
-        # indicator, which projects whatever the step
-        SCALARS[f"{_name}.{_method}.t"] = (_prox(_name, _method), {
-            "0": _prox_point(_name, _method, lambda reg, z, p: np.allclose(
-                p, reg.prox(z, 1.0) if isinstance(reg, OrthantIndicator) else z,
-                rtol=0.0, atol=1e-12)),
-            "2.5": _prox_point(_name, _method, lambda reg, z, p: np.isfinite(p).all()),
-        })
+    # t = 0 is the identity (to rounding through an SVD), except for the
+    # indicator, which projects whatever the step
+    SCALARS[f"{_name}.prox.t"] = (_prox(_name), {
+        "0": _prox_point(_name, lambda reg, z, p: np.allclose(
+            p, reg.prox(z, 1.0) if isinstance(reg, OrthantIndicator) else z,
+            rtol=0.0, atol=1e-12)),
+        "2.5": _prox_point(_name, lambda reg, z, p: np.isfinite(p).all()),
+    })
 
 
 def _scalar_cases():
@@ -231,20 +226,17 @@ def _prox_z_cases():
     # z is an element: the entrywise families pass a non-finite entry
     # through, and the nuclear norm's SVD refuses it
     for name, (reg, z, wrong) in REGULARIZERS.items():
-        for method in ("prox", "prox_value"):
-            def call(x, f, reg=reg, method=method):
-                result = getattr(reg, method)(x, 1.0)
-                return result[0] if method == "prox_value" else result
-            for value_name, v in VALUES.items():
-                full = np.full(z.shape, v)
-                expect = (InvalidInputError if isinstance(reg, NuclearNorm)
-                          and value_name in NON_FINITE else
-                          lambda p, full=full: p.shape == full.shape
-                          and np.isfinite(p).all() == np.isfinite(full).all())
-                yield pytest.param(call, full, expect, id=f"{name}.{method}.z=full-{value_name}")
-                yield pytest.param(call, v, InvalidInputError,
-                                   id=f"{name}.{method}.z=scalar-{value_name}")
-            yield pytest.param(call, wrong, InvalidInputError, id=f"{name}.{method}.z=wrong-shape")
+        def call(x, f, reg=reg):
+            return reg.prox(x, 1.0)
+        for value_name, v in VALUES.items():
+            full = np.full(z.shape, v)
+            expect = (InvalidInputError if isinstance(reg, NuclearNorm)
+                      and value_name in NON_FINITE else
+                      lambda p, full=full: p.shape == full.shape
+                      and np.isfinite(p).all() == np.isfinite(full).all())
+            yield pytest.param(call, full, expect, id=f"{name}.prox.z=full-{value_name}")
+            yield pytest.param(call, v, InvalidInputError, id=f"{name}.prox.z=scalar-{value_name}")
+        yield pytest.param(call, wrong, InvalidInputError, id=f"{name}.prox.z=wrong-shape")
 
 
 @pytest.mark.parametrize("call, value, expect", [*_scalar_cases(), *_point_cases(),

@@ -41,7 +41,8 @@ from test_losses import COUNTER_B, COUNTER_D, quadratic_oracle
 
 class TestObjective:
     def test_counterexample_value_at_optimum(self):
-        prob, x_bar = counterexample_instance()
+        prob = counterexample_instance()
+        x_bar = prob.feasible_point
         # F(x̄) = h((1, 0)) + ‖x̄‖_* with the nuclear norm contributing 1
         expected = quadratic_oracle(COUNTER_B, COUNTER_D, np.array([1.0, 0.0])) + 1.0
         assert abs(objective(prob, x_bar) - expected) <= 1e-12
@@ -52,7 +53,8 @@ class TestObjective:
         assert objective(prob, np.zeros(3)) == 0.0
 
     def test_certified_point_minimizes(self):
-        prob, x_bar = counterexample_instance()
+        prob = counterexample_instance()
+        x_bar = prob.feasible_point
         rng = np.random.default_rng(0)
         f_star = objective(prob, x_bar)
         for _ in range(100):
@@ -62,14 +64,15 @@ class TestObjective:
 
 class TestResidualMap:
     def test_counterexample_curve(self):
-        prob, _ = counterexample_instance()
+        prob = counterexample_instance()
         for delta in (1e-1, 1e-2, 1e-3):
             R = residual_map(prob, counterexample_curve_point(delta))
             expected = np.diag([-delta**2, delta**2])
             assert np.max(np.abs(R - expected)) <= 1e-10
 
     def test_zero_at_optimum(self):
-        prob, x_bar = counterexample_instance()
+        prob = counterexample_instance()
+        x_bar = prob.feasible_point
         assert norm(residual_map(prob, x_bar)) <= 1e-12
 
     def test_noncompact_residual_is_negative_gradient(self):
@@ -87,7 +90,8 @@ class TestResidualMap:
 
 class TestCertify:
     def test_counterexample_certificate(self):
-        prob, x_bar = counterexample_instance()
+        prob = counterexample_instance()
+        x_bar = prob.feasible_point
         cert = certify(prob, x_bar, tol=1e-10)
         np.testing.assert_allclose(cert.g_bar, -np.eye(2), atol=1e-14)
         np.testing.assert_allclose(cert.y_bar, [1.0, 0.0], atol=1e-14)
@@ -103,7 +107,7 @@ class TestCertify:
         assert cert.residual_norm <= 1e-12
 
     def test_not_optimal_carries_residual(self):
-        prob, _ = counterexample_instance()
+        prob = counterexample_instance()
         # at 0: ∇f(0) = diag(−5/2, 1), shrinkage of diag(5/2, −1) leaves diag(3/2, 0)
         with pytest.raises(NotOptimalError) as err:
             certify(prob, np.zeros((2, 2)), tol=1e-10)
@@ -118,7 +122,8 @@ class TestCertify:
         assert np.isnan(err.value.residual_norm)
 
     def test_invariance_across_distinct_optima(self):
-        prob, x_star = nuclear_regular_instance()
+        prob = nuclear_regular_instance()
+        x_star = prob.feasible_point
         other = np.array([[1.0, 0.5], [0.5, 1.0]])
         c1 = certify(prob, x_star, tol=1e-9)
         c2 = certify(prob, other, tol=1e-9)
@@ -139,12 +144,14 @@ class TestCertify:
 
 class TestAlternativeResidual:
     def test_zero_at_optimum(self):
-        prob, x_bar = counterexample_instance()
+        prob = counterexample_instance()
+        x_bar = prob.feasible_point
         cert = certify(prob, x_bar, tol=1e-10)
         assert r_alt(prob, cert, x_bar) <= 1e-12
 
     def test_counterexample_affine_term(self):
-        prob, x_bar = counterexample_instance()
+        prob = counterexample_instance()
+        x_bar = prob.feasible_point
         cert = certify(prob, x_bar, tol=1e-10)
         delta = 1e-2
         xk = counterexample_curve_point(delta)
@@ -211,7 +218,8 @@ class TestDistanceToSolutionSet:
             raise AssertionError("probe measured a curve point by Dykstra")
 
         monkeypatch.setattr(diagnostics, "distance_to_solution_set", no_dykstra)
-        prob, x_bar = counterexample_instance()
+        prob = counterexample_instance()
+        x_bar = prob.feasible_point
         cert = certify(prob, x_bar, tol=1e-10)
         deltas = (1e-1, 1e-2, 1e-3)
         curve = Curve.from_map(deltas, counterexample_curve_point, lambda x: norm(x - x_bar))
@@ -219,7 +227,8 @@ class TestDistanceToSolutionSet:
             assert abs(s.d - delta * np.sqrt(2.0 + 5.0 * delta**2)) <= 1e-12
 
     def test_zero_on_members(self):
-        prob, x_star = nuclear_regular_instance()
+        prob = nuclear_regular_instance()
+        x_star = prob.feasible_point
         cert = certify(prob, x_star, tol=1e-9)
         member = np.array([[1.0, 0.4], [0.4, 1.0]])
         assert distance_to_solution_set(prob, cert, member) <= 1e-8
@@ -235,7 +244,8 @@ class TestDistanceToSolutionSet:
         assert abs(d - brute) <= 1e-6
 
     def test_nuclear_segment_matches_parameterization_oracle(self):
-        prob, x_star = nuclear_regular_instance()
+        prob = nuclear_regular_instance()
+        x_star = prob.feasible_point
         cert = certify(prob, x_star, tol=1e-9)
         rng = np.random.default_rng(2)
         ts = np.linspace(-1.0, 1.0, 200001)
@@ -297,7 +307,8 @@ def _certified(name):
     """The lasso or ridge instance of seed 0 solved to 1e-11, or
     nuclear-regular at its known optimum, certified at 1e-9."""
     if name == "nuclear-regular":
-        prob, x = nuclear_regular_instance()
+        prob = nuclear_regular_instance()
+        x = prob.feasible_point
     else:
         prob = {"lasso": lasso_instance, "ridge": ridge_instance}[name](0)
         x = proximal_gradient(prob, prob.feasible_point, step=Fixed(1.0 / lipschitz_bound(prob)),
@@ -611,7 +622,8 @@ class TestDykstraBudget:
         # the counterexample's touching sets exhaust Dykstra's sweep budget;
         # the error carries the last gap
         from ebound.errors import ConvergenceError
-        prob, x_bar = counterexample_instance()
+        prob = counterexample_instance()
+        x_bar = prob.feasible_point
         cert = certify(prob, x_bar, tol=1e-10)
         with pytest.raises(ConvergenceError) as err:
             distance_to_solution_set(prob, cert, counterexample_curve_point(0.1))

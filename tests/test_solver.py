@@ -10,7 +10,7 @@ from ebound.errors import (ConvergenceError, DomainError, InsufficientDataError,
                            LineSearchError)
 from ebound.experiments import counterexample_instance, ridge_instance
 from ebound.losses import CompositeSmooth, LeastSquares, SmoothLoss
-from ebound.problem import ProblemInstance, certify
+from ebound.problem import ProblemInstance, certify, objective
 from ebound.regularizers import L1, NuclearNorm, Ridge
 from ebound.solver import (
     CONVERGED,
@@ -60,6 +60,17 @@ class CountingMap(DenseMap):
         return super().adjoint_each(ys)
 
 
+@dataclass(frozen=True)
+class CountingRidge(Ridge):
+    """Ridge that counts its value calls."""
+
+    calls: Counter = field(default_factory=Counter, compare=False)
+
+    def value(self, x, *, stack=False):
+        self.calls["value"] += 1
+        return super().value(x, stack=stack)
+
+
 def lasso_toy(seed=0, m=30, n=60):
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((m, n))
@@ -92,7 +103,8 @@ def ridge_toy(lam=0.3):
 
 class TestProximalGradient:
     def test_counterexample_reaches_unique_optimum(self):
-        prob, x_bar = counterexample_instance()
+        prob = counterexample_instance()
+        x_bar = prob.feasible_point
         trace = proximal_gradient(prob, np.diag([2.0, 1.0]), step=Fixed(0.2),
                                   tol=1e-8, max_iter=20000)
         assert trace.status == CONVERGED
@@ -106,10 +118,14 @@ class TestProximalGradient:
         assert norm(trace.terminal - x_star) <= 1e-9
 
     def test_backtracking_descends(self):
-        prob = ridge_instance(0)
-        trace = proximal_gradient(prob, np.ones(8) * 3.0, step=Backtracking(),
-                                  tol=1e-10, max_iter=5000)
-        values = [row[1] for row in trace.iterations]
+        # F(xₖ) recomputed at each iterate, from a re-run stopped at k
+        prob, x0 = ridge_instance(0), np.ones(8) * 3.0
+        trace = proximal_gradient(prob, x0, step=Backtracking(), tol=1e-10, max_iter=5000)
+        assert trace.status == CONVERGED and len(trace.iterations) > 10
+        values = [objective(prob, proximal_gradient(prob, x0, step=Backtracking(), tol=1e-10,
+                                                    max_iter=k).terminal)
+                  for k, _, _ in trace.iterations]
+        assert values[-1] < values[0]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_zero_steps_at_optimum(self):
@@ -271,21 +287,16 @@ class TestWorkPerIteration:
         assert scans == [n] * A.calls["forward"]
 
     @pytest.mark.parametrize("step", ["fixed", "backtracking"])
-    def test_recorded_objective_keeps_the_linear_term(self, step):
-        # with c ≠ 0 every recorded F is h(Mx) + ⟨c, x⟩ + P(x) at its
-        # iterate, recomputed here from the iterate alone
-        rng = np.random.default_rng(8)
-        M, b, c = rng.standard_normal((20, 30)), rng.standard_normal(20), rng.standard_normal(30)
-        h, reg = LeastSquares(b), L1(0.5)
-        prob = ProblemInstance(CompositeSmooth(h, DenseMap(M, (30,)), 0.3 * c), reg, np.zeros(30))
+    def test_regularizer_value_only_at_x0(self, step):
+        # P is evaluated once, to check that x0 lies in dom(P), and at no iterate
+        base = ridge_instance(0)
+        reg = CountingRidge(base.reg.weight)
+        prob = ProblemInstance(base.smooth, reg, base.feasible_point)
+        reg.calls.clear()
         rule = Fixed(1.0 / lipschitz_bound(prob)) if step == "fixed" else Backtracking()
-        trace = proximal_gradient(prob, np.zeros(30), step=rule, tol=1e-14, max_iter=25)
-        assert len(trace.iterations) == 26
-        for k, F, _, _ in trace.iterations:
-            x = proximal_gradient(prob, np.zeros(30), step=rule, tol=1e-14, max_iter=k).terminal
-            linear = float(np.sum(0.3 * c * x))
-            assert F == h.value(M @ x) + linear + reg.value(x)
-            assert k == 0 or linear != 0.0
+        trace = proximal_gradient(prob, prob.feasible_point, step=rule, tol=1e-10)
+        assert trace.status == CONVERGED and len(trace.iterations) > 30
+        assert reg.calls["value"] == 1
 
     def test_fixed_step_matches_numpy_ista(self):
         prob, M, b, lam = lasso_toy(2)
@@ -297,10 +308,8 @@ class TestWorkPerIteration:
             return np.sign(z) * np.maximum(np.abs(z) - level, 0.0)
 
         x = np.zeros(60)
-        for k, F, r, step in trace.iterations:
+        for k, r, step in trace.iterations:
             g = M.T @ (M @ x - b)
-            expected_F = 0.5 * float(np.sum((M @ x - b) ** 2)) + lam * float(np.sum(np.abs(x)))
-            assert abs(F - expected_F) <= 1e-12 * max(1.0, abs(expected_F))
             assert abs(r - np.linalg.norm(soft(x - g, lam) - x)) <= 1e-12
             assert step == t
             if k < K:
@@ -310,8 +319,7 @@ class TestWorkPerIteration:
     @pytest.mark.parametrize("t", [1.0, 0.5])
     def test_fixed_step_matches_numpy_svt(self, t):
         # singular value thresholding as a plain numpy loop: the iterates and
-        # residuals agree bit for bit, F (P from the shrunk singular values
-        # against a separate SVD of x) to rounding
+        # residuals agree bit for bit
         prob, rows, cols, b = completion_toy()
         K = 30
         trace = proximal_gradient(prob, np.zeros((6, 8)), step=Fixed(t), tol=1e-14, max_iter=K)
@@ -322,12 +330,9 @@ class TestWorkPerIteration:
             return (U * np.maximum(sigma - level, 0.0)) @ Vt
 
         x = np.zeros((6, 8))
-        for k, F, r, step in trace.iterations:
+        for k, r, step in trace.iterations:
             g = np.zeros((6, 8))
             g[rows, cols] = x[rows, cols] - b
-            expected_F = (0.5 * float(np.sum((x[rows, cols] - b) ** 2))
-                          + float(np.sum(np.linalg.svd(x, compute_uv=False))))
-            assert abs(F - expected_F) <= 1e-12 * max(1.0, abs(expected_F))
             assert r == np.linalg.norm(svt(x - g, 1.0) - x)
             assert step == t
             if k < K:
@@ -353,7 +358,7 @@ class TestWorkPerIteration:
             return 0.5 * float(np.sum((x[rows, cols] - b) ** 2))
 
         x, t, halvings = np.zeros((6, 8)), 3.0, 0
-        for k, _, r, step in trace.iterations:
+        for k, r, step in trace.iterations:
             g = np.zeros((6, 8))
             g[rows, cols] = x[rows, cols] - b
             assert r == np.linalg.norm(svt(x - g, 1.0) - x)
@@ -376,8 +381,8 @@ class TestWorkPerIteration:
     @pytest.mark.parametrize("t, svds_per_iter", [(1.0, 1), (0.5, 1)])
     def test_nuclear_svds_per_iteration(self, monkeypatch, t, svds_per_iter):
         # the unit step is the residual's prox; any other step stacks its own
-        # point under the residual's in one SVD call, and P(xₖ) comes from the
-        # prox, so the nuclear norm is evaluated at x0 only
+        # point under the residual's in one SVD call, and the nuclear norm is
+        # evaluated at x0 only
         prob, *_ = completion_toy(1)
         calls = {"svd": 0, "value": 0}
         shapes = set()
@@ -466,19 +471,19 @@ class TestRateEstimation:
         assert rate is not None and 0.0 < rate < 1.0
 
     def test_constant_residual_gives_rate_one(self):
-        rows = [(k, 1.0, 0.5, 0.1) for k in range(30)]
+        rows = [(k, 0.5, 0.1) for k in range(30)]
         trace = SolveTrace(rows, np.zeros(2), ITERATION_LIMIT)
         assert estimate_linear_rate(trace) == 1.0
 
     def test_insufficient_data(self):
-        rows = [(k, 1.0, 0.5, 0.1) for k in range(5)]
+        rows = [(k, 0.5, 0.1) for k in range(5)]
         trace = SolveTrace(rows, np.zeros(2), ITERATION_LIMIT)
         with pytest.raises(InsufficientDataError):
             estimate_linear_rate(trace)
 
     def test_noisy_trace_returns_none(self):
         rng = np.random.default_rng(0)
-        rows = [(k, 1.0, float(np.exp(rng.uniform(-8, 0))), 0.1) for k in range(40)]
+        rows = [(k, float(np.exp(rng.uniform(-8, 0))), 0.1) for k in range(40)]
         trace = SolveTrace(rows, np.zeros(2), ITERATION_LIMIT)
         assert estimate_linear_rate(trace) is None
 
