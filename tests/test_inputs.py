@@ -222,12 +222,16 @@ def _constructor_cases():
                                id=f"{arg}={name}")
 
 
+def _prox_z(name):
+    reg, _, _ = REGULARIZERS[name]
+    return lambda z, f: reg.prox(z, 1.0)
+
+
 def _prox_z_cases():
     # z is an element: the entrywise families pass a non-finite entry
     # through, and the nuclear norm's SVD refuses it
     for name, (reg, z, wrong) in REGULARIZERS.items():
-        def call(x, f, reg=reg):
-            return reg.prox(x, 1.0)
+        call = _prox_z(name)
         for value_name, v in VALUES.items():
             full = np.full(z.shape, v)
             expect = (InvalidInputError if isinstance(reg, NuclearNorm)
@@ -326,7 +330,8 @@ def test_orthant_signs_are_a_vector(signs):
 
 
 @pytest.mark.parametrize("call", [call for call, _ in SCALARS.values()]
-                         + [call for call, _ in POINTS.values()])
+                         + [call for call, _ in POINTS.values()]
+                         + [_prox_z(name) for name in REGULARIZERS])
 @pytest.mark.parametrize("value", [None, "1", "abc"])
 def test_none_or_a_string_may_keep_pythons_error(lasso, call, value):
     with pytest.raises((TypeError, ValueError)):
