@@ -18,12 +18,12 @@ class InfeasibleTargetError(EboundError, ValueError):
 
 
 class NotOptimalError(EboundError):
-    """Certification failed; carries the offending residual norm."""
+    """Certification failed; carries the offending residual norm, and the
+    message leads with `cause` when one is given."""
 
-    def __init__(self, residual_norm, tol):
-        super().__init__(
-            f"residual norm {residual_norm:.3e} exceeds certification tolerance {tol:.3e}"
-        )
+    def __init__(self, residual_norm, tol, cause=None):
+        message = f"residual norm {residual_norm:.3e} exceeds certification tolerance {tol:.3e}"
+        super().__init__(message if cause is None else f"{cause}: {message}")
         self.residual_norm = residual_norm
         self.tol = tol
 

@@ -33,11 +33,11 @@ from .diagnostics import (
     regularity_summary,
     strict_complementarity,
 )
-from .errors import ConfigError, InsufficientDataError
+from .errors import ConfigError, InsufficientDataError, NotOptimalError
 from .losses import CompositeSmooth, GeneralQuadratic, LeastSquares, NoncompactExample
 from .problem import OptimalityCertificate, ProblemInstance, certify, residual_map
 from .regularizers import L1, GroupedLasso, NuclearNorm, OrthantIndicator, Ridge
-from .solver import (RATE_MIN_R_SQUARED, Backtracking, Fixed, SolveTrace,
+from .solver import (ITERATION_LIMIT, RATE_MIN_R_SQUARED, Backtracking, Fixed, SolveTrace,
                      estimate_linear_rate, lipschitz_bound, proximal_gradient)
 from .space import CoordinateSelectMap, DenseMap, IdentityMap, norm
 
@@ -453,7 +453,9 @@ def run_experiment(name: str, config: dict | None = None,
     """Run a registry experiment; returns (exit_code, report dict).
 
     Exit code 0 when every per-experiment assertion passes, 1 otherwise.
-    Unknown names and invalid configs raise ConfigError (usage errors).
+    Unknown names and invalid configs raise ConfigError (usage errors).  A
+    point that fails certification raises NotOptimalError, which names the
+    solver's iteration limit and count when the solve stopped at the limit.
     """
     config = {} if config is None else config
     if isinstance(config, dict):  # anything else fails validation
@@ -476,7 +478,14 @@ def run_experiment(name: str, config: dict | None = None,
         step, solver_tol, max_iter = _solver_settings(config, prob)
         run.trace = proximal_gradient(prob, x, step=step, tol=solver_tol, max_iter=max_iter)
         x, tol = run.trace.terminal, max(1e-9, 10.0 * solver_tol)
-    run.cert = certify(prob, x, tol=tol)
+    try:
+        run.cert = certify(prob, x, tol=tol)
+    except NotOptimalError as exc:
+        if run.trace is None or run.trace.status != ITERATION_LIMIT:
+            raise
+        raise NotOptimalError(exc.residual_norm, exc.tol,
+                              f"the solve stopped at its iteration limit ({max_iter}) after "
+                              f"{len(run.trace.iterations) - 1} iterations") from None
     run.samples = scenario.sample(run)
     if scenario.fitted:
         run.fit = fit_exponent(run.samples)

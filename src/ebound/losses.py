@@ -19,7 +19,8 @@ class SmoothLoss:
     gradient check their input (its shape against the loss's shape, then
     in_domain) and call the unchecked _value and _gradient, which a loss
     defines with in_domain; CompositeSmooth checks the domain once per
-    point and then calls the unchecked forms."""
+    point (never for a constant-Hessian loss) and then calls the unchecked
+    forms."""
 
     #: strongly convex with Lipschitz gradient on every compact convex
     #: subset of the domain; the regularity classification relies on it
@@ -30,7 +31,9 @@ class SmoothLoss:
 
     #: ∇h(y) = ∇h(0) + H y with a constant Hessian H, which hessian_product
     #: applies; CompositeSmooth then forms a sparse point's gradient from
-    #: cached columns of A*HA
+    #: cached columns of A*HA.  Such a loss is a quadratic on the whole
+    #: target space and keeps the base in_domain, so CompositeSmooth.at
+    #: checks no domain for it
     constant_hessian: bool = False
 
     def hessian_product(self, v) -> np.ndarray:
@@ -225,21 +228,33 @@ class NoncompactExample(SmoothLoss):
 
 
 class SmoothPoint:
-    """f evaluated at one point x: y = A(x) and f(x) = h(y) + ⟨c, x⟩.  The
-    gradient is `given_gradient` when the caller formed it, and otherwise is
-    formed on first use: from the cached columns of A*HA on x's support when
-    h has a constant Hessian H and A(x) gathered on `support` (the flat
-    indices LinearMap.apply_gathered returned, so x is scanned once), which
-    costs O(n·|supp x|) plus one forward and one adjoint for each coordinate
-    new to the cache; otherwise as A*∇h(y) + c, with one adjoint."""
+    """f at one point x: y = A(x), f(x) = h(y) + ⟨c, x⟩ and ∇f(x), each
+    formed on first read unless the caller gave it, from x itself (not a
+    copy, so x must not change meanwhile) and `support`, what A.support
+    returned when `at` scanned x, so x is not scanned again.  The gradient
+    reads the cached columns of A*HA on the support when h has a constant
+    Hessian H and the support is known: O(n·|supp x|), plus one forward and
+    one adjoint for each coordinate new to the cache, and neither y nor
+    f(x).  Otherwise it is A*∇h(y) + c, with one adjoint."""
 
-    __slots__ = ("smooth", "x", "y", "value", "support", "_gradient")
+    __slots__ = ("smooth", "x", "support", "_y", "_value", "_gradient")
 
-    def __init__(self, smooth: "CompositeSmooth", x, y, value: float,
-                 given_gradient=None, support=None):
-        self.smooth, self.x, self.y, self.value = smooth, x, y, value
-        self.support = support
-        self._gradient = given_gradient
+    def __init__(self, smooth: "CompositeSmooth", x, y=None, given_gradient=None,
+                 support=None):
+        self.smooth, self.x, self.support = smooth, x, support
+        self._y, self._value, self._gradient = y, None, given_gradient
+
+    @property
+    def y(self) -> np.ndarray:
+        if self._y is None:
+            self._y = self.smooth.A.apply_on(self.x, self.support)
+        return self._y
+
+    @property
+    def value(self) -> float:
+        if self._value is None:
+            self._value = self.smooth._value(self.x, self.y)
+        return self._value
 
     @property
     def gradient(self) -> np.ndarray:
@@ -270,9 +285,10 @@ class CompositeSmooth:
 
     When h has a constant Hessian H, ∇f(x) = Σ_{j ∈ supp x} x_j Q_j + ∇f(0)
     with Q_j = A*(H(A e_j)), column j of A*HA.  At a point whose forward
-    product gathers (LinearMap.apply_gathered), the gradient reads the
-    cached Q_j on its support in O(n·|supp x|), with the support that
-    the forward product gathered on: each point's support is scanned once.
+    product gathers (LinearMap.support), the gradient reads the cached Q_j
+    on its support in O(n·|supp x|), with the support that `at` scanned:
+    each point's support is scanned once, and A(x) is never formed unless
+    y or f(x) is read.
     Q_j costs one forward and one adjoint the first time coordinate j
     enters a support, and ∇f(0) one adjoint, once.  The |s|×n block of Q_j
     on a support s is kept while the support holds, so an iterate whose
@@ -353,14 +369,17 @@ class CompositeSmooth:
         return self.h._value(y) + inner(self.c, x) if self._linear else self.h._value(y)
 
     def at(self, x) -> SmoothPoint:
-        """Evaluate f at x with one application of A, keeping the support it
-        gathered on; raises InvalidInputError when x does not have A's input
-        shape, and DomainError when A(x) lies outside the loss domain."""
+        """f at x, with x's support scanned once (A.support); the point forms
+        y, f(x) and ∇f(x) on first read.  A constant-Hessian loss is a
+        quadratic on the whole target space, so nothing more is formed here;
+        any other loss's y is formed now and checked against its domain.
+        Raises InvalidInputError when x does not have A's input shape, and
+        DomainError when A(x) lies outside the loss domain."""
         x = self._point(x)
-        y, s = self.A.apply_gathered(x)
-        if not self.h.in_domain(y):
+        point = SmoothPoint(self, x, support=self.A.support(x))
+        if not self.h.constant_hessian and not self.h.in_domain(point.y):
             raise DomainError("composite: A(x) outside the loss domain")
-        return SmoothPoint(self, x, y, self._value(x, y), support=s)
+        return point
 
     def at_each(self, xs) -> list:
         """f at every x in xs, with its gradient, or None for a point whose
@@ -374,7 +393,7 @@ class CompositeSmooth:
         grads = self.A.adjoint_each([self.h._gradient(ys[i]) for i in inside])
         points = [None] * len(xs)
         for i, g in zip(inside, grads):
-            points[i] = SmoothPoint(self, xs[i], ys[i], self._value(xs[i], ys[i]), g + self.c)
+            points[i] = SmoothPoint(self, xs[i], ys[i], g + self.c)
         return points
 
     def value(self, x) -> float:

@@ -92,17 +92,22 @@ def proximal_gradient(
     dom(f) count as failures.  The recorded residual is always the unit-step
     R(x), independent of the step size actually taken.
 
-    f is evaluated once per point and its gradient once per iterate, so an
-    iteration costs one forward and one adjoint application of A with Fixed,
-    one forward per trial step and one adjoint with Backtracking; what one
-    application costs on a dense map, and when a constant-Hessian loss's
-    gradient needs no adjoint, DenseMap and CompositeSmooth say.  An
-    iteration makes one `prox_step` request, which forms the residual and
-    the step's point at the current t together: one prox at t = 1, two
-    otherwise, and one stacked thin SVD for the nuclear norm either way.
-    That point is the Fixed iterate and Backtracking's first trial; each
-    halving takes one more prox.  P is evaluated only at x0, to check that
-    x0 lies in dom(P); a prox point lies in dom(P) by construction.
+    Each point's support is scanned once (CompositeSmooth.at).  A Fixed
+    step reads only ∇f, so h is never evaluated (a loss with a domain still
+    has each A(xₖ) checked against it): an iteration costs one forward and
+    one adjoint application of A.  Backtracking also reads f at x0 and at
+    each trial point: one forward and one evaluation of h per trial, and
+    one adjoint per iteration.  On a dense map that gathers, a
+    constant-Hessian loss's gradient takes neither the forward nor the
+    adjoint (CompositeSmooth says how), so a Fixed iteration applies A only
+    to build a column new to its cache, and a Backtracking trial only to
+    form f(x⁺).  An iteration makes one `prox_step` request, which forms
+    the residual and the step's point at the current t together: one prox
+    at t = 1, two otherwise, and one stacked thin SVD for the nuclear norm
+    either way.  That point is the Fixed iterate and Backtracking's first
+    trial; each halving takes one more prox.  P is evaluated only at x0, to
+    check that x0 lies in dom(P); a prox point lies in dom(P) by
+    construction.
     """
     _require_positive(tol, "tol")
     max_iter = _require_integer(max_iter, "max_iter", 0)

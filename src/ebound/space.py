@@ -124,12 +124,16 @@ class LinearMap:
         """[A*(y) for y in ys]; a subclass may apply A* to all of them at once."""
         return [self.adjoint(y) for y in ys]
 
-    def apply_gathered(self, x) -> tuple:
-        """(A(x), s): s holds the flat indices of x's nonzero entries when
-        A(x) was formed from the columns on s alone, and is None when A(x)
-        read the whole map.  A caller that needs x's support takes it from
-        here, so the input is scanned once."""
-        return self(x), None
+    def support(self, x):
+        """The flat indices of x's nonzero entries when A(x) is formed from
+        the columns on them alone, else None: the one scan of x that a
+        caller keeps and hands to `apply_on`, so the input is scanned once."""
+        return None
+
+    def apply_on(self, x, s) -> np.ndarray:
+        """A(x), given s = self.support(x): from the columns on s alone when
+        s is not None, from the whole map otherwise."""
+        return self(x)
 
     def operator_norm(self) -> float:
         """Spectral norm ‖A‖₂, the largest singular value; a dense map reads
@@ -177,10 +181,11 @@ class DenseMap(LinearMap):
     Inputs must have in_shape (out_shape for the adjoint), as for every
     linear map; the matrix acts on their row-major vectorization.  On a
     matrix of at least GATHER_MIN_ENTRIES entries, an input with
-    GATHER_RATIO·|supp x| ≤ n gathers (`apply_gathered` returns its
-    support s): the forward product reads only the columns on s,
-    matrix[:, s] @ x[s], the same product up to rounding.  NaN and ±inf
-    are nonzero, so they stay in s and propagate as in the full product.  `apply_each` and `adjoint_each` take all their
+    GATHER_RATIO·|supp x| ≤ n gathers (`support` returns its support s,
+    from one `nonzero` scan): the forward product reads only the columns
+    on s, matrix[:, s] @ x[s], the same product up to rounding.  NaN and
+    ±inf are nonzero, so they stay in s and propagate as in the full
+    product.  `apply_each` and `adjoint_each` take all their
     points in one matrix–matrix product, X Mᵀ or Y M: the per-point
     products up to rounding.  `operator_norm` is √λ_max of the smaller Gram
     matrix, M Mᵀ or MᵀM, with no SVD: about p²q + (4/3)p³ flops for an
@@ -212,15 +217,18 @@ class DenseMap(LinearMap):
     def out_shape(self):
         return (self.matrix.shape[0],)
 
-    def apply_gathered(self, x):
+    def support(self, x):
+        if self.matrix.size < GATHER_MIN_ENTRIES:
+            return None
+        s = _shaped(x, self.in_shape, "dense map").reshape(-1).nonzero()[0]
+        return s if GATHER_RATIO * s.size <= self.matrix.shape[1] else None
+
+    def apply_on(self, x, s):
         x = _shaped(x, self.in_shape, "dense map").reshape(-1)
-        if self.matrix.size >= GATHER_MIN_ENTRIES and GATHER_RATIO * np.count_nonzero(x) <= x.size:
-            s = np.flatnonzero(x)
-            return self.matrix[:, s] @ x[s], s
-        return self.matrix @ x, None
+        return self.matrix @ x if s is None else self.matrix[:, s] @ x[s]
 
     def __call__(self, x):
-        return self.apply_gathered(x)[0]
+        return self.apply_on(x, self.support(x))
 
     def adjoint(self, y):
         y = _shaped(y, self.out_shape, "dense map adjoint")

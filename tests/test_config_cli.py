@@ -372,6 +372,19 @@ def test_a_backtracking_run_certifies(tmp_path):
     assert certified.endswith("after 69 iterations")
 
 
+def test_a_solve_stopped_at_its_limit_names_it(tmp_path, monkeypatch, capsys):
+    # two iterations leave MINIMAL_CUSTOM far from its optimum, so the
+    # certificate fails, and the error says the solve stopped at its limit
+    monkeypatch.setattr(experiments_module, "SOLVER_MAX_ITER", 2)
+    code = main(["run", "custom", "--config", write_config(tmp_path, MINIMAL_CUSTOM),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert re.fullmatch(r"error: the solve stopped at its iteration limit \(2\) after 2 "
+                        r"iterations: residual norm \S+ exceeds certification tolerance "
+                        r"1\.000e-09\n", err), err
+
+
 def _leaves(table, prefix=""):
     for key, field in table.items():
         sub = field.type if isinstance(field, Field) else field

@@ -11,10 +11,11 @@ from ebound.losses import (
     Logistic,
     NoncompactExample,
     Poisson,
+    SmoothLoss,
     SmoothPoint,
 )
 from ebound.space import (GATHER_MIN_ENTRIES, GATHER_RATIO, CoordinateSelectMap, DenseMap,
-                          IdentityMap)
+                          IdentityMap, inner)
 
 COUNTER_B = np.array([[1.5, -2.0], [-2.0, 3.0]])
 COUNTER_D = np.array([2.5, -1.0])
@@ -263,9 +264,9 @@ class TestComposite:
         f = counterexample_smooth()
         x = np.array([[1.0, 0.0], [0.0, 2.0]])
         g = np.ones((2, 2))
-        point = SmoothPoint(f, x, f.A(x), f.value(x), given_gradient=g)
+        point = SmoothPoint(f, x, f.A(x), given_gradient=g)
         assert point.gradient is g
-        formed = SmoothPoint(f, x, f.A(x), f.value(x))
+        formed = SmoothPoint(f, x, f.A(x))
         assert np.array_equal(formed.gradient, f.gradient(x))
         assert formed.gradient is formed.gradient
 
@@ -398,3 +399,54 @@ class TestSparseGradient:
         assert np.array_equal(small.at(x).gradient,
                               small.A.adjoint(small.h.gradient(small.A(x))) + small.c)
         assert "_columns" not in vars(small)
+
+
+def _lazy_cases():
+    """(name, f, x): points on the column path (a sparse point of a gathering
+    map with a constant-Hessian loss) and off it, with zero and nonzero c."""
+    rng = np.random.default_rng(40)
+    f, _ = gathering_smooth("least_squares", (500,), m=200)
+    yield "column-path", f, sparse_point((500,), 8)
+    yield "gathering-dense-point", f, rng.standard_normal(500)
+    logistic, _ = gathering_smooth("logistic", (500,), m=200)
+    yield "gathering-logistic", logistic, sparse_point((500,), 8)
+    M = rng.standard_normal((6, 8))
+    yield "small-dense", CompositeSmooth(LeastSquares(rng.standard_normal(6)),
+                                         DenseMap(M, (8,)), np.zeros(8)), rng.standard_normal(8)
+    select = CoordinateSelectMap(((0, 1), (2, 3), (1, 0)), (3, 4))
+    h = GeneralQuadratic(np.diag([1.5, 2.0, 0.5]), np.ones(3))
+    yield "select", CompositeSmooth(h, select, rng.standard_normal((3, 4))), \
+        rng.standard_normal((3, 4))
+
+
+class TestLazyForms:
+    """A point forms y, f(x) and ∇f(x) on first read, in any order, bit for
+    bit as the eager forms A(x) and h(A(x)) + ⟨c, x⟩."""
+
+    @pytest.mark.parametrize("case", list(_lazy_cases()), ids=lambda c: c[0])
+    @pytest.mark.parametrize("first", ["y", "value", "gradient"])
+    def test_lazy_forms_equal_the_eager_ones(self, case, first):
+        _, f, x = case
+        y = f.A(x)
+        value = f.h.value(y) + inner(f.c, x)
+        point = f.at(x)
+        getattr(point, first)
+        assert point.y.tobytes() == y.tobytes()
+        assert point.value.hex() == value.hex()
+        assert point.gradient.tobytes() == f.at(x).gradient.tobytes()
+
+    def test_cases_cover_the_column_path_and_a_nonzero_c(self):
+        cases = {name: (f, x) for name, f, x in _lazy_cases()}
+        f, x = cases["column-path"]
+        assert f.c.any() and f.A.support(x) is not None and f.h.constant_hessian
+        assert all(f.A.support(x) is None for name, (f, x) in cases.items()
+                   if name not in ("column-path", "gathering-logistic"))
+
+    def test_a_constant_hessian_loss_keeps_the_base_domain(self):
+        # at skips the domain check for these losses: each is a quadratic on
+        # the whole target space, with no domain of its own to check
+        quadratic = [cls for cls in (LeastSquares, GeneralQuadratic, Logistic, Poisson,
+                                     NoncompactExample) if cls.constant_hessian]
+        assert quadratic == [LeastSquares, GeneralQuadratic]
+        for cls in quadratic:
+            assert cls.in_domain is SmoothLoss.in_domain

@@ -35,17 +35,22 @@ from ebound.space import (
 
 @dataclass(frozen=True)
 class CountingMap(DenseMap):
-    """DenseMap that counts its forward and adjoint applications, per point
-    and stacked, and keeps the union of its per-point inputs' supports.
-    Every per-point forward, A(x) included, goes through apply_gathered."""
+    """DenseMap that counts its support scans and its forward and adjoint
+    applications, per point and stacked, and keeps the union of its
+    per-point inputs' supports.  Every per-point forward, A(x) included,
+    goes through apply_on, and every scan through support."""
 
     calls: Counter = field(default_factory=Counter, compare=False)
     supports: set = field(default_factory=set, compare=False)
 
-    def apply_gathered(self, x):
+    def support(self, x):
+        self.calls["scan"] += 1
+        return super().support(x)
+
+    def apply_on(self, x, s):
         self.calls["forward"] += 1
         self.supports.update(np.asarray(x).reshape(-1).nonzero()[0].tolist())
-        return super().apply_gathered(x)
+        return super().apply_on(x, s)
 
     def adjoint(self, y):
         self.calls["adjoint"] += 1
@@ -258,10 +263,11 @@ class TestWorkPerIteration:
         assert prob.smooth.A.calls["adjoint"] == K + 1
 
     @pytest.mark.parametrize("step", ["fixed", "backtracking"])
-    def test_one_support_scan_per_point(self, monkeypatch, step):
-        # the forward product scans each point's support once and the point
-        # keeps it for its gradient: one scan per Fixed iterate and one per
-        # Backtracking trial point, once the columns of MᵀM are built
+    def test_one_support_scan_per_point(self, step):
+        # once the columns of MᵀM are built, each point's support is scanned
+        # once and kept: a Fixed iterate's gradient reads the columns and
+        # makes no forward, and a Backtracking trial makes one forward, for
+        # f(x⁺), as does x0 for the first sufficient-decrease test
         m, n = 200, GATHER_MIN_ENTRIES // 200
         prob, *_ = lasso_toy(0, m, n)
         rule = Fixed(1.0 / lipschitz_bound(prob)) if step == "fixed" else Backtracking()
@@ -269,22 +275,52 @@ class TestWorkPerIteration:
         built = len(prob.smooth._columns.rows)
         A = prob.smooth.A
         A.calls.clear()
-        scans = []
-        flatnonzero = np.flatnonzero
-
-        def spy(v):
-            scans.append(v.size)
-            return flatnonzero(v)
-
-        monkeypatch.setattr(np, "flatnonzero", spy)
         trace = proximal_gradient(prob, np.zeros(n), step=rule, tol=1e-11)
         K = len(trace.iterations) - 1
         assert trace.status == CONVERGED and len(prob.smooth._columns.rows) == built
         if step == "fixed":
-            assert A.calls["forward"] == K + 1
+            points, forwards = K + 1, 0
         else:
-            assert A.calls["forward"] > K + 1
-        assert scans == [n] * A.calls["forward"]
+            # beta = 1/2 halves t exactly, so the halvings are log2(t₀/t_K)
+            halvings = round(np.log2(trace.iterations[0][2] / trace.iterations[-1][2]))
+            points = forwards = K + halvings + 1
+        assert A.calls["scan"] == points and A.calls["forward"] == forwards
+        assert A.calls["adjoint"] == 0
+
+    @pytest.mark.parametrize("make, x0, t", [
+        (lambda: lasso_toy()[0], np.zeros(60), None),
+        (lambda: ridge_instance(0), np.full(8, 2.0), None),
+        (counterexample_instance, np.diag([2.0, 1.0]), 0.2),
+    ], ids=["lasso", "ridge", "counterexample"])
+    def test_a_fixed_solve_never_evaluates_h(self, monkeypatch, make, x0, t):
+        # a Fixed step reads only ∇f, so neither h nor its domain is
+        # evaluated; a Backtracking solve of the same instance reads f(x⁺)
+        prob = make()
+        loss = type(prob.smooth.h)
+        evaluated = Counter()
+        for name in ("_value", "in_domain"):
+            def spy(self, y, _name=name, _original=getattr(loss, name)):
+                evaluated[_name] += 1
+                return _original(self, y)
+
+            monkeypatch.setattr(loss, name, spy)
+        step = Fixed(t or 1.0 / lipschitz_bound(prob))
+        trace = proximal_gradient(prob, x0, step=step, tol=1e-11, max_iter=300)
+        assert len(trace.iterations) > 20 and not evaluated
+        trace = proximal_gradient(prob, x0, step=Backtracking(), tol=1e-11, max_iter=20)
+        assert evaluated["_value"] >= len(trace.iterations) > 1
+
+    def test_a_fixed_solve_forwards_only_to_build_columns(self):
+        # on the column path an iterate's gradient reads cached columns of
+        # MᵀM: the only forwards are those that build a new column
+        m, n = 200, GATHER_MIN_ENTRIES // 200
+        prob, *_ = lasso_toy(0, m, n)
+        trace = proximal_gradient(prob, np.zeros(n), step=Fixed(1.0 / lipschitz_bound(prob)),
+                                  tol=1e-11)
+        A = prob.smooth.A
+        assert trace.status == CONVERGED
+        assert A.calls["forward"] == len(prob.smooth._columns.rows) < len(trace.iterations)
+        assert A.calls["scan"] == len(trace.iterations) + A.calls["forward"]
 
     @pytest.mark.parametrize("step", ["fixed", "backtracking"])
     def test_regularizer_value_only_at_x0(self, step):

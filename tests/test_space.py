@@ -369,30 +369,30 @@ class TestDenseSupportGather:
         (GATHER_MIN_ENTRIES // 1000, 1000 // GATHER_RATIO + 1, False),
     ])
     def test_gather_rule(self, monkeypatch, rows, k, gathers):
-        # below the size gate, or past the support ratio, the support is
-        # never scanned and the product is the full one, bit for bit
+        # support(x) is x's support at or above the size gate and within the
+        # ratio, else None; A(x) takes it from one support call, and below
+        # the gate or past the ratio the product is the full one, bit for bit
         rng = np.random.default_rng(23)
         M = rng.standard_normal((rows, 1000))
         x = sparse_input(rng, (1000,), k)
         scans = []
-        flatnonzero = np.flatnonzero
+        support = DenseMap.support
 
-        def spy(v):
+        def spy(self, v):
             scans.append(v.size)
-            return flatnonzero(v)
+            return support(self, v)
 
-        monkeypatch.setattr(np, "flatnonzero", spy)
+        monkeypatch.setattr(DenseMap, "support", spy)
         A = DenseMap(M, (1000,))
         out = A(x)
-        assert scans == ([1000] if gathers else [])
+        assert scans == [1000]
         if not gathers:
             assert np.array_equal(out, M @ x)
-        # apply_gathered is the same product, and hands back the support it
-        # scanned, so a caller never scans again
+        # apply_on forms the same product from the support a caller kept,
+        # so the caller never scans again
+        s = A.support(x)
         scans.clear()
-        y, s = A.apply_gathered(x)
-        assert np.array_equal(y, out)
-        assert scans == ([1000] if gathers else [])
+        assert np.array_equal(A.apply_on(x, s), out) and scans == []
         if gathers:
             assert np.array_equal(s, np.flatnonzero(x))
         else:
@@ -401,8 +401,7 @@ class TestDenseSupportGather:
     def test_other_maps_read_the_whole_input(self):
         x = np.arange(6.0).reshape(2, 3)
         for A in (IdentityMap((2, 3)), CoordinateSelectMap(((0, 1), (1, 2)), (2, 3))):
-            y, s = A.apply_gathered(x)
-            assert s is None and np.array_equal(y, A(x))
+            assert A.support(x) is None and np.array_equal(A.apply_on(x, None), A(x))
 
 
 class Reversal(LinearMap):
@@ -463,7 +462,7 @@ class TestStackedProducts:
         A = DenseMap(np.arange(24.0).reshape(4, 6), (2, 3))
         x = np.arange(6.0).reshape(2, 3)
         np.testing.assert_array_equal(A(x), A.matrix @ x.ravel())
-        for call in (A, A.apply_gathered, lambda v: A.apply_each([x, v])):
+        for call in (A, lambda v: A.apply_on(v, None), lambda v: A.apply_each([x, v])):
             for bad in (x.reshape(3, 2), x.ravel(), x.reshape(6, 1)):
                 with pytest.raises(InvalidInputError, match=r"takes shape \(2, 3\)"):
                     call(bad)
