@@ -455,7 +455,7 @@ def run_experiment(name: str, config: dict | None = None,
     Exit code 0 when every per-experiment assertion passes, 1 otherwise.
     Unknown names and invalid configs raise ConfigError (usage errors).  A
     point that fails certification raises NotOptimalError, which names the
-    solver's iteration limit and count when the solve stopped at the limit.
+    solver's iteration limit when the solve stopped at it.
     """
     config = {} if config is None else config
     if isinstance(config, dict):  # anything else fails validation
@@ -484,8 +484,8 @@ def run_experiment(name: str, config: dict | None = None,
         if run.trace is None or run.trace.status != ITERATION_LIMIT:
             raise
         raise NotOptimalError(exc.residual_norm, exc.tol,
-                              f"the solve stopped at its iteration limit ({max_iter}) after "
-                              f"{len(run.trace.iterations) - 1} iterations") from None
+                              f"the solve stopped at its iteration limit of {max_iter} "
+                              "iterations") from None
     run.samples = scenario.sample(run)
     if scenario.fitted:
         run.fit = fit_exponent(run.samples)

@@ -182,7 +182,7 @@ class DenseMap(LinearMap):
     linear map; the matrix acts on their row-major vectorization.  On a
     matrix of at least GATHER_MIN_ENTRIES entries, an input with
     GATHER_RATIO·|supp x| ≤ n gathers (`support` returns its support s,
-    from one `nonzero` scan): the forward product reads only the columns
+    from one `flatnonzero` scan): the forward product reads only the columns
     on s, matrix[:, s] @ x[s], the same product up to rounding.  NaN and
     ±inf are nonzero, so they stay in s and propagate as in the full
     product.  `apply_each` and `adjoint_each` take all their
@@ -220,7 +220,7 @@ class DenseMap(LinearMap):
     def support(self, x):
         if self.matrix.size < GATHER_MIN_ENTRIES:
             return None
-        s = _shaped(x, self.in_shape, "dense map").reshape(-1).nonzero()[0]
+        s = np.flatnonzero(_shaped(x, self.in_shape, "dense map"))
         return s if GATHER_RATIO * s.size <= self.matrix.shape[1] else None
 
     def apply_on(self, x, s):

@@ -380,7 +380,7 @@ def test_a_solve_stopped_at_its_limit_names_it(tmp_path, monkeypatch, capsys):
                  "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 1
-    assert re.fullmatch(r"error: the solve stopped at its iteration limit \(2\) after 2 "
+    assert re.fullmatch(r"error: the solve stopped at its iteration limit of 2 "
                         r"iterations: residual norm \S+ exceeds certification tolerance "
                         r"1\.000e-09\n", err), err
 

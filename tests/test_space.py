@@ -369,32 +369,35 @@ class TestDenseSupportGather:
         (GATHER_MIN_ENTRIES // 1000, 1000 // GATHER_RATIO + 1, False),
     ])
     def test_gather_rule(self, monkeypatch, rows, k, gathers):
-        # support(x) is x's support at or above the size gate and within the
-        # ratio, else None; A(x) takes it from one support call, and below
-        # the gate or past the ratio the product is the full one, bit for bit
+        # below the size gate the support is never scanned; at or above it,
+        # x is scanned once, and past the support ratio the product is the
+        # full one, bit for bit, as it is below the gate
         rng = np.random.default_rng(23)
         M = rng.standard_normal((rows, 1000))
         x = sparse_input(rng, (1000,), k)
         scans = []
-        support = DenseMap.support
+        flatnonzero = np.flatnonzero
 
-        def spy(self, v):
+        def spy(v):
             scans.append(v.size)
-            return support(self, v)
+            return flatnonzero(v)
 
-        monkeypatch.setattr(DenseMap, "support", spy)
+        monkeypatch.setattr(np, "flatnonzero", spy)
         A = DenseMap(M, (1000,))
+        scanned = [1000] if M.size >= GATHER_MIN_ENTRIES else []
         out = A(x)
-        assert scans == [1000]
+        assert scans == scanned
         if not gathers:
             assert np.array_equal(out, M @ x)
-        # apply_on forms the same product from the support a caller kept,
-        # so the caller never scans again
+        # support hands a caller the indices it scanned, and apply_on forms
+        # the same product from them, so the caller never scans again
+        scans.clear()
         s = A.support(x)
+        assert scans == scanned
         scans.clear()
         assert np.array_equal(A.apply_on(x, s), out) and scans == []
         if gathers:
-            assert np.array_equal(s, np.flatnonzero(x))
+            assert np.array_equal(s, flatnonzero(x))
         else:
             assert s is None
 
