@@ -263,7 +263,7 @@ class TestWorkPerIteration:
         assert prob.smooth.A.calls["adjoint"] == K + 1
 
     @pytest.mark.parametrize("step", ["fixed", "backtracking"])
-    def test_one_support_scan_per_point(self, step):
+    def test_one_support_scan_per_point(self, monkeypatch, step):
         # once the columns of MᵀM are built, each point's support is scanned
         # once and kept: a Fixed iterate's gradient reads the columns and
         # makes no forward, and a Backtracking trial makes one forward, for
@@ -275,6 +275,14 @@ class TestWorkPerIteration:
         built = len(prob.smooth._columns.rows)
         A = prob.smooth.A
         A.calls.clear()
+        scans = []
+        flatnonzero = np.flatnonzero
+
+        def spy(v):
+            scans.append(v.size)
+            return flatnonzero(v)
+
+        monkeypatch.setattr(np, "flatnonzero", spy)
         trace = proximal_gradient(prob, np.zeros(n), step=rule, tol=1e-11)
         K = len(trace.iterations) - 1
         assert trace.status == CONVERGED and len(prob.smooth._columns.rows) == built
@@ -285,7 +293,7 @@ class TestWorkPerIteration:
             halvings = round(np.log2(trace.iterations[0][2] / trace.iterations[-1][2]))
             points = forwards = K + halvings + 1
         assert A.calls["scan"] == points and A.calls["forward"] == forwards
-        assert A.calls["adjoint"] == 0
+        assert A.calls["adjoint"] == 0 and scans == [n] * points
 
     @pytest.mark.parametrize("make, x0, t", [
         (lambda: lasso_toy()[0], np.zeros(60), None),
