@@ -122,13 +122,17 @@ def probe(prob: ProblemInstance, cert: OptimalityCertificate, radii, directions)
 
     A call evaluates its points as one stack.  f and its gradient come from
     CompositeSmooth.at_each: one stacked application of A and one of its
-    adjoint, each a single matrix–matrix product on a dense map.  Points
-    outside dom(f) are rejected there, and their ∇h is never formed.  The
-    kept points then go through one stacked call each of prox_diff,
-    subdiff_distance (inside alt_residual) and value, and those without a
-    distance of their own (a curve brings its distances) through one
-    distance_to_solution_set call, which runs one Dykstra on all of them.
-    Each sample's figures are bit for bit those of the one-point functions.
+    adjoint, each a single matrix–matrix product on a dense map; on a dense
+    map of more than one row panel with a loss that splits, both products
+    are formed panel by panel, and ∇f is the sum of the panels' terms.
+    Points outside dom(f) are rejected there, and no ∇h is formed where
+    they lie outside.  The kept points then go through one stacked call
+    each of prox_diff, subdiff_distance (inside alt_residual) and value, and
+    those without a distance of their own (a curve brings its distances)
+    through one distance_to_solution_set call, which runs one Dykstra on
+    all of them.  Given the stacked y and ∇f, each sample's figures are bit
+    for bit those of the one-point functions; y and ∇f themselves differ
+    from a per-point `CompositeSmooth.at` by rounding.
     When the subdifferential of P is empty at a sample, r_alt is recorded
     as inf.  No points at all raises InvalidInputError, and every point
     rejected raises EmptyProbeError; a distance that fails raises the

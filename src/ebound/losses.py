@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -20,7 +20,10 @@ class SmoothLoss:
     in_domain) and call the unchecked _value and _gradient, which a loss
     defines with in_domain; CompositeSmooth checks the domain once per
     point (never for a constant-Hessian loss) and then calls the unchecked
-    forms."""
+    forms.  A loss that is a sum over its target coordinates, with a domain
+    that is a product over them, returns from `split` the loss on some of
+    them, so that CompositeSmooth.at_each can evaluate it one row panel of
+    A at a time."""
 
     #: strongly convex with Lipschitz gradient on every compact convex
     #: subset of the domain; the regularity classification relies on it
@@ -42,6 +45,13 @@ class SmoothLoss:
 
     def in_domain(self, y) -> bool:
         return True
+
+    def split(self, rows) -> "SmoothLoss | None":
+        """The loss on the target coordinates `rows` (any index of a 1-d
+        array), whose _gradient and in_domain are this loss's restricted to
+        them, bit for bit; None when the loss does not split over its
+        coordinates."""
+        return None
 
     def value(self, y) -> float:
         return self._value(self._check(y))
@@ -93,6 +103,9 @@ class LeastSquares(SmoothLoss):
 
     def hessian_product(self, v):
         return np.asarray(v, dtype=float)
+
+    def split(self, rows):
+        return replace(self, targets=self.targets[rows])
 
 
 @dataclass(frozen=True)
@@ -162,6 +175,9 @@ class Logistic(SmoothLoss):
         # −b·sigmoid(−yb), written via tanh for stability at large |y|
         return -self.labels * 0.5 * (1.0 - np.tanh(0.5 * y * self.labels))
 
+    def split(self, rows):
+        return replace(self, labels=self.labels[rows])
+
 
 @dataclass(frozen=True)
 class Poisson(SmoothLoss):
@@ -189,6 +205,9 @@ class Poisson(SmoothLoss):
 
     def _gradient(self, y):
         return -self.counts + np.exp(y)
+
+    def split(self, rows):
+        return replace(self, counts=self.counts[rows])
 
 
 @dataclass(frozen=True)
@@ -354,6 +373,18 @@ class CompositeSmooth:
         cache.block.flags.writeable = False
         return cache.block
 
+    @cached_property
+    def _panels(self) -> tuple | None:
+        """(rows, panel, h on rows) for each row panel of A, when A has more
+        than one and h splits over its coordinates; else None."""
+        panels = self.A.row_panels
+        if len(panels) < 2:
+            return None
+        losses = [self.h.split(rows) for rows, _ in panels]
+        if None in losses:
+            return None
+        return tuple((rows, P, h) for (rows, P), h in zip(panels, losses))
+
     def in_domain(self, x) -> bool:
         return self.h.in_domain(self.A(np.asarray(x, dtype=float)))
 
@@ -386,14 +417,41 @@ class CompositeSmooth:
         A(x) lies outside the loss domain: one stacked application of A for
         all the points and one of its adjoint for those in the domain (see
         LinearMap.apply_each), where `at` and a gradient cost one of each per
-        point."""
+        point.  When A has more than one row panel and h splits (see
+        `_by_panel`), the two products are formed panel by panel instead, so
+        that each panel is read from memory once per call."""
         xs = [self._point(x) for x in xs]
+        if self._panels is not None:
+            return self._by_panel(xs)
         ys = self.A.apply_each(xs)
         inside = [i for i, y in enumerate(ys) if self.h.in_domain(y)]
         grads = self.A.adjoint_each([self.h._gradient(ys[i]) for i in inside])
         points = [None] * len(xs)
         for i, g in zip(inside, grads):
             points[i] = SmoothPoint(self, xs[i], ys[i], g + self.c)
+        return points
+
+    def _by_panel(self, xs) -> list:
+        """at_each on A's row panels P, with X the points stacked once: per
+        panel, Y_P = X Pᵀ, the domain test of h on P's rows for each point,
+        ∇h_P(Y_P) in one call over the points still inside, and G +=
+        ∇h_P(Y_P) P.  A point outside on some panel is dropped there, so no
+        later product or ∇h reads it.  Each ∇f(x) is the sum of its panels'
+        terms, the one-product adjoint up to rounding."""
+        X = np.array(xs).reshape(len(xs), self.c.size)
+        Y = np.empty((len(xs), *self.A.out_shape))
+        G = np.zeros(X.shape)
+        live = np.arange(len(xs))
+        for rows, P, h in self._panels:
+            Y_P = X @ P.T
+            inside = np.array([h.in_domain(y) for y in Y_P], dtype=bool)
+            if not inside.all():
+                live, X, G, Y_P = live[inside], X[inside], G[inside], Y_P[inside]
+            Y[live, rows] = Y_P
+            G += h._gradient(Y_P) @ P
+        points = [None] * len(xs)
+        for i, g in zip(live, G):
+            points[i] = SmoothPoint(self, xs[i], Y[i], g.reshape(self.c.shape) + self.c)
         return points
 
     def value(self, x) -> float:

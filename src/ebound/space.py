@@ -23,6 +23,10 @@ GROUP_TOL = 1e-8
 #: support scan and the gather cost more than the full product
 GATHER_MIN_ENTRIES = 100_000
 GATHER_RATIO = 16
+#: the most bytes of one row panel of a dense map (DenseMap.row_panels):
+#: half of a 2 MiB L2 cache, so a panel stays cached between the forward
+#: and the adjoint product of a stacked evaluation that reads it for both
+PANEL_BYTES = 2**20
 #: a dense map whose largest entry has binary exponent e (np.frexp) with
 #: |e| ≤ this forms its Gram matrix unscaled: its entries stay below
 #: 2^(2·this) times the inner dimension, and λ_max ≥ 2^(−2·this − 2) is far
@@ -135,6 +139,13 @@ class LinearMap:
         s is not None, from the whole map otherwise."""
         return self(x)
 
+    @property
+    def row_panels(self) -> tuple:
+        """(rows, panel) pairs, a slice of A's output coordinates and the
+        rows of A's matrix on it, that cover each row once, in order; ()
+        for a map that keeps no matrix."""
+        return ()
+
     def operator_norm(self) -> float:
         """Spectral norm ‖A‖₂, the largest singular value; a dense map reads
         it off its smaller Gram matrix, with no SVD."""
@@ -187,10 +198,14 @@ class DenseMap(LinearMap):
     ±inf are nonzero, so they stay in s and propagate as in the full
     product.  `apply_each` and `adjoint_each` take all their
     points in one matrix–matrix product, X Mᵀ or Y M: the per-point
-    products up to rounding.  `operator_norm` is √λ_max of the smaller Gram
-    matrix, M Mᵀ or MᵀM, with no SVD: about p²q + (4/3)p³ flops for an
-    m×n matrix with p = min(m, n) and q = max(m, n), where an SVD of M
-    costs about 4p²q.  A matrix whose largest entry lies outside
+    products up to rounding.  `row_panels` splits the rows into
+    ⌈bytes / PANEL_BYTES⌉ runs of nearly equal length (at most one per
+    row), each with its panel, a view of the matrix: one panel when the
+    whole matrix fits, so a caller can form both X Pᵀ and a product with
+    P while P is cached (CompositeSmooth.at_each).  `operator_norm` is
+    √λ_max of the smaller Gram matrix, M Mᵀ or MᵀM, with no SVD: about
+    p²q + (4/3)p³ flops for an m×n matrix with p = min(m, n) and
+    q = max(m, n), where an SVD of M costs about 4p²q.  A matrix whose largest entry lies outside
     2^±GRAM_SAFE_EXPONENT is first scaled exactly by the power of two that
     brings that entry into [1/2, 1), so the Gram matrix can neither
     overflow nor underflow to zero; rounding moves λ_max by O(ε·‖M‖₂²)
@@ -243,6 +258,13 @@ class DenseMap(LinearMap):
         m = self.matrix.shape[0]
         Y = np.array([_shaped(y, self.out_shape, "dense map adjoint") for y in ys]).reshape(-1, m)
         return [row.reshape(self.in_shape) for row in Y @ self.matrix]
+
+    @cached_property
+    def row_panels(self):
+        m = self.matrix.shape[0]
+        count = max(1, min(m, -(-self.matrix.nbytes // PANEL_BYTES)))
+        edges = [m * i // count for i in range(count + 1)]
+        return tuple((slice(a, b), self.matrix[a:b]) for a, b in zip(edges, edges[1:]))
 
     def operator_norm(self):
         M = self.matrix

@@ -235,6 +235,23 @@ def certified_poisson():
     return prob, cert
 
 
+def certified_panelled_poisson():
+    """min Σ (e^{y_i} − b_i y_i) + λ‖x‖₁ with y = M x on a counting 300×1000
+    dense map of three row panels, certified at x* = 0: λ is twice
+    ‖∇f(0)‖_∞ = ‖Mᵀ(1 − b)‖_∞."""
+    rng = np.random.default_rng(3)
+    M = rng.standard_normal((300, 1000))
+    b = rng.integers(0, 4, 300).astype(float)
+    A = CountingMap(M, (1000,))
+    lam = 2.0 * float(np.max(np.abs(M.T @ (1.0 - b))))
+    smooth = CompositeSmooth(RecordingPoisson(b), A, np.zeros(1000))
+    prob = ProblemInstance(smooth, L1(lam), np.zeros(1000))
+    cert = certify(prob, np.zeros(1000), tol=1e-12)
+    A.calls.clear()
+    smooth.h.gradient_inputs.clear()
+    return prob, cert
+
+
 def one_point_figures(prob, cert, x, point):
     """(r_prox, r_alt, F) at x from the one-point functions, given the
     evaluation of f there; r_alt is inf where ∂P(x) is empty."""
@@ -419,6 +436,27 @@ class TestProbeEvaluation:
         seen = prob.smooth.h.gradient_inputs
         assert len(seen) == 2 and all(np.max(y) <= 700.0 for y in seen)
         assert prob.smooth.A.calls == {"forward_each": 1, "adjoint_each": 1}
+
+    def test_a_point_past_the_cap_on_a_later_panel_is_skipped_there(self):
+        # the third point reaches the cap on row 250, in the last of the
+        # three panels: it is rejected, and that panel's ∇h is formed for
+        # the three other points alone
+        prob, cert = certified_panelled_poisson()
+        M = prob.smooth.A.matrix
+        assert [rows for rows, _ in prob.smooth.A.row_panels] == \
+            [slice(0, 100), slice(100, 200), slice(200, 300)]
+        u = np.random.default_rng(8).standard_normal((3, 1000))
+        points = [1e-3 * u[0], 1e-3 * u[1], 701.0 * M[250] / norm(M[250]) ** 2, 1e-3 * u[2]]
+        y = M @ points[2]
+        assert y[250] > 700.0 and np.max(np.delete(y, 250)) <= 700.0
+        curve = Curve(params=(1.0, 2.0, 3.0, 4.0), points=tuple(points),
+                      distances=tuple(norm(x) for x in points))
+        samples = probe(prob, cert, None, curve)
+        assert [s.radius for s in samples] == [1.0, 2.0, 4.0]
+        seen = prob.smooth.h.gradient_inputs
+        assert [block.shape for block in seen] == [(4, 100), (4, 100), (3, 100)]
+        assert all(np.max(block) <= 700.0 for block in seen)
+        assert prob.smooth.A.calls["forward_each"] == prob.smooth.A.calls["adjoint_each"] == 0
 
     def test_every_point_past_the_cap_is_an_empty_probe(self):
         prob, cert = certified_poisson()

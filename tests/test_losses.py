@@ -14,8 +14,10 @@ from ebound.losses import (
     SmoothLoss,
     SmoothPoint,
 )
-from ebound.space import (GATHER_MIN_ENTRIES, GATHER_RATIO, CoordinateSelectMap, DenseMap,
-                          IdentityMap, inner)
+from ebound.space import (GATHER_MIN_ENTRIES, GATHER_RATIO, PANEL_BYTES, CoordinateSelectMap,
+                          DenseMap, IdentityMap, inner, norm)
+
+from test_solver import CountingMap
 
 COUNTER_B = np.array([[1.5, -2.0], [-2.0, 3.0]])
 COUNTER_D = np.array([2.5, -1.0])
@@ -450,3 +452,115 @@ class TestLazyForms:
         assert quadratic == [LeastSquares, GeneralQuadratic]
         for cls in quadratic:
             assert cls.in_domain is SmoothLoss.in_domain
+
+
+def panelled_smooth(loss, in_shape=(1000,), seed=0, m=300):
+    """f on a counting dense map past PANEL_BYTES, with a nonzero c, and
+    five points near 0."""
+    rng = np.random.default_rng(seed)
+    n = int(np.prod(in_shape))
+    M = rng.standard_normal((m, n))
+    h = {"least_squares": lambda: LeastSquares(rng.standard_normal(m)),
+         "logistic": lambda: Logistic(np.where(rng.random(m) < 0.5, -1.0, 1.0)),
+         "poisson": lambda: Poisson(rng.integers(0, 4, m).astype(float)),
+         "general_quadratic": lambda: GeneralQuadratic(np.eye(m), rng.standard_normal(m))}[loss]()
+    f = CompositeSmooth(h, CountingMap(M, in_shape), rng.standard_normal(in_shape))
+    return f, M, [0.02 * rng.standard_normal(in_shape) for _ in range(5)]
+
+
+class TestRowPanels:
+    """On a dense map past PANEL_BYTES, at_each forms y and ∇f one row panel
+    at a time when the loss splits, and the one-product way otherwise."""
+
+    @pytest.mark.parametrize("loss", ["least_squares", "logistic", "poisson"])
+    @pytest.mark.parametrize("in_shape", [(1000,), (20, 50)], ids=["vector", "matrix"])
+    def test_samples_match_a_per_point_evaluation(self, loss, in_shape):
+        # the bounds of test_diagnostics' per-point comparison: ‖Δy‖ ≤
+        # 1e-13·‖M‖₂‖x‖ and ‖Δ∇f‖ ≤ 1e-13·‖M‖₂(L‖M‖₂‖x‖ + ‖∇h(y)‖), L the
+        # Lipschitz constant of ∇h near y (e^max y for Poisson); f(x) moves
+        # by ‖∇h(y)‖·‖Δy‖ to first order
+        f, M, xs = panelled_smooth(loss, in_shape)
+        assert len(f.A.row_panels) == 3 and f.c.any()
+        M2 = f.A.operator_norm()
+        points = f.at_each(xs)
+        assert f.A.calls["forward_each"] == f.A.calls["adjoint_each"] == 0
+        for x, got in zip(xs, points, strict=True):
+            want = f.at(x)
+            dy = 1e-13 * M2 * norm(x)
+            grad_h = norm(f.h.gradient(want.y))
+            lip = float(np.exp(np.max(want.y))) if loss == "poisson" else 1.0
+            assert got.x is x and got.gradient.shape == in_shape
+            assert norm(got.y - want.y) <= dy
+            assert norm(got.gradient - want.gradient) <= \
+                1e-13 * M2 * (lip * M2 * norm(x) + grad_h)
+            assert abs(got.value - want.value) <= (1.0 + grad_h) * dy
+
+    def test_panels_are_views_that_cover_every_row_once(self):
+        f, M, _ = panelled_smooth("least_squares")
+        panels = f.A.row_panels
+        assert len(panels) == -(-M.nbytes // PANEL_BYTES) == 3
+        covered = np.concatenate([np.arange(M.shape[0])[rows] for rows, _ in panels])
+        assert np.array_equal(covered, np.arange(M.shape[0]))
+        for rows, P in panels:
+            assert np.shares_memory(P, f.A.matrix) and np.array_equal(P, M[rows])
+            assert P.nbytes <= PANEL_BYTES
+        # a map that keeps no matrix has no panels
+        assert IdentityMap((3,)).row_panels == CoordinateSelectMap((0,), (3,)).row_panels == ()
+
+    @pytest.mark.parametrize("m, count", [(128, 1), (129, 2), (1, 1), (0, 1)])
+    def test_one_panel_while_the_matrix_fits(self, m, count):
+        # 128 rows of 1024 entries are exactly PANEL_BYTES
+        A = DenseMap(np.ones((m, 1024)), (1024,))
+        assert len(A.row_panels) == count
+
+    def test_a_loss_that_does_not_split_takes_one_product_each_way(self):
+        f, M, xs = panelled_smooth("general_quadratic")
+        assert len(f.A.row_panels) == 3
+        points = f.at_each(xs)
+        assert f.A.calls == {"forward_each": 1, "adjoint_each": 1}
+        want = f.A.adjoint_each([f.h.gradient(p.y) for p in points])
+        for p, g in zip(points, want, strict=True):
+            assert np.array_equal(p.gradient, g + f.c)
+
+    def test_no_points(self):
+        f, _, _ = panelled_smooth("logistic")
+        assert f.at_each([]) == []
+
+
+def _split_losses(m, rng):
+    return {"least_squares": LeastSquares(rng.standard_normal(m)),
+            "logistic": Logistic(np.where(rng.random(m) < 0.5, -1.0, 1.0)),
+            "poisson": Poisson(rng.integers(0, 4, m).astype(float))}
+
+
+class TestSplit:
+    """SmoothLoss.split(rows) is the loss on those target coordinates."""
+
+    @pytest.mark.parametrize("loss", ["least_squares", "logistic", "poisson"])
+    def test_the_split_loss_is_the_loss_on_its_rows(self, loss):
+        rng = np.random.default_rng(11)
+        m = 257
+        h = _split_losses(m, rng)[loss]
+        ys = 3.0 * rng.standard_normal((4, m))
+        ys[1, 200] = ys[2, 17] = 701.0  # past Poisson's exp cap
+        for rows in (rng.choice(m, 60, replace=False), slice(100, 257), np.arange(m)):
+            part = h.split(rows)
+            assert type(part) is type(h)
+            for y in ys:
+                restricted = np.zeros(m)
+                restricted[rows] = y[rows]
+                assert part.in_domain(y[rows]) == h.in_domain(restricted)
+                assert part._gradient(y[rows]).tobytes() == h._gradient(y)[rows].tobytes()
+
+    def test_losses_that_do_not_split(self):
+        class Quartic(SmoothLoss):
+            def _value(self, y):
+                return float(np.sum(y**4))
+
+            def _gradient(self, y):
+                return 4.0 * y**3
+
+        rows = slice(0, 1)
+        assert GeneralQuadratic(np.eye(2), np.ones(2)).split(rows) is None
+        assert NoncompactExample().split(rows) is None
+        assert Quartic().split(rows) is None

@@ -82,3 +82,40 @@ def test_commands_cover_every_listed_experiment_and_config():
     configs = sorted(registry_matrix.CONFIGS.glob("*.json"))
     assert len(cases) == 4 + 1 + 4 * len(configs)
     assert cases[f"custom-{configs[0].stem}-seed1"][-2:] == ["--seed", "1"]
+
+
+def built_instances():
+    """(case, ProblemInstance) for every registry command and census run
+    that builds an instance, built as run_experiment builds it; a seeded
+    run of an experiment that reads no seed builds none."""
+    from ebound.errors import ConfigError
+    from ebound.experiments import SCENARIOS, validated_problem
+
+    def option(argv, flag):
+        return argv[argv.index(flag) + 1] if flag in argv else None
+
+    runs = []
+    for case, argv in registry_matrix.commands(list(SCENARIOS)):
+        path, seed = option(argv, "--config"), option(argv, "--seed")
+        runs.append((case, argv[1], json.loads(Path(path).read_text()) if path else {},
+                     None if seed is None else int(seed)))
+    runs += registry_matrix.census_runs()
+    for case, name, config, seed in runs:
+        config = {"experiment": name, **(config or {})}
+        if seed is not None:
+            config["seed"] = seed
+        try:
+            custom = validated_problem(config)
+        except ConfigError:
+            continue
+        yield case, custom or SCENARIOS[name].build(config)
+
+
+def test_every_registry_and_census_map_has_one_row_panel():
+    # a map of more than one row panel evaluates probe points panel by
+    # panel, which rounds differently: no report may depend on that
+    built = dict(built_instances())
+    assert len(built) > 150 and "custom-minimal-tol1e-6" in built
+    panels = {case: len(prob.smooth.A.row_panels) for case, prob in built.items()}
+    assert {case: n for case, n in panels.items() if n > 1} == {}
+    assert sum(n == 1 for n in panels.values()) > 100
