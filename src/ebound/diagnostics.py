@@ -121,10 +121,9 @@ def probe(prob: ProblemInstance, cert: OptimalityCertificate, radii, directions)
     (d(x,𝒳), ‖R(x)‖, r_alt(x), F(x)) per sample.
 
     A call evaluates its points as one stack.  f and its gradient come from
-    CompositeSmooth.at_each: one stacked application of A and one of its
-    adjoint, each a single matrix–matrix product on a dense map; on a dense
-    map of more than one row panel with a loss that splits, both products
-    are formed panel by panel, and ∇f is the sum of the panels' terms.
+    CompositeSmooth.at_each: per row panel of A (A itself unless a dense map
+    of more than one panel meets a loss that splits), one stacked product
+    each way and one ∇h call, and ∇f is the sum of the panels' terms.
     Points outside dom(f) are rejected there, and no ∇h is formed where
     they lie outside.  The kept points then go through one stacked call
     each of prox_diff, subdiff_distance (inside alt_residual) and value, and
@@ -212,10 +211,9 @@ def strict_complementarity(prob: ProblemInstance,
     """The report of the certificate's Γ_P(ḡ), which holds s̄, Ū₁ and V̄₁;
     raises InvalidInputError when Γ_P(ḡ) is polyhedral and needs no such
     condition, InfeasibleTargetError when it is empty."""
-    report = cert.image.complementarity(cert.x_star)
-    if report is None:
+    if cert.image.polyhedral:
         raise InvalidInputError("strict complementarity applies to nuclear-norm instances")
-    return report
+    return cert.image.complementarity(cert.x_star)
 
 
 STRONGLY_CONVEX = "strongly_convex"
@@ -242,9 +240,8 @@ def regularity_summary(prob: ProblemInstance, cert: OptimalityCertificate) -> Re
         return RegularitySummary(UNVERIFIED, False)
     if prob.smooth.A.is_identity:
         return RegularitySummary(STRONGLY_CONVEX, True)
-    report = cert.image.complementarity(cert.x_star)
-    if report is None:
+    if cert.image.polyhedral:
         return RegularitySummary(POLYHEDRAL, True)
-    if report.holds:
+    if cert.image.complementarity(cert.x_star).holds:
         return RegularitySummary(NUCLEAR_WITH_SC, True)
     return RegularitySummary(UNVERIFIED, False)

@@ -20,10 +20,10 @@ class SmoothLoss:
     in_domain) and call the unchecked _value and _gradient, which a loss
     defines with in_domain; CompositeSmooth checks the domain once per
     point (never for a constant-Hessian loss) and then calls the unchecked
-    forms.  A loss that is a sum over its target coordinates, with a domain
-    that is a product over them, returns from `split` the loss on some of
-    them, so that CompositeSmooth.at_each can evaluate it one row panel of
-    A at a time."""
+    forms.  _gradient also takes a stack of points (a leading axis), each
+    point's gradient bit for bit its own call's.  A loss that is a sum over
+    its target coordinates, with a domain that is a product over them,
+    returns from `split` the loss on some of them, for CompositeSmooth.at_each."""
 
     #: strongly convex with Lipschitz gradient on every compact convex
     #: subset of the domain; the regularity classification relies on it
@@ -145,7 +145,8 @@ class GeneralQuadratic(SmoothLoss):
         return 0.5 * float(y @ self.B @ y) - float(self.d @ y) + self._constant
 
     def _gradient(self, y):
-        return self.B @ y - self.d
+        # B @ y for each point, bit for bit, where Y @ Bᵀ rounds differently
+        return np.matmul(self.B, y[..., None])[..., 0] - self.d
 
     def hessian_product(self, v):
         return self.B @ v
@@ -236,6 +237,8 @@ class NoncompactExample(SmoothLoss):
         return float(b * np.exp(u))
 
     def _gradient(self, y):
+        if y.ndim > 1:
+            return np.array([self._gradient(point) for point in y]).reshape(y.shape)
         a, b = y
         if b <= 0.0:
             return np.zeros(2)
@@ -374,16 +377,15 @@ class CompositeSmooth:
         return cache.block
 
     @cached_property
-    def _panels(self) -> tuple | None:
-        """(rows, panel, h on rows) for each row panel of A, when A has more
-        than one and h splits over its coordinates; else None."""
+    def _panels(self) -> tuple:
+        """(rows, panel, h on rows) for each row panel of A when h splits over
+        them, else the one panel of all rows with A and h whole."""
         panels = self.A.row_panels
-        if len(panels) < 2:
-            return None
-        losses = [self.h.split(rows) for rows, _ in panels]
-        if None in losses:
-            return None
-        return tuple((rows, P, h) for (rows, P), h in zip(panels, losses))
+        if len(panels) > 1:
+            losses = [self.h.split(rows) for rows, _ in panels]
+            if None not in losses:
+                return tuple((rows, P, h) for (rows, P), h in zip(panels, losses))
+        return ((slice(None), self.A, self.h),)
 
     def in_domain(self, x) -> bool:
         return self.h.in_domain(self.A(np.asarray(x, dtype=float)))
@@ -414,44 +416,29 @@ class CompositeSmooth:
 
     def at_each(self, xs) -> list:
         """f at every x in xs, with its gradient, or None for a point whose
-        A(x) lies outside the loss domain: one stacked application of A for
-        all the points and one of its adjoint for those in the domain (see
-        LinearMap.apply_each), where `at` and a gradient cost one of each per
-        point.  When A has more than one row panel and h splits (see
-        `_by_panel`), the two products are formed panel by panel instead, so
-        that each panel is read from memory once per call."""
+        A(x) lies outside the loss domain.  With X the points stacked once, per
+        row panel P of `_panels`: Y_P = X Pᵀ, h's domain test on P's rows, one
+        ∇h_P(Y_P) over the points still inside and G += ∇h_P(Y_P) P, so each
+        panel is read once per call.  A point outside is dropped on that panel,
+        and the loop stops when none is left.  y and ∇f are the per-point
+        products up to rounding."""
         xs = [self._point(x) for x in xs]
-        if self._panels is not None:
-            return self._by_panel(xs)
-        ys = self.A.apply_each(xs)
-        inside = [i for i, y in enumerate(ys) if self.h.in_domain(y)]
-        grads = self.A.adjoint_each([self.h._gradient(ys[i]) for i in inside])
-        points = [None] * len(xs)
-        for i, g in zip(inside, grads):
-            points[i] = SmoothPoint(self, xs[i], ys[i], g + self.c)
-        return points
-
-    def _by_panel(self, xs) -> list:
-        """at_each on A's row panels P, with X the points stacked once: per
-        panel, Y_P = X Pᵀ, the domain test of h on P's rows for each point,
-        ∇h_P(Y_P) in one call over the points still inside, and G +=
-        ∇h_P(Y_P) P.  A point outside on some panel is dropped there, so no
-        later product or ∇h reads it.  Each ∇f(x) is the sum of its panels'
-        terms, the one-product adjoint up to rounding."""
-        X = np.array(xs).reshape(len(xs), self.c.size)
+        X = np.array(xs).reshape((len(xs), *self.c.shape))
         Y = np.empty((len(xs), *self.A.out_shape))
         G = np.zeros(X.shape)
         live = np.arange(len(xs))
         for rows, P, h in self._panels:
-            Y_P = X @ P.T
-            inside = np.array([h.in_domain(y) for y in Y_P], dtype=bool)
-            if not inside.all():
-                live, X, G, Y_P = live[inside], X[inside], G[inside], Y_P[inside]
-            Y[live, rows] = Y_P
-            G += h._gradient(Y_P) @ P
+            Y_P = P.apply_each(X)
+            inside = [h.in_domain(y) for y in Y_P]
+            if not all(inside):
+                live, X, Y, G, Y_P = (v[inside] for v in (live, X, Y, G, Y_P))
+            if not live.size:
+                break
+            Y[:, rows] = Y_P
+            G += P.adjoint_each(h._gradient(Y_P))
         points = [None] * len(xs)
-        for i, g in zip(live, G):
-            points[i] = SmoothPoint(self, xs[i], Y[i], g.reshape(self.c.shape) + self.c)
+        for i, y, g in zip(live, Y, G + self.c):
+            points[i] = SmoothPoint(self, xs[i], y, g)
         return points
 
     def value(self, x) -> float:

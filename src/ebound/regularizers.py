@@ -10,8 +10,8 @@ solved in k coordinates; the nearest point c + T(Π_K(T*(x − c))), and the
 distance with it, follow from that one form.  Every polyhedral Γ_P(g) (L1,
 ridge, the orthant indicator, grouped LASSO, zero weights) is a BoxImage:
 fixed coordinates in c, disjoint unit columns in T, and K a box; the nuclear
-norm's is a NuclearImage, with K the PSD cone.  complementarity(x*) says what
-the error bound needs beyond Γ_P(ḡ): nothing for a polyhedral K.
+norm's is a NuclearImage, with K the PSD cone.  The error bound needs nothing
+beyond Γ_P(ḡ) for a `polyhedral` K, and strict complementarity otherwise.
 Equalities such as |g_i| = λ, ‖g_J‖ = ω_J or σ₁(−g) = 1 hold within TAU_EQ,
 scaled by max(1, λ) or max(1, ω_J) for a weighted penalty.  An empty Γ_P(g)
 is not a set but a wrong target: inverse_image raises InfeasibleTargetError
@@ -83,10 +83,12 @@ class InverseImage:
     isometry (T*T = I) from ℝᵏ onto a subspace holding Γ − c, T_adj is its
     adjoint, and project_K is the nearest-point map of the closed convex
     K ⊂ ℝᵏ.  Each subclass sets c and k when built and defines the maps,
-    which also map a stack of points (leading axes) point by point."""
+    which also map a stack of points (leading axes) point by point, and
+    declares whether K is polyhedral: {A⁻¹(ȳ), Γ_P(ḡ)} is then regular."""
 
     c: np.ndarray
     k: int
+    polyhedral: bool
 
     def T(self, z) -> np.ndarray:
         raise NotImplementedError
@@ -106,10 +108,6 @@ class InverseImage:
     def distance(self, x) -> float:
         return norm(np.asarray(x, dtype=float) - self.project(x))
 
-    def complementarity(self, x_star) -> ComplementarityReport | None:
-        """None: with K polyhedral, {A⁻¹(ȳ), Γ_P(ḡ)} is regular at any x*."""
-        return None
-
 
 @dataclass
 class BoxImage(InverseImage):
@@ -124,6 +122,7 @@ class BoxImage(InverseImage):
     direction: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
+    polyhedral = True
 
     def __post_init__(self):
         self._on = np.flatnonzero(self.column >= 0)
@@ -171,6 +170,7 @@ class NuclearImage(InverseImage):
 
     U: np.ndarray
     V: np.ndarray
+    polyhedral = False
 
     def __post_init__(self):
         self.s_bar = self.U.shape[1]
@@ -196,7 +196,7 @@ class NuclearImage(InverseImage):
     def project_K(self, z):
         return self._svec(psd_project(self._smat(z)))
 
-    def complementarity(self, x_star):
+    def complementarity(self, x_star) -> ComplementarityReport:
         """K = S₊ is not polyhedral: regularity needs strict complementarity."""
         rank_x = numerical_rank(singular_values(x_star))
         margin = float("inf")
@@ -516,9 +516,6 @@ class OrthantIndicator(Regularizer):
 
     def _inside(self, x):
         return np.all((x >= self.lo) & (x <= self.hi), axis=-1)
-
-    def contains(self, x) -> bool:
-        return bool(self._inside(self._check(x)))
 
     def value(self, x, *, stack=False):
         return _per_point(np.where(self._inside(self._check(x, stack)), 0.0, np.inf), stack)

@@ -108,6 +108,14 @@ def _shaped(v, shape, what):
     return v
 
 
+def _stacked(v, shape, what):
+    """v as a float array of points of the given shape along a leading axis."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim == 0 or v.shape[1:] != shape:
+        raise InvalidInputError(f"{what} takes shape {shape}, got {v.shape[1:]}")
+    return v
+
+
 class LinearMap:
     """A linear operator between element spaces, with an adjoint."""
 
@@ -120,13 +128,13 @@ class LinearMap:
     def adjoint(self, y):
         raise NotImplementedError
 
-    def apply_each(self, xs) -> list:
-        """[A(x) for x in xs]; a subclass may apply A to all of them at once."""
-        return [self(x) for x in xs]
+    def apply_each(self, X) -> np.ndarray:
+        """A(x) for each x of the stack X (a leading axis), as one array."""
+        return np.array([self(x) for x in X]).reshape((len(X), *self.out_shape))
 
-    def adjoint_each(self, ys) -> list:
-        """[A*(y) for y in ys]; a subclass may apply A* to all of them at once."""
-        return [self.adjoint(y) for y in ys]
+    def adjoint_each(self, Y) -> np.ndarray:
+        """A*(y) for each y of the stack Y, as apply_each forms A(x)."""
+        return np.array([self.adjoint(y) for y in Y]).reshape((len(Y), *self.in_shape))
 
     def support(self, x):
         """The flat indices of x's nonzero entries when A(x) is formed from
@@ -141,10 +149,9 @@ class LinearMap:
 
     @property
     def row_panels(self) -> tuple:
-        """(rows, panel) pairs, a slice of A's output coordinates and the
-        rows of A's matrix on it, that cover each row once, in order; ()
-        for a map that keeps no matrix."""
-        return ()
+        """(rows, panel) pairs, a slice of A's outputs and the map onto them,
+        covering each row once, in order: here the map is its own one panel."""
+        return ((slice(None), self),)
 
     def operator_norm(self) -> float:
         """Spectral norm ‖A‖₂, the largest singular value; a dense map reads
@@ -196,16 +203,16 @@ class DenseMap(LinearMap):
     from one `flatnonzero` scan): the forward product reads only the columns
     on s, matrix[:, s] @ x[s], the same product up to rounding.  NaN and
     ±inf are nonzero, so they stay in s and propagate as in the full
-    product.  `apply_each` and `adjoint_each` take all their
-    points in one matrix–matrix product, X Mᵀ or Y M: the per-point
-    products up to rounding.  `row_panels` splits the rows into
-    ⌈bytes / PANEL_BYTES⌉ runs of nearly equal length (at most one per
-    row), each with its panel, a view of the matrix: one panel when the
-    whole matrix fits, so a caller can form both X Pᵀ and a product with
-    P while P is cached (CompositeSmooth.at_each).  `operator_norm` is
-    √λ_max of the smaller Gram matrix, M Mᵀ or MᵀM, with no SVD: about
-    p²q + (4/3)p³ flops for an m×n matrix with p = min(m, n) and
-    q = max(m, n), where an SVD of M costs about 4p²q.  A matrix whose largest entry lies outside
+    product.  `apply_each` and `adjoint_each` take a stack of points in one
+    matrix–matrix product, X Mᵀ or Y M: the per-point products up to
+    rounding.  `row_panels` splits the rows into ⌈bytes / PANEL_BYTES⌉ runs
+    of nearly equal length (at most one per row), each with its panel, a
+    DenseMap over a view of the matrix, so that CompositeSmooth.at_each
+    forms X Pᵀ and a product with P while P is cached; a matrix that fits
+    is its own single panel.  `operator_norm` is √λ_max of the smaller Gram
+    matrix, M Mᵀ or MᵀM, with no SVD: about p²q + (4/3)p³ flops for an m×n
+    matrix with p = min(m, n) and q = max(m, n), where an SVD of M costs
+    about 4p²q.  A matrix whose largest entry lies outside
     2^±GRAM_SAFE_EXPONENT is first scaled exactly by the power of two that
     brings that entry into [1/2, 1), so the Gram matrix can neither
     overflow nor underflow to zero; rounding moves λ_max by O(ε·‖M‖₂²)
@@ -249,22 +256,23 @@ class DenseMap(LinearMap):
         y = _shaped(y, self.out_shape, "dense map adjoint")
         return (self.matrix.T @ y).reshape(self.in_shape)
 
-    def apply_each(self, xs):
-        n = self.matrix.shape[1]
-        X = np.array([_shaped(x, self.in_shape, "dense map") for x in xs]).reshape(-1, n)
-        return list(X @ self.matrix.T)
+    def apply_each(self, X):
+        X = _stacked(X, self.in_shape, "dense map")
+        return X.reshape(len(X), self.matrix.shape[1]) @ self.matrix.T
 
-    def adjoint_each(self, ys):
-        m = self.matrix.shape[0]
-        Y = np.array([_shaped(y, self.out_shape, "dense map adjoint") for y in ys]).reshape(-1, m)
-        return [row.reshape(self.in_shape) for row in Y @ self.matrix]
+    def adjoint_each(self, Y):
+        Y = _stacked(Y, self.out_shape, "dense map adjoint")
+        return (Y @ self.matrix).reshape((len(Y), *self.in_shape))
 
     @cached_property
     def row_panels(self):
         m = self.matrix.shape[0]
-        count = max(1, min(m, -(-self.matrix.nbytes // PANEL_BYTES)))
+        count = min(m, -(-self.matrix.nbytes // PANEL_BYTES))
+        if count < 2:
+            return super().row_panels
         edges = [m * i // count for i in range(count + 1)]
-        return tuple((slice(a, b), self.matrix[a:b]) for a, b in zip(edges, edges[1:]))
+        return tuple((slice(a, b), DenseMap(self.matrix[a:b], self.in_shape))
+                     for a, b in zip(edges, edges[1:]))
 
     def operator_norm(self):
         M = self.matrix
@@ -323,6 +331,16 @@ class CoordinateSelectMap(LinearMap):
     def adjoint(self, y):
         out = np.zeros(self.in_shape)
         out.reshape(-1)[self._flat] = _shaped(y, self.out_shape, "coordinate-select adjoint")
+        return out
+
+    def apply_each(self, X):
+        X = _stacked(X, self.in_shape, "coordinate-select map")
+        return X.reshape(len(X), math.prod(self.in_shape))[:, self._flat]
+
+    def adjoint_each(self, Y):
+        Y = _stacked(Y, self.out_shape, "coordinate-select adjoint")
+        out = np.zeros((len(Y), *self.in_shape))
+        out.reshape(len(Y), math.prod(self.in_shape))[:, self._flat] = Y
         return out
 
     def operator_norm(self):

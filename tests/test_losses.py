@@ -1,4 +1,5 @@
 import re
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -470,7 +471,7 @@ def panelled_smooth(loss, in_shape=(1000,), seed=0, m=300):
 
 class TestRowPanels:
     """On a dense map past PANEL_BYTES, at_each forms y and ∇f one row panel
-    at a time when the loss splits, and the one-product way otherwise."""
+    at a time when the loss splits, and on the map whole otherwise."""
 
     @pytest.mark.parametrize("loss", ["least_squares", "logistic", "poisson"])
     @pytest.mark.parametrize("in_shape", [(1000,), (20, 50)], ids=["vector", "matrix"])
@@ -502,10 +503,14 @@ class TestRowPanels:
         covered = np.concatenate([np.arange(M.shape[0])[rows] for rows, _ in panels])
         assert np.array_equal(covered, np.arange(M.shape[0]))
         for rows, P in panels:
-            assert np.shares_memory(P, f.A.matrix) and np.array_equal(P, M[rows])
-            assert P.nbytes <= PANEL_BYTES
-        # a map that keeps no matrix has no panels
-        assert IdentityMap((3,)).row_panels == CoordinateSelectMap((0,), (3,)).row_panels == ()
+            assert type(P) is DenseMap and P.in_shape == f.A.in_shape
+            assert np.shares_memory(P.matrix, f.A.matrix) and np.array_equal(P.matrix, M[rows])
+            assert P.matrix.nbytes <= PANEL_BYTES
+        # a map that keeps no matrix, or one that fits, is its own single panel
+        for A in (IdentityMap((3,)), CoordinateSelectMap((0,), (3,)),
+                  DenseMap(np.ones((2, 3)), (3,))):
+            (rows, P), = A.row_panels
+            assert rows == slice(None) and P is A
 
     @pytest.mark.parametrize("m, count", [(128, 1), (129, 2), (1, 1), (0, 1)])
     def test_one_panel_while_the_matrix_fits(self, m, count):
@@ -564,3 +569,55 @@ class TestSplit:
         assert GeneralQuadratic(np.eye(2), np.ones(2)).split(rows) is None
         assert NoncompactExample().split(rows) is None
         assert Quartic().split(rows) is None
+
+
+def _stackable_losses(rng):
+    """(name, loss, stack of seeded points) for each loss, GeneralQuadratic
+    at m = 2 and 8 and NoncompactExample on each of its branches."""
+    for m in (2, 8):
+        R = rng.standard_normal((m, m))
+        B = R @ R.T + m * np.eye(m)
+        yield f"general-quadratic-{m}", GeneralQuadratic((B + B.T) / 2.0,
+                                                         rng.standard_normal(m)), \
+            rng.standard_normal((5, m))
+    for name, h in _split_losses(6, rng).items():
+        yield name, h, 3.0 * rng.standard_normal((5, 6))
+    # y > 0, y ≤ 0 and exp((x − 1)/y) past underflow
+    yield "noncompact", NoncompactExample(), \
+        np.array([[0.5, 2.0], [-3.0, 0.0], [0.2, -1.0], [-1000.0, 1.0], [-0.5, 0.25]])
+
+
+class TestStackedGradient:
+    """_gradient takes a stack of points, and at_each forms ∇h once a call."""
+
+    @pytest.mark.parametrize("case", list(_stackable_losses(np.random.default_rng(12))),
+                             ids=lambda c: c[0])
+    def test_a_stack_is_each_points_own_gradient_bit_for_bit(self, case):
+        _, h, Y = case
+        got = h._gradient(Y)
+        assert got.shape == Y.shape
+        for row, y in zip(got, Y, strict=True):
+            assert row.tobytes() == h._gradient(y).tobytes()
+
+    @pytest.mark.parametrize("A", [
+        DenseMap(np.random.default_rng(13).standard_normal((6, 8)), (8,)),
+        CoordinateSelectMap(((0, 1), (2, 3), (1, 0)), (3, 4)),
+    ], ids=["dense", "select"])
+    def test_one_gradient_call_per_at_each(self, A):
+        @dataclass(frozen=True)
+        class CountingLeastSquares(LeastSquares):
+            blocks: list = field(default_factory=list, compare=False)
+
+            def _gradient(self, y):
+                self.blocks.append(y.shape)
+                return super()._gradient(y)
+
+        rng = np.random.default_rng(14)
+        f = CompositeSmooth(CountingLeastSquares(rng.standard_normal(A.out_shape)), A,
+                            np.zeros(A.in_shape))
+        X = rng.standard_normal((5, *A.in_shape))
+        points = f.at_each(list(X))
+        assert f.h.blocks == [(5, *A.out_shape)]
+        G = A.adjoint_each(f.h._gradient(A.apply_each(X)))
+        for p, g in zip(points, G, strict=True):
+            assert p.gradient.tobytes() == g.tobytes()

@@ -112,8 +112,9 @@ def built_instances():
 
 
 def test_every_registry_and_census_map_has_one_row_panel():
-    # a map of more than one row panel evaluates probe points panel by
-    # panel, which rounds differently: no report may depend on that
+    # every map takes the same at_each body; on more than one row panel,
+    # ∇f is a sum over the panels, which rounds differently from the
+    # product with the map whole: no report may depend on that rounding
     built = dict(built_instances())
     assert len(built) > 150 and "custom-minimal-tol1e-6" in built
     panels = {case: len(prob.smooth.A.row_panels) for case, prob in built.items()}

@@ -340,6 +340,16 @@ class TestShapeMismatch:
 
 
 class TestInverseImage:
+    def test_each_image_declares_whether_it_is_polyhedral(self):
+        # only the nuclear norm's image has a complementarity condition
+        g = np.array([0.5, -1.0, 1.0])
+        for reg, g in ((L1(1.0), g), (Ridge(1.0), g), (OrthantIndicator([1, -1, 0]), 0.0 * g),
+                       (GroupedLasso([[0, 1], [2]], [2.0, 1.0]), g)):
+            image = reg.inverse_image(g)
+            assert image.polyhedral is True and not hasattr(image, "complementarity")
+        image = NuclearNorm().inverse_image(-np.diag([1.0, 0.5]))
+        assert image.polyhedral is False and image.complementarity(np.eye(2)).s_bar == 1
+
     def test_grouped_cases(self):
         x = np.array([1.0, -3.0])
         reg = GroupedLasso([[0, 1]], [2.0])

@@ -420,8 +420,10 @@ class Reversal(LinearMap):
 
 
 class TestStackedProducts:
-    """apply_each and adjoint_each: a loop over the per-point products on
-    the base class, one matrix–matrix product each on a dense map."""
+    """apply_each and adjoint_each take a stack of points (a leading axis)
+    and return one array: a loop over the per-point products on the base
+    class, a gather or scatter on a coordinate-select map, one
+    matrix–matrix product on a dense map."""
 
     @pytest.mark.parametrize("A", [
         IdentityMap((2, 3)),
@@ -431,12 +433,14 @@ class TestStackedProducts:
     ], ids=["identity", "select-matrix", "select-vector", "user-defined"])
     def test_base_loop_is_the_per_point_products_bit_for_bit(self, A):
         rng = np.random.default_rng(30)
-        xs = [rng.standard_normal(A.in_shape) for _ in range(4)]
-        ys = [rng.standard_normal(A.out_shape) for _ in range(4)]
-        for got, x in zip(A.apply_each(xs), xs, strict=True):
-            np.testing.assert_array_equal(got, A(x))
-        for got, y in zip(A.adjoint_each(ys), ys, strict=True):
-            np.testing.assert_array_equal(got, A.adjoint(y))
+        X = rng.standard_normal((4, *A.in_shape))
+        Y = rng.standard_normal((4, *A.out_shape))
+        forward, back = A.apply_each(X), A.adjoint_each(Y)
+        assert forward.shape == (4, *A.out_shape) and back.shape == (4, *A.in_shape)
+        for got, x in zip(forward, X, strict=True):
+            assert got.tobytes() == A(x).tobytes()
+        for got, y in zip(back, Y, strict=True):
+            assert got.tobytes() == A.adjoint(y).tobytes()
 
     @pytest.mark.parametrize("rows, in_shape, k", [
         (7, (9,), None), (5, (4, 6), None),
@@ -449,28 +453,34 @@ class TestStackedProducts:
         n = int(np.prod(in_shape))
         A = DenseMap(rng.standard_normal((rows, n)), in_shape)
         M2 = A.operator_norm()
-        xs = [rng.standard_normal(in_shape) if k is None else sparse_input(rng, in_shape, k)
-              for _ in range(6)]
-        ys = [rng.standard_normal(rows) for _ in range(6)]
-        for got, x in zip(A.apply_each(xs), xs, strict=True):
-            assert got.shape == A.out_shape
+        X = np.array([rng.standard_normal(in_shape) if k is None
+                      else sparse_input(rng, in_shape, k) for _ in range(6)])
+        Y = rng.standard_normal((6, rows))
+        forward, back = A.apply_each(X), A.adjoint_each(Y)
+        assert forward.shape == (6, rows) and back.shape == (6, *in_shape)
+        for got, x in zip(forward, X, strict=True):
             assert norm(got - A(x)) <= 1e-13 * M2 * norm(x)
-        for got, y in zip(A.adjoint_each(ys), ys, strict=True):
-            assert got.shape == A.in_shape
+        for got, y in zip(back, Y, strict=True):
             assert norm(got - A.adjoint(y)) <= 1e-13 * M2 * norm(y)
 
     def test_dense_takes_points_of_its_shape_only(self):
         # one input rule for every map: a (2, 3) map refuses a (3, 2) point
-        # of the same size, where a row-major flattening would multiply it
+        # of the same size, where a row-major flattening would multiply it,
+        # and a stack of such points or a bare point where it takes a stack
         A = DenseMap(np.arange(24.0).reshape(4, 6), (2, 3))
         x = np.arange(6.0).reshape(2, 3)
         np.testing.assert_array_equal(A(x), A.matrix @ x.ravel())
-        for call in (A, lambda v: A.apply_on(v, None), lambda v: A.apply_each([x, v])):
+        np.testing.assert_array_equal(A.apply_each(np.stack([x, x]))[1], A.matrix @ x.ravel())
+        for call in (A, lambda v: A.apply_on(v, None)):
             for bad in (x.reshape(3, 2), x.ravel(), x.reshape(6, 1)):
                 with pytest.raises(InvalidInputError, match=r"takes shape \(2, 3\)"):
                     call(bad)
-        for call in (A.adjoint, lambda v: A.adjoint_each([np.ones(4), v])):
-            for bad in (np.ones((4, 1)), np.ones((2, 2))):
+        for bad in (np.ones((2, 3, 2)), np.ones((2, 6)), np.ones((2, 6, 1)), x):
+            with pytest.raises(InvalidInputError, match=r"takes shape \(2, 3\)"):
+                A.apply_each(bad)
+        for call, bads in ((A.adjoint, (np.ones((4, 1)), np.ones((2, 2)))),
+                           (A.adjoint_each, (np.ones((2, 4, 1)), np.ones((2, 2, 2)), np.ones(4)))):
+            for bad in bads:
                 with pytest.raises(InvalidInputError, match=r"takes shape \(4,\)"):
                     call(bad)
 
@@ -480,24 +490,28 @@ class TestStackedProducts:
         CoordinateSelectMap((0, 2), (4,)),
     ], ids=["dense", "identity", "select"])
     def test_wrong_size_raises_the_per_point_error(self, A):
-        good_x, good_y = np.ones(A.in_shape), np.ones(A.out_shape)
-        n, m = good_x.size, good_y.size
+        n, m = int(np.prod(A.in_shape)), int(np.prod(A.out_shape))
         for bad_x, bad_y in ((np.ones(n + 1), np.ones(m + 1)), (np.ones(n - 1), np.ones(m - 1))):
             with pytest.raises(InvalidInputError) as single:
                 A(bad_x)
             with pytest.raises(InvalidInputError) as stacked:
-                A.apply_each([good_x, bad_x])
+                A.apply_each(np.stack([bad_x, bad_x]))
             assert str(stacked.value) == str(single.value)
             with pytest.raises(InvalidInputError) as single:
                 A.adjoint(bad_y)
             with pytest.raises(InvalidInputError) as stacked:
-                A.adjoint_each([good_y, bad_y])
+                A.adjoint_each(np.stack([bad_y, bad_y]))
             assert str(stacked.value) == str(single.value)
 
-    @pytest.mark.parametrize("A", [DenseMap(np.ones((3, 4)), (2, 2)), IdentityMap((4,))],
-                             ids=["dense", "identity"])
+    @pytest.mark.parametrize("A", [
+        DenseMap(np.ones((3, 4)), (2, 2)),
+        IdentityMap((4,)),
+        CoordinateSelectMap((0, 2), (4,)),
+        Reversal(),
+    ], ids=["dense", "identity", "select", "user-defined"])
     def test_no_points_gives_no_products(self, A):
-        assert A.apply_each([]) == [] and A.adjoint_each([]) == []
+        assert A.apply_each(np.empty((0, *A.in_shape))).shape == (0, *A.out_shape)
+        assert A.adjoint_each(np.empty((0, *A.out_shape))).shape == (0, *A.in_shape)
 
 
 def _rank_deficient(rng):
