@@ -20,7 +20,7 @@ from .problem import (
     distance_to_solution_set,
 )
 from .regularizers import ComplementarityReport
-from .space import MAX_ENTRIES, _require_finite, _require_integer, line_fit, norms
+from .space import MAX_ENTRIES, _require_finite, _require_integer, _shaped, line_fit, norms
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,10 @@ class RandomDirections:
         object.__setattr__(self, "count", _require_integer(self.count, "directions count", 0))
         object.__setattr__(self, "seed", _require_integer(self.seed, "directions seed", 0))
 
-    def pending(self, x_star, radii) -> list:
-        """(radius, direction index, point, None) for each radius, then each
-        direction, as probe samples them; the distance is left to probe.
+    def pending(self, x_star, radii) -> tuple:
+        """(radius, direction index, X, None): the points stacked in X, for
+        each radius, then each direction, with each point's radius and
+        direction index in the first two arrays; distances are left to probe.
         radii must be a 1-d array of finite numbers >= 0 (numpy's included;
         radius 0 samples x* itself), else InvalidInputError, which a layout
         of more than MAX_ENTRIES entries (count × radii × x*'s entries) also
@@ -70,8 +71,8 @@ class RandomDirections:
         axes = (1,) * x_star.ndim
         units = u / norms(u, x_star.ndim).reshape((-1, *axes))
         points = x_star + rhos.reshape((-1, 1, *axes)) * units
-        return [(float(rho), j, x, None)
-                for rho, row in zip(rhos, points) for j, x in enumerate(row)]
+        return (np.repeat(rhos, self.count), np.tile(np.arange(self.count), rhos.size),
+                points.reshape((rhos.size * self.count, *x_star.shape)), None)
 
 
 @dataclass(frozen=True)
@@ -108,11 +109,13 @@ class Curve:
         points = tuple(point_fn(p) for p in params)
         return cls(params, points, tuple(float(distance_fn(x)) for x in points))
 
-    def pending(self, x_star, radii) -> list:
-        """(parameter, 0, point, distance) for each curve point; the curve
-        ignores x* and the radii."""
-        return [(float(p), 0, np.asarray(pt, dtype=float), d)
-                for p, pt, d in zip(self.params, self.points, self.distances)]
+    def pending(self, x_star, radii) -> tuple:
+        """(parameter, direction index 0, X, distance), each point's in the
+        arrays, the points stacked in X; a point not of x*'s shape raises
+        InvalidInputError.  The curve ignores the radii."""
+        X = [_shaped(point, x_star.shape, "curve point") for point in self.points]
+        return (np.asarray(self.params, dtype=float), np.zeros(len(X), dtype=int),
+                np.reshape(X, (len(X), *x_star.shape)), np.asarray(self.distances, dtype=float))
 
 
 def probe(prob: ProblemInstance, cert: OptimalityCertificate, radii, directions) -> list:
@@ -120,18 +123,16 @@ def probe(prob: ProblemInstance, cert: OptimalityCertificate, radii, directions)
     RandomDirections, its own points for a Curve) and record
     (d(x,𝒳), ‖R(x)‖, r_alt(x), F(x)) per sample.
 
-    A call evaluates its points as one stack.  f and its gradient come from
-    CompositeSmooth.at_each: per row panel of A (A itself unless a dense map
-    of more than one panel meets a loss that splits), one stacked product
-    each way and one ∇h call, and ∇f is the sum of the panels' terms.
-    Points outside dom(f) are rejected there, and no ∇h is formed where
-    they lie outside.  The kept points then go through one stacked call
-    each of prox_diff, subdiff_distance (inside alt_residual) and value, and
-    those without a distance of their own (a curve brings its distances)
-    through one distance_to_solution_set call, which runs one Dykstra on
-    all of them.  Given the stacked y and ∇f, each sample's figures are bit
-    for bit those of the one-point functions; y and ∇f themselves differ
-    from a per-point `CompositeSmooth.at` by rounding.
+    A call evaluates the stack of points that `pending` lays out as arrays.
+    CompositeSmooth.at_each forms y and ∇f, one ∇h call per row panel of A,
+    and rejects the points outside dom(f), forming no ∇h where they lie
+    outside.  The kept points then go through one stacked call each of f,
+    prox_diff, subdiff_distance (inside alt_residual) and P, and, unless the
+    layout brings distances (a curve does), one distance_to_solution_set
+    call, which runs one Dykstra on all of them.  Given the stacked y and
+    ∇f, each sample's figures are bit for bit those of the one-point
+    functions; y and ∇f themselves differ from a per-point
+    `CompositeSmooth.at` by rounding.
     When the subdifferential of P is empty at a sample, r_alt is recorded
     as inf.  No points at all raises InvalidInputError, and every point
     rejected raises EmptyProbeError; a distance that fails raises the
@@ -139,26 +140,18 @@ def probe(prob: ProblemInstance, cert: OptimalityCertificate, radii, directions)
     Samples are ordered by (radius, direction index) as generated, so
     reports are reproducible.
     """
-    pending = directions.pending(cert.x_star, radii)
-    if not pending:
+    params, ids, X, d = directions.pending(cert.x_star, radii)
+    if not len(X):
         raise InvalidInputError("probe has no points: no radii, directions or curve points")
-    evaluated = prob.smooth.at_each([x for _, _, x, _ in pending])
-    kept = [(p, point) for p, point in zip(pending, evaluated) if point is not None]
-    if not kept:
+    live, X, Y, G = prob.smooth.at_each(X)
+    if not live.size:
         raise EmptyProbeError("all probe points were rejected")
-
-    x = np.array([point.x for _, point in kept])
-    measure = np.array([p[3] is None for p, _ in kept])
-    d = np.array([0.0 if p[3] is None else p[3] for p, _ in kept], dtype=float)
-    if measure.any():
-        d[measure] = distance_to_solution_set(prob, cert, x[measure])
-    r_prox = norms(prob.reg.prox_diff(x, np.array([point.gradient for _, point in kept]),
-                                      stack=True), cert.x_star.ndim)
-    r_alt = alt_residual(prob, cert, x, np.array([point.y for _, point in kept]))
-    F = np.array([point.value for _, point in kept]) + prob.reg.value(x, stack=True)
-    return [ProbeSample(x=point.x, radius=rho, direction_id=j, d=float(d[i]),
-                        r_prox=float(r_prox[i]), r_alt=float(r_alt[i]), F_val=float(F[i]))
-            for i, ((rho, j, _, _), point) in enumerate(kept)]
+    d = distance_to_solution_set(prob, cert, X) if d is None else d[live]
+    r_prox = norms(prob.reg.prox_diff(X, G, stack=True), cert.x_star.ndim)
+    r_alt = alt_residual(prob, cert, X, Y)
+    F = prob.smooth._value(X, Y) + prob.reg.value(X, stack=True)
+    return [ProbeSample(x, float(params[i]), int(ids[i]), *map(float, figures))
+            for i, x, *figures in zip(live, X, d, r_prox, r_alt, F)]
 
 
 @dataclass(frozen=True)
@@ -208,12 +201,12 @@ def kappa_by_decade(samples) -> dict:
 
 def strict_complementarity(prob: ProblemInstance,
                            cert: OptimalityCertificate) -> ComplementarityReport:
-    """The report of the certificate's Γ_P(ḡ), which holds s̄, Ū₁ and V̄₁;
+    """The certificate's report of its Γ_P(ḡ), which holds s̄, Ū₁ and V̄₁;
     raises InvalidInputError when Γ_P(ḡ) is polyhedral and needs no such
     condition, InfeasibleTargetError when it is empty."""
     if cert.image.polyhedral:
         raise InvalidInputError("strict complementarity applies to nuclear-norm instances")
-    return cert.image.complementarity(cert.x_star)
+    return cert.complementarity
 
 
 STRONGLY_CONVEX = "strongly_convex"
@@ -242,6 +235,6 @@ def regularity_summary(prob: ProblemInstance, cert: OptimalityCertificate) -> Re
         return RegularitySummary(STRONGLY_CONVEX, True)
     if cert.image.polyhedral:
         return RegularitySummary(POLYHEDRAL, True)
-    if cert.image.complementarity(cert.x_star).holds:
+    if cert.complementarity.holds:
         return RegularitySummary(NUCLEAR_WITH_SC, True)
     return RegularitySummary(UNVERIFIED, False)

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .space import LinearMap, _require_finite, inner
+from .space import LinearMap, _require_finite, _shaped, _stacked
 
 # exp(y) overflows in double precision just above this
 _POISSON_CAP = 700.0
+
+
+def _sums(v, shape):
+    """np.sum of each element of `shape` in v, whose leading axes index them."""
+    return v.reshape(v.shape[:v.ndim - len(shape)] + (math.prod(shape),)).sum(axis=-1)
 
 
 class SmoothLoss:
@@ -20,10 +26,10 @@ class SmoothLoss:
     in_domain) and call the unchecked _value and _gradient, which a loss
     defines with in_domain; CompositeSmooth checks the domain once per
     point (never for a constant-Hessian loss) and then calls the unchecked
-    forms.  _gradient also takes a stack of points (a leading axis), each
-    point's gradient bit for bit its own call's.  A loss that is a sum over
-    its target coordinates, with a domain that is a product over them,
-    returns from `split` the loss on some of them, for CompositeSmooth.at_each."""
+    forms.  _value and _gradient also take a stack of points (a leading
+    axis), each point's figure bit for bit its own call's.  A loss that is a
+    sum over its target coordinates, with a domain that is a product over
+    them, returns from `split` the loss on some of them, for at_each."""
 
     #: strongly convex with Lipschitz gradient on every compact convex
     #: subset of the domain; the regularity classification relies on it
@@ -54,12 +60,12 @@ class SmoothLoss:
         return None
 
     def value(self, y) -> float:
-        return self._value(self._check(y))
+        return float(self._value(self._check(y)))
 
     def gradient(self, y) -> np.ndarray:
         return self._gradient(self._check(y))
 
-    def _value(self, y) -> float:
+    def _value(self, y):
         raise NotImplementedError
 
     def _gradient(self, y) -> np.ndarray:
@@ -96,7 +102,7 @@ class LeastSquares(SmoothLoss):
         return self.targets.shape
 
     def _value(self, y):
-        return 0.5 * float(((y - self.targets) ** 2).sum())
+        return 0.5 * _sums((y - self.targets) ** 2, self.shape)
 
     def _gradient(self, y):
         return y - self.targets
@@ -142,7 +148,10 @@ class GeneralQuadratic(SmoothLoss):
         return self.d.shape
 
     def _value(self, y):
-        return 0.5 * float(y @ self.B @ y) - float(self.d @ y) + self._constant
+        # each point's y @ B @ y and d @ y bit for bit, where np.einsum is not
+        row = y[..., None, :]
+        return (0.5 * np.matmul(np.matmul(row, self.B), y[..., None])[..., 0, 0]
+                - np.matmul(row, self.d[:, None])[..., 0, 0] + self._constant)
 
     def _gradient(self, y):
         # B @ y for each point, bit for bit, where Y @ Bᵀ rounds differently
@@ -170,7 +179,7 @@ class Logistic(SmoothLoss):
         return self.labels.shape
 
     def _value(self, y):
-        return float(np.sum(np.logaddexp(0.0, -y * self.labels)))
+        return _sums(np.logaddexp(0.0, -y * self.labels), self.shape)
 
     def _gradient(self, y):
         # −b·sigmoid(−yb), written via tanh for stability at large |y|
@@ -202,7 +211,7 @@ class Poisson(SmoothLoss):
         return bool(np.all(np.asarray(y) <= _POISSON_CAP))
 
     def _value(self, y):
-        return float(np.sum(-y * self.counts + np.exp(y)))
+        return _sums(-y * self.counts + np.exp(y), self.shape)
 
     def _gradient(self, y):
         return -self.counts + np.exp(y)
@@ -228,6 +237,8 @@ class NoncompactExample(SmoothLoss):
         return y[0] < 1.0
 
     def _value(self, y):
+        if y.ndim > 1:
+            return np.array([self._value(point) for point in y])
         a, b = y
         if b <= 0.0:
             return 0.0
@@ -250,10 +261,10 @@ class NoncompactExample(SmoothLoss):
 
 
 class SmoothPoint:
-    """f at one point x: y = A(x), f(x) = h(y) + ⟨c, x⟩ and ∇f(x), each
-    formed on first read unless the caller gave it, from x itself (not a
-    copy, so x must not change meanwhile) and `support`, what A.support
-    returned when `at` scanned x, so x is not scanned again.  The gradient
+    """f at one point x, as CompositeSmooth.at builds it: y = A(x), the
+    float f(x) = h(y) + ⟨c, x⟩ and ∇f(x), each formed on first read, from x
+    itself (not a copy, so x must not change meanwhile) and `support`, what
+    A.support returned when `at` scanned x, so x is not scanned again.  ∇f
     reads the cached columns of A*HA on the support when h has a constant
     Hessian H and the support is known: O(n·|supp x|), plus one forward and
     one adjoint for each coordinate new to the cache, and neither y nor
@@ -261,10 +272,9 @@ class SmoothPoint:
 
     __slots__ = ("smooth", "x", "support", "_y", "_value", "_gradient")
 
-    def __init__(self, smooth: "CompositeSmooth", x, y=None, given_gradient=None,
-                 support=None):
+    def __init__(self, smooth: "CompositeSmooth", x, support):
         self.smooth, self.x, self.support = smooth, x, support
-        self._y, self._value, self._gradient = y, None, given_gradient
+        self._y = self._value = self._gradient = None
 
     @property
     def y(self) -> np.ndarray:
@@ -275,7 +285,7 @@ class SmoothPoint:
     @property
     def value(self) -> float:
         if self._value is None:
-            self._value = self.smooth._value(self.x, self.y)
+            self._value = float(self.smooth._value(self.x, self.y))
         return self._value
 
     @property
@@ -390,16 +400,10 @@ class CompositeSmooth:
     def in_domain(self, x) -> bool:
         return self.h.in_domain(self.A(np.asarray(x, dtype=float)))
 
-    def _point(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != self.c.shape:
-            raise InvalidInputError(f"composite: point of shape {x.shape}, "
-                                    f"the linear map takes {self.c.shape}")
-        return x
-
-    def _value(self, x, y) -> float:
-        """h(y) + ⟨c, x⟩, the inner product only for c ≠ 0."""
-        return self.h._value(y) + inner(self.c, x) if self._linear else self.h._value(y)
+    def _value(self, X, Y):
+        """h(y) + ⟨c, x⟩ at one point or each of a stack, ⟨c, x⟩ only for c ≠ 0."""
+        value = self.h._value(Y)
+        return value + _sums(self.c * X, self.c.shape) if self._linear else value
 
     def at(self, x) -> SmoothPoint:
         """f at x, with x's support scanned once (A.support); the point forms
@@ -408,25 +412,25 @@ class CompositeSmooth:
         any other loss's y is formed now and checked against its domain.
         Raises InvalidInputError when x does not have A's input shape, and
         DomainError when A(x) lies outside the loss domain."""
-        x = self._point(x)
-        point = SmoothPoint(self, x, support=self.A.support(x))
+        x = _shaped(x, self.c.shape, "composite: a point")
+        point = SmoothPoint(self, x, self.A.support(x))
         if not self.h.constant_hessian and not self.h.in_domain(point.y):
             raise DomainError("composite: A(x) outside the loss domain")
         return point
 
-    def at_each(self, xs) -> list:
-        """f at every x in xs, with its gradient, or None for a point whose
-        A(x) lies outside the loss domain.  With X the points stacked once, per
-        row panel P of `_panels`: Y_P = X Pᵀ, h's domain test on P's rows, one
+    def at_each(self, X) -> tuple:
+        """(live, X, Y, G) for the stack X (a leading axis over points): the
+        indices of the points whose A(x) lies in the loss domain, and their
+        x, y = A(x) and ∇f(x), stacked; f there is `_value(X, Y)`.  Per row
+        panel P of `_panels`: Y_P = X Pᵀ, h's domain test on P's rows, one
         ∇h_P(Y_P) over the points still inside and G += ∇h_P(Y_P) P, so each
-        panel is read once per call.  A point outside is dropped on that panel,
-        and the loop stops when none is left.  y and ∇f are the per-point
-        products up to rounding."""
-        xs = [self._point(x) for x in xs]
-        X = np.array(xs).reshape((len(xs), *self.c.shape))
-        Y = np.empty((len(xs), *self.A.out_shape))
+        panel is read once per call.  A point outside is dropped on that
+        panel, and the loop stops when none is left.  Y and G are the
+        per-point products up to rounding."""
+        X = _stacked(X, self.c.shape, "composite: each point")
+        Y = np.empty((len(X), *self.A.out_shape))
         G = np.zeros(X.shape)
-        live = np.arange(len(xs))
+        live = np.arange(len(X))
         for rows, P, h in self._panels:
             Y_P = P.apply_each(X)
             inside = [h.in_domain(y) for y in Y_P]
@@ -436,10 +440,7 @@ class CompositeSmooth:
                 break
             Y[:, rows] = Y_P
             G += P.adjoint_each(h._gradient(Y_P))
-        points = [None] * len(xs)
-        for i, y, g in zip(live, Y, G + self.c):
-            points[i] = SmoothPoint(self, xs[i], y, g)
-        return points
+        return live, X, Y, G + self.c
 
     def value(self, x) -> float:
         return self.at(x).value

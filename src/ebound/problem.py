@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, InvalidInputError, NotOptimalError
 from .losses import CompositeSmooth
-from .regularizers import InverseImage, Regularizer
+from .regularizers import ComplementarityReport, InverseImage, Regularizer
 # affine_project is unused, but bench/tests/test_smoke.py reads problem.affine_project
 from .space import (LinearMap, _require_finite, _require_positive, _shaped,  # noqa: F401
                     affine_project, norm, norms)
@@ -70,6 +70,11 @@ class OptimalityCertificate:
     def image(self) -> InverseImage:
         """Γ_P(ḡ), built on first use."""
         return self.reg.inverse_image(self.g_bar)
+
+    @cached_property
+    def complementarity(self) -> ComplementarityReport:
+        """Γ_P(ḡ)'s strict-complementarity report at x*, built on first use."""
+        return self.image.complementarity(self.x_star)
 
     @cached_property
     def reduced(self) -> ReducedSet:

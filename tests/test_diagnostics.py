@@ -21,15 +21,18 @@ from ebound.diagnostics import (
 from ebound.errors import (ConvergenceError, DomainError, EmptyProbeError,
                            InfeasibleTargetError, InsufficientDataError, InvalidInputError)
 from ebound.experiments import (
+    DEFAULT_RADII,
     counterexample_curve_point,
     counterexample_instance,
     grouped_lasso_instance,
+    lasso_instance,
     noncompact_instance,
     noncompact_ray_distance,
     nuclear_regular_instance,
     ridge_instance,
+    run_experiment,
 )
-from ebound.losses import CompositeSmooth, GeneralQuadratic, LeastSquares, Poisson
+from ebound.losses import CompositeSmooth, GeneralQuadratic, LeastSquares, Poisson, SmoothPoint
 from ebound.problem import ProblemInstance, alt_residual, certify, distance_to_solution_set
 from ebound.regularizers import L1, GroupedLasso, NuclearNorm, OrthantIndicator, Ridge
 from ebound.solver import Fixed, lipschitz_bound, proximal_gradient
@@ -158,13 +161,14 @@ class TestProbe:
         # one seeded generator draws every unit direction before any point is
         # formed, so the points (and every report) do not depend on the radii
         x_star = np.arange(4.0)
-        pending = RandomDirections(3, seed=7).pending(x_star, [0.5, 0.25])
+        radii, ids, X, d = RandomDirections(3, seed=7).pending(x_star, [0.5, 0.25])
         rng = np.random.default_rng(7)
         units = [u / norm(u) for u in (rng.standard_normal(4) for _ in range(3))]
-        assert [(rho, j) for rho, j, _, _ in pending] == [(0.5, 0), (0.5, 1), (0.5, 2),
-                                                          (0.25, 0), (0.25, 1), (0.25, 2)]
-        for rho, j, x, d in pending:
-            assert np.array_equal(x, x_star + rho * units[j]) and d is None
+        assert list(zip(radii, ids)) == [(0.5, 0), (0.5, 1), (0.5, 2),
+                                         (0.25, 0), (0.25, 1), (0.25, 2)]
+        assert X.shape == (6, 4) and d is None
+        for rho, j, x in zip(radii, ids, X, strict=True):
+            assert np.array_equal(x, x_star + rho * units[j])
 
     def test_random_directions_refuse_a_layout_past_max_entries(self, monkeypatch):
         # count × radii × x*'s entries is checked before the draw: 10¹²
@@ -173,27 +177,39 @@ class TestProbe:
                                                     "10000000"):
             RandomDirections(10**12, seed=0).pending(np.zeros(4), [0.5, 0.25, 0.1, 0.05, 0.01])
         monkeypatch.setattr(diagnostics, "MAX_ENTRIES", 24)
-        assert len(RandomDirections(3, seed=0).pending(np.zeros(4), [0.5, 0.25])) == 6
+        _, _, X, _ = RandomDirections(3, seed=0).pending(np.zeros(4), [0.5, 0.25])
+        assert X.shape == (6, 4)
         with pytest.raises(InvalidInputError, match="3 directions × 3 radii × 4 entries"):
             RandomDirections(3, seed=0).pending(np.zeros(4), [0.5, 0.25, 0.1])
 
     def test_probe_samples_what_its_sampler_lays_out(self):
         # probe asks the sampler for its points; it does not switch on its type
+        # (radii, direction indices, points, distances or None), as arrays
         prob, cert = certified_ridge(0)
         x = cert.x_star + 0.1
 
         class TwoPoints:
-            def pending(self, x_star, radii):
-                return [(1.0, 4, x, 0.5), (2.0, 5, x, None)]
+            def __init__(self, distances):
+                self.distances = distances
 
-        first, second = probe(prob, cert, None, TwoPoints())
-        assert (first.radius, first.direction_id, first.d) == (1.0, 4, 0.5)
-        assert (second.radius, second.direction_id) == (2.0, 5)
-        assert second.d == distance_to_solution_set(prob, cert, x)
+            def pending(self, x_star, radii):
+                return np.array([1.0, 2.0]), np.array([4, 5]), np.array([x, x]), self.distances
+
+        given = probe(prob, cert, None, TwoPoints(np.array([0.5, 0.25])))
+        assert [(s.radius, s.direction_id, s.d) for s in given] == [(1.0, 4, 0.5), (2.0, 5, 0.25)]
+        measured = probe(prob, cert, None, TwoPoints(None))
+        assert [s.d for s in measured] == [distance_to_solution_set(prob, cert, x)] * 2
+
+    def test_a_curve_point_of_another_shape_is_invalid_input(self):
+        prob, cert = certified_ridge(0)
+        points = (cert.x_star, np.append(cert.x_star, 0.0))
+        with pytest.raises(InvalidInputError, match="curve point takes shape"):
+            probe(prob, cert, None, Curve((1.0, 2.0), points, (1.0, 1.0)))
 
     @pytest.mark.parametrize("radii, directions", [([], RandomDirections(3, seed=0)),
-                                                   ([1e-2], RandomDirections(0, seed=0))],
-                             ids=["no-radii", "no-directions"])
+                                                   ([1e-2], RandomDirections(0, seed=0)),
+                                                   (None, Curve((), (), ()))],
+                             ids=["no-radii", "no-directions", "no-curve-points"])
     def test_no_points_is_invalid_input(self, radii, directions):
         # nothing was rejected, so this is not an EmptyProbeError
         prob, cert = certified_ridge(0)
@@ -252,24 +268,26 @@ def certified_panelled_poisson():
     return prob, cert
 
 
-def one_point_figures(prob, cert, x, point):
-    """(r_prox, r_alt, F) at x from the one-point functions, given the
-    evaluation of f there; r_alt is inf where ∂P(x) is empty."""
+def one_point_figures(prob, cert, x, y, g):
+    """(r_prox, r_alt, F) at x from the one-point functions, given y = A(x)
+    and ∇f(x); r_alt is inf where ∂P(x) is empty."""
     try:
-        ra = alt_residual(prob, cert, x, point.y)
+        ra = alt_residual(prob, cert, x, y)
     except DomainError:
         ra = float("inf")
-    return (norm(prob.reg.prox_diff(x, point.gradient)), ra,
-            point.value + prob.reg.value(x))
+    return (norm(prob.reg.prox_diff(x, g)), ra,
+            float(prob.smooth._value(x, y)) + prob.reg.value(x))
 
 
 def assert_samples_are_one_point_figures(prob, cert, samples, distances=None):
     """Every sample's d, r_prox, r_alt and F, bit for bit, as the one-point
-    functions give them at the same at_each point (distances: the curve's)."""
-    points = prob.smooth.at_each([s.x for s in samples])
-    for i, (s, point) in enumerate(zip(samples, points, strict=True)):
-        d = distance_to_solution_set(prob, cert, s.x) if distances is None else distances[i]
-        figures = (d, *one_point_figures(prob, cert, s.x, point))
+    functions give them at the same at_each y and ∇f (distances: the
+    curve's)."""
+    live, X, Y, G = prob.smooth.at_each(np.array([s.x for s in samples]))
+    assert live.size == len(samples)
+    for i, (s, x, y, g) in enumerate(zip(samples, X, Y, G, strict=True)):
+        d = distance_to_solution_set(prob, cert, x) if distances is None else distances[i]
+        figures = (d, *one_point_figures(prob, cert, x, y, g))
         assert (s.d, s.r_prox, s.r_alt, s.F_val) == figures
 
 
@@ -321,7 +339,8 @@ class OnePointThenOthers:
         self.points = points
 
     def pending(self, x_star, radii):
-        return [(float(i), i, x, None) for i, x in enumerate(self.points)]
+        ids = np.arange(len(self.points))
+        return ids.astype(float), ids, np.array(self.points), None
 
 
 class TestProbeEvaluation:
@@ -398,6 +417,31 @@ class TestProbeEvaluation:
             probe(prob, cert, None, OnePointThenOthers(cert.x_star, first, second))
         assert stacked.value.gap == alone.value.gap
         assert str(stacked.value) == str(alone.value)
+
+    def test_one_loss_value_per_call_and_no_point_objects(self, monkeypatch):
+        # the registry lasso's probe, 9 radii × 6 directions: f is valued
+        # on the stack of 54 points at once, and no SmoothPoint is built
+        prob = lasso_instance(0)
+        trace = proximal_gradient(prob, prob.feasible_point,
+                                  step=Fixed(1.0 / lipschitz_bound(prob)), tol=1e-12,
+                                  max_iter=10000)
+        cert = certify(prob, trace.terminal, tol=1e-9)
+        valued, built = [], []
+        real_value, real_init = LeastSquares._value, SmoothPoint.__init__
+
+        def counted_value(self, y):
+            valued.append(y.shape)
+            return real_value(self, y)
+
+        def counted_init(self, *args, **kwargs):
+            built.append(args)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(LeastSquares, "_value", counted_value)
+        monkeypatch.setattr(SmoothPoint, "__init__", counted_init)
+        samples = probe(prob, cert, DEFAULT_RADII, RandomDirections(6, seed=0))
+        assert len(samples) == 54
+        assert valued == [(54, *prob.smooth.A.out_shape)] and built == []
 
     @pytest.mark.parametrize("radii, count", [([1e-2], 1), ([1e-2], 2), ([1e-1, 1e-2, 1e-3], 5)])
     def test_one_stacked_product_each_way_per_call(self, radii, count):
@@ -662,6 +706,21 @@ class TestStrictComplementarity:
 
 
 class TestRegularitySummary:
+    def test_one_complementarity_report_per_certificate(self, monkeypatch, tmp_path):
+        # the strict_complementarity_holds check and the regularity summary
+        # read the one report that the certificate keeps
+        calls = []
+        real = regularizers.NuclearImage.complementarity
+
+        def counted(self, x_star):
+            calls.append(x_star)
+            return real(self, x_star)
+
+        monkeypatch.setattr(regularizers.NuclearImage, "complementarity", counted)
+        code, payload = run_experiment("nuclear-regular", out_dir=tmp_path)
+        assert code == 0 and payload["regularity"]["condition"] == NUCLEAR_WITH_SC
+        assert len(calls) == 1
+
     def test_ridge_identity_is_strongly_convex(self):
         prob, cert = certified_ridge(0)
         summary = regularity_summary(prob, cert)

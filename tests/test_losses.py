@@ -15,6 +15,8 @@ from ebound.losses import (
     SmoothLoss,
     SmoothPoint,
 )
+from ebound.problem import ProblemInstance, objective
+from ebound.regularizers import L1
 from ebound.space import (GATHER_MIN_ENTRIES, GATHER_RATIO, PANEL_BYTES, CoordinateSelectMap,
                           DenseMap, IdentityMap, inner, norm)
 
@@ -245,10 +247,13 @@ class TestComposite:
         x = np.array([1.0, 0.0, 0.0])
         assert f.value(x) == 5.5
         for bad in (x.reshape(3, 1), x.reshape(1, 3), np.zeros(4)):
-            with pytest.raises(InvalidInputError, match="point of shape"):
+            with pytest.raises(InvalidInputError, match="a point takes shape"):
                 f.value(bad)
-            with pytest.raises(InvalidInputError, match="point of shape"):
-                f.at_each([x, bad])
+            with pytest.raises(InvalidInputError, match="each point takes shape"):
+                f.at_each(bad[None])
+        # one point is not a stack of them
+        with pytest.raises(InvalidInputError, match="each point takes shape"):
+            f.at_each(x)
 
     def test_linear_term_only_when_c_is_nonzero(self):
         rng = np.random.default_rng(5)
@@ -256,22 +261,22 @@ class TestComposite:
         h = LeastSquares(b)
         zero = CompositeSmooth(h, DenseMap(M, (4,)), np.zeros(4))
         assert zero.at(x).value == h.value(M @ x)
-        assert zero.at_each([x])[0].value == h.value(M @ x)
+        _, X, Y, _ = zero.at_each(x[None])
+        assert zero._value(X, Y)[0] == h.value(M @ x)
         c = np.zeros(4)
         c[2] = -0.75
         linear = CompositeSmooth(h, DenseMap(M, (4,)), c)
         assert linear.at(x).value == h.value(M @ x) + float(np.sum(c * x)) != h.value(M @ x)
-        assert linear.at_each([x])[0].value == linear.at(x).value
+        _, X, Y, _ = linear.at_each(x[None])
+        assert linear._value(X, Y)[0] == linear.at(x).value
 
-    def test_a_given_gradient_is_the_gradient(self):
+    def test_a_point_forms_its_gradient_once(self):
         f = counterexample_smooth()
         x = np.array([[1.0, 0.0], [0.0, 2.0]])
-        g = np.ones((2, 2))
-        point = SmoothPoint(f, x, f.A(x), given_gradient=g)
-        assert point.gradient is g
-        formed = SmoothPoint(f, x, f.A(x))
-        assert np.array_equal(formed.gradient, f.gradient(x))
-        assert formed.gradient is formed.gradient
+        point = f.at(x)
+        assert type(point) is SmoothPoint
+        assert np.array_equal(point.gradient, f.gradient(x))
+        assert point.gradient is point.gradient
 
     def test_each_point_meets_the_domain_check_once(self):
         # at and at_each check A(x) against the loss domain once per point;
@@ -291,15 +296,15 @@ class TestComposite:
         point.gradient
         assert len(seen) == 1
         seen.clear()
-        points = f.at_each(xs)
-        assert len(seen) == len(xs)
+        live, X, Y, G = f.at_each(np.array(xs))
+        assert len(seen) == len(xs) == len(live)
         # the checked forms give the same figures; at_each's stacked adjoint
         # rounds differently from the per-point one
         assert point.value == f.h.value(point.y)
         assert np.array_equal(point.gradient, f.A.adjoint(f.h.gradient(point.y)))
-        for p in points:
-            assert p.value == f.h.value(p.y)
-            np.testing.assert_allclose(p.gradient, f.A.adjoint(f.h.gradient(p.y)), rtol=1e-13)
+        for value, y, g in zip(f._value(X, Y), Y, G, strict=True):
+            assert value == f.h.value(y)
+            np.testing.assert_allclose(g, f.A.adjoint(f.h.gradient(y)), rtol=1e-13)
 
 
 def gathering_smooth(loss, in_shape, seed=0, m=None):
@@ -483,18 +488,18 @@ class TestRowPanels:
         f, M, xs = panelled_smooth(loss, in_shape)
         assert len(f.A.row_panels) == 3 and f.c.any()
         M2 = f.A.operator_norm()
-        points = f.at_each(xs)
+        live, X, Y, G = f.at_each(np.array(xs))
         assert f.A.calls["forward_each"] == f.A.calls["adjoint_each"] == 0
-        for x, got in zip(xs, points, strict=True):
+        assert np.array_equal(live, np.arange(len(xs))) and G.shape == (len(xs), *in_shape)
+        for x, got_x, y, g, value in zip(xs, X, Y, G, f._value(X, Y), strict=True):
             want = f.at(x)
             dy = 1e-13 * M2 * norm(x)
             grad_h = norm(f.h.gradient(want.y))
             lip = float(np.exp(np.max(want.y))) if loss == "poisson" else 1.0
-            assert got.x is x and got.gradient.shape == in_shape
-            assert norm(got.y - want.y) <= dy
-            assert norm(got.gradient - want.gradient) <= \
-                1e-13 * M2 * (lip * M2 * norm(x) + grad_h)
-            assert abs(got.value - want.value) <= (1.0 + grad_h) * dy
+            assert np.array_equal(got_x, x)
+            assert norm(y - want.y) <= dy
+            assert norm(g - want.gradient) <= 1e-13 * M2 * (lip * M2 * norm(x) + grad_h)
+            assert abs(value - want.value) <= (1.0 + grad_h) * dy
 
     def test_panels_are_views_that_cover_every_row_once(self):
         f, M, _ = panelled_smooth("least_squares")
@@ -521,15 +526,17 @@ class TestRowPanels:
     def test_a_loss_that_does_not_split_takes_one_product_each_way(self):
         f, M, xs = panelled_smooth("general_quadratic")
         assert len(f.A.row_panels) == 3
-        points = f.at_each(xs)
+        _, _, Y, G = f.at_each(np.array(xs))
         assert f.A.calls == {"forward_each": 1, "adjoint_each": 1}
-        want = f.A.adjoint_each([f.h.gradient(p.y) for p in points])
-        for p, g in zip(points, want, strict=True):
-            assert np.array_equal(p.gradient, g + f.c)
+        want = f.A.adjoint_each([f.h.gradient(y) for y in Y])
+        assert np.array_equal(G, want + f.c)
 
     def test_no_points(self):
+        # a stack of no points gives empty stacks, and no ∇h is formed
         f, _, _ = panelled_smooth("logistic")
-        assert f.at_each([]) == []
+        live, X, Y, G = f.at_each(np.empty((0, *f.c.shape)))
+        assert live.shape == (0,) and X.shape == G.shape == (0, *f.c.shape)
+        assert Y.shape == (0, *f.A.out_shape)
 
 
 def _split_losses(m, rng):
@@ -582,22 +589,37 @@ def _stackable_losses(rng):
             rng.standard_normal((5, m))
     for name, h in _split_losses(6, rng).items():
         yield name, h, 3.0 * rng.standard_normal((5, 6))
+    # data of a matrix's shape: each point's value sums over both axes
+    yield "least-squares-matrix", LeastSquares(rng.standard_normal((2, 3))), \
+        3.0 * rng.standard_normal((5, 2, 3))
     # y > 0, y ≤ 0 and exp((x − 1)/y) past underflow
     yield "noncompact", NoncompactExample(), \
         np.array([[0.5, 2.0], [-3.0, 0.0], [0.2, -1.0], [-1000.0, 1.0], [-0.5, 0.25]])
 
 
 class TestStackedGradient:
-    """_gradient takes a stack of points, and at_each forms ∇h once a call."""
+    """_value and _gradient take a stack of points, and at_each forms ∇h
+    once a call."""
 
     @pytest.mark.parametrize("case", list(_stackable_losses(np.random.default_rng(12))),
                              ids=lambda c: c[0])
     def test_a_stack_is_each_points_own_gradient_bit_for_bit(self, case):
+        # and its own value, which the public value returns as a float
         _, h, Y = case
-        got = h._gradient(Y)
-        assert got.shape == Y.shape
-        for row, y in zip(got, Y, strict=True):
-            assert row.tobytes() == h._gradient(y).tobytes()
+        for form, shape in ((h._gradient, Y.shape), (h._value, Y.shape[:1])):
+            got = form(Y)
+            assert got.shape == shape
+            for row, y in zip(got, Y, strict=True):
+                assert row.tobytes() == np.asarray(form(y)).tobytes()
+        assert all(type(h.value(y)) is float for y in Y)
+
+    def test_every_value_is_a_float(self):
+        rng = np.random.default_rng(15)
+        M, x = rng.standard_normal((3, 4)), rng.standard_normal(4)
+        f = CompositeSmooth(GeneralQuadratic(np.eye(3), rng.standard_normal(3)),
+                            DenseMap(M, (4,)), rng.standard_normal(4))
+        prob = ProblemInstance(f, L1(0.5), np.zeros(4))
+        assert type(f.value(x)) is type(f.at(x).value) is type(objective(prob, x)) is float
 
     @pytest.mark.parametrize("A", [
         DenseMap(np.random.default_rng(13).standard_normal((6, 8)), (8,)),
@@ -616,8 +638,6 @@ class TestStackedGradient:
         f = CompositeSmooth(CountingLeastSquares(rng.standard_normal(A.out_shape)), A,
                             np.zeros(A.in_shape))
         X = rng.standard_normal((5, *A.in_shape))
-        points = f.at_each(list(X))
+        _, _, _, G = f.at_each(X)
         assert f.h.blocks == [(5, *A.out_shape)]
-        G = A.adjoint_each(f.h._gradient(A.apply_each(X)))
-        for p, g in zip(points, G, strict=True):
-            assert p.gradient.tobytes() == g.tobytes()
+        assert G.tobytes() == A.adjoint_each(f.h._gradient(A.apply_each(X))).tobytes()
